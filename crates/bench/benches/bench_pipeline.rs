@@ -14,7 +14,6 @@ fn usage_config() -> WorldConfig {
         seed: 77,
         scale: 0.002,
         deploy_live: false,
-        wall_clock: false,
         gen_workers: 0,
         platform: PlatformConfig::default(),
     }
@@ -49,7 +48,6 @@ fn bench_full_pipeline(c: &mut Criterion) {
                     seed: 11,
                     scale: 0.001,
                     deploy_live: true,
-                    wall_clock: false,
                     gen_workers: 0,
                     platform: PlatformConfig {
                         hang_ms: 200,

@@ -7,7 +7,8 @@ use fw_cloud::billing::PriceModel;
 use fw_cloud::formats::{all_formats, identify};
 use fw_dns::pdns::PdnsStore;
 use fw_dns::wire::{Message, QType};
-use fw_http::parse::{read_response, write_response, Limits};
+use fw_http::fast::{read_response_fast, Scratch};
+use fw_http::parse::{write_response, Limits};
 use fw_net::{pipe_pair, Connection};
 use fw_pattern::{Pattern, Sampler, SamplerConfig, XorShiftRng};
 use fw_types::{DayStamp, Fqdn, Rdata};
@@ -116,8 +117,9 @@ fn bench_http(c: &mut Criterion) {
             );
             write_response(&mut a, &resp).unwrap();
             a.shutdown_write();
-            let got = read_response(&mut bb, &Limits::default(), false).unwrap();
-            black_box(got.status)
+            let mut scratch = Scratch::new();
+            let got = read_response_fast(&mut bb, &mut scratch, &Limits::default(), false).unwrap();
+            black_box(scratch.to_response(&got).body.len())
         })
     });
 }

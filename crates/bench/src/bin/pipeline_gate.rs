@@ -1,13 +1,12 @@
-//! End-to-end data-plane gate, fused by default: generate→ingest run as
-//! one overlapped phase streaming rows straight into the store, then
+//! End-to-end data-plane gate: generate→ingest run as one overlapped
+//! phase streaming rows straight into the store, then
 //! seal+identify+usage overlapped per shard (DESIGN.md §16). Timing of
 //! every stage lands in a machine-readable `BENCH_pipeline.json`
 //! (DESIGN.md §12; CI runs this at scale 0.1).
 //!
 //! ```text
 //! pipeline_gate [--scale <f64>] [--seed <u64>] [--gen-workers <n>]
-//!               [--ingest-workers <n>] [--workers <n>] [--shards <n>]
-//!               [--staged] [--sample <f64>]
+//!               [--workers <n>] [--shards <n>] [--sample <f64>]
 //!               [--store <dir>] [--keep-store] [--out <path>] [--metrics]
 //!               [--trace] [--trace-out <path>]
 //! ```
@@ -16,13 +15,14 @@
 //! 16 store shards, a temp store directory (removed on exit unless
 //! `--keep-store`), JSON to `BENCH_pipeline.json`.
 //!
-//! `--staged` runs the legacy four-wall pipeline (generate → ingest →
-//! identify → usage, each serial). Both modes print the same
-//! `pipeline identity:` line — the commutative `rows_fnv` content hash
-//! of the stored rows plus a digest of every figure the run produced —
-//! so CI can diff one line to prove the fused pipeline is a pure
-//! performance change. `--sample <rate>` switches the usage sweep to
-//! the deterministic hash-sampled estimator (error bounds printed).
+//! Every run prints a `pipeline identity:` line — the commutative
+//! `rows_fnv` content hash of the stored rows plus a digest of every
+//! figure the run produced. It is a pure function of (scale, seed) at
+//! every worker count: CI diffs it across worker counts and checks it
+//! against the values committed in `BENCH_pipeline.json`, and
+//! `tests/fused_equivalence.rs` holds it to the in-memory batch path.
+//! `--sample <rate>` switches the usage sweep to the deterministic
+//! hash-sampled estimator (error bounds printed).
 //!
 //! With `--trace` (or `FW_TRACE=1`), the run records causal span events
 //! (DESIGN.md §13), dumps them next to the report as
@@ -34,17 +34,16 @@
 //! The JSON report carries per-stage wall time and peak RSS, per-shard
 //! ingest accounting (including flush p99), and a rolling `history`
 //! array (one entry per run, newest last) that `bench_regress` uses as
-//! its baseline series. In fused mode `ingest_rows_per_sec` is derived
-//! from the *overlapped* ingest wall (pipeline start → last shard
-//! sealed) — the serial-stage formula has no meaning when ingest hides
-//! inside generation.
+//! its baseline series. `ingest_rows_per_sec` is derived from the
+//! *overlapped* ingest wall (pipeline start → last shard sealed) — a
+//! serial-stage formula has no meaning when ingest hides inside
+//! generation.
 
 use fw_bench::fused::{figures_digest, run_fused, FusedOptions};
-use fw_core::identify::identify_from_aggregates;
-use fw_core::usage::{ingress_table_with, monthly_requests_with, usage_sampled, SampledUsage};
+use fw_core::usage::SampledUsage;
 use fw_obs::Json;
-use fw_store::{stream_snapshot_aggregates, DiskStore, ShardIngestStats};
-use fw_workload::{pdns_content_hash, save_pdns_parallel, SnapshotMeta, World, WorldConfig};
+use fw_store::ShardIngestStats;
+use fw_workload::{SnapshotMeta, WorldConfig};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -75,7 +74,7 @@ struct Stage {
     peak_rss_kb: Option<u64>,
 }
 
-/// Everything either pipeline mode hands to the shared report emitter.
+/// Everything the run hands to the report emitter.
 struct Outcome {
     stages: Vec<Stage>,
     shard_stats: Vec<ShardIngestStats>,
@@ -86,8 +85,8 @@ struct Outcome {
     rows_fnv: u64,
     figures_fnv: u64,
     rows_per_sec: f64,
-    /// Fused only: pipeline start → last shard sealed.
-    ingest_wall_ms: Option<f64>,
+    /// Pipeline start → last shard sealed.
+    ingest_wall_ms: f64,
 }
 
 /// How many runs the report's `history` array retains (newest last).
@@ -156,134 +155,7 @@ fn print_sample_summary(s: &SampledUsage) {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn run_staged_mode(
-    scale: f64,
-    seed: u64,
-    gen_workers: usize,
-    ingest_workers: usize,
-    workers: usize,
-    shards: usize,
-    sample: Option<f64>,
-    store: &Path,
-    cores: usize,
-) -> Outcome {
-    let mut stages: Vec<Stage> = Vec::new();
-
-    // 1. Generate the world (PDNS-only flavor; the usage figures' feed).
-    eprintln!("[generate] scale {scale} seed {seed} gen_workers {gen_workers} (0 = {cores} cores)");
-    let t = Instant::now();
-    let world = {
-        let _s = fw_obs::span("gate/generate");
-        let mut config = WorldConfig::usage(seed, scale);
-        config.gen_workers = gen_workers;
-        World::generate(config)
-    };
-    stages.push(Stage {
-        name: "generate",
-        ms: t.elapsed().as_secs_f64() * 1e3,
-        peak_rss_kb: peak_rss_kb(),
-    });
-    let rows_fnv = pdns_content_hash(&world.pdns);
-    eprintln!(
-        "[generate] {:.1} ms: {} functions, {} fqdns, {} rows",
-        stages[0].ms,
-        world.functions.len(),
-        world.pdns.fqdn_count(),
-        world.pdns.record_count()
-    );
-
-    // 2. Ingest into the on-disk store (parallel producers).
-    eprintln!(
-        "[ingest] {ingest_workers} producers, {shards} shards -> {}",
-        store.display()
-    );
-    let t = Instant::now();
-    let stats = {
-        let _s = fw_obs::span("gate/ingest");
-        save_pdns_parallel(&world.pdns, store, shards, ingest_workers)
-            .unwrap_or_else(|e| die(&format!("ingest failed: {e}")))
-    };
-    let ingest_ms = t.elapsed().as_secs_f64() * 1e3;
-    let rows_per_sec = stats.rows as f64 / (ingest_ms / 1e3);
-    stages.push(Stage {
-        name: "ingest",
-        ms: ingest_ms,
-        peak_rss_kb: peak_rss_kb(),
-    });
-    eprintln!(
-        "[ingest] {ingest_ms:.1} ms: {} rows ({rows_per_sec:.0} rows/s)",
-        stats.rows
-    );
-
-    // 3. Identify, reading the snapshot back via the streaming scan.
-    let t = Instant::now();
-    let report = {
-        let _s = fw_obs::span("gate/identify");
-        let aggs = stream_snapshot_aggregates(store, workers)
-            .unwrap_or_else(|e| die(&format!("snapshot scan failed: {e}")));
-        identify_from_aggregates(aggs, workers)
-    };
-    stages.push(Stage {
-        name: "identify",
-        ms: t.elapsed().as_secs_f64() * 1e3,
-        peak_rss_kb: peak_rss_kb(),
-    });
-    eprintln!(
-        "[identify] {:.1} ms: {} functions identified, {} unmatched",
-        stages[2].ms,
-        report.functions.len(),
-        report.unmatched
-    );
-
-    // 4. Usage sweeps (Figure 3 series + Table 2) against the disk store.
-    let t = Instant::now();
-    let (monthly, ingress, sampled) = {
-        let _s = fw_obs::span("gate/usage");
-        let disk = DiskStore::open_read_only(store)
-            .unwrap_or_else(|e| die(&format!("cannot reopen store: {e}")));
-        match sample {
-            None => {
-                let series = monthly_requests_with(&report, &disk, workers);
-                let ingress = ingress_table_with(&report, &disk, workers);
-                (series, ingress, None)
-            }
-            Some(rate) => {
-                let s = usage_sampled(&report, &disk, workers, rate);
-                (s.monthly.clone(), s.ingress.clone(), Some(s))
-            }
-        }
-    };
-    stages.push(Stage {
-        name: "usage",
-        ms: t.elapsed().as_secs_f64() * 1e3,
-        peak_rss_kb: peak_rss_kb(),
-    });
-    eprintln!(
-        "[usage] {:.1} ms: {} months, {} ingress rows",
-        stages[3].ms,
-        monthly.months.len(),
-        ingress.len()
-    );
-    if let Some(s) = &sampled {
-        print_sample_summary(s);
-    }
-
-    Outcome {
-        figures_fnv: figures_digest(&report, &monthly, &ingress),
-        stages,
-        shard_stats: stats.shards,
-        rows: stats.rows,
-        fqdns: stats.fqdns,
-        functions: world.functions.len(),
-        identified: report.functions.len(),
-        rows_fnv,
-        rows_per_sec,
-        ingest_wall_ms: None,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_fused_mode(
+fn run_pipeline(
     scale: f64,
     seed: u64,
     gen_workers: usize,
@@ -348,7 +220,7 @@ fn run_fused_mode(
         identified: run.report.functions.len(),
         rows_fnv: run.rows_fnv,
         rows_per_sec,
-        ingest_wall_ms: Some(run.ingest_wall_ms),
+        ingest_wall_ms: run.ingest_wall_ms,
     }
 }
 
@@ -356,10 +228,8 @@ fn main() {
     let mut scale = 1.0f64;
     let mut seed = 42u64;
     let mut gen_workers = 0usize;
-    let mut ingest_workers = 0usize;
     let mut workers = 0usize;
     let mut shards = 16usize;
-    let mut staged = false;
     let mut sample: Option<f64> = None;
     let mut store_dir: Option<PathBuf> = None;
     let mut keep_store = false;
@@ -371,10 +241,8 @@ fn main() {
             "--scale" => scale = arg_num(&mut args, "--scale"),
             "--seed" => seed = arg_num(&mut args, "--seed"),
             "--gen-workers" => gen_workers = arg_num(&mut args, "--gen-workers"),
-            "--ingest-workers" => ingest_workers = arg_num(&mut args, "--ingest-workers"),
             "--workers" => workers = arg_num(&mut args, "--workers"),
             "--shards" => shards = arg_num(&mut args, "--shards"),
-            "--staged" => staged = true,
             "--sample" => sample = Some(arg_num(&mut args, "--sample")),
             "--store" => {
                 store_dir = Some(PathBuf::from(
@@ -395,7 +263,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: pipeline_gate [--scale <f64>] [--seed <u64>] [--gen-workers <n>] [--ingest-workers <n>] [--workers <n>] [--shards <n>] [--staged] [--sample <f64>] [--store <dir>] [--keep-store] [--out <path>] [--metrics] [--trace] [--trace-out <path>]"
+                    "usage: pipeline_gate [--scale <f64>] [--seed <u64>] [--gen-workers <n>] [--workers <n>] [--shards <n>] [--sample <f64>] [--store <dir>] [--keep-store] [--out <path>] [--metrics] [--trace] [--trace-out <path>]"
                 );
                 std::process::exit(0);
             }
@@ -408,11 +276,6 @@ fn main() {
         }
     }
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let ingest_workers = if ingest_workers == 0 {
-        cores
-    } else {
-        ingest_workers
-    };
     let workers = if workers == 0 { cores } else { workers };
     let store = store_dir.clone().unwrap_or_else(|| {
         std::env::temp_dir().join(format!("fw-pipeline-gate-{}", std::process::id()))
@@ -420,30 +283,16 @@ fn main() {
 
     let gate_span = fw_obs::span("gate/pipeline");
     let total_start = Instant::now();
-    let outcome = if staged {
-        run_staged_mode(
-            scale,
-            seed,
-            gen_workers,
-            ingest_workers,
-            workers,
-            shards,
-            sample,
-            &store,
-            cores,
-        )
-    } else {
-        run_fused_mode(
-            scale,
-            seed,
-            gen_workers,
-            workers,
-            shards,
-            sample,
-            &store,
-            cores,
-        )
-    };
+    let outcome = run_pipeline(
+        scale,
+        seed,
+        gen_workers,
+        workers,
+        shards,
+        sample,
+        &store,
+        cores,
+    );
     let total_ms = total_start.elapsed().as_secs_f64() * 1e3;
     let rss = peak_rss_kb();
 
@@ -505,8 +354,7 @@ fn main() {
     // Hand-rolled JSON: flat, no escaping needed for the values we emit.
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"config\": {{\"scale\": {scale}, \"seed\": {seed}, \"mode\": \"{}\", \"gen_workers\": {gen_workers}, \"ingest_workers\": {ingest_workers}, \"workers\": {workers}, \"shards\": {shards}}},\n",
-        if staged { "staged" } else { "fused" }
+        "  \"config\": {{\"scale\": {scale}, \"seed\": {seed}, \"gen_workers\": {gen_workers}, \"workers\": {workers}, \"shards\": {shards}}},\n"
     ));
     json.push_str("  \"stages\": {\n");
     for (i, s) in outcome.stages.iter().enumerate() {
@@ -544,9 +392,10 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(&format!("  \"total_ms\": {total_ms:.3},\n"));
-    if let Some(wall) = outcome.ingest_wall_ms {
-        json.push_str(&format!("  \"ingest_wall_ms\": {wall:.3},\n"));
-    }
+    json.push_str(&format!(
+        "  \"ingest_wall_ms\": {:.3},\n",
+        outcome.ingest_wall_ms
+    ));
     json.push_str(&format!("  \"rows\": {},\n", outcome.rows));
     json.push_str(&format!("  \"fqdns\": {},\n", outcome.fqdns));
     json.push_str(&format!("  \"functions\": {},\n", outcome.functions));
@@ -571,8 +420,9 @@ fn main() {
     std::fs::write(&out, &json)
         .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", out.display())));
 
-    // The identity line is mode-independent by construction: CI runs
-    // both modes and diffs this one line.
+    // The identity line is worker-count-independent by construction:
+    // CI diffs it across worker counts and against the committed
+    // baseline's hashes.
     println!(
         "pipeline identity: scale {scale} seed {seed} rows {} rows_fnv={:016x} figures_fnv={:016x}",
         outcome.rows, outcome.rows_fnv, outcome.figures_fnv
@@ -583,8 +433,7 @@ fn main() {
         .map(|s| format!("{} {:.0}", s.name, s.ms))
         .collect();
     println!(
-        "pipeline gate [{}]: scale {scale} seed {seed} total {total_ms:.0} ms ({}); report -> {}",
-        if staged { "staged" } else { "fused" },
+        "pipeline gate: scale {scale} seed {seed} total {total_ms:.0} ms ({}); report -> {}",
         stage_summary.join(" / "),
         out.display()
     );

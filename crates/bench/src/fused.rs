@@ -1,9 +1,9 @@
 //! The fused streaming pipeline (DESIGN.md §16).
 //!
-//! The staged pipeline runs four serial walls — generate → ingest →
-//! identify → usage — materializing the whole PDNS row set in memory
-//! between the first two. This module collapses them into two
-//! overlapped phases:
+//! The in-memory batch pipeline (`World::generate` → identify → usage
+//! sweeps) materializes the whole PDNS row set before analyzing it.
+//! This module runs the same work as two overlapped phases over the
+//! on-disk store:
 //!
 //! 1. **generate_ingest** — [`World::generate_into`] streams every
 //!    sampled row straight into the [`DiskStore`] as generation runs,
@@ -18,12 +18,14 @@
 //!    Shard `k+workers` is being sealed while shard `k` is being
 //!    analyzed, so neither phase waits for the other to finish.
 //!
-//! The output is provably identical to the staged pipeline's: the row
+//! The output is provably identical to the batch pipeline's: the row
 //! multiset landing in the store is the same (the generator's RNG
 //! streams never see the sink), every accumulator downstream of the
-//! scan is commutative and order-insensitive, and both modes finish
-//! through the same report materializers. `pipeline_gate` asserts this
-//! in CI by comparing `rows_fnv` and [`figures_digest`] across modes.
+//! scan is commutative and order-insensitive, and both finish through
+//! the same report materializers. `tests/fused_equivalence.rs` compares
+//! `rows_fnv` and [`figures_digest`] against the batch path and pins
+//! them to golden values; CI checks `pipeline_gate`'s identity line
+//! against the committed baseline.
 
 use fw_core::identify::{classify_fqdn, IdentificationReport, IdentifyEngine};
 use fw_core::usage::{usage_sampled, IngressRow, MonthlySeries, SampledUsage, UsageState};
@@ -65,7 +67,7 @@ pub struct FusedRun {
     pub rows: usize,
     pub fqdns: usize,
     /// Commutative content hash of the scanned rows — equals
-    /// `pdns_content_hash` of the staged world's in-memory store.
+    /// `pdns_content_hash` of the same world's in-memory store.
     pub rows_fnv: u64,
     /// Per-shard ingest/flush accounting, captured at seal time
     /// (before any table release), sorted by shard index.
@@ -73,8 +75,8 @@ pub struct FusedRun {
     /// Wall time of the fused generate+ingest phase.
     pub generate_ingest_ms: f64,
     /// Process RSS high-water mark (VmHWM, KiB) at the end of the
-    /// generate+ingest phase — the headline memory number: the staged
-    /// pipeline peaks here on the materialized in-memory row set.
+    /// generate+ingest phase — the headline memory number: an in-memory
+    /// pipeline peaks here on the materialized row set.
     /// `None` off Linux.
     pub generate_ingest_rss_kb: Option<u64>,
     /// Wall time of the overlapped seal+analyze phase.
@@ -275,10 +277,10 @@ pub fn run_fused(
 /// Order-insensitive digest of everything the figure binaries would
 /// print from a pipeline run: the identification report, the Figure 4
 /// monthly series, and the Table 2 ingress rows (f64 cells hashed by
-/// bit pattern — both pipeline modes reduce sorted count multisets, so
-/// equal inputs give bit-equal floats). `pipeline_gate` prints it on
-/// stdout in both modes; CI diffs the two lines to prove the fused
-/// pipeline changes nothing but wall time.
+/// bit pattern — the fused and batch pipelines both reduce sorted count
+/// multisets, so equal inputs give bit-equal floats). `pipeline_gate`
+/// prints it on stdout; CI diffs it across worker counts and against
+/// the committed baseline.
 pub fn figures_digest(
     report: &IdentificationReport,
     monthly: &MonthlySeries,

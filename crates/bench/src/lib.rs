@@ -18,11 +18,10 @@
 //! --tsv             additionally print machine-readable TSV series
 //! --metrics         enable fw-obs telemetry; report dumped to stderr
 //!                   on exit (equivalent: FW_METRICS=1 in the env)
-//! --wall-clock      run the simulated world on the real wall clock
-//!                   instead of deterministic virtual time (probing
-//!                   figures then race real timeouts and may wobble;
-//!                   see DESIGN.md §10)
 //! ```
+//!
+//! The simulated world always runs on deterministic virtual time
+//! (DESIGN.md §10), so probing figures are byte-identical run to run.
 
 pub mod fused;
 pub mod regress;
@@ -44,8 +43,6 @@ pub struct Cli {
     pub tsv: bool,
     /// PDNS snapshot directory to reopen instead of generating the feed.
     pub snapshot: Option<PathBuf>,
-    /// Opt out of deterministic virtual time (`--wall-clock`).
-    pub wall_clock: bool,
     /// World-generation worker threads (`--gen-workers`; 0 = one per
     /// core). Output is byte-identical at every worker count.
     pub gen_workers: usize,
@@ -67,7 +64,6 @@ impl Cli {
             seed: 42,
             tsv: false,
             snapshot: None,
-            wall_clock: false,
             gen_workers: 0,
             flags: Vec::new(),
         };
@@ -103,10 +99,9 @@ impl Cli {
                 }
                 "--tsv" => cli.tsv = true,
                 "--metrics" => fw_obs::set_enabled(true),
-                "--wall-clock" => cli.wall_clock = true,
                 "--help" | "-h" => {
                     eprintln!(
-                        "usage: [--scale <f64>] [--seed <u64>] [--snapshot <dir>] [--gen-workers <n>] [--tsv] [--metrics] [--wall-clock] [binary-specific flags]"
+                        "usage: [--scale <f64>] [--seed <u64>] [--snapshot <dir>] [--gen-workers <n>] [--tsv] [--metrics] [binary-specific flags]"
                     );
                     std::process::exit(0);
                 }
@@ -159,7 +154,6 @@ fn die(msg: &str) -> ! {
 /// Build a PDNS-only world (fast; for §4 figures).
 pub fn usage_world(cli: &Cli) -> World {
     let mut config = WorldConfig::usage(cli.seed, cli.scale);
-    config.wall_clock = cli.wall_clock;
     config.gen_workers = cli.gen_workers;
     World::generate(config)
 }
@@ -167,7 +161,6 @@ pub fn usage_world(cli: &Cli) -> World {
 /// Build a live world (for probing figures).
 pub fn live_world(cli: &Cli) -> World {
     let mut config = WorldConfig::live(cli.seed, cli.scale);
-    config.wall_clock = cli.wall_clock;
     config.gen_workers = cli.gen_workers;
     World::generate(config)
 }
@@ -217,14 +210,11 @@ pub fn run_usage(cli: &Cli) -> (Option<World>, UsageReport) {
 /// the passive feed is read from the reopened disk store instead of the
 /// freshly generated one (same seed/scale ⇒ same rows). On the default
 /// virtual clock, probe outcomes are a pure function of the seed, so
-/// stdout is byte-identical run-to-run and live-vs-snapshot; only
-/// `--wall-clock` reintroduces real timeout races.
+/// stdout is byte-identical run-to-run and live-vs-snapshot.
 pub fn run_full(cli: &Cli) -> (World, FullReport) {
     eprintln!(
-        "generating world: scale {} seed {} (live deployment, {} time)...",
-        cli.scale,
-        cli.seed,
-        if cli.wall_clock { "wall" } else { "virtual" }
+        "generating world: scale {} seed {} (live deployment, virtual time)...",
+        cli.scale, cli.seed
     );
     let w = live_world(cli);
     eprintln!(

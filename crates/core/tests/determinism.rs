@@ -18,7 +18,6 @@ fn abuse_scan_is_identical_at_every_worker_count() {
         seed: 2024,
         scale: 0.003,
         deploy_live: true,
-        wall_clock: false,
         gen_workers: 0,
         platform: PlatformConfig {
             hang_ms: 400,

@@ -14,7 +14,6 @@ fn world() -> World {
         seed: 2024,
         scale: 0.003,
         deploy_live: true,
-        wall_clock: false,
         gen_workers: 0,
         platform: PlatformConfig {
             // Hangs must outlast the probe timeout below.
@@ -215,7 +214,6 @@ fn usage_only_pipeline_without_live_network() {
         seed: 7,
         scale: 0.004,
         deploy_live: false,
-        wall_clock: false,
         gen_workers: 0,
         platform: PlatformConfig::default(),
     });

@@ -1,9 +1,10 @@
-//! Request-parse microbenchmarks: the scalar incremental parser vs the
-//! SWAR in-place fast parser, over identical wire bytes.
+//! Request-parse microbenchmarks: the SWAR in-place reader over four
+//! request shapes (small GET, header-heavy GET, sized POST body,
+//! chunked POST body).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use fw_http::fast::{read_request_fast, Scratch};
-use fw_http::parse::{read_request, Limits};
+use fw_http::parse::Limits;
 use fw_net::Connection;
 use std::io;
 use std::net::SocketAddr;
@@ -91,14 +92,7 @@ fn bench_parse(c: &mut Criterion) {
         let group_name = format!("http_parse/{name}");
         let mut g = c.benchmark_group(&group_name);
         g.throughput(Throughput::Bytes(wire.len() as u64));
-        let mut scalar_conn = LoopConn::new(wire.clone());
-        g.bench_function("scalar", |b| {
-            b.iter(|| {
-                let req = read_request(&mut scalar_conn, &limits).unwrap();
-                black_box(req.target.len())
-            })
-        });
-        let mut fast_conn = LoopConn::new(wire.clone());
+        let mut fast_conn = LoopConn::new(wire);
         let mut scratch = Scratch::new();
         g.bench_function("swar", |b| {
             b.iter(|| {

@@ -5,7 +5,8 @@
 //! simulated TLS on port 443), [`TcpDialer`] opens real TCP sockets. The
 //! prober composes this client with DNS resolution and its ethics policy.
 
-use crate::parse::{read_response, write_request, HttpError, Limits};
+use crate::fast::{read_response_fast, Scratch};
+use crate::parse::{write_request, HttpError, Limits};
 use crate::types::{Method, Request, Response};
 use crate::url::Url;
 use fw_net::tcp::TcpConn;
@@ -162,18 +163,26 @@ impl std::error::Error for FetchError {}
 /// matches exactly.
 type ConnKey = (SocketAddr, String, bool);
 
+/// A connection with the parse scratch that holds its read state.
+struct Parked {
+    conn: Box<dyn Connection>,
+    scratch: Scratch,
+}
+
 /// The blocking HTTP client.
 ///
 /// Holds one keep-alive slot: after a `send` whose request *and*
 /// response both permit reuse (no `Connection: close`, self-delimiting
 /// body framing), the connection is parked and the next `send` to the
-/// same `(addr, host, tls)` replays over it instead of dialing. A
-/// server-initiated close or any mid-exchange error on a reused
-/// connection falls back to exactly one fresh dial.
+/// same `(addr, host, tls)` replays over it instead of dialing. The
+/// connection parks together with its [`Scratch`], so its receive
+/// buffer is reused across the exchanges it carries. A server-initiated
+/// close or any mid-exchange error on a reused connection falls back to
+/// exactly one fresh dial.
 pub struct HttpClient<D: Dialer> {
     dialer: D,
     config: ClientConfig,
-    slot: Mutex<Option<(ConnKey, Box<dyn Connection>)>>,
+    slot: Mutex<Option<(ConnKey, Parked)>>,
 }
 
 /// Does the request opt out of keep-alive?
@@ -218,10 +227,10 @@ impl<D: Dialer> HttpClient<D> {
     }
 
     /// Take the pooled connection if its key matches.
-    fn take_pooled(&self, key: &ConnKey) -> Option<Box<dyn Connection>> {
+    fn take_pooled(&self, key: &ConnKey) -> Option<Parked> {
         let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
         match slot.take() {
-            Some((k, conn)) if &k == key => Some(conn),
+            Some((k, parked)) if &k == key => Some(parked),
             other => {
                 *slot = other; // wrong key: leave it parked
                 None
@@ -230,16 +239,22 @@ impl<D: Dialer> HttpClient<D> {
     }
 
     /// Park `conn` for the next same-key request.
-    fn park(&self, key: ConnKey, conn: Box<dyn Connection>) {
+    fn park(&self, key: ConnKey, parked: Parked) {
         let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        *slot = Some((key, conn));
+        *slot = Some((key, parked));
     }
 
     /// One request/response exchange over an open connection.
-    fn exchange(&self, conn: &mut dyn Connection, req: &Request) -> Result<Response, HttpError> {
-        write_request(conn, req)?;
+    fn exchange(&self, parked: &mut Parked, req: &Request) -> Result<Response, HttpError> {
+        write_request(parked.conn.as_mut(), req)?;
         let head = req.method == Method::Head;
-        read_response(conn, &self.config.limits, head)
+        let resp = read_response_fast(
+            parked.conn.as_mut(),
+            &mut parked.scratch,
+            &self.config.limits,
+            head,
+        )?;
+        Ok(parked.scratch.to_response(&resp))
     }
 
     /// Issue `req` to `addr` (resolved separately — the prober owns
@@ -264,12 +279,12 @@ impl<D: Dialer> HttpClient<D> {
         let head = req.method == Method::Head;
 
         if pooling {
-            if let Some(mut conn) = self.take_pooled(&key) {
-                match self.exchange(conn.as_mut(), req) {
+            if let Some(mut parked) = self.take_pooled(&key) {
+                match self.exchange(&mut parked, req) {
                     Ok(resp) => {
                         fw_obs::counter_inc!("fw.http.conn.reused");
                         if response_permits_reuse(head, &resp) {
-                            self.park(key, conn);
+                            self.park(key, parked);
                         }
                         return Ok(resp);
                     }
@@ -290,11 +305,13 @@ impl<D: Dialer> HttpClient<D> {
         fw_obs::counter_inc!("fw.http.conn.dialed");
         conn.set_read_timeout(Some(self.config.read_timeout))
             .map_err(|e| FetchError::Http(HttpError::Io(e)))?;
-        let resp = self
-            .exchange(conn.as_mut(), req)
-            .map_err(FetchError::Http)?;
+        let mut parked = Parked {
+            conn,
+            scratch: Scratch::new(),
+        };
+        let resp = self.exchange(&mut parked, req).map_err(FetchError::Http)?;
         if pooling && response_permits_reuse(head, &resp) {
-            self.park(key, conn);
+            self.park(key, parked);
         }
         Ok(resp)
     }
@@ -319,10 +336,20 @@ impl<D: Dialer> HttpClient<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fast::read_request_fast;
     use crate::parse::write_response;
+    use crate::server::serve_connection;
     use crate::types::Response;
     use fw_net::{ClockSource as _, TlsServer};
     use std::sync::Arc;
+
+    /// Read one request off `conn` (server side of a hand-rolled peer).
+    fn next_request(
+        conn: &mut dyn Connection,
+        scratch: &mut Scratch,
+    ) -> Result<Request, HttpError> {
+        read_request_fast(conn, scratch, &Limits::default()).map(|r| scratch.to_request(&r))
+    }
 
     fn sim_with_server(tls_cert: Option<&'static str>) -> (SimNet, SocketAddr) {
         let net = SimNet::new(1);
@@ -337,12 +364,9 @@ mod tests {
                     },
                     None => conn,
                 };
-                let req = match crate::parse::read_request(conn.as_mut(), &Limits::default()) {
-                    Ok(r) => r,
-                    Err(_) => return,
-                };
-                let resp = Response::json(200, &format!(r#"{{"path":"{}"}}"#, req.path()));
-                let _ = write_response(conn.as_mut(), &resp);
+                serve_connection(conn.as_mut(), &Limits::default(), &|req: &Request| {
+                    Response::json(200, &format!(r#"{{"path":"{}"}}"#, req.path()))
+                });
             }),
         );
         (net, addr)
@@ -363,8 +387,9 @@ mod tests {
         let net = SimNet::new(2);
         let addr: SocketAddr = "203.0.113.11:80".parse().unwrap();
         net.listen_fn(addr, |mut conn| {
-            let _ = crate::parse::read_request(conn.as_mut(), &Limits::default());
-            let _ = write_response(conn.as_mut(), &Response::text(200, "plain"));
+            serve_connection(conn.as_mut(), &Limits::default(), &|_: &Request| {
+                Response::text(200, "plain")
+            });
         });
         let client = HttpClient::new(SimDialer::new(net), ClientConfig::default());
         let url = Url::parse("http://fn.lambda-url.us-east-1.on.aws/").unwrap();
@@ -410,12 +435,9 @@ mod tests {
                 // Keep-alive server: answer requests until the peer goes
                 // away. write_response always emits Content-Length, so
                 // every response is reuse-safe.
-                while let Ok(req) = crate::parse::read_request(conn.as_mut(), &Limits::default()) {
-                    let resp = Response::text(200, &format!("path={}", req.path()));
-                    if write_response(conn.as_mut(), &resp).is_err() {
-                        break;
-                    }
-                }
+                serve_connection(conn.as_mut(), &Limits::default(), &|req: &Request| {
+                    Response::text(200, &format!("path={}", req.path()))
+                });
             }),
         );
         let client = HttpClient::new(SimDialer::new(net), ClientConfig::default());
@@ -439,11 +461,9 @@ mod tests {
             addr,
             Arc::new(move |mut conn: Box<dyn Connection>| {
                 accepts_srv.fetch_add(1, Ordering::SeqCst);
-                while let Ok(_req) = crate::parse::read_request(conn.as_mut(), &Limits::default()) {
-                    if write_response(conn.as_mut(), &Response::text(200, "ok")).is_err() {
-                        break;
-                    }
-                }
+                serve_connection(conn.as_mut(), &Limits::default(), &|_: &Request| {
+                    Response::text(200, "ok")
+                });
             }),
         );
         let client = HttpClient::new(SimDialer::new(net), ClientConfig::default());
@@ -475,7 +495,7 @@ mod tests {
             addr,
             Arc::new(move |mut conn: Box<dyn Connection>| {
                 accepts_srv.fetch_add(1, Ordering::SeqCst);
-                if let Ok(_req) = crate::parse::read_request(conn.as_mut(), &Limits::default()) {
+                if next_request(conn.as_mut(), &mut Scratch::new()).is_ok() {
                     let _ = write_response(conn.as_mut(), &Response::text(200, "once"));
                 }
             }),
@@ -508,22 +528,18 @@ mod tests {
                     // First connection: answer one request cleanly, then
                     // die mid-response on the next — a truncated status
                     // line the client cannot parse.
-                    if crate::parse::read_request(conn.as_mut(), &Limits::default()).is_ok() {
+                    let mut scratch = Scratch::new();
+                    if next_request(conn.as_mut(), &mut scratch).is_ok() {
                         let _ = write_response(conn.as_mut(), &Response::text(200, "first"));
                     }
-                    if crate::parse::read_request(conn.as_mut(), &Limits::default()).is_ok() {
+                    if next_request(conn.as_mut(), &mut scratch).is_ok() {
                         let _ = conn.write_all(b"HTTP/1.1 2");
                     }
                 } else {
                     // Replacement connection behaves.
-                    while let Ok(_req) =
-                        crate::parse::read_request(conn.as_mut(), &Limits::default())
-                    {
-                        if write_response(conn.as_mut(), &Response::text(200, "recovered")).is_err()
-                        {
-                            break;
-                        }
-                    }
+                    serve_connection(conn.as_mut(), &Limits::default(), &|_: &Request| {
+                        Response::text(200, "recovered")
+                    });
                 }
             }),
         );
@@ -558,13 +574,9 @@ mod tests {
                 addr,
                 Arc::new(move |mut conn: Box<dyn Connection>| {
                     accepts_srv.fetch_add(1, Ordering::SeqCst);
-                    while let Ok(_req) =
-                        crate::parse::read_request(conn.as_mut(), &Limits::default())
-                    {
-                        if write_response(conn.as_mut(), &Response::text(200, "ok")).is_err() {
-                            break;
-                        }
-                    }
+                    serve_connection(conn.as_mut(), &Limits::default(), &|_: &Request| {
+                        Response::text(200, "ok")
+                    });
                 }),
             );
         }

@@ -1,23 +1,29 @@
-//! Allocation-free HTTP/1.1 parsing for the serving hot path.
+//! Allocation-free HTTP/1.1 parsing: the one reader every component
+//! uses — the fw-serve hot path, the [`crate::server`] loop behind the
+//! simulated cloud ingress, and the [`crate::client`] the prober and C2
+//! scanner speak.
 //!
-//! [`read_request_fast`] is byte-for-byte equivalent to
-//! [`crate::parse::read_request`] (the property tests in
-//! `tests/proptest_http.rs` pin the equivalence, including error
-//! variants) but parses in place over a reusable per-connection
-//! [`Scratch`] buffer:
+//! [`read_request_fast`] and [`read_response_fast`] parse in place over
+//! a reusable per-connection [`Scratch`] buffer:
 //!
 //! - the head terminator is found with the SWAR `memchr`-anchored
 //!   scanner from `fw-types::memmem`, scanning each byte once even when
-//!   the head arrives across several reads (the scalar parser re-scans
-//!   its whole buffer per fill);
-//! - the request line and headers are recorded as *spans* into the
-//!   receive buffer instead of `String`s — the only per-request heap
+//!   the head arrives across several reads;
+//! - the start line and headers are recorded as *spans* into the
+//!   receive buffer instead of `String`s — the only per-message heap
 //!   traffic is amortized growth of buffers that live as long as the
 //!   connection;
 //! - consumed messages are compacted lazily at the next read, so
 //!   keep-alive connections reuse one buffer for their whole lifetime
-//!   (and, unlike the scalar parser's per-message `BufConn`, read-ahead
-//!   is carried between messages: pipelined requests are not dropped).
+//!   and read-ahead is carried between messages: pipelined messages are
+//!   not dropped.
+//!
+//! The grammar, size limits and error messages are those of a plain
+//! scalar reader that lives in `tests/scalar/`; the property tests in
+//! `tests/proptest_http.rs` pin both readers to the same result on
+//! valid, garbage, truncated and size-capped input. Callers that want
+//! owned messages materialize them with [`Scratch::to_request`] /
+//! [`Scratch::to_response`].
 //!
 //! The render helpers at the bottom produce output byte-identical to
 //! [`crate::parse::write_response`] / [`crate::parse::write_request`]
@@ -26,13 +32,14 @@
 //! response-stream digest unchanged.
 
 use crate::parse::{HttpError, Limits};
-use crate::types::{reason_phrase, Method};
+use crate::types::{reason_phrase, HeaderMap, Method, Request, Response};
 use fw_net::Connection;
 use fw_types::memmem::find_subsequence;
 
 /// Per-connection reusable parse/render state. One `Scratch` serves one
 /// connection at a time; a pooled serving worker owns one and reuses it
-/// across every connection it accepts.
+/// across every connection it accepts, and the client parks one with
+/// each keep-alive connection.
 pub struct Scratch {
     /// Rolling receive buffer. `buf[..start]` is the previous message,
     /// consumed lazily at the next read; spans index into `buf`.
@@ -44,7 +51,7 @@ pub struct Scratch {
     scanned: usize,
     /// Header spans of the current message: (name, value) ranges.
     hdrs: Vec<(u32, u32, u32, u32)>,
-    /// Decoded chunked body (content-length bodies stay in `buf`).
+    /// Decoded chunked body (length-delimited bodies stay in `buf`).
     chunked_body: Vec<u8>,
     /// Staging area for transport reads.
     chunk: Box<[u8; 8 * 1024]>,
@@ -67,7 +74,7 @@ impl Scratch {
             hdrs: Vec::with_capacity(16),
             chunked_body: Vec::new(),
             chunk: Box::new([0u8; 8 * 1024]),
-            out: Vec::with_capacity(8 * 1024),
+            out: Vec::new(),
         }
     }
 
@@ -108,38 +115,60 @@ impl Scratch {
     }
 
     /// Resolve a span against the receive buffer.
-    fn span_str(&self, lo: u32, hi: u32) -> &str {
+    fn span_str(&self, (lo, hi): (u32, u32)) -> &str {
         std::str::from_utf8(&self.buf[lo as usize..hi as usize]).unwrap_or("")
+    }
+
+    /// The first `count` header spans, resolved, in wire order.
+    fn header_map(&self, count: u32) -> HeaderMap {
+        let mut headers = HeaderMap::new();
+        for &(nl, nh, vl, vh) in &self.hdrs[..count as usize] {
+            headers.insert(self.span_str((nl, nh)), self.span_str((vl, vh)));
+        }
+        headers
+    }
+
+    /// A body span, or the decoded chunked body.
+    fn body_bytes(&self, body: Body) -> &[u8] {
+        match body {
+            Body::Chunked => &self.chunked_body,
+            Body::Span(lo, hi) => &self.buf[lo as usize..hi as usize],
+        }
     }
 
     /// The request target (path + query) of `req`.
     pub fn target(&self, req: &FastRequest) -> &str {
-        self.span_str(req.target.0, req.target.1)
+        self.span_str(req.target)
     }
 
-    /// The headers of `req`, trimmed, in wire order.
-    pub fn headers<'s>(&'s self, req: &FastRequest) -> impl Iterator<Item = (&'s str, &'s str)> {
-        self.hdrs[..req.hdr_count as usize]
-            .iter()
-            .map(|&(nl, nh, vl, vh)| (self.span_str(nl, nh), self.span_str(vl, vh)))
-    }
-
-    /// First value of the named header (case-insensitive), like
-    /// `HeaderMap::get`.
-    pub fn header<'s>(&'s self, req: &FastRequest, name: &str) -> Option<&'s str> {
-        self.headers(req)
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v)
-    }
-
-    /// The request body of `req`.
-    pub fn body(&self, req: &FastRequest) -> &[u8] {
-        if req.body_chunked {
-            &self.chunked_body
-        } else {
-            &self.buf[req.body.0 as usize..req.body.1 as usize]
+    /// `req` as an owned [`Request`] (headers trimmed, in wire order).
+    pub fn to_request(&self, req: &FastRequest) -> Request {
+        Request {
+            method: req.method,
+            target: self.target(req).to_string(),
+            headers: self.header_map(req.hdr_count),
+            body: self.body_bytes(req.body).to_vec(),
         }
     }
+
+    /// `resp` as an owned [`Response`] (headers trimmed, in wire order).
+    pub fn to_response(&self, resp: &FastResponse) -> Response {
+        Response {
+            status: resp.status,
+            reason: self.span_str(resp.reason).to_string(),
+            headers: self.header_map(resp.hdr_count),
+            body: self.body_bytes(resp.body).to_vec(),
+        }
+    }
+}
+
+/// Where a parsed message's body lives in its [`Scratch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Body {
+    /// A range of the receive buffer.
+    Span(u32, u32),
+    /// The scratch's decoded chunked body.
+    Chunked,
 }
 
 /// A parsed request whose strings live in the [`Scratch`] it was read
@@ -151,10 +180,19 @@ pub struct FastRequest {
     pub method: Method,
     target: (u32, u32),
     hdr_count: u32,
-    body: (u32, u32),
-    body_chunked: bool,
+    body: Body,
     /// `Connection: close` was requested.
     pub close: bool,
+}
+
+/// A parsed response whose reason, headers and body live in the
+/// [`Scratch`] it was read into (see [`Scratch::to_response`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FastResponse {
+    pub status: u16,
+    reason: (u32, u32),
+    hdr_count: u32,
+    body: Body,
 }
 
 /// Span of subslice `s` inside the buffer starting at `base`.
@@ -163,18 +201,14 @@ fn span(base: *const u8, s: &str) -> (u32, u32) {
     (off as u32, (off + s.len()) as u32)
 }
 
-/// Read one request in place. Equivalent to
-/// [`crate::parse::read_request`], including which [`HttpError`]
-/// variant and message every malformed input produces.
-pub fn read_request_fast(
+/// Read until the head terminator `\r\n\r\n`; returns the offset one
+/// past it.
+fn read_head(
     conn: &mut dyn Connection,
     scratch: &mut Scratch,
     limits: &Limits,
-) -> Result<FastRequest, HttpError> {
-    scratch.begin_message();
-
-    // --- Head: incremental SWAR scan for the terminator. -------------
-    let head_end = loop {
+) -> Result<usize, HttpError> {
+    loop {
         // Re-scan a 3-byte overlap so a terminator split across fills
         // is still found, then remember how far we got.
         let from = scratch.scanned.saturating_sub(3);
@@ -183,7 +217,7 @@ pub fn read_request_fast(
             if pos + 4 > limits.max_head {
                 return Err(HttpError::TooLarge("head"));
             }
-            break pos + 4;
+            return Ok(pos + 4);
         }
         scratch.scanned = scratch.buf.len();
         if scratch.buf.len() > limits.max_head {
@@ -195,15 +229,147 @@ pub fn read_request_fast(
             }
             return Err(HttpError::Parse("eof inside head"));
         }
-    };
+    }
+}
 
-    // --- Request line + headers: the scalar grammar over spans. ------
-    // The whole head must be UTF-8, exactly like the scalar parser;
-    // line splitting matches `str::lines` (splits on '\n', strips one
-    // trailing '\r', so LF-only endings are tolerated inside the head).
-    let base = scratch.buf.as_ptr();
-    let head_str = std::str::from_utf8(&scratch.buf[..head_end])
-        .map_err(|_| HttpError::Parse("non-utf8 head"))?;
+/// What a header block says about framing and connection reuse.
+struct HeaderFacts<'h> {
+    /// First `Content-Length` value; parsed only if the body framing
+    /// needs it, so a malformed one is ignored wherever it is unused.
+    content_length: Option<&'h str>,
+    chunked: bool,
+    close: bool,
+}
+
+/// Record the header lines as spans into `hdrs`. Each line is
+/// `name:value` with a non-empty, space-free name, both sides trimmed;
+/// the first empty line ends the block. Line splitting follows
+/// `str::lines` (splits on '\n', strips one trailing '\r'), so LF-only
+/// endings are tolerated inside the head.
+fn parse_headers<'h>(
+    lines: std::str::Lines<'h>,
+    base: *const u8,
+    hdrs: &mut Vec<(u32, u32, u32, u32)>,
+) -> Result<HeaderFacts<'h>, HttpError> {
+    let mut facts = HeaderFacts {
+        content_length: None,
+        chunked: false,
+        close: false,
+    };
+    let has_token = |value: &str, token: &str| {
+        value
+            .split(',')
+            .any(|t| t.trim().eq_ignore_ascii_case(token))
+    };
+    for line in lines {
+        if line.is_empty() {
+            break;
+        }
+        let (name, value) = line
+            .split_once(':')
+            .ok_or(HttpError::Parse("header missing colon"))?;
+        if name.is_empty() || name.contains(' ') {
+            return Err(HttpError::Parse("bad header name"));
+        }
+        let (name, value) = (name.trim(), value.trim());
+        let (nl, nh) = span(base, name);
+        let (vl, vh) = span(base, value);
+        hdrs.push((nl, nh, vl, vh));
+        // First-match / any-token semantics of `HeaderMap::get` and
+        // `HeaderMap::contains_token`.
+        if facts.content_length.is_none() && name.eq_ignore_ascii_case("content-length") {
+            facts.content_length = Some(value);
+        }
+        if name.eq_ignore_ascii_case("transfer-encoding") {
+            facts.chunked |= has_token(value, "chunked");
+        }
+        if name.eq_ignore_ascii_case("connection") {
+            facts.close |= has_token(value, "close");
+        }
+    }
+    Ok(facts)
+}
+
+/// How a message body is delimited.
+enum Framing {
+    Empty,
+    Length(usize),
+    Chunked,
+    ToEof,
+}
+
+/// Framing from the headers: chunked wins over `Content-Length`;
+/// `unframed` applies when neither is present.
+fn header_framing(facts: &HeaderFacts<'_>, unframed: Framing) -> Result<Framing, HttpError> {
+    if facts.chunked {
+        return Ok(Framing::Chunked);
+    }
+    match facts.content_length {
+        Some(v) => v
+            .parse()
+            .map(Framing::Length)
+            .map_err(|_| HttpError::Parse("bad content-length")),
+        None => Ok(unframed),
+    }
+}
+
+/// Consume the body that starts at `head_end` and mark the message's
+/// end for the next read.
+fn read_body(
+    conn: &mut dyn Connection,
+    scratch: &mut Scratch,
+    head_end: usize,
+    framing: Framing,
+    limits: &Limits,
+) -> Result<Body, HttpError> {
+    let end = match framing {
+        Framing::Empty => head_end,
+        Framing::Length(n) => {
+            if n > limits.max_body {
+                return Err(HttpError::TooLarge("body"));
+            }
+            while scratch.buf.len() < head_end + n {
+                if !scratch.fill(conn)? {
+                    return Err(HttpError::Parse("eof inside body"));
+                }
+            }
+            head_end + n
+        }
+        Framing::Chunked => {
+            scratch.start = read_chunked_into(conn, scratch, head_end, limits)?;
+            return Ok(Body::Chunked);
+        }
+        Framing::ToEof => {
+            loop {
+                if scratch.buf.len() - head_end > limits.max_body {
+                    return Err(HttpError::TooLarge("body"));
+                }
+                if !scratch.fill(conn)? {
+                    break;
+                }
+            }
+            scratch.buf.len()
+        }
+    };
+    scratch.start = end;
+    Ok(Body::Span(head_end as u32, end as u32))
+}
+
+/// Read one request in place (server side).
+pub fn read_request_fast(
+    conn: &mut dyn Connection,
+    scratch: &mut Scratch,
+    limits: &Limits,
+) -> Result<FastRequest, HttpError> {
+    scratch.begin_message();
+    let head_end = read_head(conn, scratch, limits)?;
+
+    // The whole head must be UTF-8. `buf` and `hdrs` are disjoint
+    // fields, so header spans can be pushed while the head is borrowed.
+    let Scratch { buf, hdrs, .. } = &mut *scratch;
+    let base = buf.as_ptr();
+    let head_str =
+        std::str::from_utf8(&buf[..head_end]).map_err(|_| HttpError::Parse("non-utf8 head"))?;
     let mut lines = head_str.lines();
     let request_line = lines.next().ok_or(HttpError::Parse("empty head"))?;
     let mut parts = request_line.split(' ');
@@ -220,98 +386,76 @@ pub fn read_request_fast(
     if version != "HTTP/1.1" && version != "HTTP/1.0" {
         return Err(HttpError::Parse("unsupported version"));
     }
+    let facts = parse_headers(lines, base, hdrs)?;
+    let framing = header_framing(&facts, Framing::Empty)?;
+    let (close, hdr_count) = (facts.close, hdrs.len() as u32);
 
-    let mut hdr_spans: Vec<(u32, u32, u32, u32)> = std::mem::take(&mut scratch.hdrs);
-    hdr_spans.clear();
-    let mut content_length: Option<&str> = None;
-    let mut chunked = false;
-    let mut close = false;
-    for line in lines {
-        if line.is_empty() {
-            break;
-        }
-        let (name, value) = match line.split_once(':') {
-            Some(nv) => nv,
-            None => {
-                scratch.hdrs = hdr_spans;
-                return Err(HttpError::Parse("header missing colon"));
-            }
-        };
-        if name.is_empty() || name.contains(' ') {
-            scratch.hdrs = hdr_spans;
-            return Err(HttpError::Parse("bad header name"));
-        }
-        let (name, value) = (name.trim(), value.trim());
-        let (nl, nh) = span(base, name);
-        let (vl, vh) = span(base, value);
-        hdr_spans.push((nl, nh, vl, vh));
-        // First-match / any-token semantics of `HeaderMap::get` and
-        // `HeaderMap::contains_token`, evaluated inline.
-        if content_length.is_none() && name.eq_ignore_ascii_case("content-length") {
-            content_length = Some(value);
-        }
-        if !chunked && name.eq_ignore_ascii_case("transfer-encoding") {
-            chunked = value
-                .split(',')
-                .any(|t| t.trim().eq_ignore_ascii_case("chunked"));
-        }
-        if !close && name.eq_ignore_ascii_case("connection") {
-            close = value
-                .split(',')
-                .any(|t| t.trim().eq_ignore_ascii_case("close"));
-        }
-    }
-    let hdr_count = hdr_spans.len() as u32;
-    // `content_length` borrowed from `buf`; turn it into an owned parse
-    // result before any fills can grow (and move) the buffer.
-    let content_length = match content_length {
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(n) => Some(n),
-            Err(_) if chunked => None, // scalar never reaches body_length when chunked
-            Err(_) => {
-                scratch.hdrs = hdr_spans;
-                return Err(HttpError::Parse("bad content-length"));
-            }
-        },
-        None => None,
-    };
-    scratch.hdrs = hdr_spans;
-
-    // --- Body. --------------------------------------------------------
-    let mut req = FastRequest {
+    let body = read_body(conn, scratch, head_end, framing, limits)?;
+    fw_obs::counter_inc!("fw.http.parse.req");
+    Ok(FastRequest {
         method,
         target,
         hdr_count,
-        body: (head_end as u32, head_end as u32),
-        body_chunked: false,
+        body,
         close,
-    };
-    if chunked {
-        let consumed = read_chunked_into(conn, scratch, head_end, limits)?;
-        req.body_chunked = true;
-        scratch.start = consumed;
-    } else if let Some(n) = content_length {
-        if n > limits.max_body {
-            return Err(HttpError::TooLarge("body"));
-        }
-        while scratch.buf.len() < head_end + n {
-            if !scratch.fill(conn)? {
-                return Err(HttpError::Parse("eof inside body"));
-            }
-        }
-        req.body = (head_end as u32, (head_end + n) as u32);
-        scratch.start = head_end + n;
-    } else {
-        scratch.start = head_end;
+    })
+}
+
+/// Read one response in place (client side). `head_request` marks the
+/// answer to a HEAD request, which carries no body whatever its
+/// headers say; so do 204 and 304. Otherwise the body is chunked,
+/// `Content-Length`-delimited, or runs to EOF.
+pub fn read_response_fast(
+    conn: &mut dyn Connection,
+    scratch: &mut Scratch,
+    limits: &Limits,
+    head_request: bool,
+) -> Result<FastResponse, HttpError> {
+    scratch.begin_message();
+    let head_end = read_head(conn, scratch, limits)?;
+
+    let Scratch { buf, hdrs, .. } = &mut *scratch;
+    let base = buf.as_ptr();
+    let head_str =
+        std::str::from_utf8(&buf[..head_end]).map_err(|_| HttpError::Parse("non-utf8 head"))?;
+    let mut lines = head_str.lines();
+    let status_line = lines.next().ok_or(HttpError::Parse("empty head"))?;
+    let mut parts = status_line.splitn(3, ' ');
+    let version = parts.next().unwrap_or("");
+    if !version.starts_with("HTTP/1.") {
+        return Err(HttpError::Parse("bad status version"));
     }
-    fw_obs::counter_inc!("fw.http.parse.req");
-    Ok(req)
+    let status: u16 = parts
+        .next()
+        .ok_or(HttpError::Parse("missing status code"))?
+        .parse()
+        .map_err(|_| HttpError::Parse("bad status code"))?;
+    if !(100..600).contains(&status) {
+        return Err(HttpError::Parse("status code out of range"));
+    }
+    let reason = parts.next().map_or((0, 0), |r| span(base, r));
+    let facts = parse_headers(lines, base, hdrs)?;
+    let framing = if head_request || status == 204 || status == 304 {
+        Framing::Empty
+    } else {
+        header_framing(&facts, Framing::ToEof)?
+    };
+    let hdr_count = hdrs.len() as u32;
+
+    let body = read_body(conn, scratch, head_end, framing, limits)?;
+    fw_obs::counter_inc!("fw.http.parse.resp");
+    Ok(FastResponse {
+        status,
+        reason,
+        hdr_count,
+        body,
+    })
 }
 
 /// Decode a chunked body starting at `cursor` into
-/// `scratch.chunked_body`, mirroring `BufConn::read_body_chunked`
-/// (including its line-length limits and error messages). Returns the
-/// buffer offset one past the terminating CRLF.
+/// `scratch.chunked_body` (size lines up to 128 bytes, extensions
+/// ignored, trailer lines up to 1 KiB skipped). Returns the buffer
+/// offset one past the terminating CRLF.
 fn read_chunked_into(
     conn: &mut dyn Connection,
     scratch: &mut Scratch,
@@ -320,10 +464,12 @@ fn read_chunked_into(
 ) -> Result<usize, HttpError> {
     loop {
         let line = read_line_at(conn, scratch, &mut cursor, 128)?;
-        let size_str = {
-            let s = scratch.span_str(line.0, line.1);
-            s.split(';').next().unwrap_or("").trim()
-        };
+        let size_str = scratch
+            .span_str(line)
+            .split(';')
+            .next()
+            .unwrap_or("")
+            .trim();
         let size =
             usize::from_str_radix(size_str, 16).map_err(|_| HttpError::Parse("bad chunk size"))?;
         if scratch.chunked_body.len() + size > limits.max_body {
@@ -385,127 +531,6 @@ fn read_line_at(
     }
 }
 
-/// A response's framing essentials, parsed by [`read_response_fast`].
-/// The body is consumed from the transport (keep-alive framing stays
-/// intact) but not retained — the load harness digests response bytes
-/// at the transport layer and only needs the status.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FastResponse {
-    pub status: u16,
-    pub body_len: usize,
-}
-
-/// Client-side fast path: parse one response head, consume the body.
-/// Framing and validation mirror [`crate::parse::read_response`].
-pub fn read_response_fast(
-    conn: &mut dyn Connection,
-    scratch: &mut Scratch,
-    limits: &Limits,
-) -> Result<FastResponse, HttpError> {
-    scratch.begin_message();
-
-    let head_end = loop {
-        let from = scratch.scanned.saturating_sub(3);
-        if let Some(rel) = find_subsequence(&scratch.buf[from..], b"\r\n\r\n") {
-            let pos = from + rel;
-            if pos + 4 > limits.max_head {
-                return Err(HttpError::TooLarge("head"));
-            }
-            break pos + 4;
-        }
-        scratch.scanned = scratch.buf.len();
-        if scratch.buf.len() > limits.max_head {
-            return Err(HttpError::TooLarge("head"));
-        }
-        if !scratch.fill(conn)? {
-            if scratch.buf.is_empty() {
-                return Err(HttpError::Eof);
-            }
-            return Err(HttpError::Parse("eof inside head"));
-        }
-    };
-
-    let head_str = std::str::from_utf8(&scratch.buf[..head_end])
-        .map_err(|_| HttpError::Parse("non-utf8 head"))?;
-    let mut lines = head_str.lines();
-    let status_line = lines.next().ok_or(HttpError::Parse("empty head"))?;
-    let mut parts = status_line.splitn(3, ' ');
-    let version = parts.next().unwrap_or("");
-    if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::Parse("bad status version"));
-    }
-    let status: u16 = parts
-        .next()
-        .ok_or(HttpError::Parse("missing status code"))?
-        .parse()
-        .map_err(|_| HttpError::Parse("bad status code"))?;
-    if !(100..600).contains(&status) {
-        return Err(HttpError::Parse("status code out of range"));
-    }
-    let mut content_length: Option<usize> = None;
-    let mut chunked = false;
-    for line in lines {
-        if line.is_empty() {
-            break;
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or(HttpError::Parse("header missing colon"))?;
-        if name.is_empty() || name.contains(' ') {
-            return Err(HttpError::Parse("bad header name"));
-        }
-        let (name, value) = (name.trim(), value.trim());
-        if !chunked && name.eq_ignore_ascii_case("transfer-encoding") {
-            chunked = value
-                .split(',')
-                .any(|t| t.trim().eq_ignore_ascii_case("chunked"));
-        }
-        if content_length.is_none() && name.eq_ignore_ascii_case("content-length") {
-            content_length = Some(
-                value
-                    .parse::<usize>()
-                    .map_err(|_| HttpError::Parse("bad content-length"))?,
-            );
-        }
-    }
-
-    let body_len;
-    if status == 204 || status == 304 {
-        body_len = 0;
-        scratch.start = head_end;
-    } else if chunked {
-        scratch.chunked_body.clear();
-        let consumed = read_chunked_into(conn, scratch, head_end, limits)?;
-        body_len = scratch.chunked_body.len();
-        scratch.start = consumed;
-    } else if let Some(n) = content_length {
-        if n > limits.max_body {
-            return Err(HttpError::TooLarge("body"));
-        }
-        while scratch.buf.len() < head_end + n {
-            if !scratch.fill(conn)? {
-                return Err(HttpError::Parse("eof inside body"));
-            }
-        }
-        body_len = n;
-        scratch.start = head_end + n;
-    } else {
-        // No framing: the body runs to EOF.
-        loop {
-            if scratch.buf.len() - head_end > limits.max_body {
-                return Err(HttpError::TooLarge("body"));
-            }
-            if !scratch.fill(conn)? {
-                break;
-            }
-        }
-        body_len = scratch.buf.len() - head_end;
-        scratch.start = scratch.buf.len();
-    }
-    fw_obs::counter_inc!("fw.http.parse.resp");
-    Ok(FastResponse { status, body_len })
-}
-
 /// Append a decimal integer without going through `format!`.
 fn push_uint(out: &mut Vec<u8>, mut v: u64) {
     let mut digits = [0u8; 20];
@@ -523,15 +548,25 @@ fn push_uint(out: &mut Vec<u8>, mut v: u64) {
 
 /// Render a full response wire image: byte-identical to
 /// [`crate::parse::write_response`] of a `Response::with_body(status,
-/// content_type, body)`. Returns the head length (the body is
+/// content_type, body)`, with `Connection: close` set after the content
+/// type when `close` is. Returns the head length (the body is
 /// `out[head_len..]`).
-pub fn render_response(out: &mut Vec<u8>, status: u16, content_type: &str, body: &[u8]) -> usize {
+pub fn render_response(
+    out: &mut Vec<u8>,
+    status: u16,
+    content_type: &str,
+    close: bool,
+    body: &[u8],
+) -> usize {
     out.extend_from_slice(b"HTTP/1.1 ");
     push_uint(out, u64::from(status));
     out.push(b' ');
     out.extend_from_slice(reason_phrase(status).as_bytes());
     out.extend_from_slice(b"\r\nContent-Type: ");
     out.extend_from_slice(content_type.as_bytes());
+    if close {
+        out.extend_from_slice(b"\r\nConnection: close");
+    }
     out.extend_from_slice(b"\r\nContent-Length: ");
     push_uint(out, body.len() as u64);
     out.extend_from_slice(b"\r\n\r\n");
@@ -564,7 +599,6 @@ pub fn render_get(out: &mut Vec<u8>, target: &str, host: &str) {
 mod tests {
     use super::*;
     use crate::parse::{write_request, write_response};
-    use crate::types::{Request, Response};
     use fw_net::pipe_pair;
 
     fn pair() -> (fw_net::PipeConn, fw_net::PipeConn) {
@@ -574,31 +608,53 @@ mod tests {
         )
     }
 
+    /// Everything the peer wrote until it shut down.
+    fn drain(conn: &mut fw_net::PipeConn) -> Vec<u8> {
+        let mut raw = Vec::new();
+        let mut buf = [0u8; 1024];
+        loop {
+            match conn.read(&mut buf).unwrap() {
+                0 => return raw,
+                n => raw.extend_from_slice(&buf[..n]),
+            }
+        }
+    }
+
+    /// Parse `bytes` as one response from a closed pipe.
+    fn response_of(bytes: &[u8], limits: &Limits, head: bool) -> Result<Response, HttpError> {
+        let (mut a, mut b) = pair();
+        a.write_all(bytes).unwrap();
+        a.shutdown_write();
+        let mut scratch = Scratch::new();
+        read_response_fast(&mut b, &mut scratch, limits, head).map(|r| scratch.to_response(&r))
+    }
+
     #[test]
     fn fast_request_roundtrip_and_keepalive_reuse() {
         let (mut a, mut b) = pair();
         let mut scratch = Scratch::new();
         for i in 0..3 {
-            let target = format!("/v1/verdict/fn-{i}.fcapp.run");
-            write_request(&mut a, &Request::get(&target, "api.faaswild.sim")).unwrap();
+            let target = format!("/v1/verdict/fn-{i}.fcapp.run?probe=1");
+            let sent = Request::get(&target, "api.faaswild.sim");
+            write_request(&mut a, &sent).unwrap();
             let req = read_request_fast(&mut b, &mut scratch, &Limits::default()).unwrap();
-            assert_eq!(req.method, Method::Get);
             assert_eq!(scratch.target(&req), target);
-            assert_eq!(scratch.header(&req, "host"), Some("api.faaswild.sim"));
             assert!(!req.close);
-            assert!(scratch.body(&req).is_empty());
+            assert_eq!(scratch.to_request(&req), sent);
         }
     }
 
     #[test]
     fn fast_request_reads_content_length_body() {
         let (mut a, mut b) = pair();
-        a.write_all(b"POST /ingest HTTP/1.1\r\nContent-Length: 7\r\n\r\npayload")
-            .unwrap();
+        let mut sent = Request::get("/ingest", "h.example");
+        sent.method = Method::Post;
+        sent.body = b"payload".to_vec();
+        write_request(&mut a, &sent).unwrap();
         let mut scratch = Scratch::new();
         let req = read_request_fast(&mut b, &mut scratch, &Limits::default()).unwrap();
         assert_eq!(req.method, Method::Post);
-        assert_eq!(scratch.body(&req), b"payload");
+        assert_eq!(scratch.to_request(&req).body, b"payload");
     }
 
     #[test]
@@ -610,7 +666,7 @@ mod tests {
         .unwrap();
         let mut scratch = Scratch::new();
         let req = read_request_fast(&mut b, &mut scratch, &Limits::default()).unwrap();
-        assert_eq!(scratch.body(&req), b"hello");
+        assert_eq!(scratch.to_request(&req).body, b"hello");
     }
 
     #[test]
@@ -641,75 +697,32 @@ mod tests {
     }
 
     #[test]
-    fn render_response_matches_scalar_writer() {
+    fn oversized_head_rejected() {
         let (mut a, mut b) = pair();
-        write_response(&mut a, &Response::json(200, "{\"ok\":true}")).unwrap();
-        a.shutdown_write();
-        let mut expect = Vec::new();
-        let mut buf = [0u8; 1024];
-        loop {
-            match b.read(&mut buf).unwrap() {
-                0 => break,
-                n => expect.extend_from_slice(&buf[..n]),
+        let limits = Limits {
+            max_head: 128,
+            max_body: 1024,
+        };
+        let writer = std::thread::spawn(move || {
+            let _ = a.write_all(b"GET / HTTP/1.1\r\n");
+            for _ in 0..64 {
+                if a.write_all(b"X-Pad: aaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n")
+                    .is_err()
+                {
+                    return;
+                }
             }
-        }
-        let mut out = Vec::new();
-        let head_len = render_response(&mut out, 200, "application/json", b"{\"ok\":true}");
-        assert_eq!(out, expect);
-        assert_eq!(&out[head_len..], b"{\"ok\":true}");
-    }
-
-    #[test]
-    fn render_status_matches_scalar_writer() {
-        let (mut a, mut b) = pair();
-        write_response(&mut a, &Response::new(400)).unwrap();
-        a.shutdown_write();
-        let mut expect = Vec::new();
-        let mut buf = [0u8; 256];
-        loop {
-            match b.read(&mut buf).unwrap() {
-                0 => break,
-                n => expect.extend_from_slice(&buf[..n]),
-            }
-        }
-        let mut out = Vec::new();
-        render_status(&mut out, 400);
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn render_get_matches_scalar_writer() {
-        let (mut a, mut b) = pair();
-        write_request(&mut a, &Request::get("/v1/status", "api.faaswild.sim")).unwrap();
-        a.shutdown_write();
-        let mut expect = Vec::new();
-        let mut buf = [0u8; 256];
-        loop {
-            match b.read(&mut buf).unwrap() {
-                0 => break,
-                n => expect.extend_from_slice(&buf[..n]),
-            }
-        }
-        let mut out = Vec::new();
-        render_get(&mut out, "/v1/status", "api.faaswild.sim");
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn fast_response_parses_status_and_consumes_body() {
-        let (mut a, mut b) = pair();
-        write_response(&mut a, &Response::json(404, "{\"error\":\"nope\"}")).unwrap();
-        write_response(&mut a, &Response::json(200, "{}")).unwrap();
+            let _ = a.write_all(b"\r\n");
+        });
         let mut scratch = Scratch::new();
-        let r1 = read_response_fast(&mut b, &mut scratch, &Limits::default()).unwrap();
-        assert_eq!(r1.status, 404);
-        assert_eq!(r1.body_len, 16);
-        let r2 = read_response_fast(&mut b, &mut scratch, &Limits::default()).unwrap();
-        assert_eq!(r2.status, 200);
+        let err = read_request_fast(&mut b, &mut scratch, &limits).unwrap_err();
+        assert!(matches!(err, HttpError::TooLarge("head")), "{err:?}");
+        drop(b);
+        let _ = writer.join();
     }
 
     #[test]
-    fn fast_request_malformed_inputs_match_scalar_errors() {
+    fn fast_request_malformed_inputs_are_parse_errors() {
         let cases: &[(&[u8], &str)] = &[
             (b"NOTAMETHOD / HTTP/1.1\r\n\r\n", "bad method"),
             (b"GET noslash HTTP/1.1\r\n\r\n", "bad target"),
@@ -734,5 +747,158 @@ mod tests {
                 other => panic!("{case:?} → {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn clean_eof_before_any_bytes_is_eof() {
+        let (a, mut b) = pair();
+        drop(a);
+        let mut scratch = Scratch::new();
+        let err = read_request_fast(&mut b, &mut scratch, &Limits::default()).unwrap_err();
+        assert!(matches!(err, HttpError::Eof));
+    }
+
+    #[test]
+    fn render_response_matches_scalar_writer() {
+        for close in [false, true] {
+            let (mut a, mut b) = pair();
+            let mut resp = Response::json(200, "{\"ok\":true}");
+            if close {
+                resp.headers.set("Connection", "close");
+            }
+            write_response(&mut a, &resp).unwrap();
+            a.shutdown_write();
+            let mut out = Vec::new();
+            let head_len =
+                render_response(&mut out, 200, "application/json", close, b"{\"ok\":true}");
+            assert_eq!(out, drain(&mut b), "close={close}");
+            assert_eq!(&out[head_len..], b"{\"ok\":true}");
+        }
+    }
+
+    #[test]
+    fn render_status_matches_scalar_writer() {
+        let (mut a, mut b) = pair();
+        write_response(&mut a, &Response::new(400)).unwrap();
+        a.shutdown_write();
+        let mut out = Vec::new();
+        render_status(&mut out, 400);
+        assert_eq!(out, drain(&mut b));
+    }
+
+    #[test]
+    fn render_get_matches_scalar_writer() {
+        let (mut a, mut b) = pair();
+        write_request(&mut a, &Request::get("/v1/status", "api.faaswild.sim")).unwrap();
+        a.shutdown_write();
+        let mut out = Vec::new();
+        render_get(&mut out, "/v1/status", "api.faaswild.sim");
+        assert_eq!(out, drain(&mut b));
+    }
+
+    #[test]
+    fn fast_response_roundtrips_over_keepalive() {
+        let (mut a, mut b) = pair();
+        let first = Response::json(404, "{\"error\":\"nope\"}");
+        let second = Response::html(200, "<html>hi</html>");
+        write_response(&mut a, &first).unwrap();
+        write_response(&mut a, &second).unwrap();
+        let mut scratch = Scratch::new();
+        for sent in [first, second] {
+            let resp = read_response_fast(&mut b, &mut scratch, &Limits::default(), false).unwrap();
+            let got = scratch.to_response(&resp);
+            assert_eq!(got.status, sent.status);
+            assert_eq!(got.reason, sent.reason);
+            assert_eq!(got.body, sent.body);
+            assert_eq!(
+                got.headers.get("content-type"),
+                sent.headers.get("content-type")
+            );
+        }
+    }
+
+    #[test]
+    fn response_body_to_eof() {
+        let got = response_of(
+            b"HTTP/1.1 200 OK\r\nX-No-Length: 1\r\n\r\nstreamed until close",
+            &Limits::default(),
+            false,
+        )
+        .unwrap();
+        assert_eq!(got.body_text(), "streamed until close");
+    }
+
+    #[test]
+    fn head_and_bodiless_statuses_ignore_framing_headers() {
+        let got = response_of(
+            b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n",
+            &Limits::default(),
+            true,
+        )
+        .unwrap();
+        assert!(got.body.is_empty());
+        // A malformed Content-Length is never parsed where the body
+        // framing does not use it.
+        let cases: [(&[u8], &[u8]); 3] = [
+            (
+                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: abc\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+                b"hello",
+            ),
+            (b"HTTP/1.1 204 No Content\r\nContent-Length: abc\r\n\r\n", b""),
+            (b"HTTP/1.1 304 Not Modified\r\nContent-Length: -1\r\n\r\n", b""),
+        ];
+        for (wire, body) in cases {
+            let got = response_of(wire, &Limits::default(), false).unwrap();
+            assert_eq!(got.body, body, "{got:?}");
+        }
+        assert!(matches!(
+            response_of(
+                b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n",
+                &Limits::default(),
+                false
+            ),
+            Err(HttpError::Parse("bad content-length"))
+        ));
+    }
+
+    #[test]
+    fn oversized_body_rejected() {
+        let limits = Limits {
+            max_head: 1024,
+            max_body: 10,
+        };
+        let err = response_of(
+            b"HTTP/1.1 200 OK\r\nContent-Length: 11\r\n\r\n0123456789X",
+            &limits,
+            false,
+        )
+        .unwrap_err();
+        assert!(matches!(err, HttpError::TooLarge("body")));
+    }
+
+    #[test]
+    fn bad_status_codes_rejected() {
+        for line in [
+            "HTTP/1.1 99 Low\r\n\r\n",
+            "HTTP/1.1 999 High\r\n\r\n",
+            "HTTP/1.1 abc X\r\n\r\n",
+        ] {
+            assert!(matches!(
+                response_of(line.as_bytes(), &Limits::default(), false),
+                Err(HttpError::Parse(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn chunked_with_extension_and_trailer() {
+        let got = response_of(
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5;ext=1\r\nhello\r\n0\r\nX-Trailer: t\r\n\r\n",
+            &Limits::default(),
+            false,
+        )
+        .unwrap();
+        assert_eq!(got.body_text(), "hello");
+        assert!(got.headers.contains_token("transfer-encoding", "chunked"));
     }
 }

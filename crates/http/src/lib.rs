@@ -7,17 +7,21 @@
 //! * [`types`] — methods, status codes, case-insensitive header map,
 //!   request/response representations.
 //! * [`url`] — `http(s)://host[:port]/path?query` parsing.
-//! * [`parse`] — incremental head parsing with size limits, body framing
-//!   via `Content-Length`, `Transfer-Encoding: chunked`, or read-to-EOF.
-//! * [`fast`] — the allocation-free in-place parser + renderer used by
-//!   the fw-serve hot path, proptested equivalent to [`parse`].
+//! * [`fast`] — the one reader: allocation-free in-place parsing of
+//!   requests and responses into a reusable per-connection [`Scratch`]
+//!   (body framing via `Content-Length`, `Transfer-Encoding: chunked`,
+//!   or read-to-EOF), plus byte-exact render helpers.
+//! * [`parse`] — size limits, the typed [`HttpError`], and the
+//!   `Content-Length`-framing serializers.
 //! * [`client`] — request serialization + response reading with deadlines,
-//!   over any [`Dialer`] (simulated network or real TCP).
+//!   over any [`Dialer`] (simulated network or real TCP), with a
+//!   keep-alive slot that parks a connection together with its scratch.
 //! * [`server`] — a per-connection serve loop with keep-alive semantics,
 //!   used by the cloud ingress nodes.
 //!
-//! The parser is defensive: header/body size caps, typed errors, no panics
-//! on malformed input (property-tested in `tests/`).
+//! The reader is defensive: header/body size caps, typed errors, no panics
+//! on malformed input. `tests/` property-tests it against a scalar
+//! reference reader kept there as the oracle.
 
 pub mod client;
 pub mod fast;

@@ -1,12 +1,11 @@
-//! HTTP/1.1 wire parsing and serialization.
+//! HTTP/1.1 parse limits, errors and serialization.
 //!
-//! Reads operate directly on a [`Connection`] through a small buffered
-//! reader. Limits are explicit ([`Limits`]) and every malformed-input path
-//! returns a typed [`HttpError`] — the parser is exercised with random and
-//! mutated inputs in the property tests.
+//! Reading lives in [`crate::fast`]; this module holds what its callers
+//! share with the writers: explicit size caps ([`Limits`]), the typed
+//! [`HttpError`] every malformed-input path returns, and the
+//! `Content-Length`-framing serializers.
 
-use crate::types::{HeaderMap, Method, Request, Response};
-use bytes::{BufMut, BytesMut};
+use crate::types::{Request, Response};
 use fw_net::Connection;
 use std::io;
 
@@ -67,253 +66,6 @@ impl HttpError {
     }
 }
 
-/// Buffered reader over a connection.
-pub struct BufConn<'c> {
-    conn: &'c mut dyn Connection,
-    buf: BytesMut,
-}
-
-impl<'c> BufConn<'c> {
-    pub fn new(conn: &'c mut dyn Connection) -> BufConn<'c> {
-        BufConn {
-            conn,
-            buf: BytesMut::with_capacity(8 * 1024),
-        }
-    }
-
-    /// Fill the buffer with at least one more byte. `Ok(false)` on EOF.
-    fn fill(&mut self) -> Result<bool, HttpError> {
-        let mut chunk = [0u8; 8 * 1024];
-        let n = self.conn.read(&mut chunk)?;
-        if n == 0 {
-            return Ok(false);
-        }
-        self.buf.put_slice(&chunk[..n]);
-        Ok(true)
-    }
-
-    /// Read bytes until the head terminator `\r\n\r\n` (inclusive).
-    fn read_head(&mut self, max_head: usize) -> Result<Vec<u8>, HttpError> {
-        loop {
-            if let Some(pos) = find_subsequence(&self.buf, b"\r\n\r\n") {
-                if pos + 4 > max_head {
-                    return Err(HttpError::TooLarge("head"));
-                }
-                let head = self.buf.split_to(pos + 4);
-                return Ok(head.to_vec());
-            }
-            if self.buf.len() > max_head {
-                return Err(HttpError::TooLarge("head"));
-            }
-            if !self.fill()? {
-                if self.buf.is_empty() {
-                    return Err(HttpError::Eof);
-                }
-                return Err(HttpError::Parse("eof inside head"));
-            }
-        }
-    }
-
-    /// Read exactly `n` body bytes.
-    fn read_body_exact(&mut self, n: usize, max_body: usize) -> Result<Vec<u8>, HttpError> {
-        if n > max_body {
-            return Err(HttpError::TooLarge("body"));
-        }
-        while self.buf.len() < n {
-            if !self.fill()? {
-                return Err(HttpError::Parse("eof inside body"));
-            }
-        }
-        Ok(self.buf.split_to(n).to_vec())
-    }
-
-    /// Read until EOF (response without a length).
-    fn read_body_to_eof(&mut self, max_body: usize) -> Result<Vec<u8>, HttpError> {
-        loop {
-            if self.buf.len() > max_body {
-                return Err(HttpError::TooLarge("body"));
-            }
-            match self.fill() {
-                Ok(true) => continue,
-                Ok(false) => break,
-                // A reset after data counts as truncation; surface what we
-                // have if the error is a clean-ish close, otherwise error.
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(self.buf.split_to(self.buf.len()).to_vec())
-    }
-
-    /// Decode a chunked body.
-    fn read_body_chunked(&mut self, max_body: usize) -> Result<Vec<u8>, HttpError> {
-        let mut out = Vec::new();
-        loop {
-            let line = self.read_line(128)?;
-            let size_str = line.split(';').next().unwrap_or("").trim();
-            let size = usize::from_str_radix(size_str, 16)
-                .map_err(|_| HttpError::Parse("bad chunk size"))?;
-            if out.len() + size > max_body {
-                return Err(HttpError::TooLarge("chunked body"));
-            }
-            if size == 0 {
-                // Trailer section: read lines until the empty line.
-                loop {
-                    let t = self.read_line(1024)?;
-                    if t.is_empty() {
-                        return Ok(out);
-                    }
-                }
-            }
-            let data = self.read_body_exact(size, max_body)?;
-            out.extend_from_slice(&data);
-            let crlf = self.read_line(2)?;
-            if !crlf.is_empty() {
-                return Err(HttpError::Parse("missing chunk crlf"));
-            }
-        }
-    }
-
-    /// Read one CRLF-terminated line (without the terminator).
-    fn read_line(&mut self, max: usize) -> Result<String, HttpError> {
-        loop {
-            if let Some(pos) = find_subsequence(&self.buf, b"\r\n") {
-                let line = self.buf.split_to(pos + 2);
-                let s = std::str::from_utf8(&line[..pos])
-                    .map_err(|_| HttpError::Parse("non-utf8 line"))?;
-                return Ok(s.to_string());
-            }
-            if self.buf.len() > max + 2 {
-                return Err(HttpError::TooLarge("line"));
-            }
-            if !self.fill()? {
-                return Err(HttpError::Parse("eof inside line"));
-            }
-        }
-    }
-}
-
-fn find_subsequence(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    haystack.windows(needle.len()).position(|w| w == needle)
-}
-
-fn parse_headers(lines: &mut std::str::Lines<'_>) -> Result<HeaderMap, HttpError> {
-    let mut headers = HeaderMap::new();
-    for line in lines {
-        if line.is_empty() {
-            break;
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or(HttpError::Parse("header missing colon"))?;
-        if name.is_empty() || name.contains(' ') {
-            return Err(HttpError::Parse("bad header name"));
-        }
-        headers.insert(name.trim().to_string(), value.trim().to_string());
-    }
-    Ok(headers)
-}
-
-fn body_length(headers: &HeaderMap) -> Result<Option<usize>, HttpError> {
-    match headers.get("content-length") {
-        Some(v) => {
-            let n: usize = v
-                .trim()
-                .parse()
-                .map_err(|_| HttpError::Parse("bad content-length"))?;
-            Ok(Some(n))
-        }
-        None => Ok(None),
-    }
-}
-
-fn is_chunked(headers: &HeaderMap) -> bool {
-    headers.contains_token("transfer-encoding", "chunked")
-}
-
-/// Read one request from the connection (server side).
-pub fn read_request(conn: &mut dyn Connection, limits: &Limits) -> Result<Request, HttpError> {
-    let mut buf = BufConn::new(conn);
-    let head = buf.read_head(limits.max_head)?;
-    let head_str = std::str::from_utf8(&head).map_err(|_| HttpError::Parse("non-utf8 head"))?;
-    let mut lines = head_str.lines();
-    let request_line = lines.next().ok_or(HttpError::Parse("empty head"))?;
-    let mut parts = request_line.split(' ');
-    let method = parts
-        .next()
-        .and_then(Method::parse)
-        .ok_or(HttpError::Parse("bad method"))?;
-    let target = parts
-        .next()
-        .filter(|t| t.starts_with('/') || *t == "*")
-        .ok_or(HttpError::Parse("bad target"))?
-        .to_string();
-    let version = parts.next().ok_or(HttpError::Parse("missing version"))?;
-    if version != "HTTP/1.1" && version != "HTTP/1.0" {
-        return Err(HttpError::Parse("unsupported version"));
-    }
-    let headers = parse_headers(&mut lines)?;
-    let body = if is_chunked(&headers) {
-        buf.read_body_chunked(limits.max_body)?
-    } else {
-        match body_length(&headers)? {
-            Some(n) => buf.read_body_exact(n, limits.max_body)?,
-            None => Vec::new(),
-        }
-    };
-    Ok(Request {
-        method,
-        target,
-        headers,
-        body,
-    })
-}
-
-/// Read one response from the connection (client side).
-///
-/// `head_request` suppresses body reading for HEAD responses.
-pub fn read_response(
-    conn: &mut dyn Connection,
-    limits: &Limits,
-    head_request: bool,
-) -> Result<Response, HttpError> {
-    let mut buf = BufConn::new(conn);
-    let head = buf.read_head(limits.max_head)?;
-    let head_str = std::str::from_utf8(&head).map_err(|_| HttpError::Parse("non-utf8 head"))?;
-    let mut lines = head_str.lines();
-    let status_line = lines.next().ok_or(HttpError::Parse("empty head"))?;
-    let mut parts = status_line.splitn(3, ' ');
-    let version = parts.next().unwrap_or("");
-    if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::Parse("bad status version"));
-    }
-    let status: u16 = parts
-        .next()
-        .ok_or(HttpError::Parse("missing status code"))?
-        .parse()
-        .map_err(|_| HttpError::Parse("bad status code"))?;
-    if !(100..600).contains(&status) {
-        return Err(HttpError::Parse("status code out of range"));
-    }
-    let reason = parts.next().unwrap_or("").to_string();
-    let headers = parse_headers(&mut lines)?;
-    let body = if head_request || status == 204 || status == 304 {
-        Vec::new()
-    } else if is_chunked(&headers) {
-        buf.read_body_chunked(limits.max_body)?
-    } else {
-        match body_length(&headers)? {
-            Some(n) => buf.read_body_exact(n, limits.max_body)?,
-            None => buf.read_body_to_eof(limits.max_body)?,
-        }
-    };
-    Ok(Response {
-        status,
-        reason,
-        headers,
-        body,
-    })
-}
-
 /// Serialize a request (adds `Content-Length` when a body is present).
 pub fn write_request(conn: &mut dyn Connection, req: &Request) -> Result<(), HttpError> {
     let mut out = Vec::with_capacity(256 + req.body.len());
@@ -361,202 +113,4 @@ pub fn write_response(conn: &mut dyn Connection, resp: &Response) -> Result<(), 
     out.extend_from_slice(&resp.body);
     conn.write_all(&out)?;
     Ok(())
-}
-
-/// Serialize a response body with chunked transfer encoding (used by a few
-/// simulated handlers to exercise the chunked decoder).
-pub fn write_response_chunked(
-    conn: &mut dyn Connection,
-    resp: &Response,
-    chunk_size: usize,
-) -> Result<(), HttpError> {
-    let mut out = Vec::with_capacity(256 + resp.body.len());
-    out.extend_from_slice(format!("HTTP/1.1 {} {}\r\n", resp.status, resp.reason).as_bytes());
-    for (n, v) in resp.headers.iter() {
-        if n.eq_ignore_ascii_case("content-length") {
-            continue;
-        }
-        out.extend_from_slice(format!("{n}: {v}\r\n").as_bytes());
-    }
-    out.extend_from_slice(b"Transfer-Encoding: chunked\r\n\r\n");
-    for chunk in resp.body.chunks(chunk_size.max(1)) {
-        out.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
-        out.extend_from_slice(chunk);
-        out.extend_from_slice(b"\r\n");
-    }
-    out.extend_from_slice(b"0\r\n\r\n");
-    conn.write_all(&out)?;
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use fw_net::pipe_pair;
-
-    fn pair() -> (fw_net::PipeConn, fw_net::PipeConn) {
-        pipe_pair(
-            "10.0.0.1:50000".parse().unwrap(),
-            "203.0.113.1:80".parse().unwrap(),
-        )
-    }
-
-    #[test]
-    fn request_roundtrip() {
-        let (mut a, mut b) = pair();
-        let req = Request::get("/fn?probe=1", "fn.on.aws");
-        write_request(&mut a, &req).unwrap();
-        a.shutdown_write();
-        let got = read_request(&mut b, &Limits::default()).unwrap();
-        assert_eq!(got.method, Method::Get);
-        assert_eq!(got.target, "/fn?probe=1");
-        assert_eq!(got.host(), Some("fn.on.aws"));
-    }
-
-    #[test]
-    fn request_with_body_roundtrip() {
-        let (mut a, mut b) = pair();
-        let mut req = Request::get("/", "h.example");
-        req.method = Method::Post;
-        req.body = b"payload".to_vec();
-        write_request(&mut a, &req).unwrap();
-        let got = read_request(&mut b, &Limits::default()).unwrap();
-        assert_eq!(got.body, b"payload");
-    }
-
-    #[test]
-    fn response_roundtrip_with_content_length() {
-        let (mut a, mut b) = pair();
-        let resp = Response::html(200, "<html>hi</html>");
-        write_response(&mut a, &resp).unwrap();
-        let got = read_response(&mut b, &Limits::default(), false).unwrap();
-        assert_eq!(got.status, 200);
-        assert_eq!(got.body_text(), "<html>hi</html>");
-        assert_eq!(
-            got.headers.get("content-type"),
-            Some("text/html; charset=utf-8")
-        );
-    }
-
-    #[test]
-    fn response_body_to_eof() {
-        let (mut a, mut b) = pair();
-        a.write_all(b"HTTP/1.1 200 OK\r\nX-No-Length: 1\r\n\r\nstreamed until close")
-            .unwrap();
-        a.shutdown_write();
-        let got = read_response(&mut b, &Limits::default(), false).unwrap();
-        assert_eq!(got.body_text(), "streamed until close");
-    }
-
-    #[test]
-    fn chunked_response_roundtrip() {
-        let (mut a, mut b) = pair();
-        let resp = Response::text(200, "a somewhat longer body split into chunks");
-        write_response_chunked(&mut a, &resp, 7).unwrap();
-        let got = read_response(&mut b, &Limits::default(), false).unwrap();
-        assert_eq!(got.body_text(), "a somewhat longer body split into chunks");
-        assert!(got.headers.contains_token("transfer-encoding", "chunked"));
-    }
-
-    #[test]
-    fn head_response_has_no_body() {
-        let (mut a, mut b) = pair();
-        a.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n")
-            .unwrap();
-        a.shutdown_write();
-        let got = read_response(&mut b, &Limits::default(), true).unwrap();
-        assert!(got.body.is_empty());
-    }
-
-    #[test]
-    fn oversized_head_rejected() {
-        let (mut a, mut b) = pair();
-        let limits = Limits {
-            max_head: 128,
-            max_body: 1024,
-        };
-        let writer = std::thread::spawn(move || {
-            let _ = a.write_all(b"GET / HTTP/1.1\r\n");
-            for _ in 0..64 {
-                if a.write_all(b"X-Pad: aaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n")
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            let _ = a.write_all(b"\r\n");
-        });
-        let err = read_request(&mut b, &limits).unwrap_err();
-        assert!(matches!(err, HttpError::TooLarge("head")), "{err:?}");
-        drop(b);
-        let _ = writer.join();
-    }
-
-    #[test]
-    fn oversized_body_rejected() {
-        let (mut a, mut b) = pair();
-        let limits = Limits {
-            max_head: 1024,
-            max_body: 10,
-        };
-        a.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 11\r\n\r\n0123456789X")
-            .unwrap();
-        let err = read_response(&mut b, &limits, false).unwrap_err();
-        assert!(matches!(err, HttpError::TooLarge("body")));
-    }
-
-    #[test]
-    fn malformed_inputs_are_parse_errors() {
-        let cases: &[&[u8]] = &[
-            b"NOTAMETHOD / HTTP/1.1\r\n\r\n",
-            b"GET noslash HTTP/1.1\r\n\r\n",
-            b"GET / HTTP/2.9\r\n\r\n",
-            b"GET / HTTP/1.1\r\nBad Header Name: x\r\n\r\n",
-            b"GET / HTTP/1.1\r\nNoColonHere\r\n\r\n",
-        ];
-        for case in cases {
-            let (mut a, mut b) = pair();
-            a.write_all(case).unwrap();
-            a.shutdown_write();
-            let err = read_request(&mut b, &Limits::default()).unwrap_err();
-            assert!(matches!(err, HttpError::Parse(_)), "{case:?} → {err:?}");
-        }
-    }
-
-    #[test]
-    fn clean_eof_before_any_bytes_is_eof() {
-        let (a, mut b) = pair();
-        drop(a);
-        let err = read_request(&mut b, &Limits::default()).unwrap_err();
-        assert!(matches!(err, HttpError::Eof));
-    }
-
-    #[test]
-    fn bad_status_codes_rejected() {
-        for line in [
-            "HTTP/1.1 99 Low\r\n\r\n",
-            "HTTP/1.1 999 High\r\n\r\n",
-            "HTTP/1.1 abc X\r\n\r\n",
-        ] {
-            let (mut a, mut b) = pair();
-            a.write_all(line.as_bytes()).unwrap();
-            a.shutdown_write();
-            assert!(matches!(
-                read_response(&mut b, &Limits::default(), false),
-                Err(HttpError::Parse(_))
-            ));
-        }
-    }
-
-    #[test]
-    fn chunked_with_extension_and_trailer() {
-        let (mut a, mut b) = pair();
-        a.write_all(
-            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5;ext=1\r\nhello\r\n0\r\nX-Trailer: t\r\n\r\n",
-        )
-        .unwrap();
-        a.shutdown_write();
-        let got = read_response(&mut b, &Limits::default(), false).unwrap();
-        assert_eq!(got.body_text(), "hello");
-    }
 }

@@ -2,15 +2,15 @@
 //!
 //! [`serve_connection`] reads requests off one connection and answers them
 //! with a handler until the peer closes, an error occurs, or the exchange
-//! negotiates `Connection: close`. The simulated cloud ingress uses this
-//! (fronted by simulated TLS on :443); `examples/live_probe.rs` runs it on
-//! a real `TcpListener`.
-//!
-//! Note: requests are parsed one at a time from the connection without
-//! carrying read-ahead between them, so HTTP pipelining is not supported —
-//! fine for the probe workload, which is strictly request/response.
+//! negotiates `Connection: close`. The simulated cloud ingress and the API
+//! gateway use this (fronted by simulated TLS on :443);
+//! `examples/live_probe.rs` runs it on a real `TcpListener`. Requests are
+//! read with [`crate::fast`] into one [`Scratch`] per connection, so
+//! read-ahead is carried between requests and pipelined requests are
+//! answered in order.
 
-use crate::parse::{read_request, write_response, HttpError, Limits};
+use crate::fast::{read_request_fast, Scratch};
+use crate::parse::{write_response, HttpError, Limits};
 use crate::types::{Request, Response};
 use fw_net::Connection;
 
@@ -31,27 +31,26 @@ pub fn serve_connection(
     handler: &RequestHandler,
 ) -> ServeStats {
     let mut stats = ServeStats::default();
+    let mut scratch = Scratch::new();
     loop {
-        let req = match read_request(conn, limits) {
+        let req = match read_request_fast(conn, &mut scratch, limits) {
             Ok(r) => r,
-            Err(HttpError::Eof) => break,
+            Err(HttpError::Eof) | Err(HttpError::Io(_)) => break,
             Err(HttpError::Parse(_)) | Err(HttpError::TooLarge(_)) => {
                 stats.parse_errors += 1;
                 let _ = write_response(conn, &Response::new(400));
                 break;
             }
-            Err(HttpError::Io(_)) => break,
         };
         stats.requests += 1;
-        let close = req.headers.contains_token("connection", "close");
-        let mut resp = handler(&req);
-        if close {
+        let mut resp = handler(&scratch.to_request(&req));
+        if req.close {
             resp.headers.set("Connection", "close");
         }
         if write_response(conn, &resp).is_err() {
             break;
         }
-        if close {
+        if req.close {
             break;
         }
     }
@@ -62,7 +61,8 @@ pub fn serve_connection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::{read_response, write_request};
+    use crate::fast::read_response_fast;
+    use crate::parse::write_request;
     use crate::types::{Method, Request};
     use fw_net::pipe_pair;
 
@@ -77,17 +77,23 @@ mod tests {
         Response::text(200, req.path())
     }
 
+    /// Read the next response off the client end.
+    fn response(client: &mut fw_net::PipeConn, scratch: &mut Scratch) -> Response {
+        let resp = read_response_fast(client, scratch, &Limits::default(), false).unwrap();
+        scratch.to_response(&resp)
+    }
+
     #[test]
     fn keep_alive_serves_multiple_requests() {
         let (mut client, mut server) = pair();
         let srv = std::thread::spawn(move || {
             serve_connection(&mut server, &Limits::default(), &echo_path_handler)
         });
+        let mut scratch = Scratch::new();
         for path in ["/one", "/two", "/three"] {
             let req = Request::get(path, "h.example");
             write_request(&mut client, &req).unwrap();
-            let resp = read_response(&mut client, &Limits::default(), false).unwrap();
-            assert_eq!(resp.body_text(), path);
+            assert_eq!(response(&mut client, &mut scratch).body_text(), path);
         }
         drop(client);
         let stats = srv.join().unwrap();
@@ -104,7 +110,7 @@ mod tests {
         let mut req = Request::get("/only", "h.example");
         req.headers.insert("Connection", "close");
         write_request(&mut client, &req).unwrap();
-        let resp = read_response(&mut client, &Limits::default(), false).unwrap();
+        let resp = response(&mut client, &mut Scratch::new());
         assert_eq!(resp.body_text(), "/only");
         assert_eq!(resp.headers.get("connection"), Some("close"));
         let stats = srv.join().unwrap();
@@ -118,7 +124,7 @@ mod tests {
             serve_connection(&mut server, &Limits::default(), &echo_path_handler)
         });
         client.write_all(b"GARBAGE REQUEST LINE\r\n\r\n").unwrap();
-        let resp = read_response(&mut client, &Limits::default(), false).unwrap();
+        let resp = response(&mut client, &mut Scratch::new());
         assert_eq!(resp.status, 400);
         let stats = srv.join().unwrap();
         assert_eq!(stats.parse_errors, 1);
@@ -138,8 +144,23 @@ mod tests {
         req.body = vec![b'x'; 512];
         req.headers.insert("Connection", "close");
         write_request(&mut client, &req).unwrap();
-        let resp = read_response(&mut client, &Limits::default(), false).unwrap();
+        let resp = response(&mut client, &mut Scratch::new());
         assert_eq!(resp.body_text(), "got 512 bytes");
         srv.join().unwrap();
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order() {
+        let (mut client, mut server) = pair();
+        let srv = std::thread::spawn(move || {
+            serve_connection(&mut server, &Limits::default(), &echo_path_handler)
+        });
+        client
+            .write_all(b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let mut scratch = Scratch::new();
+        assert_eq!(response(&mut client, &mut scratch).body_text(), "/a");
+        assert_eq!(response(&mut client, &mut scratch).body_text(), "/b");
+        assert_eq!(srv.join().unwrap().requests, 2);
     }
 }

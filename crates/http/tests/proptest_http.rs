@@ -1,20 +1,45 @@
-//! Property tests: HTTP serialization/parse round-trips and parser
-//! robustness under arbitrary and mutated inputs.
+//! Property tests: HTTP serialization/parse round-trips, reader
+//! robustness under arbitrary and mutated inputs, and equivalence of the
+//! fast reader with the scalar reference reader in `scalar/` — for
+//! requests and responses alike.
 
-use fw_http::fast::{read_request_fast, Scratch};
-use fw_http::parse::{
-    read_request, read_response, write_request, write_response, write_response_chunked, HttpError,
-    Limits,
-};
+mod scalar;
+
+use fw_http::fast::{read_request_fast, read_response_fast, Scratch};
+use fw_http::parse::{write_request, write_response, HttpError, Limits};
 use fw_http::types::{HeaderMap, Method, Request, Response};
 use fw_net::{pipe_pair, Connection, PipeConn};
 use proptest::prelude::*;
+use scalar::{read_request, read_response, write_response_chunked};
 
 fn pair() -> (PipeConn, PipeConn) {
     pipe_pair(
         "10.0.0.1:50000".parse().unwrap(),
         "203.0.113.1:80".parse().unwrap(),
     )
+}
+
+/// A closed pipe whose reader end yields exactly `bytes`, then EOF.
+fn feed(bytes: &[u8]) -> PipeConn {
+    let (mut a, b) = pair();
+    let _ = a.write_all(bytes);
+    a.shutdown_write();
+    b
+}
+
+/// Everything `write` puts on the wire.
+fn wire_of(write: impl FnOnce(&mut PipeConn)) -> Vec<u8> {
+    let (mut a, mut probe) = pair();
+    write(&mut a);
+    a.shutdown_write();
+    let mut raw = Vec::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        match probe.read(&mut buf).unwrap() {
+            0 => return raw,
+            n => raw.extend_from_slice(&buf[..n]),
+        }
+    }
 }
 
 fn arb_header_name() -> impl Strategy<Value = String> {
@@ -65,7 +90,9 @@ fn arb_response() -> impl Strategy<Value = Response> {
     (
         prop_oneof![
             Just(200u16),
+            Just(204u16),
             Just(301u16),
+            Just(304u16),
             Just(401u16),
             Just(404u16),
             Just(502u16)
@@ -81,6 +108,27 @@ fn arb_response() -> impl Strategy<Value = Response> {
         })
 }
 
+/// Bytes biased toward the framing grammar's delimiters.
+fn arb_delimiter_soup(max: usize) -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(
+        prop_oneof![
+            Just(b'\r'),
+            Just(b'\n'),
+            Just(b':'),
+            Just(b' '),
+            Just(b'/'),
+            any::<u8>(),
+        ],
+        0..max,
+    )
+}
+
+/// Tight caps that force the TooLarge paths on small inputs.
+const TIGHT: Limits = Limits {
+    max_head: 48,
+    max_body: 16,
+};
+
 /// Collapse an [`HttpError`] to a comparable key (variant + message;
 /// io errors by kind).
 fn err_key(e: &HttpError) -> String {
@@ -92,39 +140,58 @@ fn err_key(e: &HttpError) -> String {
     }
 }
 
-/// Feed `bytes` to both the scalar and the fast request parser (each on
-/// its own closed pipe) and assert they agree: same error variant and
-/// message, or the same method/target/headers/body.
-fn assert_request_parsers_agree(bytes: &[u8], limits: &Limits) -> Result<(), TestCaseError> {
-    let (mut a, mut b) = pair();
-    let _ = a.write_all(bytes);
-    a.shutdown_write();
-    let scalar = read_request(&mut b, limits);
-
-    let (mut c, mut d) = pair();
-    let _ = c.write_all(bytes);
-    c.shutdown_write();
-    let mut scratch = Scratch::new();
-    let fast = read_request_fast(&mut d, &mut scratch, limits);
-
-    match (&scalar, &fast) {
-        (Ok(s), Ok(f)) => {
-            prop_assert_eq!(s.method, f.method);
-            prop_assert_eq!(s.target.as_str(), scratch.target(f));
-            let scalar_headers: Vec<(&str, &str)> = s.headers.iter().collect();
-            let fast_headers: Vec<(&str, &str)> = scratch.headers(f).collect();
-            prop_assert_eq!(scalar_headers, fast_headers);
-            prop_assert_eq!(s.body.as_slice(), scratch.body(f));
-        }
-        (Err(se), Err(fe)) => prop_assert_eq!(err_key(se), err_key(fe)),
-        _ => prop_assert!(
-            false,
-            "scalar {:?} vs fast {:?}",
-            scalar.is_ok(),
-            fast.is_ok()
-        ),
+/// Same message, or the same error variant and message.
+fn assert_agree<T: PartialEq + std::fmt::Debug>(
+    scalar: Result<T, HttpError>,
+    fast: Result<T, HttpError>,
+) -> Result<(), TestCaseError> {
+    match (scalar, fast) {
+        (Ok(s), Ok(f)) => prop_assert_eq!(s, f),
+        (Err(se), Err(fe)) => prop_assert_eq!(err_key(&se), err_key(&fe)),
+        (s, f) => prop_assert!(false, "scalar {:?} vs fast {:?}", s, f),
     }
     Ok(())
+}
+
+/// Feed `bytes` to the scalar and the fast request reader (each on its
+/// own closed pipe) and require the same request or the same error.
+fn assert_request_readers_agree(bytes: &[u8], limits: &Limits) -> Result<(), TestCaseError> {
+    let scalar = read_request(&mut feed(bytes), limits);
+    let mut scratch = Scratch::new();
+    let fast =
+        read_request_fast(&mut feed(bytes), &mut scratch, limits).map(|r| scratch.to_request(&r));
+    assert_agree(scalar, fast)
+}
+
+/// The response-side twin of [`assert_request_readers_agree`]: same
+/// status, reason, headers and body, or the same error.
+fn assert_response_readers_agree(
+    bytes: &[u8],
+    limits: &Limits,
+    head: bool,
+) -> Result<(), TestCaseError> {
+    let scalar = read_response(&mut feed(bytes), limits, head);
+    let mut scratch = Scratch::new();
+    let fast = read_response_fast(&mut feed(bytes), &mut scratch, limits, head)
+        .map(|r| scratch.to_response(&r));
+    assert_agree(scalar, fast)
+}
+
+/// `raw` with one byte overwritten, or cut short.
+fn damage(
+    mut raw: Vec<u8>,
+    mutate: bool,
+    idx: proptest::sample::Index,
+    to: u8,
+    cut: proptest::sample::Index,
+) -> Vec<u8> {
+    if mutate && !raw.is_empty() {
+        let i = idx.index(raw.len());
+        raw[i] = to;
+    } else {
+        raw.truncate(cut.index(raw.len() + 1));
+    }
+    raw
 }
 
 proptest! {
@@ -132,10 +199,10 @@ proptest! {
 
     #[test]
     fn request_roundtrips(req in arb_request()) {
-        let (mut a, mut b) = pair();
-        write_request(&mut a, &req).unwrap();
-        a.shutdown_write();
-        let got = read_request(&mut b, &Limits::default()).unwrap();
+        let raw = wire_of(|a| write_request(a, &req).unwrap());
+        let mut scratch = Scratch::new();
+        let parsed = read_request_fast(&mut feed(&raw), &mut scratch, &Limits::default()).unwrap();
+        let got = scratch.to_request(&parsed);
         prop_assert_eq!(got.method, req.method);
         prop_assert_eq!(&got.target, &req.target);
         prop_assert_eq!(&got.body, &req.body);
@@ -146,58 +213,46 @@ proptest! {
 
     #[test]
     fn response_roundtrips(resp in arb_response()) {
-        let (mut a, mut b) = pair();
-        write_response(&mut a, &resp).unwrap();
-        a.shutdown_write();
-        let got = read_response(&mut b, &Limits::default(), false).unwrap();
+        let raw = wire_of(|a| write_response(a, &resp).unwrap());
+        let mut scratch = Scratch::new();
+        let parsed = read_response_fast(&mut feed(&raw), &mut scratch, &Limits::default(), false).unwrap();
+        let got = scratch.to_response(&parsed);
         prop_assert_eq!(got.status, resp.status);
-        prop_assert_eq!(&got.body, &resp.body);
+        prop_assert_eq!(&got.reason, &resp.reason);
+        if resp.status != 204 && resp.status != 304 {
+            prop_assert_eq!(&got.body, &resp.body);
+        }
     }
 
     #[test]
     fn chunked_response_roundtrips(resp in arb_response(), chunk in 1usize..64) {
-        let (mut a, mut b) = pair();
-        write_response_chunked(&mut a, &resp, chunk).unwrap();
-        a.shutdown_write();
-        let got = read_response(&mut b, &Limits::default(), false).unwrap();
-        prop_assert_eq!(&got.body, &resp.body);
+        let raw = wire_of(|a| write_response_chunked(a, &resp, chunk).unwrap());
+        let mut scratch = Scratch::new();
+        let parsed = read_response_fast(&mut feed(&raw), &mut scratch, &Limits::default(), false).unwrap();
+        if resp.status != 204 && resp.status != 304 {
+            prop_assert_eq!(&scratch.to_response(&parsed).body, &resp.body);
+        }
     }
 
     #[test]
     fn parser_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..768)) {
-        let (mut a, mut b) = pair();
-        let _ = a.write_all(&bytes);
-        a.shutdown_write();
-        let _ = read_request(&mut b, &Limits::default());
-        let (mut c, mut d) = pair();
-        let _ = c.write_all(&bytes);
-        c.shutdown_write();
-        let _ = read_response(&mut d, &Limits::default(), false);
+        let _ = read_request_fast(&mut feed(&bytes), &mut Scratch::new(), &Limits::default());
+        let _ = read_response_fast(&mut feed(&bytes), &mut Scratch::new(), &Limits::default(), false);
     }
 
     #[test]
     fn fast_parser_matches_scalar_on_valid_requests(req in arb_request()) {
-        // Serialize through the scalar writer, then compare both parsers
-        // on the exact wire bytes.
-        let (mut a, mut probe) = pair();
-        write_request(&mut a, &req).unwrap();
-        a.shutdown_write();
-        let mut raw = Vec::new();
-        let mut buf = [0u8; 4096];
-        loop {
-            match probe.read(&mut buf).unwrap() {
-                0 => break,
-                n => raw.extend_from_slice(&buf[..n]),
-            }
-        }
-        assert_request_parsers_agree(&raw, &Limits::default())?;
+        // Serialize through the writer, then compare both readers on
+        // the exact wire bytes.
+        let raw = wire_of(|a| write_request(a, &req).unwrap());
+        assert_request_readers_agree(&raw, &Limits::default())?;
     }
 
     #[test]
     fn fast_parser_matches_scalar_on_garbage(
         bytes in proptest::collection::vec(any::<u8>(), 0..768),
     ) {
-        assert_request_parsers_agree(&bytes, &Limits::default())?;
+        assert_request_readers_agree(&bytes, &Limits::default())?;
     }
 
     #[test]
@@ -208,39 +263,13 @@ proptest! {
         to in any::<u8>(),
         mutate in any::<bool>(),
     ) {
-        let (mut a, mut probe) = pair();
-        write_request(&mut a, &req).unwrap();
-        a.shutdown_write();
-        let mut raw = Vec::new();
-        let mut buf = [0u8; 4096];
-        loop {
-            match probe.read(&mut buf).unwrap() {
-                0 => break,
-                n => raw.extend_from_slice(&buf[..n]),
-            }
-        }
-        if mutate && !raw.is_empty() {
-            let i = idx.index(raw.len());
-            raw[i] = to;
-        } else {
-            raw.truncate(cut.index(raw.len() + 1));
-        }
-        assert_request_parsers_agree(&raw, &Limits::default())?;
+        let raw = wire_of(|a| write_request(a, &req).unwrap());
+        assert_request_readers_agree(&damage(raw, mutate, idx, to, cut), &Limits::default())?;
     }
 
     #[test]
-    fn fast_parser_matches_scalar_under_tight_limits(
-        bytes in proptest::collection::vec(
-            prop_oneof![
-                Just(b'\r'), Just(b'\n'), Just(b':'), Just(b' '), Just(b'/'),
-                any::<u8>(),
-            ],
-            0..256,
-        ),
-    ) {
-        // Small caps force the TooLarge paths on pathological heads.
-        let limits = Limits { max_head: 48, max_body: 16 };
-        assert_request_parsers_agree(&bytes, &limits)?;
+    fn fast_parser_matches_scalar_under_tight_limits(bytes in arb_delimiter_soup(256)) {
+        assert_request_readers_agree(&bytes, &TIGHT)?;
     }
 
     #[test]
@@ -250,7 +279,7 @@ proptest! {
         cut in any::<proptest::sample::Index>(),
         truncate in any::<bool>(),
     ) {
-        // Hand-build a chunked request (the writer only emits chunked
+        // Hand-build a chunked request (the writers only emit chunked
         // responses) and optionally truncate it mid-stream.
         let mut raw = Vec::new();
         raw.extend_from_slice(b"POST /ingest HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n");
@@ -263,33 +292,105 @@ proptest! {
         if truncate {
             raw.truncate(cut.index(raw.len() + 1));
         }
-        assert_request_parsers_agree(&raw, &Limits::default())?;
+        assert_request_readers_agree(&raw, &Limits::default())?;
     }
 
     #[test]
-    fn parser_never_panics_on_mutated_valid(
+    fn fast_response_matches_scalar_on_valid_responses(resp in arb_response(), head in any::<bool>()) {
+        let raw = wire_of(|a| write_response(a, &resp).unwrap());
+        assert_response_readers_agree(&raw, &Limits::default(), head)?;
+    }
+
+    #[test]
+    fn fast_response_matches_scalar_on_garbage(
+        bytes in proptest::collection::vec(any::<u8>(), 0..768),
+        head in any::<bool>(),
+    ) {
+        assert_response_readers_agree(&bytes, &Limits::default(), head)?;
+    }
+
+    #[test]
+    fn fast_response_matches_scalar_on_truncated_and_mutated_responses(
         resp in arb_response(),
+        cut in any::<proptest::sample::Index>(),
         idx in any::<proptest::sample::Index>(),
         to in any::<u8>(),
+        mutate in any::<bool>(),
+        head in any::<bool>(),
     ) {
-        // Serialize a valid response, flip one byte, and ensure the parser
-        // copes (either parses something or errors — never panics/hangs).
-        let (mut a, mut probe) = pair();
-        write_response(&mut a, &resp).unwrap();
-        a.shutdown_write();
-        let mut raw = Vec::new();
-        let mut buf = [0u8; 4096];
-        loop {
-            match probe.read(&mut buf).unwrap() {
-                0 => break,
-                n => raw.extend_from_slice(&buf[..n]),
+        let raw = wire_of(|a| write_response(a, &resp).unwrap());
+        let raw = damage(raw, mutate, idx, to, cut);
+        assert_response_readers_agree(&raw, &Limits::default(), head)?;
+    }
+
+    #[test]
+    fn fast_response_matches_scalar_under_tight_limits(
+        bytes in arb_delimiter_soup(256),
+        head in any::<bool>(),
+    ) {
+        let mut raw = b"HTTP/1.1 200 OK\r\n".to_vec();
+        raw.extend_from_slice(&bytes);
+        assert_response_readers_agree(&raw, &TIGHT, head)?;
+        assert_response_readers_agree(&bytes, &TIGHT, head)?;
+    }
+
+    #[test]
+    fn fast_response_matches_scalar_with_stray_content_length(
+        resp in arb_response(),
+        junk in "[-+0-9a-z ]{0,6}",
+        chunked in any::<bool>(),
+        head in any::<bool>(),
+    ) {
+        // Splice a first — often malformed — Content-Length header in
+        // after the status line of a length-framed or chunked response.
+        let raw = wire_of(|a| {
+            if chunked {
+                write_response_chunked(a, &resp, 7).unwrap()
+            } else {
+                write_response(a, &resp).unwrap()
             }
+        });
+        let line_end = raw.windows(2).position(|w| w == b"\r\n").unwrap() + 2;
+        let mut spliced = raw[..line_end].to_vec();
+        spliced.extend_from_slice(format!("Content-Length: {junk}\r\n").as_bytes());
+        spliced.extend_from_slice(&raw[line_end..]);
+        assert_response_readers_agree(&spliced, &Limits::default(), head)?;
+    }
+
+    #[test]
+    fn fast_response_matches_scalar_on_chunked_responses(
+        resp in arb_response(),
+        chunk in 1usize..64,
+        cut in any::<proptest::sample::Index>(),
+        truncate in any::<bool>(),
+        head in any::<bool>(),
+    ) {
+        let mut raw = wire_of(|a| write_response_chunked(a, &resp, chunk).unwrap());
+        if truncate {
+            raw.truncate(cut.index(raw.len() + 1));
         }
-        let i = idx.index(raw.len());
-        raw[i] = to;
-        let (mut c, mut d) = pair();
-        c.write_all(&raw).unwrap();
-        c.shutdown_write();
-        let _ = read_response(&mut d, &Limits::default(), false);
+        assert_response_readers_agree(&raw, &Limits::default(), head)?;
+        assert_response_readers_agree(&raw, &TIGHT, head)?;
+    }
+}
+
+/// Responses whose `Content-Length` is malformed but unused by the body
+/// framing (chunked, 204, 304, HEAD): the reference reader never parses
+/// the header there, so the fast reader must not either.
+#[test]
+fn fast_response_matches_scalar_on_unused_malformed_content_length() {
+    let cases: &[(&[u8], bool)] = &[
+        (
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: abc\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+            false,
+        ),
+        (b"HTTP/1.1 204 No Content\r\nContent-Length: abc\r\n\r\n", false),
+        (b"HTTP/1.1 304 Not Modified\r\nContent-Length: -1\r\n\r\n", false),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n", true),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n", false),
+    ];
+    for &(wire, head) in cases {
+        assert_response_readers_agree(wire, &Limits::default(), head)
+            .unwrap_or_else(|e| panic!("{}: {e:?}", String::from_utf8_lossy(wire)));
     }
 }

@@ -225,13 +225,6 @@ impl SimNet {
         SimNet::with_clock(seed, Clock::new_virtual())
     }
 
-    /// Like [`SimNet::new`], but on the real wall clock (the
-    /// `--wall-clock` escape hatch: timeouts and injected delays sleep
-    /// for real).
-    pub fn new_wall(seed: u64) -> SimNet {
-        SimNet::with_clock(seed, Clock::Wall)
-    }
-
     /// Create a network with an explicit time source.
     pub fn with_clock(seed: u64, clock: Clock) -> SimNet {
         SimNet {

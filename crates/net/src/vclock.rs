@@ -490,7 +490,7 @@ impl Drop for ActiveRegistration {
 /// component of a world (pipes, SimNet, platform, prober) shares one.
 #[derive(Debug, Clone)]
 pub enum Clock {
-    /// Real time (`--wall-clock`, TCP examples).
+    /// Real time (plain pipes, TCP examples).
     Wall,
     /// Deterministic virtual time — the default for simulated worlds.
     Virtual(Arc<VClock>),

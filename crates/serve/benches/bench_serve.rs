@@ -1,19 +1,20 @@
-//! Microbenchmarks for the serving hot path: cache-hit replay vs
-//! cold compute per endpoint class, raw sharded-cache churn under
-//! TinyLFU admission, and a full client↔server round trip over a
-//! wall-clock pipe through the zero-copy serve loop.
+//! Microbenchmarks for the serving hot path: one request through the
+//! zero-copy serve loop (cache-hit replay vs cold compute per endpoint
+//! class), raw sharded-cache churn under TinyLFU admission, and a full
+//! client↔server round trip over a wall-clock pipe.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use fw_dns::pdns::PdnsStore;
 use fw_http::fast::{read_response_fast, render_get, Scratch};
 use fw_http::parse::Limits;
-use fw_http::types::Request;
 use fw_net::{pipe_pair, Connection};
 use fw_serve::cache::CachedResponse;
 use fw_serve::{CacheConfig, ServeApi, ServeState};
 use fw_types::{DayStamp, Fqdn, Rdata};
-use std::net::Ipv4Addr;
+use std::io;
+use std::net::{Ipv4Addr, SocketAddr};
 use std::sync::Arc;
+use std::time::Duration;
 
 const FQDN: &str = "a1b2c3d4e5f6.lambda-url.us-east-1.on.aws";
 
@@ -40,28 +41,71 @@ fn api() -> ServeApi<PdnsStore> {
     )
 }
 
-fn bench_handle(c: &mut Criterion) {
-    let api = api();
-    let verdict = Request::get(&format!("/v1/verdict/{FQDN}"), "api.sim");
-    let usage = Request::get(&format!("/v1/usage/{FQDN}"), "api.sim");
-    let figures = Request::get("/v1/figures/ingress", "api.sim");
+/// Hands the serve loop one GET, then EOF; replies are discarded.
+/// Rewinding it replays the request.
+#[derive(Debug)]
+struct OneShot {
+    request: Vec<u8>,
+    pos: usize,
+}
 
-    let mut g = c.benchmark_group("serve_handle");
+impl OneShot {
+    fn get(target: &str) -> OneShot {
+        let mut request = Vec::new();
+        render_get(&mut request, target, "api.sim");
+        OneShot { request, pos: 0 }
+    }
+
+    fn rewind(&mut self) -> &mut OneShot {
+        self.pos = 0;
+        self
+    }
+}
+
+impl Connection for OneShot {
+    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+        black_box(buf.len());
+        Ok(())
+    }
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = (self.request.len() - self.pos).min(buf.len());
+        buf[..n].copy_from_slice(&self.request[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+    fn set_read_timeout(&mut self, _timeout: Option<Duration>) -> io::Result<()> {
+        Ok(())
+    }
+    fn shutdown_write(&mut self) {}
+    fn peer_addr(&self) -> SocketAddr {
+        "127.0.0.1:0".parse().unwrap()
+    }
+}
+
+fn bench_serve_fast(c: &mut Criterion) {
+    let api = api();
+    let mut scratch = Scratch::new();
+    let mut verdict = OneShot::get(&format!("/v1/verdict/{FQDN}"));
+    let mut usage = OneShot::get(&format!("/v1/usage/{FQDN}"));
+    let mut figures = OneShot::get("/v1/figures/ingress");
+
+    let mut g = c.benchmark_group("serve_fast");
     g.throughput(Throughput::Elements(1));
-    // Warm the cache, then measure the pure hit path.
-    api.handle(&verdict);
+    // Warm the cache, then measure the pure hit path: parse, route, one
+    // write of the stored wire image.
+    api.serve_fast(verdict.rewind(), &mut scratch);
     g.bench_function("verdict_hit", |b| {
-        b.iter(|| black_box(api.handle(black_box(&verdict))))
+        b.iter(|| api.serve_fast(verdict.rewind(), &mut scratch))
     });
     g.bench_function("figures_hit", |b| {
-        api.handle(&figures);
-        b.iter(|| black_box(api.handle(black_box(&figures))))
+        api.serve_fast(figures.rewind(), &mut scratch);
+        b.iter(|| api.serve_fast(figures.rewind(), &mut scratch))
     });
-    // Cold compute: a fresh API per batch so every handle is a miss.
+    // Cold compute: a fresh API per batch so every request is a miss.
     g.bench_function("usage_miss", |b| {
         b.iter_batched(
             api_fresh,
-            |fresh| black_box(fresh.handle(black_box(&usage))),
+            |fresh| fresh.serve_fast(usage.rewind(), &mut scratch),
             criterion::BatchSize::SmallInput,
         )
     });
@@ -145,7 +189,7 @@ fn bench_roundtrip(c: &mut Criterion) {
     wire.clear();
     render_get(&mut wire, &target, "api.sim");
     client.write_all(&wire).unwrap();
-    read_response_fast(&mut client, &mut parse, &limits).unwrap();
+    read_response_fast(&mut client, &mut parse, &limits, false).unwrap();
 
     let mut g = c.benchmark_group("serve_roundtrip");
     g.throughput(Throughput::Elements(1));
@@ -154,7 +198,7 @@ fn bench_roundtrip(c: &mut Criterion) {
             wire.clear();
             render_get(&mut wire, &target, "api.sim");
             client.write_all(&wire).unwrap();
-            let resp = read_response_fast(&mut client, &mut parse, &limits).unwrap();
+            let resp = read_response_fast(&mut client, &mut parse, &limits, false).unwrap();
             black_box(resp.status)
         })
     });
@@ -164,5 +208,5 @@ fn bench_roundtrip(c: &mut Criterion) {
     let _ = srv.join();
 }
 
-criterion_group!(benches, bench_handle, bench_cache, bench_roundtrip);
+criterion_group!(benches, bench_serve_fast, bench_cache, bench_roundtrip);
 criterion_main!(benches);

@@ -8,22 +8,15 @@
 //! responses to prove it). `/v1/status` stays uncached because it
 //! reports the live cache counters themselves.
 //!
-//! Two serve paths share the same router and cache:
-//!
-//! * the legacy [`ServeApi::handle`] closure (via
-//!   [`serve_connection`]), which materializes a [`Request`] and a
-//!   [`Response`] per exchange — kept for the HTTP client tests and as
-//!   the executable spec;
-//! * the zero-copy [`ServeApi::serve_fast`] loop, which parses in place
-//!   with [`fw_http::fast`], answers cache hits by writing the stored
-//!   wire image straight to the connection (one pointer clone + one
-//!   `write_all`), and renders misses into a reusable scratch buffer.
-//!   [`ServeApi::serve_pool`] runs it on a fixed pool of
-//!   clock-registered accept workers with flow-steered connections.
-//!
-//! Both paths emit byte-identical responses — the fast renderers are
-//! proptested against the scalar serializer — so the load harness
-//! digest cannot tell them apart.
+//! The zero-copy [`ServeApi::serve_fast`] loop parses in place with
+//! [`fw_http::fast`], answers cache hits by writing the stored wire
+//! image straight to the connection (one pointer clone + one
+//! `write_all`), and renders everything else — the live status
+//! document and any `Connection: close` reply — into a reusable scratch
+//! buffer. [`ServeApi::serve_pool`] runs it on a fixed pool of
+//! clock-registered accept workers with flow-steered connections. The
+//! renderers are byte-identical to `fw_http::parse::write_response`,
+//! and the unit tests pin the response bytes.
 //!
 //! Instrumentation: one latency histogram per endpoint
 //! (`fw.serve.latency_us.<endpoint>`), `fw.serve.requests` /
@@ -34,9 +27,8 @@ use crate::cache::{CacheConfig, CacheStats, CachedResponse, ShardedCache};
 use crate::state::ServeState;
 use fw_dns::pdns::PdnsBackend;
 use fw_http::fast::{read_request_fast, render_response, render_status, Scratch};
-use fw_http::parse::{write_response, HttpError, Limits};
-use fw_http::server::serve_connection;
-use fw_http::types::{HeaderMap, Method, Request, Response};
+use fw_http::parse::{HttpError, Limits};
+use fw_http::types::Method;
 use fw_net::{Connection, SimNet};
 use fw_obs::{counter_inc, Histogram};
 use fw_types::Json;
@@ -95,8 +87,8 @@ pub struct ServeApi<B: PdnsBackend> {
     latency: Vec<Arc<Histogram>>,
     seq: AtomicU64,
     /// Pre-rendered wire images for the two constant error responses.
-    wire_404: CachedResponse,
-    wire_405: CachedResponse,
+    wire_404: Arc<CachedResponse>,
+    wire_405: Arc<CachedResponse>,
 }
 
 impl<B: PdnsBackend> ServeApi<B> {
@@ -110,8 +102,16 @@ impl<B: PdnsBackend> ServeApi<B> {
             cache: ShardedCache::new(cache),
             latency,
             seq: AtomicU64::new(0),
-            wire_404: CachedResponse::render(404, "application/json", BODY_404.as_bytes()),
-            wire_405: CachedResponse::render(405, "application/json", BODY_405.as_bytes()),
+            wire_404: Arc::new(CachedResponse::render(
+                404,
+                "application/json",
+                BODY_404.as_bytes(),
+            )),
+            wire_405: Arc::new(CachedResponse::render(
+                405,
+                "application/json",
+                BODY_405.as_bytes(),
+            )),
         }
     }
 
@@ -121,38 +121,6 @@ impl<B: PdnsBackend> ServeApi<B> {
 
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Serve one request. The returned response is fully rendered; the
-    /// caller (usually [`serve_connection`]) owns framing.
-    pub fn handle(&self, req: &Request) -> Response {
-        let t = Instant::now();
-        let _span = fw_obs::trace_span_arg("serve/req", self.seq.fetch_add(1, Ordering::Relaxed));
-        counter_inc!("fw.serve.requests");
-        let (ep, resp) = self.route(req);
-        if fw_obs::enabled() {
-            self.latency[ep as usize].record(t.elapsed().as_micros() as u64);
-            match resp.status {
-                200..=299 => counter_inc!("fw.serve.responses.ok"),
-                400..=499 => counter_inc!("fw.serve.responses.client_error"),
-                _ => counter_inc!("fw.serve.responses.other"),
-            }
-        }
-        resp
-    }
-
-    fn route(&self, req: &Request) -> (Endpoint, Response) {
-        if req.method != Method::Get {
-            return (Endpoint::NotFound, Response::json(405, BODY_405));
-        }
-        match self.route_target(&req.target) {
-            (ep, Routed::Status) => (ep, Response::json(200, &self.status_body())),
-            (ep, Routed::Cached(entry)) => (
-                ep,
-                Response::with_body(entry.status, "application/json", entry.body().to_vec()),
-            ),
-            (ep, Routed::NotFound) => (ep, Response::json(404, BODY_404)),
-        }
     }
 
     /// Render the live status document (uncached by design: it reports
@@ -176,7 +144,6 @@ impl<B: PdnsBackend> ServeApi<B> {
     }
 
     /// Route a GET target to its endpoint class and response source.
-    /// Shared by the legacy and fast serve paths so they cannot drift.
     fn route_target(&self, target: &str) -> (Endpoint, Routed) {
         let (path, query) = match target.split_once('?') {
             Some((p, q)) => (p, Some(q)),
@@ -208,7 +175,10 @@ impl<B: PdnsBackend> ServeApi<B> {
                 Endpoint::Figures,
                 Routed::Cached(self.cached(target, |s| s.figure_body(name))),
             ),
-            _ => (Endpoint::NotFound, Routed::NotFound),
+            _ => (
+                Endpoint::NotFound,
+                Routed::Cached(Arc::clone(&self.wire_404)),
+            ),
         }
     }
 
@@ -236,11 +206,15 @@ impl<B: PdnsBackend> ServeApi<B> {
 
     /// The zero-copy serve loop: parse in place, write cache hits as
     /// stored wire images, render everything else into the reusable
-    /// scratch buffer. Byte-for-byte equivalent to running
-    /// [`serve_connection`] over [`ServeApi::handle`].
+    /// scratch buffer. A `Connection: close` request is answered with
+    /// the close header set after the content type — the framing
+    /// `fw_http::server::serve_connection` gives it — and ends the loop.
+    /// `scratch` may carry a previous connection's unread bytes, so it
+    /// is reset first.
     pub fn serve_fast(&self, conn: &mut dyn Connection, scratch: &mut Scratch) {
         let limits = Limits::default();
-        'serve: loop {
+        scratch.reset();
+        loop {
             let req = match read_request_fast(conn, scratch, &limits) {
                 Ok(r) => r,
                 Err(HttpError::Eof) | Err(HttpError::Io(_)) => break,
@@ -251,60 +225,34 @@ impl<B: PdnsBackend> ServeApi<B> {
                     break;
                 }
             };
-            if req.close {
-                // Rare path (no harness client sends `Connection:
-                // close`): replay through the legacy handler so the
-                // close header lands exactly where serve_connection
-                // puts it.
-                let mut headers = HeaderMap::new();
-                for (n, v) in scratch.headers(&req) {
-                    headers.insert(n, v);
-                }
-                let request = Request {
-                    method: req.method,
-                    target: scratch.target(&req).to_string(),
-                    headers,
-                    body: scratch.body(&req).to_vec(),
-                };
-                let mut resp = self.handle(&request);
-                resp.headers.set("Connection", "close");
-                let _ = write_response(conn, &resp);
-                break;
-            }
             let t = Instant::now();
             let _span =
                 fw_obs::trace_span_arg("serve/req", self.seq.fetch_add(1, Ordering::Relaxed));
             counter_inc!("fw.serve.requests");
-            let (ep, status) = if req.method != Method::Get {
-                if conn.write_all(self.wire_405.wire()).is_err() {
-                    break 'serve;
-                }
-                (Endpoint::NotFound, 405)
+            let (ep, routed) = if req.method == Method::Get {
+                self.route_target(scratch.target(&req))
             } else {
-                match self.route_target(scratch.target(&req)) {
-                    (ep, Routed::Status) => {
-                        let body = self.status_body();
-                        scratch.out.clear();
-                        render_response(&mut scratch.out, 200, "application/json", body.as_bytes());
-                        if conn.write_all(&scratch.out).is_err() {
-                            break 'serve;
-                        }
-                        (ep, 200)
-                    }
-                    (ep, Routed::Cached(entry)) => {
-                        if conn.write_all(entry.wire()).is_err() {
-                            break 'serve;
-                        }
-                        (ep, entry.status)
-                    }
-                    (ep, Routed::NotFound) => {
-                        if conn.write_all(self.wire_404.wire()).is_err() {
-                            break 'serve;
-                        }
-                        (ep, 404)
-                    }
+                (
+                    Endpoint::NotFound,
+                    Routed::Cached(Arc::clone(&self.wire_405)),
+                )
+            };
+            let (status, written) = match routed {
+                Routed::Cached(entry) if !req.close => (entry.status, conn.write_all(entry.wire())),
+                Routed::Cached(entry) => (
+                    entry.status,
+                    write_json(conn, &mut scratch.out, entry.status, entry.body(), true),
+                ),
+                Routed::Status => {
+                    let body = self.status_body();
+                    let written =
+                        write_json(conn, &mut scratch.out, 200, body.as_bytes(), req.close);
+                    (200, written)
                 }
             };
+            if written.is_err() {
+                break;
+            }
             if fw_obs::enabled() {
                 self.latency[ep as usize].record(t.elapsed().as_micros() as u64);
                 match status {
@@ -313,24 +261,11 @@ impl<B: PdnsBackend> ServeApi<B> {
                     _ => counter_inc!("fw.serve.responses.other"),
                 }
             }
+            if req.close {
+                break;
+            }
         }
         conn.shutdown_write();
-    }
-
-    /// Register this API as a SimNet listener: each accepted connection
-    /// runs the standard keep-alive serve loop on its handler thread.
-    pub fn serve_on(self: &Arc<Self>, net: &SimNet, addr: SocketAddr)
-    where
-        B: Send + Sync + 'static,
-    {
-        let api = Arc::clone(self);
-        net.listen_fn(addr, move |mut conn| {
-            let _ = conn.set_read_timeout(None);
-            let api = Arc::clone(&api);
-            serve_connection(&mut *conn, &Limits::default(), &move |req: &Request| {
-                api.handle(req)
-            });
-        });
     }
 
     /// Register this API as a pooled SimNet listener: `workers` accept
@@ -356,9 +291,21 @@ impl<B: PdnsBackend> ServeApi<B> {
 enum Routed {
     /// Live status document (uncached).
     Status,
-    /// Cache-through wire image.
+    /// A stored wire image: cache-through, or a constant error reply.
     Cached(Arc<CachedResponse>),
-    NotFound,
+}
+
+/// Render a JSON response into `out` and write it.
+fn write_json(
+    conn: &mut dyn Connection,
+    out: &mut Vec<u8>,
+    status: u16,
+    body: &[u8],
+    close: bool,
+) -> std::io::Result<()> {
+    out.clear();
+    render_response(out, status, "application/json", close, body);
+    conn.write_all(out)
 }
 
 /// Parse `offset=&limit=` out of a query string (defaults 0 / 50).
@@ -378,245 +325,239 @@ fn paging(query: Option<&str>) -> (usize, usize) {
 mod tests {
     use super::*;
     use fw_dns::pdns::PdnsStore;
-    use fw_net::pipe_pair;
+    use fw_http::fast::read_response_fast;
+    use fw_http::parse::write_request;
+    use fw_http::types::{Request, Response};
+    use fw_net::{pipe_pair, PipeConn};
     use fw_types::{DayStamp, Fqdn, Rdata};
     use std::net::Ipv4Addr;
+    use std::thread::JoinHandle;
 
-    fn api() -> ServeApi<PdnsStore> {
+    const FQDN: &str = "a1b2c3d4e5f6.lambda-url.us-east-1.on.aws";
+
+    fn api() -> Arc<ServeApi<PdnsStore>> {
         let mut store = PdnsStore::new();
-        let f = Fqdn::parse("a1b2c3d4e5f6.lambda-url.us-east-1.on.aws").unwrap();
+        let f = Fqdn::parse(FQDN).unwrap();
         let ip = Rdata::V4(Ipv4Addr::new(203, 0, 113, 9));
         for d in [19_100, 19_101, 19_102] {
             store.observe_count(&f, &ip, DayStamp(d), 40);
         }
-        ServeApi::new(
+        Arc::new(ServeApi::new(
             Arc::new(ServeState::build(store, 1)),
             CacheConfig::default(),
-        )
+        ))
+    }
+
+    /// `api.serve_fast` on the far end of a pipe.
+    fn serve(api: &Arc<ServeApi<PdnsStore>>) -> (PipeConn, JoinHandle<()>) {
+        let (client, mut server) = pipe_pair(
+            "10.0.0.1:50000".parse().unwrap(),
+            "203.0.113.1:80".parse().unwrap(),
+        );
+        let api = Arc::clone(api);
+        let srv = std::thread::spawn(move || api.serve_fast(&mut server, &mut Scratch::new()));
+        (client, srv)
+    }
+
+    /// Keep-alive exchanges, one request at a time.
+    fn exchange_all(api: &Arc<ServeApi<PdnsStore>>, requests: &[(Method, &str)]) -> Vec<Response> {
+        let (mut client, srv) = serve(api);
+        let mut scratch = Scratch::new();
+        let out = requests
+            .iter()
+            .map(|&(method, target)| {
+                let mut req = Request::get(target, "api.sim");
+                req.method = method;
+                write_request(&mut client, &req).unwrap();
+                let resp = read_response_fast(&mut client, &mut scratch, &Limits::default(), false)
+                    .unwrap();
+                scratch.to_response(&resp)
+            })
+            .collect();
+        client.shutdown_write();
+        srv.join().unwrap();
+        out
+    }
+
+    /// Every byte the server writes in answer to `bytes`, sent at once.
+    fn raw_exchange(bytes: &[u8]) -> Vec<u8> {
+        let (mut client, srv) = serve(&api());
+        client.write_all(bytes).unwrap();
+        client.shutdown_write();
+        let mut raw = Vec::new();
+        let mut buf = [0u8; 4096];
+        loop {
+            match client.read(&mut buf).unwrap() {
+                0 => break,
+                n => raw.extend_from_slice(&buf[..n]),
+            }
+        }
+        srv.join().unwrap();
+        raw
     }
 
     #[test]
     fn routes_resolve_and_missing_paths_404() {
-        let api = api();
-        let ok = |target: &str| {
-            let resp = api.handle(&Request::get(target, "api.sim"));
-            assert_eq!(resp.status, 200, "{target}");
+        let (verdict, usage, abuse) = (
+            format!("/v1/verdict/{FQDN}"),
+            format!("/v1/usage/{FQDN}"),
+            format!("/v1/abuse/{FQDN}"),
+        );
+        let cases = [
+            (Method::Get, "/v1/status", 200),
+            (Method::Get, verdict.as_str(), 200),
+            (Method::Get, usage.as_str(), 200),
+            (Method::Get, abuse.as_str(), 200),
+            (Method::Get, "/v1/candidates?offset=0&limit=5", 200),
+            (Method::Get, "/v1/figures/ingress", 200),
+            (Method::Get, "/", 404),
+            (Method::Get, "/v2/status", 404),
+            (Method::Get, "/v1/nope", 404),
+            (Method::Get, "/v1/status/extra", 404),
+            (Method::Post, "/v1/status", 405),
+        ];
+        let requests: Vec<(Method, &str)> = cases.iter().map(|&(m, t, _)| (m, t)).collect();
+        let resps = exchange_all(&api(), &requests);
+        for ((method, target, want), resp) in cases.iter().zip(&resps) {
+            assert_eq!(resp.status, *want, "{method} {target}");
             Json::parse(&resp.body_text()).expect("json body");
-        };
-        ok("/v1/status");
-        ok("/v1/verdict/a1b2c3d4e5f6.lambda-url.us-east-1.on.aws");
-        ok("/v1/usage/a1b2c3d4e5f6.lambda-url.us-east-1.on.aws");
-        ok("/v1/abuse/a1b2c3d4e5f6.lambda-url.us-east-1.on.aws");
-        ok("/v1/candidates?offset=0&limit=5");
-        ok("/v1/figures/ingress");
-        for target in ["/", "/v2/status", "/v1/nope", "/v1/status/extra"] {
-            let resp = api.handle(&Request::get(target, "api.sim"));
-            assert_eq!(resp.status, 404, "{target}");
         }
-        let mut post = Request::get("/v1/status", "api.sim");
-        post.method = Method::Post;
-        assert_eq!(api.handle(&post).status, 405);
     }
 
     #[test]
     fn repeat_requests_hit_the_cache_with_identical_bytes() {
         let api = api();
-        let target = "/v1/usage/a1b2c3d4e5f6.lambda-url.us-east-1.on.aws";
-        let a = api.handle(&Request::get(target, "api.sim"));
+        let target = format!("/v1/usage/{FQDN}");
+        let first = exchange_all(&api, &[(Method::Get, &target)]);
         let stats = api.cache_stats();
         assert_eq!((stats.hits, stats.misses), (0, 1));
-        let b = api.handle(&Request::get(target, "api.sim"));
+        let second = exchange_all(&api, &[(Method::Get, &target)]);
         assert_eq!(api.cache_stats().hits, 1);
-        assert_eq!(a.body, b.body);
-        assert_eq!(a.status, b.status);
+        assert_eq!(first, second);
     }
 
     #[test]
     fn status_reports_live_cache_counters() {
         let api = api();
-        api.handle(&Request::get("/v1/figures/invocation", "api.sim"));
-        api.handle(&Request::get("/v1/figures/invocation", "api.sim"));
-        let resp = api.handle(&Request::get("/v1/status", "api.sim"));
-        let doc = Json::parse(&resp.body_text()).unwrap();
+        let resps = exchange_all(
+            &api,
+            &[
+                (Method::Get, "/v1/figures/invocation"),
+                (Method::Get, "/v1/figures/invocation"),
+                (Method::Get, "/v1/status"),
+            ],
+        );
+        let doc = Json::parse(&resps[2].body_text()).unwrap();
         let cache = doc.get("cache").unwrap();
         assert_eq!(cache.get("hits").and_then(Json::as_f64), Some(1.0));
         assert_eq!(cache.get("misses").and_then(Json::as_f64), Some(1.0));
     }
 
-    /// Drive the same request sequence through `serve_connection` +
-    /// `handle` and through `serve_fast`, and require byte-identical
-    /// response streams.
+    /// A mixed sequence of hits, misses and 404s, sent back to back on
+    /// one connection: the response stream is pinned by length and
+    /// FNV-1a digest to the bytes the serving plane has always emitted.
     #[test]
-    fn fast_path_emits_byte_identical_responses() {
-        use fw_http::parse::write_request;
+    fn mixed_sequence_matches_pinned_bytes() {
         let targets = [
-            "/v1/verdict/a1b2c3d4e5f6.lambda-url.us-east-1.on.aws",
-            "/v1/usage/a1b2c3d4e5f6.lambda-url.us-east-1.on.aws",
-            "/v1/verdict/a1b2c3d4e5f6.lambda-url.us-east-1.on.aws",
-            "/v1/abuse/a1b2c3d4e5f6.lambda-url.us-east-1.on.aws",
-            "/v1/candidates?offset=20&limit=20",
-            "/v1/figures/ingress",
-            "/v1/verdict/miss-1234.not-observed.example",
-            "/does/not/exist",
+            format!("/v1/verdict/{FQDN}"),
+            format!("/v1/usage/{FQDN}"),
+            format!("/v1/verdict/{FQDN}"),
+            format!("/v1/abuse/{FQDN}"),
+            "/v1/candidates?offset=20&limit=20".to_string(),
+            "/v1/figures/ingress".to_string(),
+            "/v1/verdict/miss-1234.not-observed.example".to_string(),
+            "/does/not/exist".to_string(),
         ];
-        // Raw-byte recorder around the client side; exchanges stay
-        // strictly serial (request, then whole response), which is the
-        // only traffic shape either serve loop supports — neither
-        // carries read-ahead across `read_request` calls.
-        #[derive(Debug)]
-        struct Tap<'c> {
-            inner: &'c mut dyn Connection,
-            raw: &'c mut Vec<u8>,
+        let mut wire = Vec::new();
+        for target in &targets {
+            fw_http::fast::render_get(&mut wire, target, "api.sim");
         }
-        impl fw_net::Connection for Tap<'_> {
-            fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
-                self.inner.write_all(buf)
-            }
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                let n = self.inner.read(buf)?;
-                self.raw.extend_from_slice(&buf[..n]);
-                Ok(n)
-            }
-            fn set_read_timeout(
-                &mut self,
-                timeout: Option<std::time::Duration>,
-            ) -> std::io::Result<()> {
-                self.inner.set_read_timeout(timeout)
-            }
-            fn shutdown_write(&mut self) {
-                self.inner.shutdown_write()
-            }
-            fn peer_addr(&self) -> std::net::SocketAddr {
-                self.inner.peer_addr()
-            }
-        }
-        let drive = |fast: bool| -> Vec<u8> {
-            use fw_http::parse::read_response;
-            let api = Arc::new(api());
-            let (mut client, mut server) = pipe_pair(
-                "10.0.0.1:50000".parse().unwrap(),
-                "203.0.113.1:80".parse().unwrap(),
-            );
-            let srv = std::thread::spawn(move || {
-                if fast {
-                    let mut scratch = Scratch::new();
-                    api.serve_fast(&mut server, &mut scratch);
-                } else {
-                    serve_connection(&mut server, &Limits::default(), &move |req: &Request| {
-                        api.handle(req)
-                    });
-                }
-            });
-            let mut raw = Vec::new();
-            for target in targets {
-                write_request(&mut client, &Request::get(target, "api.sim")).unwrap();
-                let mut tap = Tap {
-                    inner: &mut client,
-                    raw: &mut raw,
-                };
-                read_response(&mut tap, &Limits::default(), false).unwrap();
-            }
-            client.shutdown_write();
-            drop(client);
-            srv.join().unwrap();
-            raw
-        };
-        let legacy = drive(false);
-        let fast = drive(true);
-        assert!(!legacy.is_empty());
-        assert_eq!(legacy, fast);
+        let raw = raw_exchange(&wire);
+        assert_eq!(raw.len(), 1614);
+        assert_eq!(fw_types::fnv::fnv1a(&raw), 0x613c_1e7e_e15e_bea7);
     }
 
-    /// `Connection: close` and malformed heads take the same exit paths
-    /// on both serve loops.
+    /// `Connection: close` to a cacheable endpoint and to a non-GET:
+    /// the close header sits between the content type and the length.
     #[test]
-    fn fast_path_close_and_bad_request_match_legacy() {
-        use fw_http::parse::{read_response, write_request};
-        let drive = |fast: bool, bytes: &[u8]| -> Vec<u8> {
-            let api = Arc::new(api());
+    fn close_requests_match_pinned_bytes() {
+        let verdict = raw_exchange(
+            format!(
+                "GET /v1/verdict/{FQDN} HTTP/1.1\r\nHost: api.sim\r\nConnection: close\r\n\r\n"
+            )
+            .as_bytes(),
+        );
+        let want = concat!(
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nConnection: close\r\n",
+            "Content-Length: 231\r\n\r\n",
+            r#"{"fqdn":"a1b2c3d4e5f6.lambda-url.us-east-1.on.aws","verdict":"function","#,
+            r#""provider":"AWS","region":"us-east-1","first_seen_day":19100,"#,
+            r#""last_seen_day":19102,"days_active":3,"total_requests":120,"#,
+            r#""lifespan_days":3,"activity_density":1}"#,
+        );
+        assert_eq!(String::from_utf8(verdict).unwrap(), want);
+        let post =
+            raw_exchange(b"POST /v1/status HTTP/1.1\r\nHost: api.sim\r\nConnection: close\r\n\r\n");
+        let want = concat!(
+            "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\n",
+            "Connection: close\r\nContent-Length: 21\r\n\r\n",
+            r#"{"error": "GET only"}"#,
+        );
+        assert_eq!(String::from_utf8(post).unwrap(), want);
+    }
+
+    /// A worker's scratch outlives its connections: bytes a client left
+    /// half-sent must not leak into the next connection's request.
+    #[test]
+    fn truncated_request_does_not_poison_the_next_connection() {
+        let api = api();
+        let mut scratch = Scratch::new();
+        let mut answers = Vec::new();
+        for wire in [
+            &b"GET /v1/sta"[..],
+            b"GET /v1/figures/ingress HTTP/1.1\r\n\r\n",
+        ] {
             let (mut client, mut server) = pipe_pair(
                 "10.0.0.1:50000".parse().unwrap(),
                 "203.0.113.1:80".parse().unwrap(),
             );
-            let bytes = bytes.to_vec();
-            let srv = std::thread::spawn(move || {
-                if fast {
-                    let mut scratch = Scratch::new();
-                    api.serve_fast(&mut server, &mut scratch);
-                } else {
-                    serve_connection(&mut server, &Limits::default(), &move |req: &Request| {
-                        api.handle(req)
-                    });
-                }
-            });
-            client.write_all(&bytes).unwrap();
+            client.write_all(wire).unwrap();
             client.shutdown_write();
-            let mut raw = Vec::new();
-            let mut buf = [0u8; 4096];
-            loop {
-                match client.read(&mut buf).unwrap() {
-                    0 => break,
-                    n => raw.extend_from_slice(&buf[..n]),
-                }
-            }
-            srv.join().unwrap();
-            raw
-        };
-        let mut close_req = Vec::new();
-        {
-            let (mut a, mut b) = pipe_pair(
-                "10.0.0.2:50000".parse().unwrap(),
-                "203.0.113.1:80".parse().unwrap(),
-            );
-            let mut req = Request::get("/v1/status", "api.sim");
-            req.headers.insert("Connection", "close");
-            write_request(&mut a, &req).unwrap();
-            a.shutdown_write();
-            let mut buf = [0u8; 4096];
-            loop {
-                match b.read(&mut buf).unwrap() {
-                    0 => break,
-                    n => close_req.extend_from_slice(&buf[..n]),
-                }
-            }
+            api.serve_fast(&mut server, &mut scratch);
+            let resp =
+                read_response_fast(&mut client, &mut Scratch::new(), &Limits::default(), false)
+                    .unwrap();
+            answers.push(resp.status);
         }
-        // Status bodies report live counters, so compare framing not
-        // bytes: both must parse as one response with Connection: close.
-        for fast in [false, true] {
-            let raw = drive(fast, &close_req);
-            let (mut a, mut b) = pipe_pair(
-                "10.0.0.3:50000".parse().unwrap(),
-                "203.0.113.1:80".parse().unwrap(),
-            );
-            a.write_all(&raw).unwrap();
-            a.shutdown_write();
-            let resp = read_response(&mut b, &Limits::default(), false).unwrap();
-            assert_eq!(resp.status, 200, "fast={fast}");
-            assert_eq!(resp.headers.get("connection"), Some("close"), "fast={fast}");
-        }
-        let legacy = drive(false, b"GARBAGE REQUEST LINE\r\n\r\n");
-        let fast = drive(true, b"GARBAGE REQUEST LINE\r\n\r\n");
-        assert_eq!(legacy, fast);
-        assert!(!legacy.is_empty());
+        assert_eq!(answers, [400, 200]);
     }
 
-    /// The pooled fast listener answers over SimNet like the legacy
-    /// listener does.
+    #[test]
+    fn garbage_request_line_gets_pinned_400() {
+        let raw = raw_exchange(b"GARBAGE REQUEST LINE\r\n\r\n");
+        assert_eq!(
+            raw,
+            b"HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n"
+        );
+    }
+
+    /// The pooled listener answers over SimNet.
     #[test]
     fn serve_pool_answers_over_simnet() {
-        use fw_http::parse::{read_response, write_request};
-        let api = Arc::new(api());
+        let api = api();
         let net = SimNet::new(7);
         let addr: SocketAddr = "10.9.0.1:8080".parse().unwrap();
         api.serve_pool(&net, addr, 2);
+        let mut scratch = Scratch::new();
         for flow in 0..4u64 {
             let mut conn = net.connect_flow_id(addr, flow).unwrap();
             conn.set_read_timeout(None).unwrap();
-            let target = "/v1/verdict/a1b2c3d4e5f6.lambda-url.us-east-1.on.aws";
-            write_request(&mut conn, &Request::get(target, "api.sim")).unwrap();
-            let resp = read_response(&mut conn, &Limits::default(), false).unwrap();
+            let target = format!("/v1/verdict/{FQDN}");
+            write_request(&mut conn, &Request::get(&target, "api.sim")).unwrap();
+            let resp =
+                read_response_fast(&mut conn, &mut scratch, &Limits::default(), false).unwrap();
             assert_eq!(resp.status, 200);
-            Json::parse(&resp.body_text()).expect("json body");
+            Json::parse(&scratch.to_response(&resp).body_text()).expect("json body");
         }
         assert!(api.cache_stats().hits >= 3);
     }

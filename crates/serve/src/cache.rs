@@ -44,7 +44,7 @@ impl CachedResponse {
     /// content_type, body))` on the wire.
     pub fn render(status: u16, content_type: &str, body: &[u8]) -> CachedResponse {
         let mut wire = Vec::with_capacity(64 + content_type.len() + body.len());
-        let head_len = fw_http::fast::render_response(&mut wire, status, content_type, body);
+        let head_len = fw_http::fast::render_response(&mut wire, status, content_type, false, body);
         CachedResponse {
             status,
             head_len: head_len as u32,

@@ -368,7 +368,8 @@ fn run_client(
         conn.mute = ep == 0;
         let t = Instant::now();
         conn.write_all(&scratch.wire)?;
-        let resp = read_response_fast(&mut conn, &mut scratch.parse, &limits).map_err(io_of)?;
+        let resp =
+            read_response_fast(&mut conn, &mut scratch.parse, &limits, false).map_err(io_of)?;
         conn.mute = false;
         acc.latencies_us
             .push(t.elapsed().as_micros().min(u32::MAX as u128) as u32);

@@ -32,7 +32,7 @@ mod segment;
 mod store;
 
 pub use crc::crc32;
-pub use scan::{scan_shard_visit, stream_snapshot_aggregates, RowVisitor};
+pub use scan::{scan_shard_visit, RowVisitor};
 pub use segment::{decode_segment, read_segment, SegRow, SegmentBuilder, SegmentData};
 pub use store::{DiskStore, ShardIngestStats, SharedDiskStore};
 

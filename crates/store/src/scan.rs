@@ -1,23 +1,25 @@
-//! Streaming columnar scan: segment bytes → per-fqdn aggregates.
+//! Streaming columnar scan: segment bytes → rows and per-fqdn
+//! aggregates.
 //!
 //! `DiskStore::open` replays every segment into per-shard hash tables
 //! before anything can be queried — the right trade when the store will
-//! be queried repeatedly, but pure overhead for the identification
-//! stage, which needs exactly one [`FqdnAggregate`] per fqdn and never
-//! looks at the table again. This module decodes the delta-encoded rows
-//! block directly into aggregates instead: segment rows are sorted by
+//! be queried repeatedly, but pure overhead for the fused pipeline's
+//! analysis, which needs each row once and exactly one [`FqdnAggregate`]
+//! per fqdn and never looks at the table again. This module decodes the
+//! delta-encoded rows block directly instead: segment rows are sorted by
 //! `(fqdn, pdate, rdata)`, so each fqdn is one contiguous run, the day
 //! count is a run-length count over `pdate`, and no intermediate
 //! `SegRow` vector, hash table, or `PdnsRecord` is ever materialized.
 //!
-//! The fast path requires one segment per shard — what `compact`
-//! guarantees and every snapshot written by `fw_snapshot` satisfies. A
-//! multi-segment shard (an uncompacted store) falls back to replaying
-//! that shard through an in-memory [`PdnsStore`], trading speed for the
-//! exact-merge semantics; the output is identical either way.
+//! The fast path requires one segment per shard — what `compact` and
+//! `seal_shard` guarantee and every snapshot written by `fw_snapshot`
+//! satisfies. A multi-segment shard (an uncompacted store) falls back
+//! to replaying that shard through an in-memory [`PdnsStore`], trading
+//! speed for the exact-merge semantics; the output is identical either
+//! way.
 
 use crate::segment::{next_row, parse_segment};
-use crate::store::{read_superblock, shard_segment_paths};
+use crate::store::shard_segment_paths;
 use crate::StoreError;
 use fw_dns::pdns::{FqdnAggregate, PdnsBackend as _, PdnsStore};
 use fw_types::{DayStamp, Fqdn, Rdata};
@@ -117,14 +119,6 @@ fn scan_segment_into(
     Ok(())
 }
 
-/// Aggregate one shard: streaming for the compacted single-segment
-/// case, `PdnsStore` replay for multi-segment shards.
-fn scan_shard(dir: &Path, shard: usize) -> Result<Vec<FqdnAggregate>, StoreError> {
-    let mut out = Vec::new();
-    scan_shard_visit(dir, shard, &mut |agg| out.push(agg), None)?;
-    Ok(out)
-}
-
 /// Stream one shard of a snapshot directory in a single pass, emitting
 /// both per-fqdn aggregates and individual rows.
 ///
@@ -183,47 +177,6 @@ pub fn scan_shard_visit(
     Ok(())
 }
 
-/// Aggregate a snapshot directory directly from its segments on up to
-/// `workers` threads, without building `DiskStore` shard tables.
-///
-/// Output is sorted by fqdn — element-wise equal to
-/// `DiskStore::open_read_only(dir)?.all_aggregates()` — and independent
-/// of the worker count: workers claim whole shards round-robin and the
-/// final sort erases completion order.
-pub fn stream_snapshot_aggregates(
-    dir: &Path,
-    workers: usize,
-) -> Result<Vec<FqdnAggregate>, StoreError> {
-    let _span = fw_obs::span("store/stream_scan");
-    let shard_count = read_superblock(dir)?;
-    let workers = workers.clamp(1, shard_count);
-    let fork = fw_obs::current_trace_span();
-    let parts: Vec<Result<Vec<FqdnAggregate>, StoreError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let _trace = fw_obs::trace_span_child_of(fork, "store/scan_worker", w as u64);
-                    let mut part = Vec::new();
-                    for shard in (w..shard_count).step_by(workers) {
-                        part.extend(scan_shard(dir, shard)?);
-                    }
-                    Ok(part)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scan workers do not panic"))
-            .collect()
-    });
-    let mut out = Vec::new();
-    for part in parts {
-        out.extend(part?);
-    }
-    out.sort_by(|a, b| a.fqdn.cmp(&b.fqdn));
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,6 +207,23 @@ mod tests {
         Fqdn::parse(s).unwrap()
     }
 
+    /// Aggregate one shard.
+    fn scan_shard(dir: &Path, shard: usize) -> Result<Vec<FqdnAggregate>, StoreError> {
+        let mut out = Vec::new();
+        scan_shard_visit(dir, shard, &mut |agg| out.push(agg), None)?;
+        Ok(out)
+    }
+
+    /// Aggregate every shard of a snapshot directory, sorted by fqdn.
+    fn scan_all(dir: &Path) -> Result<Vec<FqdnAggregate>, StoreError> {
+        let mut out = Vec::new();
+        for shard in 0..crate::store::read_superblock(dir)? {
+            out.extend(scan_shard(dir, shard)?);
+        }
+        out.sort_by(|a, b| a.fqdn.cmp(&b.fqdn));
+        Ok(out)
+    }
+
     fn fill(store: &DiskStore) {
         let d0 = fw_types::MEASUREMENT_START;
         for i in 0..60u8 {
@@ -273,11 +243,7 @@ mod tests {
         let store = DiskStore::create(&tmp.0, StoreConfig::default()).unwrap();
         fill(&store);
         store.compact().unwrap();
-        let want = store.all_aggregates();
-        for workers in [1, 3, 8] {
-            let got = stream_snapshot_aggregates(&tmp.0, workers).unwrap();
-            assert_eq!(got, want, "workers={workers}");
-        }
+        assert_eq!(scan_all(&tmp.0).unwrap(), store.all_aggregates());
     }
 
     #[test]
@@ -309,9 +275,7 @@ mod tests {
             store.flush().unwrap();
         }
         assert!(store.segment_count() > store.shard_count());
-        let want = store.all_aggregates();
-        let got = stream_snapshot_aggregates(&tmp.0, 4).unwrap();
-        assert_eq!(got, want);
+        assert_eq!(scan_all(&tmp.0).unwrap(), store.all_aggregates());
     }
 
     #[test]
@@ -382,7 +346,7 @@ mod tests {
         fill(&store);
         store.compact().unwrap();
         drop(store);
-        assert!(stream_snapshot_aggregates(&tmp.0, 4).is_ok());
+        assert!(scan_all(&tmp.0).is_ok());
 
         // Flip one byte in the middle of each shard's segment: the
         // mmap-backed scan must reject every poisoned shard via CRC.
@@ -404,7 +368,7 @@ mod tests {
             }
         }
         assert!(flipped > 0, "test must have poisoned at least one segment");
-        assert!(stream_snapshot_aggregates(&tmp.0, 4).is_ok());
+        assert!(scan_all(&tmp.0).is_ok());
     }
 
     #[test]
@@ -413,6 +377,6 @@ mod tests {
         let store = DiskStore::create(&tmp.0, StoreConfig::default()).unwrap();
         store.flush().unwrap();
         drop(store);
-        assert!(stream_snapshot_aggregates(&tmp.0, 4).unwrap().is_empty());
+        assert!(scan_all(&tmp.0).unwrap().is_empty());
     }
 }

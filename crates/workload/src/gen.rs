@@ -113,10 +113,6 @@ pub struct WorldConfig {
     /// Deploy live functions for probing (disable for PDNS-only
     /// experiments, which is much faster).
     pub deploy_live: bool,
-    /// Run the world on the real wall clock instead of deterministic
-    /// virtual time (the bench binaries' `--wall-clock` escape hatch;
-    /// probe outcomes then race real timeouts and may wobble).
-    pub wall_clock: bool,
     /// Worker threads for generation (0 = one per available core).
     /// Output is byte-identical at every worker count — see
     /// [`GEN_SHARDS`].
@@ -130,7 +126,6 @@ impl Default for WorldConfig {
             seed: 42,
             scale: 0.1,
             deploy_live: true,
-            wall_clock: false,
             gen_workers: 0,
             platform: PlatformConfig::default(),
         }
@@ -147,7 +142,6 @@ impl WorldConfig {
             seed,
             scale,
             deploy_live: false,
-            wall_clock: false,
             gen_workers: 0,
             platform: PlatformConfig::default(),
         }
@@ -161,7 +155,6 @@ impl WorldConfig {
             seed,
             scale,
             deploy_live: true,
-            wall_clock: false,
             gen_workers: 0,
             platform: PlatformConfig {
                 hang_ms: 900,
@@ -269,11 +262,7 @@ fn generate_parts(
     Vec<WorldFunction>,
 ) {
     let _span = fw_obs::span("gen/world");
-    let net = if config.wall_clock {
-        SimNet::new_wall(config.seed)
-    } else {
-        SimNet::new(config.seed)
-    };
+    let net = SimNet::new(config.seed);
     let resolver = Arc::new(RwLock::new(Resolver::new()));
     let platform = CloudPlatform::new(
         net.clone(),
@@ -1584,7 +1573,6 @@ mod tests {
             seed: 7,
             scale: 0.002,
             deploy_live: true,
-            wall_clock: false,
             gen_workers: 0,
             platform: PlatformConfig::default(),
         })
@@ -1781,7 +1769,6 @@ mod tests {
             seed: 11,
             scale: 0.01,
             deploy_live: false,
-            wall_clock: false,
             gen_workers: 0,
             platform: PlatformConfig::default(),
         });
@@ -1807,7 +1794,6 @@ mod tests {
             seed: 13,
             scale: 0.01,
             deploy_live: false,
-            wall_clock: false,
             gen_workers: 0,
             platform: PlatformConfig::default(),
         });

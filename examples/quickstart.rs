@@ -20,7 +20,6 @@ fn main() {
         seed: 1,
         scale: 0.01,
         deploy_live: true,
-        wall_clock: false,
         gen_workers: 0,
         platform: PlatformConfig {
             hang_ms: 500,

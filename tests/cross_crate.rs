@@ -299,7 +299,6 @@ fn pipeline_stable_across_seeds() {
             seed,
             scale: 0.001,
             deploy_live: false,
-            wall_clock: false,
             gen_workers: 0,
             platform: PlatformConfig::default(),
         });
