@@ -1,8 +1,10 @@
 //! Criterion benches for the virtual-time engine: raw advance
-//! throughput, a zero-advance request/response exchange, and the
-//! probing hot path — a fan-out of workers all hitting a 300 ms
-//! timeout, which on the wall clock would cost 300 ms of real time
-//! per sweep and here costs microseconds.
+//! throughput, zero-advance request/response exchanges (one per fresh
+//! connection, and 64 over one kept-alive connection, so per-connection
+//! and per-exchange hand-off costs show separately), and the probing
+//! hot path — a fan-out of workers all hitting a 300 ms timeout, which
+//! on the wall clock would cost 300 ms of real time per sweep and here
+//! costs microseconds.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use fw_net::{ClockSource as _, Connection, SimNet, VClock};
@@ -50,6 +52,18 @@ fn bench_echo_roundtrip(c: &mut Criterion) {
             conn.write_all(b"ping").unwrap();
             let mut buf = [0u8; 16];
             black_box(conn.read(&mut buf).unwrap())
+        })
+    });
+    let mut conn = net.connect(addr(1, 80)).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    group.throughput(Throughput::Elements(64));
+    group.bench_function("keepalive_64_exchanges", |b| {
+        b.iter(|| {
+            let mut buf = [0u8; 16];
+            for _ in 0..64 {
+                conn.write_all(b"ping").unwrap();
+                black_box(conn.read(&mut buf).unwrap());
+            }
         })
     });
     group.finish();

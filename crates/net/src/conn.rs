@@ -6,7 +6,7 @@
 //! the `TcpStream` adapter in [`crate::tcp`].
 
 use crate::vclock::{Clock, ClockSource as _, Registration, WaitOutcome};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::io;
 use std::net::SocketAddr;
@@ -81,19 +81,20 @@ struct PipeState {
     read_closed: bool,
     /// Hard reset injected by the fault layer.
     reset: bool,
-    /// Threads currently parked on the virtual clock waiting for this
-    /// direction to change (reader waiting for bytes, writer waiting
-    /// for room). Lets state changes skip the clock lock entirely when
-    /// nobody is parked — e.g. the writable-notify a reader would
-    /// otherwise issue on every drain of a never-full pipe.
-    vwaiters: u32,
+    /// Threads waiting for this direction to change: the reader for
+    /// bytes or the writer for room, never both (the buffer cannot be
+    /// empty and full at once). State changes signal only while this
+    /// is non-zero — e.g. a reader's drain of a never-full pipe wakes
+    /// nobody and costs no syscall.
+    waiters: u32,
 }
 
 #[derive(Debug)]
 struct Pipe {
     state: Mutex<PipeState>,
-    readable: Condvar,
-    writable: Condvar,
+    /// Wall-clock waiters park here; on a virtual clock they park on
+    /// the clock, on this pipe's [`Pipe::chan`].
+    changed: Condvar,
 }
 
 impl Pipe {
@@ -104,11 +105,24 @@ impl Pipe {
                 write_closed: false,
                 read_closed: false,
                 reset: false,
-                vwaiters: 0,
+                waiters: 0,
             }),
-            readable: Condvar::new(),
-            writable: Condvar::new(),
+            changed: Condvar::new(),
         })
+    }
+
+    /// Unlock after a state change, then wake the thread waiting on
+    /// this direction, if any. Signalling after the unlock lets the
+    /// woken thread take the lock without parking again.
+    fn release(self: &Arc<Pipe>, st: MutexGuard<'_, PipeState>, clock: &Clock) {
+        let parked = st.waiters > 0;
+        drop(st);
+        if parked {
+            match clock.vclock() {
+                Some(vc) => vc.notify_chan(self.chan()),
+                None => self.changed.notify_all(),
+            }
+        }
     }
 
     /// Wake channel identity for [`crate::vclock::VClock::notify_chan`]:
@@ -130,8 +144,8 @@ pub struct PipeConn {
     peer: SocketAddr,
     /// Time source for blocking waits. On a virtual clock, reads and
     /// backpressure block on the clock (a timeout is a heap event); on
-    /// the wall clock, the per-pipe condvars and `Instant` deadlines
-    /// are used as before.
+    /// the wall clock, the per-pipe condvar and `Instant` deadlines
+    /// are used.
     clock: Clock,
     /// Held when this endpoint was opened by a thread with no persistent
     /// clock registration (e.g. a test's main thread): the connection
@@ -208,10 +222,7 @@ impl PipeConn {
         for pipe in [&self.rx, &self.tx] {
             let mut st = pipe.state.lock();
             st.reset = true;
-            pipe.readable.notify_all();
-            pipe.writable.notify_all();
-            drop(st);
-            self.clock.notify_chan(pipe.chan());
+            pipe.release(st, &self.clock);
         }
     }
 }
@@ -243,6 +254,7 @@ impl Connection for PipeConn {
                 if st.buf.len() < PIPE_CAPACITY {
                     break;
                 }
+                st.waiters += 1;
                 match self.clock.vclock() {
                     Some(vc) => {
                         // Register the waiter before releasing the pipe
@@ -250,27 +262,19 @@ impl Connection for PipeConn {
                         // unnoticed, then block on the clock.
                         let token =
                             vc.prepare_wait_chan(None, self.lease.is_some(), self.tx.chan());
-                        st.vwaiters += 1;
                         drop(st);
                         vc.complete_wait(token);
                         st = self.tx.state.lock();
-                        st.vwaiters -= 1;
                     }
-                    None => {
-                        self.tx.writable.wait(&mut st);
-                    }
+                    None => self.tx.changed.wait(&mut st),
                 }
+                st.waiters -= 1;
             }
             let room = PIPE_CAPACITY - st.buf.len();
             let take = room.min(buf.len() - written);
             st.buf.extend(&buf[written..written + take]);
             written += take;
-            self.tx.readable.notify_all();
-            let wake = st.vwaiters > 0;
-            drop(st);
-            if wake {
-                self.clock.notify_chan(self.tx.chan());
-            }
+            self.tx.release(st, &self.clock);
         }
         Ok(())
     }
@@ -304,39 +308,35 @@ impl Connection for PipeConn {
                     buf[head.len()..take].copy_from_slice(&tail[..take - head.len()]);
                 }
                 st.buf.drain(..take);
-                self.rx.writable.notify_all();
-                let wake = st.vwaiters > 0;
-                drop(st);
-                if wake {
-                    self.clock.notify_chan(self.rx.chan());
-                }
+                self.rx.release(st, &self.clock);
                 return Ok(take);
             }
             if st.write_closed {
                 return Ok(0); // clean EOF
             }
-            match self.clock.vclock() {
+            st.waiters += 1;
+            let timed_out = match self.clock.vclock() {
                 Some(vc) => {
                     let token =
                         vc.prepare_wait_chan(vdeadline, self.lease.is_some(), self.rx.chan());
-                    st.vwaiters += 1;
                     drop(st);
                     let outcome = vc.complete_wait(token);
                     st = self.rx.state.lock();
-                    st.vwaiters -= 1;
-                    if outcome == WaitOutcome::TimedOut {
-                        return Err(io::Error::new(io::ErrorKind::TimedOut, "read timed out"));
-                    }
+                    outcome == WaitOutcome::TimedOut
                 }
                 None => match deadline {
                     Some(d) => {
-                        let now = Instant::now();
-                        if now >= d || self.rx.readable.wait_until(&mut st, d).timed_out() {
-                            return Err(io::Error::new(io::ErrorKind::TimedOut, "read timed out"));
-                        }
+                        Instant::now() >= d || self.rx.changed.wait_until(&mut st, d).timed_out()
                     }
-                    None => self.rx.readable.wait(&mut st),
+                    None => {
+                        self.rx.changed.wait(&mut st);
+                        false
+                    }
                 },
+            };
+            st.waiters -= 1;
+            if timed_out {
+                return Err(io::Error::new(io::ErrorKind::TimedOut, "read timed out"));
             }
         }
     }
@@ -347,15 +347,9 @@ impl Connection for PipeConn {
     }
 
     fn shutdown_write(&mut self) {
-        let wake = {
-            let mut st = self.tx.state.lock();
-            st.write_closed = true;
-            self.tx.readable.notify_all();
-            st.vwaiters > 0
-        };
-        if wake {
-            self.clock.notify_chan(self.tx.chan());
-        }
+        let mut st = self.tx.state.lock();
+        st.write_closed = true;
+        self.tx.release(st, &self.clock);
     }
 
     fn peer_addr(&self) -> SocketAddr {
@@ -368,24 +362,12 @@ impl Drop for PipeConn {
         // Closing an endpoint: our outbound direction sees write-close (peer
         // gets EOF), our inbound direction sees read-close (peer writer gets
         // BrokenPipe instead of blocking forever).
-        let wake_tx = {
-            let mut st = self.tx.state.lock();
-            st.write_closed = true;
-            self.tx.readable.notify_all();
-            st.vwaiters > 0
-        };
-        let wake_rx = {
-            let mut st = self.rx.state.lock();
-            st.read_closed = true;
-            self.rx.writable.notify_all();
-            st.vwaiters > 0
-        };
-        if wake_tx {
-            self.clock.notify_chan(self.tx.chan());
-        }
-        if wake_rx {
-            self.clock.notify_chan(self.rx.chan());
-        }
+        let mut st = self.tx.state.lock();
+        st.write_closed = true;
+        self.tx.release(st, &self.clock);
+        let mut st = self.rx.state.lock();
+        st.read_closed = true;
+        self.rx.release(st, &self.clock);
     }
 }
 

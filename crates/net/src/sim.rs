@@ -2,15 +2,17 @@
 //!
 //! [`SimNet`] is a registry of listeners keyed by socket address. A client
 //! [`SimNet::connect`]s to an address and receives a byte-stream
-//! [`Connection`]; the listener's handler runs on its own thread with the
-//! other end of the duplex pipe, exactly as a blocking accept-loop server
-//! would. All connections pass through the fault layer ([`FaultConfig`]),
-//! and global counters ([`NetStats`]) make fault behaviour observable.
+//! [`Connection`]; the listener's handler runs on a thread of its own with
+//! the other end of the duplex pipe, exactly as a blocking accept-loop
+//! server would. Handler threads are spares reused across connections
+//! ([`Spares`]). All connections pass through the fault layer
+//! ([`FaultConfig`]), and global counters ([`NetStats`]) make fault
+//! behaviour observable.
 
 use crate::conn::{pipe_pair_with_clock, Connection, PipeConn};
 use crate::fault::{chunk_fate, ChunkFate, FaultConfig};
-use crate::vclock::Clock;
-use parking_lot::{Condvar, Mutex, RwLock};
+use crate::vclock::{Clock, Registration, VClock};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
@@ -20,17 +22,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Server-side connection handler. Runs on a dedicated thread per
-/// connection; returning closes the server end.
+/// Server-side connection handler. Runs on a handler thread of its own
+/// for the connection's lifetime; returning closes the server end.
 pub type Handler = Arc<dyn Fn(Box<dyn Connection>) + Send + Sync>;
 
 /// How a listener accepts connections.
 #[derive(Clone)]
 enum Listener {
-    /// One spawned thread per connection (the original model; fine for
-    /// probe workloads where connections are long-lived relative to
-    /// their number).
-    Spawn(Handler),
+    /// Each connection runs the handler on a spare thread of its own
+    /// (fine for probe workloads where connections are long-lived
+    /// relative to their number).
+    Handler(Handler),
     /// A fixed pool of pre-spawned, clock-registered workers with
     /// per-worker accept queues. Connections are steered to
     /// `flow % workers`, so a load harness partitioning clients the
@@ -41,27 +43,24 @@ enum Listener {
 /// Accept queue for one pool worker.
 struct AcceptQueue {
     state: Mutex<QueueState>,
-    /// Wall-clock fallback (virtual worlds park on the clock instead).
-    cv: Condvar,
-    clock: Clock,
+    clock: Arc<VClock>,
 }
 
 struct QueueState {
     conns: VecDeque<Box<dyn Connection>>,
     closed: bool,
     /// Workers parked on the virtual clock for this queue.
-    vwaiters: u32,
+    waiters: u32,
 }
 
 impl AcceptQueue {
-    fn new(clock: Clock) -> Arc<AcceptQueue> {
+    fn new(clock: Arc<VClock>) -> Arc<AcceptQueue> {
         Arc::new(AcceptQueue {
             state: Mutex::new(QueueState {
                 conns: VecDeque::new(),
                 closed: false,
-                vwaiters: 0,
+                waiters: 0,
             }),
-            cv: Condvar::new(),
             clock,
         })
     }
@@ -79,22 +78,21 @@ impl AcceptQueue {
             return;
         }
         st.conns.push_back(conn);
-        self.cv.notify_one();
-        let wake = st.vwaiters > 0;
-        drop(st);
-        if wake {
-            self.clock.notify_chan(self.chan());
-        }
+        self.release(st);
     }
 
     /// Close the queue: workers drain what is already queued, then exit.
     fn close(self: &Arc<AcceptQueue>) {
         let mut st = self.state.lock();
         st.closed = true;
-        self.cv.notify_all();
-        let wake = st.vwaiters > 0;
+        self.release(st);
+    }
+
+    /// Unlock after a state change, then wake the parked worker, if any.
+    fn release(self: &Arc<AcceptQueue>, st: MutexGuard<'_, QueueState>) {
+        let parked = st.waiters > 0;
         drop(st);
-        if wake {
+        if parked {
             self.clock.notify_chan(self.chan());
         }
     }
@@ -109,21 +107,16 @@ impl AcceptQueue {
             if st.closed {
                 return None;
             }
-            match self.clock.vclock() {
-                Some(vc) => {
-                    // Two-phase wait on the queue's channel; workers are
-                    // persistently registered, so no deadline and no
-                    // auto-registration: an idle worker is simply
-                    // "blocked forever" to quiescence detection.
-                    let token = vc.prepare_wait_chan(None, false, self.chan());
-                    st.vwaiters += 1;
-                    drop(st);
-                    vc.complete_wait(token);
-                    st = self.state.lock();
-                    st.vwaiters -= 1;
-                }
-                None => self.cv.wait(&mut st),
-            }
+            // Two-phase wait on the queue's channel; workers are
+            // persistently registered, so no deadline and no
+            // auto-registration: an idle worker is simply "blocked
+            // forever" to quiescence detection.
+            let token = self.clock.prepare_wait_chan(None, false, self.chan());
+            st.waiters += 1;
+            drop(st);
+            self.clock.complete_wait(token);
+            st = self.state.lock();
+            st.waiters -= 1;
         }
     }
 }
@@ -137,6 +130,142 @@ impl AcceptPool {
     fn close(&self) {
         for q in &self.queues {
             q.close();
+        }
+    }
+}
+
+/// A connection handed to a handler thread.
+struct Job {
+    handler: Handler,
+    conn: Box<dyn Connection>,
+    /// Taken by the connector *before* the hand-off, so the clock
+    /// cannot advance in the window where the connection exists but its
+    /// handler has not run yet.
+    registration: Registration,
+}
+
+impl Job {
+    fn run(self) {
+        let _active = self.registration.activate();
+        (self.handler)(self.conn);
+    }
+}
+
+/// One handler thread's mailbox.
+#[derive(Default)]
+struct Spare {
+    slot: Mutex<Slot>,
+    /// The idle spare parks here, never on the virtual clock: it holds
+    /// no registration, so to quiescence it is an exited thread.
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct Slot {
+    job: Option<Job>,
+    exit: bool,
+    parked: bool,
+}
+
+impl Spare {
+    /// Post a job (or `None`: exit) and wake the spare if it is parked.
+    fn post(&self, job: Option<Job>) {
+        let mut slot = self.slot.lock();
+        match job {
+            Some(job) => slot.job = Some(job),
+            None => slot.exit = true,
+        }
+        let parked = slot.parked;
+        drop(slot);
+        if parked {
+            self.cv.notify_one();
+        }
+    }
+
+    /// Park until the next job; `None` once told to exit.
+    fn next(&self) -> Option<Job> {
+        let mut slot = self.slot.lock();
+        loop {
+            if let Some(job) = slot.job.take() {
+                return Some(job);
+            }
+            if slot.exit {
+                return None;
+            }
+            slot.parked = true;
+            self.cv.wait(&mut slot);
+            slot.parked = false;
+        }
+    }
+}
+
+/// The idle handler threads of one world. A connection to a handler
+/// listener runs on an idle spare; a thread is spawned only when none
+/// is idle, so the handler threads a world spawns are bounded by its
+/// peak number of handlers in flight, not by its number of connections.
+#[derive(Default)]
+struct Spares {
+    idle: Mutex<Idle>,
+}
+
+#[derive(Default)]
+struct Idle {
+    spares: Vec<Arc<Spare>>,
+    /// The world dropped: returning spares exit instead of idling.
+    closed: bool,
+}
+
+impl Spares {
+    /// Run `job` on an idle spare, or on a new thread if none is idle.
+    fn dispatch(self: &Arc<Spares>, job: Job) -> io::Result<()> {
+        let idle = self.idle.lock().spares.pop();
+        if let Some(spare) = idle {
+            spare.post(Some(job));
+            return Ok(());
+        }
+        fw_obs::counter_inc!("fw.net.handler_threads");
+        let spares = self.clone();
+        std::thread::Builder::new()
+            .name("sim-handler".into())
+            .spawn(move || spares.serve(job))
+            .map(drop)
+    }
+
+    /// A handler thread's life: run the job, go idle, take the next.
+    /// A panicking handler ends its thread, which is off the idle list
+    /// while it runs; the unwind releases its registration and server
+    /// end as any exiting handler thread does.
+    fn serve(self: Arc<Spares>, mut job: Job) {
+        let me = Arc::new(Spare::default());
+        loop {
+            job.run();
+            // A spare outlives its handlers, so its trace events cannot
+            // wait for the flush at thread exit.
+            fw_obs::flush_thread_trace();
+            {
+                let mut idle = self.idle.lock();
+                if idle.closed {
+                    return;
+                }
+                idle.spares.push(me.clone());
+            }
+            match me.next() {
+                Some(next) => job = next,
+                None => return,
+            }
+        }
+    }
+
+    /// Tell every idle spare to exit; busy ones exit when their
+    /// handler returns.
+    fn close(&self) {
+        let idle = {
+            let mut idle = self.idle.lock();
+            idle.closed = true;
+            std::mem::take(&mut idle.spares)
+        };
+        for spare in idle {
+            spare.post(None);
         }
     }
 }
@@ -168,9 +297,12 @@ impl NetStats {
 struct Inner {
     listeners: RwLock<HashMap<SocketAddr, Listener>>,
     faults: RwLock<FaultConfig>,
-    /// The world's time source. Virtual by default: timeouts and
-    /// injected delays are discrete events, not real sleeps.
+    /// The world's virtual clock: timeouts and injected delays are
+    /// discrete events, not real sleeps.
+    vclock: Arc<VClock>,
+    /// `vclock` as the [`Clock`] handle [`SimNet::clock`] lends out.
     clock: Clock,
+    spares: Arc<Spares>,
     seed: u64,
     /// Per-flow connection ordinals: fault draws are keyed by
     /// `(seed, flow, ordinal)` so outcomes do not depend on how
@@ -182,13 +314,15 @@ struct Inner {
 
 impl Drop for Inner {
     fn drop(&mut self) {
-        // Release pooled accept workers; they drain and exit. Without
-        // this, a dropped world would leak parked worker threads.
+        // Release pooled accept workers (they drain and exit) and idle
+        // handler threads. Without this, a dropped world would leak
+        // parked threads.
         for listener in self.listeners.get_mut().values() {
             if let Listener::Pool(pool) = listener {
                 pool.close();
             }
         }
+        self.spares.close();
     }
 }
 
@@ -222,16 +356,14 @@ impl SimNet {
     /// Create a healthy network with a seeded fault RNG, running on
     /// deterministic virtual time (see [`crate::vclock`]).
     pub fn new(seed: u64) -> SimNet {
-        SimNet::with_clock(seed, Clock::new_virtual())
-    }
-
-    /// Create a network with an explicit time source.
-    pub fn with_clock(seed: u64, clock: Clock) -> SimNet {
+        let vclock = VClock::new();
         SimNet {
             inner: Arc::new(Inner {
                 listeners: RwLock::new(HashMap::new()),
                 faults: RwLock::new(FaultConfig::default()),
-                clock,
+                clock: Clock::Virtual(vclock.clone()),
+                vclock,
+                spares: Arc::default(),
                 seed,
                 flow_seq: Mutex::new(HashMap::new()),
                 stats: NetStats::default(),
@@ -247,7 +379,7 @@ impl SimNet {
 
     /// Install a listener. Replaces any previous listener on the address.
     pub fn listen(&self, addr: SocketAddr, handler: Handler) {
-        self.install(addr, Listener::Spawn(handler));
+        self.install(addr, Listener::Handler(handler));
     }
 
     /// Convenience wrapper taking a closure.
@@ -277,16 +409,16 @@ impl SimNet {
         let workers = workers.max(1);
         let mut queues = Vec::with_capacity(workers);
         for w in 0..workers {
-            let q = AcceptQueue::new(self.inner.clock.clone());
+            let q = AcceptQueue::new(self.inner.vclock.clone());
             let mut handler = factory(w);
             // Register before spawning so the clock cannot advance in
             // the window where the worker exists but has not parked yet.
-            let registration = self.inner.clock.register();
+            let registration = self.inner.vclock.register();
             let worker_q = q.clone();
             std::thread::Builder::new()
                 .name(format!("sim-accept-{addr}-{w}"))
                 .spawn(move || {
-                    let _active = registration.map(|r| r.activate());
+                    let _active = registration.activate();
                     while let Some(conn) = worker_q.accept() {
                         handler(conn);
                     }
@@ -329,8 +461,8 @@ impl SimNet {
         &self.inner.stats
     }
 
-    /// Open a connection to `addr`. The listener's handler is started on
-    /// its own thread with the server end. Fault draws are keyed by the
+    /// Open a connection to `addr`. The listener's handler runs on a
+    /// handler thread of its own with the server end. Fault draws are keyed by the
     /// target address; concurrent callers hitting the same address
     /// should prefer [`SimNet::connect_for`] with a distinguishing flow
     /// name.
@@ -376,7 +508,7 @@ impl SimNet {
     }
 
     /// `steer` picks the worker of a pooled listener (`steer % workers`);
-    /// it never feeds the fault RNG, so spawn- and pool-mode listeners
+    /// it never feeds the fault RNG, so handler and pooled listeners
     /// observe identical fault draws for the same flow.
     fn connect_seeded(
         &self,
@@ -418,10 +550,8 @@ impl SimNet {
         // lifetime — without it, the handler blocking on its idle
         // timeout would be instant quiescence and the timeout would
         // fire while the client is still composing its request.
-        if let Some(vc) = self.inner.clock.vclock() {
-            if !crate::vclock::thread_registered() {
-                client_end.set_lease(vc.register());
-            }
+        if !crate::vclock::thread_registered() {
+            client_end.set_lease(self.inner.vclock.register());
         }
 
         // Injected hard reset right after establishment.
@@ -446,22 +576,14 @@ impl SimNet {
             _trace: None,
         });
         match listener {
-            Listener::Spawn(handler) => {
-                // Register the handler thread with the virtual clock *before*
-                // spawning it, so the clock cannot advance in the window where
-                // the thread exists but has not run yet.
-                let registration = self.inner.clock.register();
-                std::thread::Builder::new()
-                    .name(format!("sim-handler-{addr}"))
-                    .spawn(move || {
-                        let _active = registration.map(|r| r.activate());
-                        handler(server_conn)
-                    })
-                    .map_err(io::Error::other)?;
-            }
+            Listener::Handler(handler) => self.inner.spares.dispatch(Job {
+                handler,
+                conn: server_conn,
+                registration: self.inner.vclock.register(),
+            })?,
             Listener::Pool(pool) => {
-                // No spawn: hand the server end to the steered worker's
-                // queue. The worker is already registered and parked.
+                // Queue the server end for the steered worker, which is
+                // already registered and parked.
                 let w = (steer % pool.queues.len() as u64) as usize;
                 pool.queues[w].push(server_conn);
             }
@@ -509,21 +631,14 @@ impl Connection for FaultedConn {
         let fate = chunk_fate(&faults, buf.len(), &mut self.rng);
         if faults.delay_us > 0 {
             // Injected latency is a scheduled event on the virtual
-            // clock (which mirrors its advances into the fw-obs sim
-            // counter); the wall clock sleeps for real and mirrors the
-            // delay explicitly so span timings still attribute it.
-            match &self.net.clock {
-                // A leased endpoint's sleep counts against the lease
-                // (see `PipeConn::set_lease`), not a fresh registration.
-                Clock::Virtual(vc) => vc.sleep_counted(
-                    Duration::from_micros(faults.delay_us),
-                    self.inner.is_leased(),
-                ),
-                Clock::Wall => {
-                    fw_obs::advance_sim_micros(faults.delay_us);
-                    std::thread::sleep(Duration::from_micros(faults.delay_us));
-                }
-            }
+            // clock, which mirrors its advances into the fw-obs sim
+            // counter. A leased endpoint's sleep counts against the
+            // lease (see `PipeConn::set_lease`), not a fresh
+            // registration.
+            self.net.vclock.sleep_counted(
+                Duration::from_micros(faults.delay_us),
+                self.inner.is_leased(),
+            );
         }
         match fate {
             ChunkFate::Deliver => self.inner.write_all(buf),
@@ -568,6 +683,7 @@ impl Connection for FaultedConn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vclock::ClockSource as _;
 
     fn echo_handler() -> Handler {
         Arc::new(|mut conn: Box<dyn Connection>| {
@@ -787,5 +903,147 @@ mod tests {
         let c2 = net.connect(addr(1, 80)).unwrap();
         assert_eq!(c1.peer_addr(), addr(1, 80));
         assert_eq!(c2.peer_addr(), addr(1, 80));
+    }
+
+    /// Block (bounded) until `n` handler threads of `net` are idle.
+    /// A spare goes idle only after its handler returned and its trace
+    /// buffer was flushed.
+    fn wait_idle(net: &SimNet, n: usize) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while net.inner.spares.idle.lock().spares.len() < n {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "handler threads never went idle"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// One echo exchange on a fresh connection, then close it.
+    fn exchange(net: &SimNet, to: SocketAddr, msg: &[u8]) {
+        let mut conn = net.connect(to).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        conn.write_all(msg).unwrap();
+        let mut buf = vec![0u8; msg.len()];
+        conn.read_exact(&mut buf).unwrap();
+        assert_eq!(buf, msg);
+    }
+
+    #[test]
+    fn sequential_connections_reuse_one_handler_thread() {
+        let net = SimNet::new(31);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen_in_handler = seen.clone();
+        let echo = echo_handler();
+        net.listen_fn(addr(4, 80), move |conn| {
+            seen_in_handler.lock().push(std::thread::current().id());
+            echo(conn)
+        });
+        for i in 0..20u8 {
+            exchange(&net, addr(4, 80), &[i; 8]);
+            wait_idle(&net, 1);
+        }
+        let seen = seen.lock();
+        assert_eq!(seen.len(), 20);
+        assert!(
+            seen.iter().all(|id| *id == seen[0]),
+            "20 sequential connections ran on more than one thread: {seen:?}"
+        );
+    }
+
+    #[test]
+    fn simultaneous_connections_are_served_concurrently() {
+        let net = SimNet::new(32);
+        net.listen(addr(5, 80), echo_handler());
+        let mut a = net.connect(addr(5, 80)).unwrap();
+        let mut b = net.connect(addr(5, 80)).unwrap();
+        // A hand-off that queued `b` behind `a`'s handler would leave
+        // `b` unanswered while `a` is still open: its read times out.
+        a.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        b.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let mut buf = [0u8; 4];
+        for round in 0..4u8 {
+            a.write_all(&[b'a', round, 0, 0]).unwrap();
+            b.write_all(&[b'b', round, 0, 0]).unwrap();
+            b.read_exact(&mut buf).unwrap();
+            assert_eq!(buf, [b'b', round, 0, 0]);
+            a.read_exact(&mut buf).unwrap();
+            assert_eq!(buf, [b'a', round, 0, 0]);
+        }
+    }
+
+    #[test]
+    fn panicking_handler_leaves_listener_serving_and_clock_advancing() {
+        let net = SimNet::new(33);
+        // `p` panics mid-connection; anything else is read and never
+        // answered, so the client's read timeout has to fire.
+        net.listen_fn(addr(6, 80), |mut conn| {
+            let mut buf = [0u8; 1];
+            if conn.read(&mut buf).is_ok() && buf[0] == b'p' {
+                panic!("handler panic (expected by the test)");
+            }
+            let _ = conn.read(&mut buf);
+        });
+        let mut conn = net.connect(addr(6, 80)).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        conn.write_all(b"p").unwrap();
+        let mut buf = [0u8; 1];
+        // The unwind dropped the server end: clean EOF, no timeout.
+        assert_eq!(conn.read(&mut buf).unwrap(), 0);
+        assert_eq!(net.clock().now_us(), 0);
+        drop(conn);
+
+        let mut conn = net.connect(addr(6, 80)).unwrap();
+        conn.set_read_timeout(Some(Duration::from_millis(300)))
+            .unwrap();
+        conn.write_all(b"x").unwrap();
+        let err = conn.read(&mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        // A registration leaked by the panic would pin the clock and
+        // hang this read instead.
+        assert_eq!(net.clock().now_us(), 300_000);
+    }
+
+    #[test]
+    fn spares_exit_when_the_world_drops() {
+        let net = SimNet::new(34);
+        net.listen(addr(7, 80), echo_handler());
+        let conns: Vec<_> = (0..3).map(|_| net.connect(addr(7, 80)).unwrap()).collect();
+        drop(conns);
+        wait_idle(&net, 3);
+        let spares = net.inner.spares.clone();
+        drop(net);
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while Arc::strong_count(&spares) > 1 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{} spare threads still hold the spare list",
+                Arc::strong_count(&spares) - 1
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn handler_spans_are_flushed_when_the_handler_returns() {
+        const SPAN: &str = "net/test/spare_handler_span";
+        fw_obs::set_trace_enabled(true);
+        let net = SimNet::new(35);
+        let echo = echo_handler();
+        net.listen_fn(addr(8, 80), move |conn| {
+            let _span = fw_obs::trace_span(SPAN);
+            echo(conn)
+        });
+        exchange(&net, addr(8, 80), b"traced");
+        wait_idle(&net, 1);
+        // The spare is parked, not exited, and the world is alive: only
+        // the flush after the handler returned can have delivered it.
+        let dump = fw_obs::drain_trace();
+        let id = dump.names.iter().position(|n| n == SPAN);
+        assert!(
+            id.is_some_and(|id| dump.events.iter().any(|e| e.name_id as usize == id)),
+            "handler span missing from the drained trace"
+        );
+        drop(net);
     }
 }

@@ -24,13 +24,25 @@
 //!
 //! ## Locking
 //!
-//! One global mutex + condvar serialize all clock state. Resource locks
-//! (e.g. a pipe's buffer mutex) are always acquired *before* the clock
-//! lock and the clock never takes resource locks, so the ordering is
-//! acyclic. The two-phase wait ([`VClock::prepare_wait`] under the
-//! resource lock, then [`VClock::complete_wait`] after releasing it)
-//! closes the classic lost-wakeup window: a notifier cannot observe the
-//! changed resource state without also seeing the registered waiter.
+//! One global mutex serializes all clock state; waiters park on one of
+//! [`LANES`] condvars. Resource locks (e.g. a pipe's buffer mutex) are
+//! always acquired *before* the clock lock and the clock never takes
+//! resource locks, so the ordering is acyclic. The two-phase wait
+//! ([`VClock::prepare_wait`] under the resource lock, then
+//! [`VClock::complete_wait`] after releasing it) closes the classic
+//! lost-wakeup window: a notifier cannot observe the changed resource
+//! state without also seeing the registered waiter.
+//!
+//! Two rules keep a hand-off to one context switch each way:
+//!
+//! * **Wake after unlock.** Waiters are marked woken or fired under the
+//!   state mutex, but their lanes are signalled only after it is
+//!   released ([`Lanes`]), so a woken thread never runs straight into
+//!   the held mutex and parks again. A thread signals every lane it
+//!   queued before it blocks on a lane itself.
+//! * **Signal only parked waiters.** A lane is signalled only if a
+//!   released waiter is actually parked on it; a waiter marked before
+//!   it parks sees its new state under the mutex and never waits.
 
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
@@ -82,8 +94,8 @@ impl ClockSource for WallClock {
 enum WaitKind {
     /// A timed sleep; only a clock advance releases it.
     Sleep,
-    /// A condition wait (pipe readable/writable); released by
-    /// [`VClock::notify_waiters`] or by its deadline.
+    /// A condition wait (pipe readable/writable, accept queue);
+    /// released by [`VClock::notify_chan`] or by its deadline.
     Cond,
 }
 
@@ -119,6 +131,9 @@ struct Waiter {
     chan: u64,
     /// Condvar lane this waiter parks on (see [`VClock::lanes`]).
     lane: u8,
+    /// The thread is parked on its lane (not merely registered), so
+    /// releasing it must signal the lane.
+    parked: bool,
 }
 
 #[derive(Debug, Default)]
@@ -186,6 +201,21 @@ fn lane_of(key: u64) -> u8 {
     (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58) as u8
 }
 
+/// Lanes whose parked waiters were released under the state lock.
+/// Signal them with [`VClock::wake`] after the lock is dropped.
+#[must_use = "released waiters stay parked until their lanes are signalled"]
+struct Lanes(u64);
+
+impl Lanes {
+    /// Add `w`'s lane if the thread is parked on it.
+    fn release(&mut self, w: &mut Waiter) {
+        if w.parked {
+            self.0 |= 1u64 << w.lane;
+            w.parked = false;
+        }
+    }
+}
+
 /// Opaque handle for a registered-but-not-yet-completed wait.
 #[must_use = "a prepared wait must be completed"]
 pub struct WaitToken(u64);
@@ -195,9 +225,9 @@ impl VClock {
         Arc::new(VClock::default())
     }
 
-    /// Register a thread *before spawning it*, so the clock can never
-    /// advance in the window between spawn and first wait. Call
-    /// [`Registration::activate`] on the new thread.
+    /// Register a thread *before spawning it* (or handing it work), so
+    /// the clock can never advance in the window between spawn and
+    /// first wait. Call [`Registration::activate`] on that thread.
     pub fn register(self: &Arc<VClock>) -> Registration {
         self.state.lock().registered += 1;
         Registration {
@@ -237,9 +267,11 @@ impl VClock {
         counted: bool,
         chan: u64,
     ) -> WaitToken {
-        let mut st = self.state.lock();
-        let token = self.add_waiter(&mut st, deadline_us, WaitKind::Cond, counted, chan);
-        self.maybe_advance(&mut st);
+        let (token, lanes) = {
+            let mut st = self.state.lock();
+            self.add_waiter(&mut st, deadline_us, WaitKind::Cond, counted, chan)
+        };
+        self.wake(lanes);
         WaitToken(token)
     }
 
@@ -248,64 +280,51 @@ impl VClock {
     pub fn complete_wait(&self, token: WaitToken) -> WaitOutcome {
         let mut st = self.state.lock();
         loop {
-            let w = st.waiters.get(&token.0).expect("waiter registered");
-            let lane = w.lane;
-            match w.state {
-                WaitState::Blocked => self.lanes[lane as usize].wait(&mut st),
-                WaitState::Woken => {
-                    self.remove_waiter(&mut st, token.0);
-                    return WaitOutcome::Notified;
+            let w = st.waiters.get_mut(&token.0).expect("waiter registered");
+            let outcome = match w.state {
+                WaitState::Blocked => {
+                    w.parked = true;
+                    let lane = w.lane as usize;
+                    self.lanes[lane].wait(&mut st);
+                    continue;
                 }
-                WaitState::Fired => {
-                    self.remove_waiter(&mut st, token.0);
-                    return WaitOutcome::TimedOut;
-                }
-            }
+                WaitState::Woken => WaitOutcome::Notified,
+                WaitState::Fired => WaitOutcome::TimedOut,
+            };
+            let lanes = self.remove_waiter(&mut st, token.0);
+            drop(st);
+            self.wake(lanes);
+            return outcome;
         }
-    }
-
-    /// Wake every condition waiter so it rechecks its predicate — the
-    /// broadcast path, used for global state changes (fault injection,
-    /// teardown). Pipes use the targeted [`VClock::notify_chan`] on the
-    /// hot path. Safe to call while holding a resource lock (the clock
-    /// never takes resource locks).
-    pub fn notify_waiters(&self) {
-        let mut st = self.state.lock();
-        let st = &mut *st;
-        let mut mask = 0u64;
-        for w in st.waiters.values_mut() {
-            if w.kind == WaitKind::Cond && w.state == WaitState::Blocked {
-                w.state = WaitState::Woken;
-                st.blocked -= 1;
-                mask |= 1u64 << w.lane;
-            }
-        }
-        self.notify_lanes(mask);
     }
 
     /// Wake only the condition waiters parked on `chan` (plus wildcard
     /// channel-0 waiters). This is the hot-path notification: a pipe
     /// write wakes exactly the peer blocked on that pipe instead of
-    /// every blocked thread in the simulation.
+    /// every blocked thread in the simulation. Safe to call while
+    /// holding a resource lock (the clock never takes resource locks).
     pub fn notify_chan(&self, chan: u64) {
-        let mut st = self.state.lock();
-        let st = &mut *st;
-        let mut mask = 0u64;
-        for w in st.waiters.values_mut() {
-            if w.kind == WaitKind::Cond
-                && w.state == WaitState::Blocked
-                && (w.chan == chan || w.chan == 0)
-            {
-                w.state = WaitState::Woken;
-                st.blocked -= 1;
-                mask |= 1u64 << w.lane;
+        let mut lanes = Lanes(0);
+        {
+            let mut st = self.state.lock();
+            let st = &mut *st;
+            for w in st.waiters.values_mut() {
+                if w.kind == WaitKind::Cond
+                    && w.state == WaitState::Blocked
+                    && (w.chan == chan || w.chan == 0)
+                {
+                    w.state = WaitState::Woken;
+                    st.blocked -= 1;
+                    lanes.release(w);
+                }
             }
         }
-        self.notify_lanes(mask);
+        self.wake(lanes);
     }
 
-    /// Signal every lane set in `mask`.
-    fn notify_lanes(&self, mut mask: u64) {
+    /// Signal every lane in `lanes`. Call with the state lock released.
+    fn wake(&self, lanes: Lanes) {
+        let mut mask = lanes.0;
         while mask != 0 {
             let lane = mask.trailing_zeros() as usize;
             self.lanes[lane].notify_all();
@@ -313,6 +332,8 @@ impl VClock {
         }
     }
 
+    /// Register a waiter, then advance if that completed quiescence.
+    /// Returns the token and the lanes the advance released.
     fn add_waiter(
         &self,
         st: &mut VState,
@@ -320,7 +341,7 @@ impl VClock {
         kind: WaitKind,
         counted: bool,
         chan: u64,
-    ) -> u64 {
+    ) -> (u64, Lanes) {
         let auto = !counted && !PERSISTENT.with(|p| p.get());
         if auto {
             st.registered += 1;
@@ -347,28 +368,42 @@ impl VClock {
                 auto,
                 chan,
                 lane,
+                parked: false,
             },
         );
-        token
+        (token, self.maybe_advance(st))
     }
 
-    fn remove_waiter(&self, st: &mut VState, token: u64) {
+    fn remove_waiter(&self, st: &mut VState, token: u64) -> Lanes {
         let w = st.waiters.remove(&token).expect("waiter registered");
         debug_assert!(w.state != WaitState::Blocked, "removing a blocked waiter");
-        if w.auto {
-            st.registered -= 1;
-            // This thread leaving may complete quiescence for the rest.
-            self.maybe_advance(st);
+        if !w.auto {
+            return Lanes(0);
         }
+        st.registered -= 1;
+        // This thread leaving may complete quiescence for the rest.
+        self.maybe_advance(st)
+    }
+
+    /// Drop one registration; leaving may complete quiescence.
+    fn deregister(&self) {
+        let lanes = {
+            let mut st = self.state.lock();
+            st.registered -= 1;
+            self.maybe_advance(&mut st)
+        };
+        self.wake(lanes);
     }
 
     /// Advance iff every registered thread is blocked on the clock:
     /// jump to the earliest pending deadline and fire everything due.
     /// With no pending deadline this is a no-op (an unregistered
-    /// external thread — e.g. a test main — may still act).
-    fn maybe_advance(&self, st: &mut VState) {
+    /// external thread — e.g. a test main — may still act). Returns
+    /// the lanes of the fired waiters, to be signalled after unlock.
+    fn maybe_advance(&self, st: &mut VState) -> Lanes {
+        let mut lanes = Lanes(0);
         if st.registered == 0 || st.blocked < st.registered {
-            return;
+            return lanes;
         }
         let Some(min_dl) = st
             .waiters
@@ -377,7 +412,7 @@ impl VClock {
             .filter_map(|w| w.deadline)
             .min()
         else {
-            return;
+            return lanes;
         };
         let delta = min_dl.saturating_sub(st.now_us);
         st.now_us = min_dl;
@@ -387,17 +422,16 @@ impl VClock {
             fw_obs::advance_sim_micros(delta);
         }
         let mut fired = 0u32;
-        let mut mask = 0u64;
         for w in st.waiters.values_mut() {
             if w.state == WaitState::Blocked && w.deadline.is_some_and(|d| d <= min_dl) {
                 w.state = WaitState::Fired;
                 st.blocked -= 1;
                 fired += 1;
-                mask |= 1u64 << w.lane;
+                lanes.release(w);
             }
         }
         st.trace.push((min_dl, fired));
-        self.notify_lanes(mask);
+        lanes
     }
 
     /// [`ClockSource::sleep`] with explicit lease accounting: pass
@@ -408,22 +442,14 @@ impl VClock {
         if dur == 0 {
             return;
         }
-        let mut st = self.state.lock();
-        let deadline = st.now_us + dur;
-        let token = self.add_waiter(&mut st, Some(deadline), WaitKind::Sleep, counted, 0);
-        self.maybe_advance(&mut st);
-        loop {
-            let w = st.waiters.get(&token).expect("waiter registered");
-            let lane = w.lane;
-            match w.state {
-                WaitState::Blocked => self.lanes[lane as usize].wait(&mut st),
-                // Sleep waiters are never notified, only fired.
-                WaitState::Woken | WaitState::Fired => {
-                    self.remove_waiter(&mut st, token);
-                    return;
-                }
-            }
-        }
+        let (token, lanes) = {
+            let mut st = self.state.lock();
+            let deadline = st.now_us + dur;
+            self.add_waiter(&mut st, Some(deadline), WaitKind::Sleep, counted, 0)
+        };
+        self.wake(lanes);
+        // Sleep waiters are never notified, only fired.
+        self.complete_wait(WaitToken(token));
     }
 }
 
@@ -463,11 +489,9 @@ impl Registration {
 
 impl Drop for Registration {
     fn drop(&mut self) {
-        // Never activated (spawn failed): undo the registration.
+        // Never activated (spawn or hand-off failed): undo it.
         if let Some(clock) = self.clock.take() {
-            let mut st = clock.state.lock();
-            st.registered -= 1;
-            clock.maybe_advance(&mut st);
+            clock.deregister();
         }
     }
 }
@@ -480,9 +504,7 @@ pub struct ActiveRegistration {
 impl Drop for ActiveRegistration {
     fn drop(&mut self) {
         PERSISTENT.with(|p| p.set(false));
-        let mut st = self.clock.state.lock();
-        st.registered -= 1;
-        self.clock.maybe_advance(&mut st);
+        self.clock.deregister();
     }
 }
 
@@ -513,13 +535,6 @@ impl Clock {
     /// Pre-spawn thread registration (no-op on the wall clock).
     pub fn register(&self) -> Option<Registration> {
         self.vclock().map(VClock::register)
-    }
-
-    /// Wake virtual condition waiters (no-op on the wall clock).
-    pub fn notify(&self) {
-        if let Clock::Virtual(vc) = self {
-            vc.notify_waiters();
-        }
     }
 
     /// Wake only the virtual waiters parked on `chan` (no-op on the
@@ -613,9 +628,10 @@ mod tests {
             let token = c2.prepare_wait(Some(c2.now_us() + 1_000_000));
             c2.complete_wait(token)
         });
-        // Give the waiter a moment to block, then notify.
+        // Give the waiter a moment to block, then notify. The waiter is
+        // on the wildcard channel, so any channel releases it.
         std::thread::sleep(Duration::from_millis(30));
-        clock.notify_waiters();
+        clock.notify_chan(0x1234);
         assert_eq!(waiter.join().unwrap(), WaitOutcome::Notified);
         assert_eq!(clock.now_us(), 0, "notification must not advance time");
         drop(hold);

@@ -1,7 +1,8 @@
 //! Virtual-time replay: stream batches over `SimNet` into a daemon.
 //!
 //! Topology: the daemon runs as a `SimNet` listener (its handler
-//! thread is clock-registered by `SimNet` before spawn); the feeder
+//! is clock-registered by `SimNet` before the connection is handed to
+//! a handler thread); the feeder
 //! runs on its own pre-registered thread, connects, and for each batch
 //! sleeps the *virtual* clock to the batch's arrival offset before
 //! writing the frame. Virtual time advances only when every registered
