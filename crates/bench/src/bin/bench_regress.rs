@@ -1,6 +1,6 @@
-//! CLI wrapper over [`fw_bench::regress`]: compare a fresh
-//! `pipeline_gate` report against the committed baseline and exit
-//! non-zero on regression (CI wires this after the scale-0.1 gate run).
+//! CLI wrapper over [`fw_bench::regress`]: compare a fresh gate report
+//! against the committed baseline of the same gate and exit non-zero on
+//! regression (CI runs it after each gate).
 //!
 //! ```text
 //! bench_regress --baseline BENCH_pipeline.json --current BENCH_current.json
@@ -11,14 +11,10 @@
 //! Exit codes: 0 comparison ran and passed, 1 regression detected,
 //! 2 usage or unreadable/shape-mismatched input.
 
+use fw_bench::gate::{die, value};
 use fw_bench::regress::{compare, RegressConfig};
-use fw_obs::Json;
+use fw_types::Json;
 use std::path::PathBuf;
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
 
 fn load(path: &PathBuf, what: &str) -> Json {
     let text = std::fs::read_to_string(path)
@@ -33,26 +29,12 @@ fn main() {
     let mut config = RegressConfig::default();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut num = |flag: &str| -> f64 {
-            args.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| die(&format!("{flag} needs a number")))
-        };
         match a.as_str() {
-            "--baseline" => {
-                baseline = PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--baseline needs a path")),
-                );
-            }
-            "--current" => {
-                current = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| die("--current needs a path")),
-                ));
-            }
-            "--tolerance" => config.tolerance = num("--tolerance"),
-            "--total-tolerance" => config.total_tolerance = num("--total-tolerance"),
-            "--abs-slack-ms" => config.abs_slack_ms = num("--abs-slack-ms"),
+            "--baseline" => baseline = value(&mut args, "--baseline"),
+            "--current" => current = Some(value(&mut args, "--current")),
+            "--tolerance" => config.tolerance = value(&mut args, "--tolerance"),
+            "--total-tolerance" => config.total_tolerance = value(&mut args, "--total-tolerance"),
+            "--abs-slack-ms" => config.abs_slack_ms = value(&mut args, "--abs-slack-ms"),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: bench_regress --current <report.json> [--baseline <report.json>] [--tolerance <frac>] [--total-tolerance <frac>] [--abs-slack-ms <ms>]"

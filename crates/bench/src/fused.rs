@@ -27,6 +27,7 @@
 //! them to golden values; CI checks `pipeline_gate`'s identity line
 //! against the committed baseline.
 
+use crate::gate::peak_rss_kb;
 use fw_core::identify::{classify_fqdn, IdentificationReport, IdentifyEngine};
 use fw_core::usage::{usage_sampled, IngressRow, MonthlySeries, SampledUsage, UsageState};
 use fw_dns::pdns::{FqdnAggregate, PdnsBackend as _};
@@ -87,13 +88,6 @@ pub struct FusedRun {
     /// (`rows / ingest_stage_ms`) has no meaning when ingest is hidden
     /// inside generation.
     pub ingest_wall_ms: f64,
-}
-
-/// Peak resident set (VmHWM) in KiB; `None` off Linux or if unreadable.
-fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 /// Classification verdict for one fqdn: `None` if it matched no

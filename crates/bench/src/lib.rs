@@ -24,6 +24,7 @@
 //! (DESIGN.md §10), so probing figures are byte-identical run to run.
 
 pub mod fused;
+pub mod gate;
 pub mod regress;
 
 use fw_core::abusescan::AbuseScanConfig;
@@ -32,6 +33,7 @@ use fw_dns::pdns::PdnsBackend as _;
 use fw_probe::prober::ProbeConfig;
 use fw_store::DiskStore;
 use fw_workload::{World, WorldConfig};
+use gate::{die, value};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -73,30 +75,14 @@ impl Cli {
             match a.as_str() {
                 "--scale" => {
                     explicit_scale = true;
-                    cli.scale = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--scale needs a number"));
+                    cli.scale = value(&mut args, "--scale");
                 }
                 "--seed" => {
                     explicit_seed = true;
-                    cli.seed = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--seed needs an integer"));
+                    cli.seed = value(&mut args, "--seed");
                 }
-                "--snapshot" => {
-                    cli.snapshot = Some(PathBuf::from(
-                        args.next()
-                            .unwrap_or_else(|| die("--snapshot needs a path")),
-                    ));
-                }
-                "--gen-workers" => {
-                    cli.gen_workers = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--gen-workers needs an integer"));
-                }
+                "--snapshot" => cli.snapshot = Some(value(&mut args, "--snapshot")),
+                "--gen-workers" => cli.gen_workers = value(&mut args, "--gen-workers"),
                 "--tsv" => cli.tsv = true,
                 "--metrics" => fw_obs::set_enabled(true),
                 "--help" | "-h" => {
@@ -144,11 +130,6 @@ impl Cli {
     pub fn has_flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
     }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
 }
 
 /// Build a PDNS-only world (fast; for §4 figures).

@@ -1,57 +1,37 @@
-//! Bench regression gate: compare a fresh `pipeline_gate` report
-//! against a committed baseline and fail on per-stage slowdowns.
+//! Bench regression gate: compare a fresh gate report against a
+//! committed baseline and fail on regressed metrics.
 //!
-//! The committed `BENCH_pipeline.json` doubles as the baseline series:
-//! its top level describes the most recent run and its `history` array
-//! holds one entry per prior run. A candidate report (usually
-//! `BENCH_current.json`, written by CI) is compared stage-by-stage
-//! against the newest baseline entry at the **same scale** — CI gates
-//! at scale 0.1 while the committed top level is a scale-1.0 run, so
-//! matching by scale is what makes the comparison apples-to-apples.
+//! Both documents use the [`crate::gate`] schema. The candidate's top
+//! level is its run; the baseline is the newest entry of the committed
+//! report's `history` with the same `gate` and the **same scale** — CI
+//! gates at scale 0.1 while a committed top level may be a scale-1.0
+//! run, so matching by scale is what makes the comparison
+//! apples-to-apples.
 //!
-//! Two guards keep the gate useful rather than flaky:
-//!
-//! * a *relative* tolerance per stage (machines differ, and small
-//!   stages jitter), and
-//! * an *absolute* slack floor in milliseconds, so a 3 ms stage going
-//!   to 5 ms (a 66% "regression") cannot fail the build.
-//!
-//! A stage regresses only if it exceeds both
-//! `baseline * (1 + tolerance)` and `baseline + abs_slack_ms`.
-//!
-//! Some gate stages are **throughput/ratio pseudo-stages** riding the
-//! `{"ms": ...}` shape with higher-is-better semantics (`qps`,
-//! `hit_rate`, `scale_eff`, `*_qps`, `rows_per_sec`): for those the
-//! comparison flips — the stage regresses when
-//! `current < baseline / (1 + tolerance)`. The absolute slack floor is
-//! a wall-time notion and does not apply to rates, so the check is
-//! relative-only.
+//! Each metric says which direction is better. A lower-is-better
+//! metric regresses when it exceeds `baseline * (1 + tolerance)`; a
+//! wall-time (`ms`) one must also exceed `baseline + abs_slack_ms`, so
+//! a 3 ms stage going to 5 ms (a 66% "regression") cannot fail the
+//! build. The slack is a wall-time notion: µs latencies, rates and
+//! ratios get the relative bound only. A higher-is-better metric
+//! regresses when it drops below `baseline / (1 + tolerance)`. The
+//! `total` metric uses its own tolerance.
 
-use fw_obs::Json;
-
-/// Stage names measured in bigger-is-better units (throughput, hit
-/// ratios, scaling efficiency) rather than wall milliseconds.
-fn higher_is_better(name: &str) -> bool {
-    name == "qps"
-        || name == "hit_rate"
-        || name == "scale_eff"
-        || name == "rows_per_sec"
-        || name.ends_with("_qps")
-        || name.ends_with("_rows_per_sec")
-}
+use crate::gate::{Better, Run};
+use fw_types::Json;
 
 /// Comparison knobs. Defaults are deliberately loose enough for
 /// cross-machine CI comparisons; tighten for same-machine A/B runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegressConfig {
-    /// Allowed relative slowdown per stage (0.25 = +25%).
+    /// Allowed relative change per metric (0.25 = 25% worse).
     pub tolerance: f64,
-    /// Allowed absolute slowdown per stage in milliseconds, applied on
-    /// top of the relative tolerance as a floor for tiny stages.
+    /// Allowed absolute slowdown of an `ms` metric, applied on top of
+    /// the relative tolerance as a floor for tiny stages.
     pub abs_slack_ms: f64,
-    /// Allowed relative slowdown for the end-to-end total; totals
+    /// Allowed relative slowdown for the end-to-end `total`; totals
     /// aggregate away per-stage jitter, so this can sit tighter than
-    /// the per-stage tolerance.
+    /// the per-metric tolerance.
     pub total_tolerance: f64,
 }
 
@@ -65,17 +45,19 @@ impl Default for RegressConfig {
     }
 }
 
-/// One stage's comparison (also used for the synthetic `total` row).
+/// One metric's comparison.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StageDelta {
+pub struct MetricDelta {
     pub name: String,
+    pub unit: String,
     /// `NaN` for informational rows (no baseline to compare against).
-    pub baseline_ms: f64,
-    pub current_ms: f64,
-    /// Signed relative change (+0.10 = 10% slower).
+    pub baseline: f64,
+    /// `NaN` for a metric the candidate lost.
+    pub current: f64,
+    /// Signed relative change (+0.10 = 10% higher).
     pub ratio: f64,
     pub regressed: bool,
-    /// The baseline predates this stage (new instrumentation): the row
+    /// The baseline predates this metric (new instrumentation): the row
     /// is reported for visibility but can never fail the gate — the
     /// next committed baseline picks it up.
     pub informational: bool,
@@ -84,55 +66,55 @@ pub struct StageDelta {
 /// Outcome of a full comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegressReport {
+    pub gate: String,
     /// Scale both runs were matched at.
     pub scale: f64,
-    pub stages: Vec<StageDelta>,
-    /// Human-readable provenance of the baseline ("top-level run" or
-    /// "history entry N").
+    pub rows: Vec<MetricDelta>,
+    /// Which baseline history entry was compared against.
     pub baseline_from: String,
 }
 
 impl RegressReport {
     pub fn regressed(&self) -> bool {
-        self.stages.iter().any(|s| s.regressed)
+        self.rows.iter().any(|r| r.regressed)
     }
 
     /// Fixed-width table plus a PASS/FAIL verdict line.
     pub fn render_text(&self, config: &RegressConfig) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "bench_regress @ scale {} (baseline: {})\n",
-            self.scale, self.baseline_from
-        ));
-        out.push_str(&format!(
-            "{:<12} {:>12} {:>12} {:>8}  verdict\n",
-            "stage", "baseline ms", "current ms", "delta"
-        ));
-        for s in &self.stages {
-            if s.informational {
-                out.push_str(&format!(
-                    "{:<12} {:>12} {:>12.1} {:>8}  new (info)\n",
-                    s.name, "-", s.current_ms, "-"
-                ));
-            } else if s.current_ms.is_nan() {
-                out.push_str(&format!(
-                    "{:<12} {:>12.1} {:>12} {:>8}  MISSING\n",
-                    s.name, s.baseline_ms, "-", "-"
-                ));
+        let fmt = |v: f64, unit: &str| {
+            if v.is_nan() {
+                "-".to_string()
+            } else if unit == "ratio" {
+                format!("{v:.4}")
             } else {
-                out.push_str(&format!(
-                    "{:<12} {:>12.1} {:>12.1} {:>+7.1}%  {}\n",
-                    s.name,
-                    s.baseline_ms,
-                    s.current_ms,
-                    s.ratio * 100.0,
-                    if s.regressed { "REGRESSED" } else { "ok" }
-                ));
+                format!("{v:.1}")
             }
+        };
+        let mut out = format!(
+            "bench_regress {} @ scale {} (baseline: {})\n{:<16} {:>5} {:>12} {:>12} {:>8}  verdict\n",
+            self.gate, self.scale, self.baseline_from, "metric", "unit", "baseline", "current", "delta"
+        );
+        for r in &self.rows {
+            let (delta, verdict) = if r.informational {
+                ("-".to_string(), "new (info)")
+            } else if r.current.is_nan() {
+                ("-".to_string(), "MISSING")
+            } else {
+                let verdict = if r.regressed { "REGRESSED" } else { "ok" };
+                (format!("{:+.1}%", r.ratio * 100.0), verdict)
+            };
+            out.push_str(&format!(
+                "{:<16} {:>5} {:>12} {:>12} {:>8}  {verdict}\n",
+                r.name,
+                r.unit,
+                fmt(r.baseline, &r.unit),
+                fmt(r.current, &r.unit),
+                delta
+            ));
         }
-        let verdict = if self.regressed() { "FAIL" } else { "PASS" };
         out.push_str(&format!(
-            "{verdict} (tolerance +{:.0}% per stage / +{:.0}% total, slack {} ms)\n",
+            "{} (tolerance {:.0}% per metric / {:.0}% total, slack {} ms on ms metrics)\n",
+            if self.regressed() { "FAIL" } else { "PASS" },
             config.tolerance * 100.0,
             config.total_tolerance * 100.0,
             config.abs_slack_ms
@@ -141,229 +123,174 @@ impl RegressReport {
     }
 }
 
-/// A `(stage name, wall ms)` series extracted from one gate run.
-#[derive(Debug, Clone, PartialEq)]
-struct RunTimings {
-    scale: f64,
-    stages: Vec<(String, f64)>,
-    total_ms: f64,
-}
-
-/// Read the per-stage timings out of a report's **top level**
-/// (`stages.<name>.ms` + `total_ms`).
-fn top_level_timings(doc: &Json) -> Option<RunTimings> {
-    let scale = doc.get("config")?.get("scale")?.as_f64()?;
-    let stages = doc
-        .get("stages")?
-        .as_obj()?
-        .iter()
-        .filter_map(|(name, v)| Some((name.clone(), v.get("ms")?.as_f64()?)))
-        .collect::<Vec<_>>();
-    if stages.is_empty() {
-        return None;
-    }
-    Some(RunTimings {
-        scale,
-        stages,
-        total_ms: doc.get("total_ms")?.as_f64()?,
-    })
-}
-
-/// Read the timings out of one **history entry** (`<name>_ms` keys).
-fn history_timings(entry: &Json) -> Option<RunTimings> {
-    let scale = entry.get("scale")?.as_f64()?;
-    let mut stages = Vec::new();
-    for (key, v) in entry.as_obj()? {
-        if key == "total_ms" {
-            continue;
-        }
-        if let Some(name) = key.strip_suffix("_ms") {
-            if name != "unix" && name != "flush" {
-                if let Some(ms) = v.as_f64() {
-                    stages.push((name.to_string(), ms));
-                }
-            }
-        }
-    }
-    if stages.is_empty() {
-        return None;
-    }
-    Some(RunTimings {
-        scale,
-        stages,
-        total_ms: entry.get("total_ms")?.as_f64()?,
-    })
-}
-
 /// Scales within 1% count as "the same" — reports store them as f64.
 fn scale_matches(a: f64, b: f64) -> bool {
     (a - b).abs() <= 0.01 * a.abs().max(b.abs()).max(1e-9)
 }
 
-/// Find the newest run at `scale` in a baseline document: the
-/// top-level run if it matches, else the latest matching `history`
-/// entry (the array is ordered oldest → newest).
-fn baseline_at_scale(doc: &Json, scale: f64) -> Option<(RunTimings, String)> {
-    if let Some(t) = top_level_timings(doc) {
-        if scale_matches(t.scale, scale) {
-            return Some((t, "top-level run".to_string()));
-        }
-    }
-    let history = doc.get("history")?.as_arr()?;
-    for (i, entry) in history.iter().enumerate().rev() {
-        if let Some(t) = history_timings(entry) {
-            if scale_matches(t.scale, scale) {
-                return Some((t, format!("history entry {i}")));
-            }
-        }
-    }
-    None
-}
-
 /// Compare a candidate report against a baseline document. Returns
 /// `Err` with a diagnostic when either document is missing the needed
-/// shape or the baseline has no run at the candidate's scale.
+/// shape, the baseline holds no run of the candidate's gate, or none
+/// at its scale.
 pub fn compare(
     baseline: &Json,
     current: &Json,
     config: &RegressConfig,
 ) -> Result<RegressReport, String> {
-    let cur = top_level_timings(current)
-        .ok_or("candidate report has no stages/total_ms (not a pipeline_gate report?)")?;
-    let (base, baseline_from) = baseline_at_scale(baseline, cur.scale).ok_or_else(|| {
-        format!(
-            "baseline has no run at scale {} (top level or history)",
-            cur.scale
-        )
-    })?;
+    let cur = Run::read(current).ok_or("candidate report has no gate/scale/metrics")?;
+    let history: Vec<(usize, Run)> = baseline
+        .get("history")
+        .and_then(Json::as_arr)
+        .ok_or("baseline has no history")?
+        .iter()
+        .enumerate()
+        .filter_map(|(i, entry)| Some((i, Run::read(entry)?)))
+        .filter(|(_, run)| run.gate == cur.gate)
+        .collect();
+    if history.is_empty() {
+        return Err(format!(
+            "gate mismatch: the baseline holds no {} runs",
+            cur.gate
+        ));
+    }
+    let (index, base) = history
+        .iter()
+        .rev()
+        .find(|(_, run)| scale_matches(run.scale, cur.scale))
+        .ok_or_else(|| format!("baseline has no {} run at scale {}", cur.gate, cur.scale))?;
 
-    let mut stages = Vec::new();
-    for (name, cur_ms) in &cur.stages {
-        let Some((_, base_ms)) = base.stages.iter().find(|(n, _)| n == name) else {
-            // A stage the baseline predates (new instrumentation) has
-            // nothing to regress against; report it as informational
-            // rather than failing (or silently dropping it).
-            stages.push(StageDelta {
-                name: name.clone(),
-                baseline_ms: f64::NAN,
-                current_ms: *cur_ms,
+    let mut rows = Vec::new();
+    for m in &cur.metrics {
+        // A metric the baseline predates (new instrumentation) has
+        // nothing to regress against; report it as informational
+        // rather than failing (or silently dropping it).
+        let Some(b) = base.metrics.iter().find(|b| b.name == m.name) else {
+            rows.push(MetricDelta {
+                name: m.name.clone(),
+                unit: m.unit.clone(),
+                baseline: f64::NAN,
+                current: m.value,
                 ratio: 0.0,
                 regressed: false,
                 informational: true,
             });
             continue;
         };
-        stages.push(delta(name, *base_ms, *cur_ms, config.tolerance, config));
+        let tolerance = if m.name == "total" {
+            config.total_tolerance
+        } else {
+            config.tolerance
+        };
+        let regressed = match m.better {
+            Better::Higher => b.value > 0.0 && m.value < b.value / (1.0 + tolerance),
+            Better::Lower => {
+                m.value > b.value * (1.0 + tolerance)
+                    && (m.unit != "ms" || m.value > b.value + config.abs_slack_ms)
+            }
+        };
+        rows.push(MetricDelta {
+            name: m.name.clone(),
+            unit: m.unit.clone(),
+            baseline: b.value,
+            current: m.value,
+            ratio: if b.value > 0.0 {
+                m.value / b.value - 1.0
+            } else {
+                0.0
+            },
+            regressed,
+            informational: false,
+        });
     }
-    if stages.iter().all(|s| s.informational) {
-        return Err("no stage names in common between baseline and candidate".to_string());
+    if rows.iter().all(|r| r.informational) {
+        return Err("no metric names in common between baseline and candidate".to_string());
     }
-    // The reverse direction is a failure, not a footnote: a stage the
+    // The reverse direction is a failure, not a footnote: a metric the
     // baseline has but the candidate dropped usually means the gate
-    // binary lost instrumentation (or a stage was renamed) and the
-    // numbers it used to guard are now ungated. Surface it as a
+    // binary lost instrumentation (or a metric was renamed) and the
+    // number it used to guard is now ungated. Surface it as a
     // regressed row so CI goes red until the baseline is re-committed.
-    for (name, base_ms) in &base.stages {
-        if !cur.stages.iter().any(|(n, _)| n == name) {
-            stages.push(StageDelta {
-                name: name.clone(),
-                baseline_ms: *base_ms,
-                current_ms: f64::NAN,
+    for b in &base.metrics {
+        if !cur.metrics.iter().any(|m| m.name == b.name) {
+            rows.push(MetricDelta {
+                name: b.name.clone(),
+                unit: b.unit.clone(),
+                baseline: b.value,
+                current: f64::NAN,
                 ratio: 0.0,
                 regressed: true,
                 informational: false,
             });
         }
     }
-    stages.push(delta(
-        "total",
-        base.total_ms,
-        cur.total_ms,
-        config.total_tolerance,
-        config,
-    ));
     Ok(RegressReport {
+        gate: cur.gate,
         scale: cur.scale,
-        stages,
-        baseline_from,
+        rows,
+        baseline_from: format!("history entry {index}"),
     })
-}
-
-fn delta(
-    name: &str,
-    baseline_ms: f64,
-    current_ms: f64,
-    tolerance: f64,
-    config: &RegressConfig,
-) -> StageDelta {
-    let ratio = if baseline_ms > 0.0 {
-        current_ms / baseline_ms - 1.0
-    } else {
-        0.0
-    };
-    let regressed = if higher_is_better(name) {
-        // Rates/ratios: a drop past the relative tolerance regresses;
-        // the ms slack floor is meaningless for these units.
-        baseline_ms > 0.0 && current_ms < baseline_ms / (1.0 + tolerance)
-    } else {
-        current_ms > baseline_ms * (1.0 + tolerance)
-            && current_ms > baseline_ms + config.abs_slack_ms
-    };
-    StageDelta {
-        name: name.to_string(),
-        baseline_ms,
-        current_ms,
-        ratio,
-        regressed,
-        informational: false,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{Metric, Report};
 
-    fn report(scale: f64, gen: f64, ingest: f64, total: f64) -> Json {
-        Json::parse(&format!(
-            r#"{{
-              "config": {{"scale": {scale}, "seed": 42}},
-              "stages": {{
-                "generate": {{"ms": {gen}, "peak_rss_kb": 1000}},
-                "ingest": {{"ms": {ingest}, "peak_rss_kb": 2000}}
-              }},
-              "total_ms": {total},
-              "history": [
-                {{"unix_ms": 1, "scale": 0.1, "seed": 42, "total_ms": 100.0,
-                  "generate_ms": 40.0, "ingest_ms": 60.0, "rows": 10, "peak_rss_kb": 500}},
-                {{"unix_ms": 2, "scale": {scale}, "seed": 42, "total_ms": {total},
-                  "generate_ms": {gen}, "ingest_ms": {ingest}, "rows": 10, "peak_rss_kb": 500}}
-              ]
-            }}"#
-        ))
-        .unwrap()
+    fn report(gate: &'static str, scale: f64, metrics: Vec<Metric>) -> Report {
+        Report {
+            gate,
+            scale,
+            config: Json::Obj(Vec::new()),
+            metrics,
+            summary: Vec::new(),
+            detail: Vec::new(),
+        }
+    }
+
+    fn stages(gen: f64, ingest: f64, total: f64) -> Vec<Metric> {
+        vec![
+            Metric::ms("generate", gen),
+            Metric::ms("ingest", ingest),
+            Metric::ms("total", total),
+        ]
+    }
+
+    /// A pipeline report whose history holds a scale-0.1 run and then
+    /// this one.
+    fn pipeline(scale: f64, gen: f64, ingest: f64, total: f64) -> Json {
+        let older = report("pipeline", 0.1, stages(40.0, 60.0, 100.0)).document(Vec::new());
+        let older = older
+            .get("history")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .to_vec();
+        report("pipeline", scale, stages(gen, ingest, total)).document(older)
+    }
+
+    fn row<'a>(r: &'a RegressReport, name: &str) -> &'a MetricDelta {
+        r.rows.iter().find(|s| s.name == name).unwrap()
     }
 
     #[test]
     fn within_tolerance_passes() {
-        let base = report(1.0, 1000.0, 2000.0, 3000.0);
-        let cur = report(1.0, 1100.0, 2100.0, 3200.0);
+        let base = pipeline(1.0, 1000.0, 2000.0, 3000.0);
+        let cur = pipeline(1.0, 1100.0, 2100.0, 3200.0);
         let r = compare(&base, &cur, &RegressConfig::default()).unwrap();
         assert!(
             !r.regressed(),
             "{}",
             r.render_text(&RegressConfig::default())
         );
-        assert_eq!(r.baseline_from, "top-level run");
-        assert_eq!(r.stages.len(), 3); // generate, ingest, total
+        assert_eq!(r.baseline_from, "history entry 1");
+        assert_eq!(r.rows.len(), 3); // generate, ingest, total
     }
 
     #[test]
     fn big_stage_slowdown_fails() {
-        let base = report(1.0, 1000.0, 2000.0, 3000.0);
-        let cur = report(1.0, 1400.0, 2000.0, 3400.0);
+        let base = pipeline(1.0, 1000.0, 2000.0, 3000.0);
+        let cur = pipeline(1.0, 1400.0, 2000.0, 3400.0);
         let r = compare(&base, &cur, &RegressConfig::default()).unwrap();
-        let gen = r.stages.iter().find(|s| s.name == "generate").unwrap();
-        assert!(gen.regressed);
+        assert!(row(&r, "generate").regressed);
         assert!(r.regressed());
         assert!(r.render_text(&RegressConfig::default()).contains("FAIL"));
     }
@@ -371,8 +298,8 @@ mod tests {
     #[test]
     fn tiny_stage_jitter_is_absorbed_by_abs_slack() {
         // 3 ms -> 5 ms is +66% but only 2 ms; the slack floor absorbs it.
-        let base = report(1.0, 3.0, 2000.0, 2003.0);
-        let cur = report(1.0, 5.0, 2000.0, 2005.0);
+        let base = pipeline(1.0, 3.0, 2000.0, 2003.0);
+        let cur = pipeline(1.0, 5.0, 2000.0, 2005.0);
         let r = compare(&base, &cur, &RegressConfig::default()).unwrap();
         assert!(!r.regressed());
     }
@@ -381,46 +308,45 @@ mod tests {
     fn baseline_found_in_history_when_scales_differ() {
         // Baseline top level is scale 1.0; candidate runs at 0.1 and
         // must match the 0.1 history entry instead.
-        let base = report(1.0, 1000.0, 2000.0, 3000.0);
-        let cur = report(0.1, 42.0, 61.0, 103.0);
+        let base = pipeline(1.0, 1000.0, 2000.0, 3000.0);
+        let cur = pipeline(0.1, 42.0, 61.0, 103.0);
         let r = compare(&base, &cur, &RegressConfig::default()).unwrap();
         assert_eq!(r.baseline_from, "history entry 0");
-        let gen = r.stages.iter().find(|s| s.name == "generate").unwrap();
-        assert_eq!(gen.baseline_ms, 40.0);
+        assert_eq!(row(&r, "generate").baseline, 40.0);
         assert!(!r.regressed());
     }
 
     #[test]
     fn missing_scale_is_a_clean_error() {
-        let base = report(1.0, 1000.0, 2000.0, 3000.0);
-        let cur = report(0.5, 500.0, 1000.0, 1500.0);
+        let base = pipeline(1.0, 1000.0, 2000.0, 3000.0);
+        let cur = pipeline(0.5, 500.0, 1000.0, 1500.0);
         let err = compare(&base, &cur, &RegressConfig::default()).unwrap_err();
-        assert!(err.contains("no run at scale 0.5"), "{err}");
+        assert!(err.contains("no pipeline run at scale 0.5"), "{err}");
+    }
+
+    #[test]
+    fn gate_mismatch_is_a_clean_error() {
+        let base = pipeline(0.1, 40.0, 60.0, 100.0);
+        let cur = serve(100_000.0, 0.70).document(Vec::new());
+        let err = compare(&base, &cur, &RegressConfig::default()).unwrap_err();
+        assert!(err.contains("gate mismatch"), "{err}");
+        assert!(err.contains("no serve runs"), "{err}");
     }
 
     #[test]
     fn new_stages_absent_from_baseline_are_informational() {
-        let base = report(1.0, 1000.0, 2000.0, 3000.0);
-        let cur = Json::parse(
-            r#"{
-              "config": {"scale": 1.0, "seed": 42},
-              "stages": {
-                "generate": {"ms": 1000.0, "peak_rss_kb": 1},
-                "ingest": {"ms": 2000.0, "peak_rss_kb": 1},
-                "brand_new": {"ms": 9999.0, "peak_rss_kb": 1}
-              },
-              "total_ms": 3000.0
-            }"#,
-        )
-        .unwrap();
+        let base = pipeline(1.0, 1000.0, 2000.0, 3000.0);
+        let mut metrics = stages(1000.0, 2000.0, 3000.0);
+        metrics.push(Metric::ms("brand_new", 9999.0));
+        let cur = report("pipeline", 1.0, metrics).document(Vec::new());
         let r = compare(&base, &cur, &RegressConfig::default()).unwrap();
-        // The new stage shows up, marked informational, and cannot fail
-        // the gate no matter how slow it is.
-        let row = r.stages.iter().find(|s| s.name == "brand_new").unwrap();
-        assert!(row.informational);
-        assert!(!row.regressed);
-        assert!(row.baseline_ms.is_nan());
-        assert_eq!(row.current_ms, 9999.0);
+        // The new metric shows up, marked informational, and cannot
+        // fail the gate no matter how slow it is.
+        let new = row(&r, "brand_new");
+        assert!(new.informational);
+        assert!(!new.regressed);
+        assert!(new.baseline.is_nan());
+        assert_eq!(new.current, 9999.0);
         assert!(!r.regressed());
         let text = r.render_text(&RegressConfig::default());
         assert!(text.contains("new (info)"), "{text}");
@@ -431,121 +357,138 @@ mod tests {
     fn stage_missing_from_candidate_fails_the_gate() {
         // The baseline has generate + ingest; the candidate lost ingest
         // (dropped instrumentation). That must fail, not pass silently.
-        let base = report(1.0, 1000.0, 2000.0, 3000.0);
-        let cur = Json::parse(
-            r#"{
-              "config": {"scale": 1.0, "seed": 42},
-              "stages": {"generate": {"ms": 1000.0, "peak_rss_kb": 1}},
-              "total_ms": 3000.0
-            }"#,
-        )
-        .unwrap();
+        let base = pipeline(1.0, 1000.0, 2000.0, 3000.0);
+        let metrics = vec![Metric::ms("generate", 1000.0), Metric::ms("total", 3000.0)];
+        let cur = report("pipeline", 1.0, metrics).document(Vec::new());
         let r = compare(&base, &cur, &RegressConfig::default()).unwrap();
-        let row = r.stages.iter().find(|s| s.name == "ingest").unwrap();
-        assert!(row.regressed);
-        assert!(!row.informational);
-        assert_eq!(row.baseline_ms, 2000.0);
-        assert!(row.current_ms.is_nan());
+        let lost = row(&r, "ingest");
+        assert!(lost.regressed);
+        assert!(!lost.informational);
+        assert_eq!(lost.baseline, 2000.0);
+        assert!(lost.current.is_nan());
         assert!(r.regressed());
         let text = r.render_text(&RegressConfig::default());
         assert!(text.contains("MISSING"), "{text}");
         assert!(text.contains("FAIL"), "{text}");
     }
 
-    fn serve_report(scale: f64, qps: f64, hit_rate: f64, total: f64) -> Json {
-        Json::parse(&format!(
-            r#"{{
-              "config": {{"scale": {scale}, "seed": 42}},
-              "stages": {{
-                "serve": {{"ms": 4000.0, "peak_rss_kb": 1000}},
-                "qps": {{"ms": {qps}, "peak_rss_kb": null}},
-                "hit_rate": {{"ms": {hit_rate}, "peak_rss_kb": null}}
-              }},
-              "total_ms": {total}
-            }}"#
-        ))
+    /// A serve run: one wall stage, a µs latency, and two
+    /// higher-is-better metrics.
+    fn serve_run(serve_ms: f64, p50_us: f64, qps: f64, hit_rate: f64) -> Report {
+        report(
+            "serve",
+            1.0,
+            vec![
+                Metric::ms("serve", serve_ms),
+                Metric::new("p50_us", p50_us, "us", Better::Lower),
+                Metric::new("qps", qps, "1/s", Better::Higher),
+                Metric::new("hit_rate", hit_rate, "ratio", Better::Higher),
+                Metric::ms("total", 5000.0),
+            ],
+        )
+    }
+
+    fn serve(qps: f64, hit_rate: f64) -> Report {
+        serve_run(4000.0, 19.0, qps, hit_rate)
+    }
+
+    fn compare_serve(base: Report, cur: Report, config: &RegressConfig) -> RegressReport {
+        compare(
+            &base.document(Vec::new()),
+            &cur.document(Vec::new()),
+            config,
+        )
         .unwrap()
     }
 
     #[test]
     fn throughput_drop_beyond_tolerance_fails() {
-        let base = serve_report(1.0, 100_000.0, 0.70, 5000.0);
-        let cur = serve_report(1.0, 70_000.0, 0.70, 5000.0);
-        let r = compare(&base, &cur, &RegressConfig::default()).unwrap();
-        let qps = r.stages.iter().find(|s| s.name == "qps").unwrap();
-        assert!(qps.regressed, "qps 100k -> 70k must regress at +25% tol");
+        let config = RegressConfig::default();
+        let r = compare_serve(serve(100_000.0, 0.70), serve(70_000.0, 0.70), &config);
+        assert!(
+            row(&r, "qps").regressed,
+            "qps 100k -> 70k must regress at 25% tol"
+        );
         assert!(r.regressed());
     }
 
     #[test]
     fn throughput_gain_and_jitter_pass() {
-        let base = serve_report(1.0, 100_000.0, 0.70, 5000.0);
+        let config = RegressConfig::default();
         // Faster and slightly-lucky hit rate: both fine.
-        let cur = serve_report(1.0, 140_000.0, 0.72, 5000.0);
-        let r = compare(&base, &cur, &RegressConfig::default()).unwrap();
-        assert!(
-            !r.regressed(),
-            "{}",
-            r.render_text(&RegressConfig::default())
-        );
+        let r = compare_serve(serve(100_000.0, 0.70), serve(140_000.0, 0.72), &config);
+        assert!(!r.regressed(), "{}", r.render_text(&config));
         // A within-tolerance dip is fine too.
-        let cur = serve_report(1.0, 90_000.0, 0.69, 5000.0);
-        let r = compare(&base, &cur, &RegressConfig::default()).unwrap();
-        assert!(
-            !r.regressed(),
-            "{}",
-            r.render_text(&RegressConfig::default())
-        );
+        let r = compare_serve(serve(100_000.0, 0.70), serve(90_000.0, 0.69), &config);
+        assert!(!r.regressed(), "{}", r.render_text(&config));
     }
 
     #[test]
     fn rate_stages_ignore_the_ms_slack_floor() {
-        // hit_rate 0.70 -> 0.30 is a tiny absolute ms delta — far under
+        // hit_rate 0.70 -> 0.30 is a tiny absolute delta — far under
         // abs_slack_ms — but must still fail: slack floors are for wall
         // time, not ratios.
-        let base = serve_report(1.0, 100_000.0, 0.70, 5000.0);
-        let cur = serve_report(1.0, 100_000.0, 0.30, 5000.0);
-        let r = compare(&base, &cur, &RegressConfig::default()).unwrap();
-        let hr = r.stages.iter().find(|s| s.name == "hit_rate").unwrap();
-        assert!(hr.regressed);
+        let config = RegressConfig::default();
+        let r = compare_serve(serve(100_000.0, 0.70), serve(100_000.0, 0.30), &config);
+        assert!(row(&r, "hit_rate").regressed);
         assert!(r.regressed());
+    }
+
+    #[test]
+    fn us_latency_ignores_the_ms_slack_floor() {
+        // CI's serve flags: p50 19 µs -> 110 µs (+479%) is under the
+        // 100 "ms" slack in absolute terms, but µs are not wall-time
+        // ms; the relative bound (fail above 57 µs) must catch it.
+        let config = RegressConfig {
+            tolerance: 2.0,
+            total_tolerance: 1.5,
+            abs_slack_ms: 100.0,
+        };
+        let base = serve_run(4000.0, 19.0, 100_000.0, 0.70);
+        let r = compare_serve(base, serve_run(4000.0, 110.0, 100_000.0, 0.70), &config);
+        assert!(row(&r, "p50_us").regressed, "{}", r.render_text(&config));
+        let base = serve_run(4000.0, 19.0, 100_000.0, 0.70);
+        let r = compare_serve(base, serve_run(4000.0, 57.0, 100_000.0, 0.70), &config);
+        assert!(!r.regressed(), "{}", r.render_text(&config));
+    }
+
+    #[test]
+    fn direction_comes_from_the_report() {
+        // `detect_recall` is higher-is-better by its `better` field,
+        // not by a list of names the comparator knows.
+        let recall = |v: f64| {
+            report(
+                "stream",
+                0.1,
+                vec![Metric::new("detect_recall", v, "ratio", Better::Higher)],
+            )
+            .document(Vec::new())
+        };
+        let config = RegressConfig::default();
+        let r = compare(&recall(1.0), &recall(0.5), &config).unwrap();
+        assert!(row(&r, "detect_recall").regressed);
+        let r = compare(&recall(0.5), &recall(1.0), &config).unwrap();
+        assert!(!r.regressed(), "{}", r.render_text(&config));
     }
 
     #[test]
     fn slower_wall_stages_still_fail_in_the_same_report() {
         // Mixing directions: qps fine, but the serve wall stage blew up.
-        let base = serve_report(1.0, 100_000.0, 0.70, 5000.0);
-        let cur = Json::parse(
-            r#"{
-              "config": {"scale": 1.0, "seed": 42},
-              "stages": {
-                "serve": {"ms": 9000.0, "peak_rss_kb": 1000},
-                "qps": {"ms": 100000.0, "peak_rss_kb": null},
-                "hit_rate": {"ms": 0.70, "peak_rss_kb": null}
-              },
-              "total_ms": 5000.0
-            }"#,
-        )
-        .unwrap();
-        let r = compare(&base, &cur, &RegressConfig::default()).unwrap();
-        let serve = r.stages.iter().find(|s| s.name == "serve").unwrap();
-        assert!(serve.regressed);
-        let qps = r.stages.iter().find(|s| s.name == "qps").unwrap();
-        assert!(!qps.regressed);
+        let config = RegressConfig::default();
+        let r = compare_serve(
+            serve(100_000.0, 0.70),
+            serve_run(9000.0, 19.0, 100_000.0, 0.70),
+            &config,
+        );
+        assert!(row(&r, "serve").regressed);
+        assert!(!row(&r, "qps").regressed);
     }
 
     #[test]
     fn all_informational_is_a_clean_error() {
-        let base = report(1.0, 1000.0, 2000.0, 3000.0);
-        let cur = Json::parse(
-            r#"{
-              "config": {"scale": 1.0, "seed": 42},
-              "stages": {"brand_new": {"ms": 9.0, "peak_rss_kb": 1}},
-              "total_ms": 9.0
-            }"#,
-        )
-        .unwrap();
+        let base = pipeline(1.0, 1000.0, 2000.0, 3000.0);
+        let cur = report("pipeline", 1.0, vec![Metric::ms("brand_new", 9.0)]).document(Vec::new());
         let err = compare(&base, &cur, &RegressConfig::default()).unwrap_err();
-        assert!(err.contains("no stage names in common"), "{err}");
+        assert!(err.contains("no metric names in common"), "{err}");
     }
 }

@@ -1,5 +1,5 @@
 //! One-stop trace report generation, shared by the `fw_trace_report`
-//! binary and by `pipeline_gate --trace`'s in-process fallback.
+//! binary and by every fw-bench gate's `--trace`.
 
 use crate::critpath::{critical_path, CritReport};
 use crate::forest::build_forest;

@@ -18,8 +18,8 @@
 //!   whole load run is byte-reproducible (every client's response byte
 //!   stream is FNV-digested and the digests combine commutatively).
 //!
-//! `fw_serve_gate` ties the three together into the CI serving gate
-//! (`BENCH_serve.json`).
+//! fw-bench's `fw_serve_gate` ties the three together into the CI
+//! serving gate (`BENCH_serve.json`).
 
 pub mod api;
 pub mod cache;

@@ -3,12 +3,12 @@
 //! The daemon's whole design rests on one claim: its incremental state
 //! is *exactly* the batch pipeline's output — not approximately, not
 //! modulo ordering, but field-for-field equal. This module states the
-//! claim as a checkable function shared by the `fw_stream_gate` CI
-//! binary and the integration tests: given a finished daemon and the
-//! source backend it streamed from, recompute everything with the
-//! batch code path (`identify_functions_with` + the §4 sweeps) and
-//! compare verdict maps, usage tables, and row counts. Any mismatch
-//! returns a description of the first divergence.
+//! claim as a checkable function shared by fw-bench's
+//! `fw_stream_gate` CI binary and the integration tests: given a
+//! finished daemon and the source backend it streamed from, recompute
+//! everything with the batch code path (`identify_functions_with` +
+//! the §4 sweeps) and compare verdict maps, usage tables, and row
+//! counts. Any mismatch returns a description of the first divergence.
 
 use crate::daemon::DaemonFinal;
 use fw_core::identify::{identify_functions_with, IdentificationReport};

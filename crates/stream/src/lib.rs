@@ -25,7 +25,7 @@
 //!   is byte-identical to a batch pipeline sweep over the same rows,
 //!   at any batch granularity and worker count.
 //!
-//! The `fw_stream_gate` binary benchmarks the daemon (sustained
+//! fw-bench's `fw_stream_gate` binary benchmarks the daemon (sustained
 //! rows/s, detection-latency p50/p99 by abuse family) into
 //! `BENCH_stream.json` and enforces the equivalence in CI.
 
