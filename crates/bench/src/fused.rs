@@ -9,8 +9,8 @@
 //!    sampled row straight into the [`DiskStore`] as generation runs,
 //!    so the 1.8 GB in-memory `PdnsStore` never exists and the ingest
 //!    wall is hidden inside the generate wall.
-//! 2. **seal_analyze** — shard workers seal (flush + compact) each
-//!    store shard and immediately stream its single sorted segment
+//! 2. **seal_analyze** — shard workers seal each store shard (its whole
+//!    table as one segment) and immediately stream that sorted segment
 //!    back through the mmap scan: rows feed a per-worker
 //!    [`UsageState`] and the commutative `rows_fnv` content hash,
 //!    per-fqdn aggregates feed the shared [`IdentifyEngine`] with the
@@ -33,7 +33,7 @@ use fw_core::usage::{usage_sampled, IngressRow, MonthlySeries, SampledUsage, Usa
 use fw_dns::pdns::{FqdnAggregate, PdnsBackend as _};
 use fw_store::{scan_shard_visit, DiskStore, ShardIngestStats, StoreConfig, StoreError};
 use fw_types::{Fqdn, ProviderId};
-use fw_workload::{FusedWorld, World, WorldConfig};
+use fw_workload::{row_key_hash, FusedWorld, World, WorldConfig};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::path::Path;
@@ -195,11 +195,8 @@ pub fn run_fused(
                                 if a.cur.as_ref().is_none_or(|(f, _)| f != fqdn) {
                                     a.cur = Some((fqdn.clone(), classify_fqdn(fqdn)));
                                 }
-                                // Same key hash as `pdns_content_hash`.
-                                let mut k = fw_types::fnv::fnv1a(fqdn.as_str().as_bytes());
-                                k = fw_types::fnv::fold(k, rdata.rtype() as u64);
-                                k = rdata.with_text(|t| fw_types::fnv::update(k, t.as_bytes()));
-                                k = fw_types::fnv::fold(k, day.0 as u64);
+                                // The `pdns_content_hash` term of this row.
+                                let k = row_key_hash(fqdn, rdata, day);
                                 a.rows_fnv = a.rows_fnv.wrapping_add(k.wrapping_mul(cnt));
                                 if a.track_usage {
                                     if let Some((_, Some((provider, _)))) = &a.cur {

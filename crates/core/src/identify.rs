@@ -204,17 +204,6 @@ impl FnState {
         }
     }
 
-    fn aggregate(&self) -> FqdnAggregate {
-        FqdnAggregate {
-            fqdn: self.fqdn.clone(),
-            first_seen_all: self.first,
-            last_seen_all: self.last,
-            days_count: self.days_count,
-            total_request_cnt: self.total,
-            rdata_dist: self.rdata.clone(),
-        }
-    }
-
     fn into_identified(self) -> IdentifiedFunction {
         IdentifiedFunction {
             agg: FqdnAggregate {
@@ -279,9 +268,9 @@ impl IdentifyEngine {
 
     /// Batch-mode engine for aggregate-fed pipelines: skips the
     /// fqdn → verdict lookup map, so [`provider_of`](Self::provider_of)
-    /// and [`aggregate_of`](Self::aggregate_of) always return `None`
-    /// and [`apply_rows`](Self::apply_rows) must not be used. Reports
-    /// are identical to a tracking engine fed the same aggregates.
+    /// always returns `None` and [`apply_rows`](Self::apply_rows) must
+    /// not be used. Reports are identical to a tracking engine fed the
+    /// same aggregates.
     pub fn batch(workers: usize) -> Self {
         IdentifyEngine {
             lookup: false,
@@ -421,14 +410,6 @@ impl IdentifyEngine {
     pub fn provider_of(&self, fqdn: &Fqdn) -> Option<ProviderId> {
         match self.class.get(fqdn) {
             Some(Class::Function(idx)) => Some(self.states[*idx as usize].provider),
-            _ => None,
-        }
-    }
-
-    /// Current §3.2 aggregate of an identified fqdn.
-    pub fn aggregate_of(&self, fqdn: &Fqdn) -> Option<FqdnAggregate> {
-        match self.class.get(fqdn) {
-            Some(Class::Function(idx)) => Some(self.states[*idx as usize].aggregate()),
             _ => None,
         }
     }

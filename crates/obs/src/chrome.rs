@@ -8,8 +8,8 @@
 //! wall nanoseconds are carried at full precision in
 //! `args.wall_ns`, and the sim clock rides along as `args.sim_us`.
 
-use crate::registry::json_str;
 use crate::trace::{TraceDump, TraceEventKind, ARG_NONE};
+use fw_types::json::escape;
 use std::fmt::Write as _;
 
 /// Process id reported in every event; the pipeline is single-process.
@@ -35,7 +35,7 @@ pub fn to_chrome_json(dump: &TraceDump) -> String {
         let _ = write!(
             line,
             "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
-            json_str(name)
+            escape(name)
         );
         push(&line, &mut first);
     }
@@ -49,7 +49,7 @@ pub fn to_chrome_json(dump: &TraceDump) -> String {
             line,
             "{{\"ph\":\"{ph}\",\"pid\":{PID},\"tid\":{tid},\"ts\":{ts_us}.{ts_frac},\"name\":{name}",
             tid = ev.tid,
-            name = json_str(dump.name(ev.name_id)),
+            name = escape(dump.name(ev.name_id)),
         );
         match ev.kind {
             TraceEventKind::AsyncBegin | TraceEventKind::AsyncEnd => {

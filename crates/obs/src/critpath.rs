@@ -90,7 +90,7 @@ impl CritReport {
         let mut out = String::from("{\n");
         out.push_str(&format!(
             "  \"root\": {},\n  \"total_ns\": {},\n  \"attributed_ns\": {},\n  \"entries\": [\n",
-            crate::registry::json_str(&self.root),
+            fw_types::json::escape(&self.root),
             self.total_ns,
             self.attributed_ns()
         ));
@@ -101,7 +101,7 @@ impl CritReport {
             };
             out.push_str(&format!(
                 "    {{\"name\": {}, \"arg\": {}, \"self_ns\": {}, \"spans\": {}}}{}\n",
-                crate::registry::json_str(&e.name),
+                fw_types::json::escape(&e.name),
                 arg,
                 e.self_ns,
                 e.spans,

@@ -2,6 +2,7 @@
 
 use crate::metric::{Counter, Gauge, Histogram};
 use crate::span::StageStat;
+use fw_types::json::escape;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -168,7 +169,7 @@ impl Registry {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:{}", json_str(name), c.get());
+            let _ = write!(out, "{}:{}", escape(name), c.get());
         }
         drop(counters);
         out.push_str("},\"gauges\":{");
@@ -177,7 +178,7 @@ impl Registry {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:{}", json_str(name), g.get());
+            let _ = write!(out, "{}:{}", escape(name), g.get());
         }
         drop(gauges);
         out.push_str("},\"histograms\":{");
@@ -189,7 +190,7 @@ impl Registry {
             let _ = write!(
                 out,
                 "{}:{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{:.3},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                json_str(name),
+                escape(name),
                 h.count(),
                 h.sum(),
                 h.min(),
@@ -209,7 +210,7 @@ impl Registry {
             let _ = write!(
                 out,
                 "{}:{{\"count\":{},\"wall_ns\":{},\"sim_us\":{}}}",
-                json_str(path),
+                escape(path),
                 stat.count,
                 stat.wall_ns,
                 stat.sim_us,
@@ -218,14 +219,6 @@ impl Registry {
         out.push_str("}}");
         out
     }
-}
-
-/// Minimal JSON string quoting; metric names are ASCII by convention
-/// but escape defensively anyway. Shared with the trace exporters;
-/// the implementation lives in `fw-types` alongside the parser so
-/// every hand-rolled writer in the workspace escapes identically.
-pub(crate) fn json_str(s: &str) -> String {
-    fw_types::json::escape(s)
 }
 
 #[cfg(test)]

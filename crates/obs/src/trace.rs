@@ -523,24 +523,6 @@ pub fn trace_reset() {
 
 // ------------------------------------------------------ serialization
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl TraceDump {
     /// Raw event stream as JSON Lines: one meta line (threads, dropped
     /// count) then one self-contained object per event. This is the
@@ -555,7 +537,7 @@ impl TraceDump {
                 out.push(',');
             }
             out.push_str(&format!("[{tid},"));
-            push_json_str(&mut out, name);
+            out.push_str(&fw_types::json::escape(name));
             out.push(']');
         }
         out.push_str("]}\n");
@@ -567,7 +549,7 @@ impl TraceDump {
                 ev.parent_id,
                 ev.tid,
             ));
-            push_json_str(&mut out, self.name(ev.name_id));
+            out.push_str(&fw_types::json::escape(self.name(ev.name_id)));
             if ev.arg != ARG_NONE {
                 out.push_str(&format!(",\"arg\":{}", ev.arg));
             }

@@ -1,5 +1,5 @@
 //! Criterion benches for the storage engine: sharded ingest, segment
-//! encode/decode, snapshot save (flush+compact) / load (open), and
+//! encode/decode, snapshot save (seal) / load (open), and
 //! full-scan throughput — the paths that gate snapshot replay speed.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
@@ -111,8 +111,7 @@ fn bench_snapshot_save_load(c: &mut Criterion) {
             for (f, r, d, cnt) in &data {
                 store.observe_count(f, r, *d, *cnt);
             }
-            store.flush().unwrap();
-            store.compact().unwrap();
+            store.seal().unwrap();
             drop(store);
             std::fs::remove_dir_all(&dir).unwrap();
         })
@@ -132,8 +131,7 @@ fn bench_snapshot_save_load(c: &mut Criterion) {
         for (f, r, d, cnt) in &data {
             store.observe_count(f, r, *d, *cnt);
         }
-        store.flush().unwrap();
-        store.compact().unwrap();
+        store.seal().unwrap();
     }
     group.bench_function("load_50k_rows", |b| {
         b.iter(|| black_box(DiskStore::open_read_only(&dir).unwrap().record_count()))
@@ -213,7 +211,7 @@ fn bench_varint_decode(c: &mut Criterion) {
 }
 
 fn bench_mmap_scan(c: &mut Criterion) {
-    // One compacted shard (single sorted segment), scanned through the
+    // One sealed shard (single sorted segment), scanned through the
     // mmap-backed visitor path the fused pipeline runs per shard.
     let data = rows(50_000);
     let dir = scratch("mmap-scan");
@@ -229,8 +227,7 @@ fn bench_mmap_scan(c: &mut Criterion) {
         for (f, r, d, cnt) in &data {
             store.observe_count(f, r, *d, *cnt);
         }
-        store.flush().unwrap();
-        store.compact().unwrap();
+        store.seal().unwrap();
     }
     let mut group = c.benchmark_group("mmap_scan");
     group.throughput(Throughput::Elements(data.len() as u64));

@@ -13,9 +13,10 @@
 //!   the byte layout).
 //! * [`DiskStore`] — N hash-sharded, lock-striped in-memory tables, each
 //!   journaled to its own segment directory; `flush` persists unflushed
-//!   deltas as sorted segments, `compact` folds a shard's segments into
+//!   deltas as sorted segments, `seal` rewrites each shard's table as
 //!   one. Reopening replays segments and reproduces identical
-//!   [`fw_dns::pdns::FqdnAggregate`]s.
+//!   [`fw_dns::pdns::FqdnAggregate`]s; [`scan_shard_visit`] streams a
+//!   sealed shard without building the table at all.
 //! * [`fw_dns::pdns::PdnsBackend`] — the storage trait the measurement
 //!   pipeline consumes; `DiskStore` and the in-memory `PdnsStore` are
 //!   interchangeable behind it.
@@ -34,7 +35,7 @@ mod store;
 pub use crc::crc32;
 pub use scan::{scan_shard_visit, RowVisitor};
 pub use segment::{decode_segment, read_segment, SegRow, SegmentBuilder, SegmentData};
-pub use store::{DiskStore, ShardIngestStats, SharedDiskStore};
+pub use store::{DiskStore, ShardIngestStats};
 
 use std::path::PathBuf;
 
@@ -44,7 +45,7 @@ pub struct StoreConfig {
     /// Number of hash shards (lock stripes / segment directories).
     pub shards: usize,
     /// Auto-flush a shard once this many rows hold unflushed deltas
-    /// (0 disables auto-flush; `flush`/`compact` remain explicit).
+    /// (0 disables auto-flush; `flush`/`seal` remain explicit).
     pub flush_rows: usize,
 }
 
@@ -215,8 +216,8 @@ mod tests {
     }
 
     #[test]
-    fn compaction_folds_segments_and_preserves_content() {
-        let tmp = TempDir::new("compact");
+    fn seal_folds_segments_and_preserves_content() {
+        let tmp = TempDir::new("seal");
         let store = DiskStore::create(
             tmp.path(),
             StoreConfig {
@@ -231,13 +232,22 @@ mod tests {
             }
             store.flush().unwrap();
         }
-        let before = store.all_aggregates();
         assert!(store.segment_count() >= 5);
-        store.compact().unwrap();
-        assert!(store.segment_count() <= 2, "one segment per shard");
+        // Pending rows on top of the flushed segments: some merge into
+        // flushed keys, some are new keys.
+        for i in 0..20u8 {
+            store.observe_count(&fq(&format!("f{i}.on.aws")), &v4(2, i), day(0), 2);
+            store.observe_count(&fq(&format!("g{i}.on.aws")), &v4(4, i), day(9), 1);
+        }
+        let before = store.all_aggregates();
+        let rows = store.record_count();
+        store.seal().unwrap();
+        assert_eq!(store.segment_count(), 2, "one segment per shard");
         assert_eq!(store.all_aggregates(), before);
         drop(store);
         let reopened = DiskStore::open(tmp.path()).unwrap();
+        assert_eq!(reopened.segment_count(), 2);
+        assert_eq!(reopened.record_count(), rows);
         assert_eq!(reopened.all_aggregates(), before);
     }
 
@@ -482,32 +492,6 @@ mod tests {
                 want,
                 "disk workers={workers}"
             );
-        }
-    }
-
-    #[test]
-    fn parallel_ingest_matches_serial() {
-        let src_tmp = TempDir::new("ingest-src");
-        let (mem, _src_disk) = twin_stores(&src_tmp);
-        let mut want = None;
-        for workers in [1, 3, 8] {
-            let tmp = TempDir::new(&format!("ingest-w{workers}"));
-            let dst = DiskStore::create(
-                tmp.path(),
-                StoreConfig {
-                    shards: 4,
-                    flush_rows: 512,
-                },
-            )
-            .unwrap();
-            dst.ingest_parallel(&mem, workers);
-            dst.compact().unwrap();
-            let got = dst.all_aggregates();
-            assert_eq!(got, mem.all_aggregates(), "workers={workers}");
-            match &want {
-                None => want = Some(got),
-                Some(w) => assert_eq!(&got, w, "workers={workers}"),
-            }
         }
     }
 }

@@ -11,17 +11,17 @@
 //! count is a run-length count over `pdate`, and no intermediate
 //! `SegRow` vector, hash table, or `PdnsRecord` is ever materialized.
 //!
-//! The fast path requires one segment per shard — what `compact` and
-//! `seal_shard` guarantee and every snapshot written by `fw_snapshot`
-//! satisfies. A multi-segment shard (an uncompacted store) falls back
-//! to replaying that shard through an in-memory [`PdnsStore`], trading
-//! speed for the exact-merge semantics; the output is identical either
-//! way.
+//! The scan requires one segment per shard — what `seal` and
+//! `seal_shard` leave behind, and what every writer of a scanned store
+//! (the fused pipeline, `fw_snapshot`) does before reading it. A
+//! multi-segment shard (an unsealed store) is rejected as corrupt: its
+//! rows would need a merge across segments that this decoder does not
+//! do.
 
 use crate::segment::{next_row, parse_segment};
 use crate::store::shard_segment_paths;
 use crate::StoreError;
-use fw_dns::pdns::{FqdnAggregate, PdnsBackend as _, PdnsStore};
+use fw_dns::pdns::FqdnAggregate;
 use fw_types::{DayStamp, Fqdn, Rdata};
 use std::path::Path;
 
@@ -127,19 +127,20 @@ fn scan_segment_into(
 /// row — so a caller can classify an fqdn once when its run starts and
 /// reuse the verdict for every row and the trailing aggregate. This is
 /// the per-shard feed for the fused pipeline, where identify and usage
-/// consume a shard as soon as it seals. The single-segment fast path
-/// decodes straight out of a read-only mmap; multi-segment shards fall
-/// back to an exact-merge replay with the same emission contract.
+/// consume a shard as soon as it seals. The shard's one segment decodes
+/// straight out of a read-only mmap; an unsealed shard (more than one
+/// segment) is a [`StoreError::Corrupt`] naming the shard and its
+/// segment count.
 pub fn scan_shard_visit(
     dir: &Path,
     shard: usize,
     on_agg: &mut dyn FnMut(FqdnAggregate),
-    mut on_row: Option<&mut RowVisitor<'_>>,
+    on_row: Option<&mut RowVisitor<'_>>,
 ) -> Result<(), StoreError> {
     let _trace = fw_obs::trace_span_arg("store/scan_shard", shard as u64);
     let paths = shard_segment_paths(dir, shard)?;
     match paths.as_slice() {
-        [] => {}
+        [] => Ok(()),
         [single] => {
             let bytes = crate::mmap::map_file(single)?;
             fw_obs::counter_inc!("fw.store.scan.segments_streamed");
@@ -148,39 +149,21 @@ pub fn scan_shard_visit(
                     StoreError::Corrupt(format!("{}: {msg}", single.display()))
                 }
                 other => other,
-            })?;
+            })
         }
-        many => {
-            fw_obs::counter_inc!("fw.store.scan.shards_replayed");
-            let mut replay = PdnsStore::new();
-            for path in many {
-                let seg = crate::segment::read_segment(path)?;
-                for row in &seg.rows {
-                    replay.observe_count(
-                        &seg.fqdns[row.fqdn as usize],
-                        &seg.rdatas[row.rdata as usize],
-                        row.pdate,
-                        row.cnt,
-                    );
-                }
-            }
-            for fqdn in replay.sorted_fqdns() {
-                if let Some(visit) = on_row.as_deref_mut() {
-                    replay.for_each_record_of(&fqdn, |_rtype, rdata, pdate, cnt| {
-                        visit(&fqdn, rdata, pdate, cnt);
-                    });
-                }
-                on_agg(replay.aggregate(&fqdn).expect("fqdn is in the replay"));
-            }
-        }
+        many => Err(StoreError::Corrupt(format!(
+            "{}: shard {shard} has {} segments; seal the store before scanning it",
+            dir.display(),
+            many.len()
+        ))),
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{DiskStore, StoreConfig};
+    use fw_dns::pdns::PdnsBackend as _;
     use fw_types::Fqdn;
     use std::net::Ipv4Addr;
     use std::path::PathBuf;
@@ -242,12 +225,12 @@ mod tests {
         let tmp = TempDir::new("equal");
         let store = DiskStore::create(&tmp.0, StoreConfig::default()).unwrap();
         fill(&store);
-        store.compact().unwrap();
+        store.seal().unwrap();
         assert_eq!(scan_all(&tmp.0).unwrap(), store.all_aggregates());
     }
 
     #[test]
-    fn multi_segment_shards_fall_back_to_replay() {
+    fn unsealed_shards_are_rejected_until_sealed() {
         let tmp = TempDir::new("multiseg");
         let store = DiskStore::create(
             &tmp.0,
@@ -257,9 +240,8 @@ mod tests {
             },
         )
         .unwrap();
-        // Two flushes → two segments per touched shard, no compaction:
-        // counts for the same (fqdn, pdate, rdata) key split across
-        // segments and must be re-merged by the fallback.
+        // Two flushes → two segments per touched shard: counts for the
+        // same (fqdn, pdate, rdata) key split across segments.
         let d0 = fw_types::MEASUREMENT_START;
         for round in 0..2 {
             for i in 0..10u8 {
@@ -274,7 +256,15 @@ mod tests {
             }
             store.flush().unwrap();
         }
-        assert!(store.segment_count() > store.shard_count());
+        assert_eq!(store.segment_count(), 4);
+        match scan_shard(&tmp.0, 0) {
+            Err(StoreError::Corrupt(msg)) => {
+                assert!(msg.contains("shard 0 has 2 segments"), "{msg}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        store.seal().unwrap();
+        assert_eq!(store.segment_count(), 2);
         assert_eq!(scan_all(&tmp.0).unwrap(), store.all_aggregates());
     }
 
@@ -283,7 +273,7 @@ mod tests {
         let tmp = TempDir::new("visit");
         let store = DiskStore::create(&tmp.0, StoreConfig::default()).unwrap();
         fill(&store);
-        store.compact().unwrap();
+        store.seal().unwrap();
         let want = store.all_aggregates();
         let shard_count = store.shard_count();
         drop(store);
@@ -344,7 +334,7 @@ mod tests {
         let tmp = TempDir::new("bitrot");
         let store = DiskStore::create(&tmp.0, StoreConfig::default()).unwrap();
         fill(&store);
-        store.compact().unwrap();
+        store.seal().unwrap();
         drop(store);
         assert!(scan_all(&tmp.0).is_ok());
 

@@ -17,8 +17,9 @@
 //! immutable sorted segment. Reopening a store replays all segments,
 //! summing duplicate `(fqdn, rdata, pdate)` keys, which makes segments
 //! append-only and crash-tolerant: a half-written segment fails its CRC
-//! and is reported, never silently merged. `compact` rewrites each
-//! shard's flushed state as a single segment and deletes the rest.
+//! and is reported, never silently merged. `seal` rewrites each shard's
+//! whole table as a single segment and deletes the rest — the shape
+//! the streaming scan reads.
 
 use crate::segment::{read_segment, SegmentBuilder};
 use crate::{StoreConfig, StoreError};
@@ -67,8 +68,8 @@ impl Entry {
 
     /// Rebuild `row_idx` from `rows`. Segment replay skips building the
     /// merge index for fqdns loaded from a single segment (the common
-    /// case after compaction); anything that merges into an existing
-    /// entry calls this first.
+    /// case after a seal); anything that merges into an existing entry
+    /// calls this first.
     fn ensure_row_idx(&mut self) {
         if self.row_idx.is_empty() && !self.rows.is_empty() {
             self.row_idx = self
@@ -105,55 +106,15 @@ struct Shard {
     /// Duration of every individual flush, for tail-latency (p99)
     /// accounting in the gate report.
     flush_samples_ns: Vec<u64>,
-    /// Segment bytes written by this shard (flush + compact).
+    /// Segment bytes written by this shard (flush + seal).
     bytes_written: u64,
 }
 
 impl Shard {
-    fn observe(&mut self, fqdn: &Fqdn, rdata: &Rdata, day: DayStamp, count: u64) {
-        // Two cheap FNV lookups instead of `entry(fqdn.clone())`: the
-        // entry API would clone (allocate) the key on every observed
-        // row, not just on first sight.
-        if !self.table.contains_key(fqdn) {
-            self.table.insert(fqdn.clone(), Entry::default());
-        }
-        let entry = self.table.get_mut(fqdn).expect("key just ensured");
-        entry.ensure_row_idx();
-        let idx = entry.intern(rdata);
-        let key = (day.0, idx);
-        let was_clean;
-        match entry.row_idx.get(&key) {
-            Some(&pos) => {
-                let row = &mut entry.rows[pos as usize];
-                was_clean = row.cnt == row.flushed;
-                row.cnt += count;
-            }
-            None => {
-                entry.row_idx.insert(key, entry.rows.len() as u32);
-                entry.rows.push(Row {
-                    pdate: day.0,
-                    rdata: idx,
-                    cnt: count,
-                    flushed: 0,
-                });
-                self.rows += 1;
-                was_clean = true;
-            }
-        }
-        if was_clean {
-            self.pending += 1;
-        }
-        if !entry.dirty {
-            entry.dirty = true;
-            self.dirty.push(fqdn.clone());
-        }
-    }
-
-    /// [`observe`](Self::observe) for a batch of rows sharing one fqdn:
-    /// the table lookup and dirty bookkeeping are paid once per batch
-    /// instead of once per row. Row-for-row equivalent to calling
-    /// `observe` in iteration order (zero counts are skipped there by
-    /// the caller, here by the loop).
+    /// Merge a batch of rows sharing one fqdn into the table on the
+    /// exact `(pdate, rdata)` key: the table lookup and dirty
+    /// bookkeeping are paid once per batch instead of once per row.
+    /// Zero counts are skipped. Returns the number of rows observed.
     fn observe_rows<'r>(
         &mut self,
         fqdn: &Fqdn,
@@ -252,44 +213,9 @@ impl Shard {
         Ok(bytes.len() as u64)
     }
 
-    /// Rewrite the flushed state as a single segment; drop the others.
-    fn compact(&mut self) -> Result<(), StoreError> {
-        if self.segments.len() < 2 {
-            return Ok(());
-        }
-        let _trace = fw_obs::trace_span_arg("store/compact_shard", self.idx as u64);
-        let mut builder = SegmentBuilder::with_capacity(self.table.len(), self.rows);
-        for (fqdn, entry) in &self.table {
-            for row in &entry.rows {
-                if row.flushed > 0 {
-                    builder.push(
-                        fqdn,
-                        &entry.rdatas[row.rdata as usize],
-                        DayStamp(row.pdate),
-                        row.flushed,
-                    );
-                }
-            }
-        }
-        let Some(bytes) = builder.finish() else {
-            return Ok(());
-        };
-        let path = self.write_segment(&bytes)?;
-        for old in std::mem::take(&mut self.segments) {
-            std::fs::remove_file(&old)?;
-        }
-        self.segments.push(path);
-        self.bytes_written += bytes.len() as u64;
-        fw_obs::counter_inc!("fw.store.compactions");
-        fw_obs::counter_add!("fw.store.bytes_written", bytes.len() as u64);
-        Ok(())
-    }
-
     /// Terminal write for an ingest-then-scan pipeline: encode the whole
-    /// in-memory table as one segment and drop the incremental segments.
-    /// Content-equivalent to `flush` + `compact`, but the data is
-    /// encoded and written once — the staged sequence writes the pending
-    /// deltas, then re-encodes every flushed row a second time.
+    /// in-memory table — flushed rows and pending deltas alike — as one
+    /// segment and drop the incremental segments.
     fn seal(&mut self) -> Result<(), StoreError> {
         if self.pending == 0 && self.segments.len() < 2 {
             self.dirty.clear();
@@ -566,29 +492,13 @@ impl DiskStore {
     /// Record `count` observations. Lock-striped: concurrent callers on
     /// different shards proceed in parallel.
     pub fn observe_count(&self, fqdn: &Fqdn, rdata: &Rdata, day: DayStamp, count: u64) {
-        if count == 0 {
-            return;
-        }
-        assert!(
-            !self.read_only,
-            "observe_count on a read-only snapshot store"
-        );
-        fw_obs::counter_inc!("fw.store.ingest.rows");
-        let mut shard = self.shard_of(fqdn);
-        shard.observe(fqdn, rdata, day, count);
-        if self.flush_rows > 0 && shard.pending >= self.flush_rows {
-            if let Err(e) = shard.flush() {
-                self.deferred_err.lock().get_or_insert(e);
-            }
-        }
+        self.observe_rows(fqdn, std::iter::once((rdata, day, count)));
     }
 
     /// Record a batch of observations sharing one fqdn under a single
-    /// shard lock. Equivalent to [`observe_count`](Self::observe_count)
-    /// once per element in iteration order, except the flush-threshold
-    /// check runs once per batch — which can only shift *where* a
-    /// flush-mode store cuts its pre-compaction segments, never the
-    /// merged row content.
+    /// shard lock. The flush-threshold check runs once per batch, which
+    /// can only shift *where* a flush-mode store cuts its segments,
+    /// never the merged row content.
     pub fn observe_rows<'r>(
         &self,
         fqdn: &Fqdn,
@@ -641,32 +551,26 @@ impl DiskStore {
         Ok(total)
     }
 
-    /// Merge each shard's segments into one (after a final flush).
-    pub fn compact(&self) -> Result<(), StoreError> {
-        self.flush()?;
-        let _span = fw_obs::span("store/compact");
-        let parts: Vec<Result<(), StoreError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| scope.spawn(move || shard.lock().compact()))
+    /// [`seal_shard`](Self::seal_shard) every shard concurrently, as
+    /// `flush` does: afterwards each shard is one sorted segment holding
+    /// its whole table, which is what the streaming scan reads.
+    pub fn seal(&self) -> Result<(), StoreError> {
+        let _span = fw_obs::span("store/seal");
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..self.shards.len())
+                .map(|shard| scope.spawn(move || self.seal_shard(shard)))
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("compact workers do not panic"))
-                .collect()
-        });
-        for part in parts {
-            part?;
-        }
-        Ok(())
+                .try_for_each(|h| h.join().expect("seal workers do not panic"))
+        })
     }
 
-    /// Flush and compact one shard, leaving it a single sorted segment
-    /// ready for the streaming scan. The per-shard half of `compact`:
-    /// the fused pipeline seals shards individually so identify/usage
-    /// can consume a sealed shard while later shards are still
-    /// flushing. Also surfaces any deferred auto-flush error.
+    /// Seal one shard, leaving it a single sorted segment ready for the
+    /// streaming scan. The per-shard half of [`seal`](Self::seal): the
+    /// fused pipeline seals shards individually so identify/usage can
+    /// consume a sealed shard while later shards are still sealing.
+    /// Also surfaces any deferred auto-flush error.
     pub fn seal_shard(&self, shard: usize) -> Result<(), StoreError> {
         if let Some(e) = self.deferred_err.lock().take() {
             return Err(e);
@@ -707,47 +611,6 @@ impl DiskStore {
         let entry = shard.table.get(fqdn)?;
         Some(aggregate_entry(fqdn, entry))
     }
-
-    /// Re-ingest every row of `src` on up to `workers` producer threads.
-    /// Producers partition `src`'s fqdns round-robin over a sorted list
-    /// (same scheme as `par_map_indexed`), so each fqdn's rows are
-    /// written by exactly one producer in `records_for` order — the
-    /// merged table contents are identical at any worker count; only
-    /// segment *boundaries* (auto-flush timing) may differ, and those
-    /// are erased by `compact`.
-    pub fn ingest_parallel<B: PdnsBackend + ?Sized>(&self, src: &B, workers: usize) {
-        let _span = fw_obs::span("store/ingest");
-        let fqdns = src.sorted_fqdns();
-        let workers = workers.clamp(1, fqdns.len().max(1));
-        fw_obs::counter_add!("fw.store.ingest.producers", workers as u64);
-        if workers == 1 {
-            src.for_each_row(&mut |fqdn, _rtype, rdata, pdate, cnt| {
-                self.observe_count(fqdn, rdata, pdate, cnt);
-            });
-            return;
-        }
-        let fork = fw_obs::current_trace_span();
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let fqdns = &fqdns;
-                scope.spawn(move || {
-                    let _trace = fw_obs::trace_span_child_of(fork, "store/ingest_worker", w as u64);
-                    for fqdn in fqdns.iter().skip(w).step_by(workers) {
-                        src.for_each_record_of(fqdn, &mut |_rtype, rdata, pdate, cnt| {
-                            self.observe_count(fqdn, rdata, pdate, cnt);
-                        });
-                    }
-                });
-            }
-        });
-    }
-
-    /// Per-shard ingest/flush accounting since this handle was created.
-    /// Row counts cover the current table (including replayed segments);
-    /// flush timings cover only work done through this handle.
-    pub fn shard_ingest_stats(&self) -> Vec<ShardIngestStats> {
-        self.shards.iter().map(|s| stats_of(&s.lock())).collect()
-    }
 }
 
 fn stats_of(s: &Shard) -> ShardIngestStats {
@@ -787,7 +650,7 @@ pub struct ShardIngestStats {
     /// p99 of individual flush durations through this handle (0 if the
     /// shard never flushed).
     pub flush_p99_ns: u64,
-    /// Segment bytes written (flush + compact) through this handle.
+    /// Segment bytes written (flush + seal) through this handle.
     pub bytes_written: u64,
     /// Segment files currently on disk.
     pub segments: usize,
@@ -973,17 +836,5 @@ impl PdnsBackend for DiskStore {
         });
         out.sort_by(|a, b| a.fqdn.cmp(&b.fqdn));
         out
-    }
-}
-
-/// Shareable handle implementing the resolver [`fw_dns::resolver::Sensor`],
-/// so live traffic can feed the disk store directly, sharded writes and
-/// all.
-#[derive(Clone)]
-pub struct SharedDiskStore(pub std::sync::Arc<DiskStore>);
-
-impl fw_dns::resolver::Sensor for SharedDiskStore {
-    fn observe(&self, fqdn: &Fqdn, rdata: &Rdata, day: DayStamp) {
-        self.0.observe_count(fqdn, rdata, day, 1);
     }
 }

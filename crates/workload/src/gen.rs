@@ -205,7 +205,7 @@ impl World {
     /// untouched by the sink choice): the row multiset landing in
     /// `store` equals `World::generate(config).pdns`, and the returned
     /// functions are element-wise identical. The caller owns sealing
-    /// (`flush`/`compact` or per-shard `seal_shard`) afterwards.
+    /// (`seal`, or per-shard `seal_shard`) afterwards.
     pub fn generate_into(config: WorldConfig, store: &DiskStore) -> FusedWorld {
         let (net, resolver, platform, _none, functions) = generate_parts(&config, Some(store));
         FusedWorld {

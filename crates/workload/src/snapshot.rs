@@ -2,24 +2,23 @@
 //!
 //! Generating a calibrated world at scale takes minutes; the PDNS rows
 //! it produces are deterministic for a `(seed, scale)` pair. A snapshot
-//! materializes those rows into an `fw-store` [`DiskStore`] once, so
-//! every figure binary can reopen them read-only (`--snapshot <dir>`)
-//! instead of regenerating the world.
+//! streams those rows into an `fw-store` [`DiskStore`] once, as they
+//! are generated, so every figure binary can reopen them read-only
+//! (`--snapshot <dir>`) instead of regenerating the world.
 
-use crate::World;
+use crate::{World, WorldConfig};
 use fw_dns::pdns::PdnsBackend;
 use fw_store::{DiskStore, StoreConfig, StoreError};
+use fw_types::{DayStamp, Fqdn, Rdata};
 use std::path::Path;
 
-/// What a snapshot save wrote, for progress reporting.
+/// What [`write_snapshot`] wrote, for progress reporting.
 #[derive(Debug, Clone)]
 pub struct SnapshotStats {
     pub fqdns: usize,
+    /// Distinct `(fqdn, rdata, pdate)` rows.
     pub rows: usize,
-    /// Per-shard ingest/flush accounting from the store that wrote the
-    /// snapshot (flush counts, flush wall time, bytes written) — feeds
-    /// `pipeline_gate`'s per-shard ingest timings.
-    pub shards: Vec<fw_store::ShardIngestStats>,
+    pub shards: usize,
 }
 
 /// Sidecar manifest (`world.meta`) recording which world a snapshot was
@@ -40,20 +39,27 @@ pub struct SnapshotMeta {
     pub rows_fnv: u64,
 }
 
+/// FNV hash of one `(fqdn, rtype, rdata, pdate)` row key: the term
+/// [`pdns_content_hash`] weights by the row's count. Scans that hash
+/// rows as they stream past call it directly.
+#[inline]
+pub fn row_key_hash(fqdn: &Fqdn, rdata: &Rdata, pdate: DayStamp) -> u64 {
+    let k = fw_types::fnv::fnv1a(fqdn.as_str().as_bytes());
+    let k = fw_types::fnv::fold(k, rdata.rtype() as u64);
+    let k = rdata.with_text(|text| fw_types::fnv::update(k, text.as_bytes()));
+    fw_types::fnv::fold(k, pdate.0 as u64)
+}
+
 /// Order- and merge-insensitive content hash of a PDNS backend: each
-/// `(fqdn, rtype, rdata, pdate)` key hashes to an FNV value which is
-/// weighted by its count and summed with wrapping addition. Splitting a
-/// count across rows (as uncompacted segments do) or visiting rows in a
-/// different order cannot change the result, so the in-memory store and
-/// any on-disk copy of it hash identically.
+/// row's [`row_key_hash`] is weighted by its count and summed with
+/// wrapping addition. Splitting a key's count across rows (as the
+/// in-memory store may) or visiting rows in a different order cannot
+/// change the result, so the in-memory store and any on-disk copy of
+/// it hash identically.
 pub fn pdns_content_hash<B: PdnsBackend + ?Sized>(pdns: &B) -> u64 {
     let mut h = 0u64;
-    pdns.for_each_row(&mut |fqdn, rtype, rdata, pdate, cnt| {
-        let mut k = fw_types::fnv::fnv1a(fqdn.as_str().as_bytes());
-        k = fw_types::fnv::fold(k, rtype as u64);
-        k = rdata.with_text(|text| fw_types::fnv::update(k, text.as_bytes()));
-        k = fw_types::fnv::fold(k, pdate.0 as u64);
-        h = h.wrapping_add(k.wrapping_mul(cnt));
+    pdns.for_each_row(&mut |fqdn, _rtype, rdata, pdate, cnt| {
+        h = h.wrapping_add(row_key_hash(fqdn, rdata, pdate).wrapping_mul(cnt));
     });
     h
 }
@@ -72,8 +78,8 @@ impl SnapshotMeta {
         std::fs::write(dir.join(META_FILE), text)
     }
 
-    /// Read the manifest; `None` if absent or malformed (snapshots
-    /// written by hand via [`save_pdns`] have no manifest).
+    /// Read the manifest; `None` if absent or malformed (a bare
+    /// [`DiskStore`] has no manifest).
     pub fn read(dir: &Path) -> Option<SnapshotMeta> {
         let text = std::fs::read_to_string(dir.join(META_FILE)).ok()?;
         let (mut seed, mut scale, mut live, mut rows_fnv) = (None, None, None, None);
@@ -95,73 +101,42 @@ impl SnapshotMeta {
     }
 }
 
-/// Persist any PDNS backend into a fresh [`DiskStore`] at `dir`
-/// (created; fails if a snapshot already exists there). The store is
-/// flushed and compacted so the result is one sorted segment per shard.
-pub fn save_pdns<B: PdnsBackend + ?Sized>(
-    pdns: &B,
-    dir: &Path,
-    shards: usize,
-) -> Result<SnapshotStats, StoreError> {
-    save_pdns_parallel(pdns, dir, shards, 1)
-}
-
-/// [`save_pdns`] with `workers` parallel producers feeding the store
-/// (each owns a disjoint fqdn set, so the compacted result is
-/// byte-identical at every worker count).
-pub fn save_pdns_parallel<B: PdnsBackend + ?Sized>(
-    pdns: &B,
-    dir: &Path,
-    shards: usize,
-    workers: usize,
-) -> Result<SnapshotStats, StoreError> {
+/// Generate `config`'s world straight into a fresh [`DiskStore`] at
+/// `dir` (fails if a store already exists there), seal it to one
+/// sorted segment per shard, and write its [`SnapshotMeta`] manifest.
+/// The rows are those of `World::generate(config).pdns`, merged on the
+/// exact `(fqdn, rdata, pdate)` key, at any `gen_workers` count.
+pub fn write_snapshot(config: WorldConfig, dir: &Path) -> Result<SnapshotStats, StoreError> {
     let store = DiskStore::create(
         dir,
         StoreConfig {
-            shards,
+            // `seal` writes each shard's whole table once; threshold
+            // flushes would only write segments for it to delete.
+            flush_rows: 0,
             ..StoreConfig::default()
         },
     )?;
-    store.ingest_parallel(pdns, workers.max(1));
-    store.flush()?;
-    store.compact()?;
+    let (seed, scale, live) = (config.seed, config.scale, config.deploy_live);
+    World::generate_into(config, &store);
+    let rows_fnv = pdns_content_hash(&store);
+    store.seal()?;
+    SnapshotMeta {
+        seed,
+        scale,
+        live,
+        rows_fnv,
+    }
+    .write(dir)?;
     Ok(SnapshotStats {
         fqdns: store.fqdn_count(),
         rows: store.record_count(),
-        shards: store.shard_ingest_stats(),
+        shards: store.shard_count(),
     })
-}
-
-impl World {
-    /// Save this world's PDNS store as a reopenable snapshot, with a
-    /// [`SnapshotMeta`] manifest recording the source seed/scale.
-    pub fn save_snapshot(&self, dir: &Path, shards: usize) -> Result<SnapshotStats, StoreError> {
-        self.save_snapshot_parallel(dir, shards, 1)
-    }
-
-    /// [`World::save_snapshot`] with parallel ingest producers.
-    pub fn save_snapshot_parallel(
-        &self,
-        dir: &Path,
-        shards: usize,
-        workers: usize,
-    ) -> Result<SnapshotStats, StoreError> {
-        let stats = save_pdns_parallel(&self.pdns, dir, shards, workers)?;
-        SnapshotMeta {
-            seed: self.config.seed,
-            scale: self.config.scale,
-            live: self.config.deploy_live,
-            rows_fnv: pdns_content_hash(&self.pdns),
-        }
-        .write(dir)?;
-        Ok(stats)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WorldConfig;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -185,32 +160,33 @@ mod tests {
         }
     }
 
-    fn tiny_world() -> World {
-        World::generate(WorldConfig {
-            seed: 7,
-            scale: 0.002,
-            deploy_live: false,
-            ..WorldConfig::default()
-        })
+    fn tiny_config() -> WorldConfig {
+        WorldConfig::usage(7, 0.002)
     }
 
     #[test]
     fn snapshot_equals_live_store() {
-        let world = tiny_world();
-        let dir = TempDir::new();
-        let stats = world.save_snapshot(&dir.0, 4).unwrap();
-        assert!(stats.fqdns > 0);
-        assert_eq!(stats.fqdns, world.pdns.fqdn_count());
+        for config in [tiny_config(), WorldConfig::live(7, 0.002)] {
+            let world = World::generate(config.clone());
+            let dir = TempDir::new();
+            let stats = write_snapshot(config, &dir.0).unwrap();
+            assert!(stats.fqdns > 0);
+            assert_eq!(stats.fqdns, world.pdns.fqdn_count());
 
-        let disk = DiskStore::open_read_only(&dir.0).unwrap();
-        assert_eq!(disk.all_aggregates(), world.pdns.all_aggregates());
+            let disk = DiskStore::open_read_only(&dir.0).unwrap();
+            assert_eq!(stats.shards, disk.shard_count());
+            assert_eq!(stats.rows, disk.record_count());
+            for shard in 0..disk.shard_count() {
+                assert_eq!(disk.shard_stats(shard).segments, 1, "shard {shard}");
+            }
+            assert_eq!(disk.all_aggregates(), world.pdns.all_aggregates());
+        }
     }
 
     #[test]
     fn reopening_is_deterministic() {
-        let world = tiny_world();
         let dir = TempDir::new();
-        world.save_snapshot(&dir.0, 4).unwrap();
+        write_snapshot(tiny_config(), &dir.0).unwrap();
         let a = DiskStore::open_read_only(&dir.0).unwrap().all_aggregates();
         let b = DiskStore::open_read_only(&dir.0).unwrap().all_aggregates();
         assert_eq!(a, b);
@@ -218,9 +194,9 @@ mod tests {
 
     #[test]
     fn manifest_roundtrips_world_identity() {
-        let world = tiny_world();
+        let world = World::generate(tiny_config());
         let dir = TempDir::new();
-        world.save_snapshot(&dir.0, 4).unwrap();
+        write_snapshot(tiny_config(), &dir.0).unwrap();
         let meta = SnapshotMeta::read(&dir.0).expect("manifest written");
         assert_eq!(
             meta,
@@ -232,23 +208,18 @@ mod tests {
             }
         );
         assert_ne!(meta.rows_fnv, 0);
-        // The on-disk copy hashes identically despite different row
-        // merge boundaries.
+        // The on-disk copy hashes identically although the in-memory
+        // store splits some keys across rows and the store does not.
         let disk = DiskStore::open_read_only(&dir.0).unwrap();
         assert_eq!(pdns_content_hash(&disk), meta.rows_fnv);
-        // A bare save_pdns snapshot has no manifest.
-        let dir2 = TempDir::new();
-        save_pdns(&world.pdns, &dir2.0, 4).unwrap();
-        assert!(SnapshotMeta::read(&dir2.0).is_none());
     }
 
     #[test]
     fn refuses_to_overwrite_existing_snapshot() {
-        let world = tiny_world();
         let dir = TempDir::new();
-        world.save_snapshot(&dir.0, 4).unwrap();
+        write_snapshot(tiny_config(), &dir.0).unwrap();
         assert!(matches!(
-            world.save_snapshot(&dir.0, 4),
+            write_snapshot(tiny_config(), &dir.0),
             Err(StoreError::AlreadyExists(_))
         ));
     }

@@ -1,16 +1,19 @@
 //! Worker-count invariance of the parallel data plane (DESIGN.md §12).
 //!
-//! World generation fans shards out across `gen_workers` threads and
-//! snapshot ingest fans fqdn partitions across producer threads; both
-//! must be pure functions of `(seed, scale)` — the worker count may
-//! only change wall time, never a byte of output. These properties
-//! drive both paths at worker counts {1, 3, 8} over random seeds and
+//! World generation fans shards out across `gen_workers` threads, both
+//! into the in-memory store and streaming into a snapshot's disk store;
+//! either must be a pure function of `(seed, scale)` — the worker count
+//! may only change wall time, never a byte of output. These properties
+//! drive both sinks at worker counts {1, 3, 8} over random seeds and
 //! scales and require identical function populations, identical full
-//! row dumps, and identical manifest/content hashes.
+//! row dumps, and identical manifests/content hashes.
 
 use fw_dns::pdns::PdnsBackend;
 use fw_store::DiskStore;
-use fw_workload::{pdns_content_hash, SnapshotMeta, World, WorldConfig, WorldFunction};
+use fw_workload::snapshot::META_FILE;
+use fw_workload::{
+    pdns_content_hash, write_snapshot, SnapshotMeta, World, WorldConfig, WorldFunction,
+};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,27 +127,27 @@ proptest! {
         }
     }
 
-    /// Parallel snapshot ingest is invariant: the compacted on-disk
-    /// store and its manifest hash match the serial save exactly.
+    /// Snapshots streamed from generation at any worker count are
+    /// identical: same aggregates, same rows, byte-identical manifest,
+    /// whose content hash is the in-memory world's.
     #[test]
-    fn ingest_is_worker_count_invariant((seed, scale) in world_spec()) {
-        let world = World::generate(config(seed, scale, false, 0));
-
-        let serial_dir = TempDir::new();
-        world.save_snapshot_parallel(&serial_dir.0, 4, 1).unwrap();
-        let serial = DiskStore::open_read_only(&serial_dir.0).unwrap();
-        let serial_aggs = serial.all_aggregates();
-        let serial_rows = row_dump(&serial);
-        let serial_meta = SnapshotMeta::read(&serial_dir.0).unwrap();
-        prop_assert_eq!(serial_meta.rows_fnv, pdns_content_hash(&world.pdns));
-
-        for workers in [3usize, 8] {
+    fn snapshot_is_worker_count_invariant((seed, scale) in world_spec()) {
+        let world_fnv = pdns_content_hash(&World::generate(config(seed, scale, false, 0)).pdns);
+        let mut base = None;
+        for workers in [1usize, 3, 8] {
             let dir = TempDir::new();
-            world.save_snapshot_parallel(&dir.0, 4, workers).unwrap();
+            write_snapshot(config(seed, scale, false, workers), &dir.0).unwrap();
+            prop_assert_eq!(SnapshotMeta::read(&dir.0).unwrap().rows_fnv, world_fnv);
             let disk = DiskStore::open_read_only(&dir.0).unwrap();
-            prop_assert_eq!(&disk.all_aggregates(), &serial_aggs, "aggregates diverge at workers={}", workers);
-            prop_assert_eq!(&row_dump(&disk), &serial_rows, "rows diverge at workers={}", workers);
-            prop_assert_eq!(SnapshotMeta::read(&dir.0).unwrap(), serial_meta);
+            let got = (
+                disk.all_aggregates(),
+                row_dump(&disk),
+                std::fs::read(dir.0.join(META_FILE)).unwrap(),
+            );
+            match &base {
+                None => base = Some(got),
+                Some(base) => prop_assert_eq!(&got, base, "snapshot diverges at gen_workers={}", workers),
+            }
         }
     }
 }
