@@ -36,11 +36,6 @@ impl ThreatIntel {
         }
     }
 
-    /// Manually flag a domain (tests).
-    pub fn flag(&mut self, fqdn: Fqdn) {
-        self.flagged.insert(fqdn);
-    }
-
     /// Is the domain flagged as malicious?
     pub fn is_flagged(&self, fqdn: &Fqdn) -> bool {
         self.flagged.contains(fqdn)

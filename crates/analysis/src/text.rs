@@ -131,10 +131,6 @@ impl TfIdf {
         }
     }
 
-    pub fn vocab_size(&self) -> usize {
-        self.vocab.len()
-    }
-
     pub fn doc_count(&self) -> usize {
         self.doc_count
     }

@@ -1,12 +1,11 @@
 //! Criterion benches for the substrate layers: pattern matching on
-//! PDNS-scale fqdn streams, DNS wire codec, PDNS ingestion/aggregation,
-//! HTTP parsing, C2 fingerprint matching, billing arithmetic.
+//! PDNS-scale fqdn streams, PDNS ingestion/aggregation, HTTP parsing,
+//! C2 fingerprint matching, billing arithmetic.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use fw_cloud::billing::PriceModel;
 use fw_cloud::formats::{all_formats, identify};
 use fw_dns::pdns::PdnsStore;
-use fw_dns::wire::{Message, QType};
 use fw_http::fast::{read_response_fast, Scratch};
 use fw_http::parse::{write_response, Limits};
 use fw_net::{pipe_pair, Connection};
@@ -53,29 +52,6 @@ fn bench_identification(c: &mut Criterion) {
         })
     });
     group.finish();
-}
-
-fn bench_dns_wire(c: &mut Criterion) {
-    let q = Message::query(
-        7,
-        Fqdn::parse("abc123.lambda-url.us-east-1.on.aws").unwrap(),
-        QType::A,
-    );
-    let mut resp = Message::response_to(&q, fw_dns::wire::Rcode::NoError);
-    for i in 0..4 {
-        resp.answers.push(fw_dns::wire::ResourceRecord {
-            name: q.questions[0].name.clone(),
-            ttl: 60,
-            data: fw_dns::wire::RrData::A(Ipv4Addr::new(203, 0, 113, i)),
-        });
-    }
-    let bytes = resp.encode();
-    c.bench_function("dns_wire/encode_response", |b| {
-        b.iter(|| black_box(resp.encode()))
-    });
-    c.bench_function("dns_wire/decode_response", |b| {
-        b.iter(|| Message::decode(black_box(&bytes)).unwrap())
-    });
 }
 
 fn bench_pdns(c: &mut Criterion) {
@@ -162,7 +138,6 @@ fn bench_billing(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_identification,
-    bench_dns_wire,
     bench_pdns,
     bench_http,
     bench_c2_matching,

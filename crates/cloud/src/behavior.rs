@@ -233,14 +233,6 @@ impl Behavior {
         })
     }
 
-    /// The leak items, if this behaviour exposes sensitive data.
-    pub fn leak_items(&self) -> Option<&[LeakItem]> {
-        match self {
-            Behavior::SensitiveLeak { items, .. } => Some(items),
-            _ => None,
-        }
-    }
-
     /// Dispatch one request.
     pub fn respond(&self, req: &Request, ctx: &mut BehaviorContext) -> Outcome {
         use Outcome::Respond as R;

@@ -2,6 +2,8 @@
 //!
 //! The serverless cloud platform simulator: every provider behaviour the
 //! paper measures *through DNS and HTTP* is reproduced at the interface.
+//! The invocation paths the paper excludes, API gateways (§3.5) and
+//! event triggers (§2.2), are not simulated; DESIGN.md §6 says why.
 //!
 //! * [`formats`] — Table 1: per-provider function-URL formats, domain
 //!   generation, and the domain regular expressions (compiled with
@@ -22,13 +24,11 @@
 //!   metering with free tiers (the substrate for Denial-of-Wallet
 //!   analysis).
 
-pub mod apigw;
 pub mod behavior;
 pub mod billing;
 pub mod formats;
 pub mod platform;
 pub mod provider;
-pub mod triggers;
 
 pub use behavior::{Behavior, BehaviorContext};
 pub use billing::{BillingLedger, PriceModel};

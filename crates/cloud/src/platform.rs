@@ -166,21 +166,8 @@ pub struct Deployed {
     pub path: String,
 }
 
-/// Public snapshot of one deployed function.
-#[derive(Debug, Clone)]
-pub struct FunctionInfo {
-    pub fqdn: Fqdn,
-    pub provider: ProviderId,
-    pub region: String,
-    pub auth_protected: bool,
-    pub deleted: bool,
-    pub invocations: u64,
-}
-
 struct FunctionEntry {
     fqdn: Fqdn,
-    provider: ProviderId,
-    region: String,
     region_idx: usize,
     behavior: Behavior,
     auth_protected: bool,
@@ -269,11 +256,6 @@ impl CloudPlatform {
         self.resolver.clone()
     }
 
-    /// Virtual time in milliseconds.
-    pub fn now_ms(&self) -> u64 {
-        self.inner.clock_ms.load(Ordering::Relaxed)
-    }
-
     /// Advance the virtual clock.
     pub fn advance_ms(&self, ms: u64) {
         self.inner.clock_ms.fetch_add(ms, Ordering::Relaxed);
@@ -350,8 +332,6 @@ impl CloudPlatform {
         let seed = rng.gen();
         let entry = Arc::new(FunctionEntry {
             fqdn: fqdn.clone(),
-            provider: spec_req.provider,
-            region: region.clone(),
             region_idx,
             behavior: spec_req.behavior,
             auth_protected: spec_req.auth_protected,
@@ -390,95 +370,6 @@ impl CloudPlatform {
         }
         resolver.flush_cache();
         true
-    }
-
-    /// Ground-truth behaviour of a deployed function (for experiment
-    /// scoring only — detectors never call this).
-    pub fn behavior_of(&self, fqdn: &Fqdn) -> Option<Behavior> {
-        self.inner
-            .functions
-            .read()
-            .get(fqdn)
-            .map(|e| e.behavior.clone())
-    }
-
-    /// Meter one non-HTTP (event-triggered) invocation: cold/warm
-    /// environment accounting and billing, exactly like the HTTP path.
-    /// Returns the invocation ordinal. Used by the trigger fabric
-    /// (§2.2's storage/queue/schedule paths).
-    pub fn record_event_invocation(&self, fqdn: &Fqdn) -> fw_types::FwResult<u64> {
-        let entry = self
-            .inner
-            .functions
-            .read()
-            .get(fqdn)
-            .cloned()
-            .ok_or_else(|| fw_types::FwError::Cloud(format!("unknown function {fqdn}")))?;
-        if entry.deleted.load(Ordering::Relaxed) {
-            return Err(fw_types::FwError::Cloud(format!(
-                "function deleted: {fqdn}"
-            )));
-        }
-        let now = self.inner.clock_ms.load(Ordering::Relaxed);
-        let cold = {
-            let mut envs = entry.envs.lock();
-            envs.retain(|last| now.saturating_sub(*last) <= self.inner.config.warm_keepalive_ms);
-            match envs.iter_mut().min_by_key(|l| **l) {
-                Some(slot) => {
-                    *slot = now;
-                    false
-                }
-                None => {
-                    envs.push(now);
-                    true
-                }
-            }
-        };
-        self.inner.stats.invocations.fetch_add(1, Ordering::Relaxed);
-        if cold {
-            self.inner.stats.cold_starts.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.inner.stats.warm_starts.fetch_add(1, Ordering::Relaxed);
-        }
-        let exec_ms = entry.exec_ms
-            + if cold {
-                self.inner.config.cold_start_ms
-            } else {
-                0
-            };
-        self.inner
-            .billing
-            .lock()
-            .record(&entry.fqdn, entry.memory_mb, exec_ms);
-        Ok(entry.invocations.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// Snapshot of every deployed function (ground-truth enumeration for
-    /// the workload generator and experiment scoring).
-    pub fn functions(&self) -> Vec<FunctionInfo> {
-        self.inner
-            .functions
-            .read()
-            .values()
-            .map(|e| FunctionInfo {
-                fqdn: e.fqdn.clone(),
-                provider: e.provider,
-                region: e.region.clone(),
-                auth_protected: e.auth_protected,
-                deleted: e.deleted.load(Ordering::Relaxed),
-                invocations: e.invocations.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-
-    /// Is the function currently deleted?
-    pub fn is_deleted(&self, fqdn: &Fqdn) -> bool {
-        self.inner
-            .functions
-            .read()
-            .get(fqdn)
-            .map(|e| e.deleted.load(Ordering::Relaxed))
-            .unwrap_or(false)
     }
 
     /// Lazily build a provider's state: region ingress plans, DNS zone,

@@ -126,10 +126,6 @@ impl AbuseScanReport {
     pub fn total_abused_functions(&self) -> u64 {
         self.table3.iter().map(|r| r.functions).sum()
     }
-
-    pub fn total_abuse_requests(&self) -> u64 {
-        self.table3.iter().map(|r| r.requests).sum()
-    }
 }
 
 /// Run the full §5 analysis.

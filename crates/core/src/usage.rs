@@ -563,21 +563,6 @@ pub fn invocation_report(report: &IdentificationReport) -> InvocationReport {
     }
 }
 
-/// Resolution-type convenience: does the function's distribution include
-/// a given rtype?
-pub fn has_rtype(f: &IdentifiedFunction, rtype: RecordType) -> bool {
-    f.agg
-        .rdata_dist
-        .iter()
-        .any(|(r, cnt)| r.rtype() == rtype && *cnt > 0)
-}
-
-/// Distinct rdata values of one function (Table 2 context, §4.2 "functions
-/// within the same region resolve to the same ingress set").
-pub fn rdata_values(f: &IdentifiedFunction) -> Vec<&Rdata> {
-    f.agg.rdata_dist.iter().map(|(r, _)| r).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

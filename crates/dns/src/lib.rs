@@ -2,10 +2,6 @@
 //!
 //! The DNS substrate for `faaswild`:
 //!
-//! * [`wire`] — an RFC 1035 message codec (header, questions, resource
-//!   records, name compression) built from scratch. The simulated resolver
-//!   can answer over real wire bytes, and the codec is property-tested for
-//!   encode/decode round-trips.
 //! * [`zone`] — authoritative zones with exact and wildcard records plus
 //!   CNAME chains. Providers in `fw-cloud` publish their ingress records
 //!   here; Tencent's "no wildcard" policy (paper §4.4) is a zone flag.
@@ -19,7 +15,6 @@
 
 pub mod pdns;
 pub mod resolver;
-pub mod wire;
 pub mod zone;
 
 pub use pdns::{FqdnAggregate, PdnsRecord, PdnsRow, PdnsStore};

@@ -74,15 +74,6 @@ impl Zone {
         self.wildcard = Some(records);
     }
 
-    /// Disable wildcard resolution (Tencent policy).
-    pub fn clear_wildcard(&mut self) {
-        self.wildcard = None;
-    }
-
-    pub fn has_wildcard(&self) -> bool {
-        self.wildcard.is_some()
-    }
-
     /// Number of exact names in the zone.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -90,11 +81,6 @@ impl Zone {
 
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// Does an exact record set exist for this name?
-    pub fn contains(&self, name: &Fqdn) -> bool {
-        self.records.contains_key(name)
     }
 
     /// Authoritative lookup for `name` with record type `rtype`.

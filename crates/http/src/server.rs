@@ -2,9 +2,9 @@
 //!
 //! [`serve_connection`] reads requests off one connection and answers them
 //! with a handler until the peer closes, an error occurs, or the exchange
-//! negotiates `Connection: close`. The simulated cloud ingress and the API
-//! gateway use this (fronted by simulated TLS on :443);
-//! `examples/live_probe.rs` runs it on a real `TcpListener`. Requests are
+//! negotiates `Connection: close`. The simulated cloud ingress uses this
+//! (fronted by simulated TLS on :443); `examples/live_probe.rs` runs it
+//! on a real `TcpListener`. Requests are
 //! read with [`crate::fast`] into one [`Scratch`] per connection, so
 //! read-ahead is carried between requests and pipelined requests are
 //! answered in order.

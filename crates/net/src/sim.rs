@@ -281,19 +281,6 @@ pub struct NetStats {
     pub chunks_corrupted: AtomicU64,
 }
 
-impl NetStats {
-    pub fn snapshot(&self) -> (u64, u64, u64, u64, u64, u64) {
-        (
-            self.connections.load(Ordering::Relaxed),
-            self.refused.load(Ordering::Relaxed),
-            self.resets_injected.load(Ordering::Relaxed),
-            self.bytes_sent.load(Ordering::Relaxed),
-            self.chunks_dropped.load(Ordering::Relaxed),
-            self.chunks_corrupted.load(Ordering::Relaxed),
-        )
-    }
-}
-
 struct Inner {
     listeners: RwLock<HashMap<SocketAddr, Listener>>,
     faults: RwLock<FaultConfig>,
@@ -443,11 +430,6 @@ impl SimNet {
         if let Some(Listener::Pool(pool)) = prev {
             pool.close();
         }
-    }
-
-    /// Number of registered listeners.
-    pub fn listener_count(&self) -> usize {
-        self.inner.listeners.read().len()
     }
 
     /// Replace the fault configuration.

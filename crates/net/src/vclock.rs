@@ -536,14 +536,6 @@ impl Clock {
     pub fn register(&self) -> Option<Registration> {
         self.vclock().map(VClock::register)
     }
-
-    /// Wake only the virtual waiters parked on `chan` (no-op on the
-    /// wall clock). See [`VClock::notify_chan`].
-    pub fn notify_chan(&self, chan: u64) {
-        if let Clock::Virtual(vc) = self {
-            vc.notify_chan(chan);
-        }
-    }
 }
 
 impl Default for Clock {

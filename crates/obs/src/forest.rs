@@ -25,7 +25,7 @@ pub struct SpanNode {
     pub end_ns: u64,
     pub begin_sim_us: u64,
     pub end_sim_us: u64,
-    /// Indices into [`Forest::nodes`], sorted by `begin_ns`.
+    /// Indices into [`Forest::nodes`] in sibling order (see [`Forest`]).
     pub children: Vec<usize>,
     /// Off-stack lifetime span ([`crate::trace_async`]).
     pub is_async: bool,
@@ -49,10 +49,18 @@ impl SpanNode {
 }
 
 /// The reconstructed cross-thread span forest.
+///
+/// Sibling order — of [`Forest::roots`] and of every
+/// [`SpanNode::children`] — is time order: ascending `(begin_ns, id)`.
+/// Concurrent siblings (forked workers) therefore appear in the order
+/// they began, which depends on the schedule, not in spawn order; the
+/// span id breaks timestamp ties deterministically. The tree itself
+/// (names, args and parent edges, with children taken as unordered)
+/// does not depend on the schedule.
 #[derive(Debug, Default)]
 pub struct Forest {
     pub nodes: Vec<SpanNode>,
-    /// Indices of parentless spans, sorted by `begin_ns`.
+    /// Indices of parentless spans, in sibling order.
     pub roots: Vec<usize>,
 }
 
@@ -133,12 +141,12 @@ pub fn build_forest(dump: &TraceDump) -> Forest {
         }
     }
     // Children append in begin-event order per parent, but cross-thread
-    // children can interleave: sort by begin timestamp for exporters.
-    let begins: Vec<u64> = nodes.iter().map(|n| n.begin_ns).collect();
+    // children can interleave: sort into sibling order for exporters.
+    let keys: Vec<(u64, u64)> = nodes.iter().map(|n| (n.begin_ns, n.id)).collect();
     for n in &mut nodes {
-        n.children.sort_by_key(|&c| begins[c]);
+        n.children.sort_by_key(|&c| keys[c]);
     }
-    roots.sort_by_key(|&r| begins[r]);
+    roots.sort_by_key(|&r| keys[r]);
     Forest { nodes, roots }
 }
 
@@ -273,6 +281,30 @@ mod tests {
         assert_eq!(root.children.len(), 2);
         assert_eq!(root.wall_dur_ns(), 100);
         assert_eq!(f.longest_root(), Some(f.roots[0]));
+    }
+
+    #[test]
+    fn equal_begin_times_order_siblings_by_span_id() {
+        // Children 3 and 2 of root 1 begin at the same instant; 3's
+        // begin arrives first in the stream, yet 2 sorts first.
+        let d = dump(
+            &["root", "w"],
+            &[
+                ('B', 1, 0, 1, 0, 0),
+                ('B', 3, 1, 2, 1, 10),
+                ('E', 3, 0, 2, 1, 20),
+                ('B', 2, 1, 1, 1, 10),
+                ('E', 2, 0, 1, 1, 20),
+                ('E', 1, 0, 1, 0, 30),
+            ],
+        );
+        let f = validate_forest(&d).expect("well-formed");
+        let ids: Vec<u64> = f.nodes[f.roots[0]]
+            .children
+            .iter()
+            .map(|&c| f.nodes[c].id)
+            .collect();
+        assert_eq!(ids, [2, 3]);
     }
 
     #[test]

@@ -52,11 +52,6 @@ impl Gauge {
         self.value.store(v, Ordering::Relaxed);
     }
 
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
@@ -142,12 +137,6 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
-    }
-
-    /// Record a duration with microsecond resolution.
-    #[inline]
-    pub fn record_duration_us(&self, d: std::time::Duration) {
-        self.record(d.as_micros() as u64);
     }
 
     pub fn count(&self) -> u64 {

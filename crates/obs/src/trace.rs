@@ -478,13 +478,6 @@ impl TraceDump {
     pub fn name(&self, id: u32) -> &str {
         self.names.get(id as usize).map_or("?", String::as_str)
     }
-
-    pub fn thread_name(&self, tid: u32) -> &str {
-        self.threads
-            .iter()
-            .find(|(t, _)| *t == tid)
-            .map_or("?", |(_, n)| n.as_str())
-    }
 }
 
 /// Flush this thread's buffer into the sink. Worker threads flush

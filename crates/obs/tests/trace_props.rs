@@ -4,22 +4,23 @@
 //! random nesting depths, sim-clock advances, and instants mixed in —
 //! must always reconstruct a well-formed forest: every end matches an
 //! open begin of the same kind, and children nest within their parents
-//! on both the wall clock and the virtual clock.
+//! on both the wall clock and the virtual clock. Siblings come in time
+//! order, `(begin_ns, id)`, and the tree with timestamps and ids
+//! stripped does not depend on the schedule.
 //!
 //! These run in the integration-test process (not the lib tests)
 //! because they flip the process-global trace flag and drain the global
 //! sink; the [`TRACE_LOCK`] serializes the cases within this process.
 
+use fw_obs::{Forest, TraceDump};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
-/// Execute one program per worker thread under an enabled tracer and
-/// drain the resulting dump. Ops (per byte, mod 4): 0 = open a nested
-/// span, 1 = close the innermost open span, 2 = advance the sim clock,
-/// 3 = record an instant. Unclosed spans unwind LIFO at thread end.
-fn run_workers(programs: &[Vec<u8>]) -> fw_obs::TraceDump {
+/// Run `body` under an enabled tracer inside a `prop/root` span and
+/// drain the resulting dump. `body` gets the root's id as a fork edge.
+fn traced(body: impl FnOnce(u64)) -> TraceDump {
     let _serialize = TRACE_LOCK.lock().unwrap();
     fw_obs::trace_reset();
     fw_obs::set_trace_enabled(true);
@@ -27,6 +28,18 @@ fn run_workers(programs: &[Vec<u8>]) -> fw_obs::TraceDump {
         let root = fw_obs::trace_span("prop/root");
         let fork = root.id();
         assert_ne!(fork, 0, "tracing is on, root must be live");
+        body(fork);
+    }
+    fw_obs::set_trace_enabled(false);
+    fw_obs::drain_trace()
+}
+
+/// Execute one program per worker thread under an enabled tracer and
+/// drain the resulting dump. Ops (per byte, mod 4): 0 = open a nested
+/// span, 1 = close the innermost open span, 2 = advance the sim clock,
+/// 3 = record an instant. Unclosed spans unwind LIFO at thread end.
+fn run_workers(programs: &[Vec<u8>]) -> TraceDump {
+    traced(|fork| {
         let handles: Vec<_> = programs
             .iter()
             .cloned()
@@ -53,10 +66,50 @@ fn run_workers(programs: &[Vec<u8>]) -> fw_obs::TraceDump {
         for h in handles {
             h.join().unwrap();
         }
-        drop(root);
+    })
+}
+
+/// A span tree with timestamps and ids stripped: names, args and
+/// parent edges, children as an unordered (sorted) multiset.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Shape {
+    name: String,
+    arg: u64,
+    children: Vec<Shape>,
+}
+
+fn shape(dump: &TraceDump, forest: &Forest, idx: usize) -> Shape {
+    let node = &forest.nodes[idx];
+    let mut children: Vec<Shape> = node
+        .children
+        .iter()
+        .map(|&c| shape(dump, forest, c))
+        .collect();
+    children.sort();
+    Shape {
+        name: dump.name(node.name_id).to_string(),
+        arg: node.arg,
+        children,
     }
-    fw_obs::set_trace_enabled(false);
-    fw_obs::drain_trace()
+}
+
+fn forest_shape(dump: &TraceDump, forest: &Forest) -> Vec<Shape> {
+    let mut roots: Vec<Shape> = forest
+        .roots
+        .iter()
+        .map(|&r| shape(dump, forest, r))
+        .collect();
+    roots.sort();
+    roots
+}
+
+/// Every sibling list — roots and each node's children — is in
+/// ascending `(begin_ns, id)` order.
+fn siblings_in_time_order(forest: &Forest) -> bool {
+    let key = |i: usize| (forest.nodes[i].begin_ns, forest.nodes[i].id);
+    std::iter::once(&forest.roots)
+        .chain(forest.nodes.iter().map(|n| &n.children))
+        .all(|sibs| sibs.windows(2).all(|w| key(w[0]) < key(w[1])))
 }
 
 proptest! {
@@ -94,14 +147,37 @@ proptest! {
             .filter(|e| e.kind == fw_obs::TraceEventKind::End).count();
         prop_assert_eq!(begins, ends);
 
-        // Worker roots carry their worker index as the label and the
-        // fork edge as the parent.
-        for (w, &c) in root.children.iter().enumerate() {
+        // Siblings are in time order, not spawn order: concurrent
+        // workers may begin in any order.
+        prop_assert!(siblings_in_time_order(&forest));
+
+        // Worker roots hang off prop/root by the fork edge and carry
+        // their worker indices, each exactly once.
+        let mut args = Vec::new();
+        for &c in &root.children {
             let node = &forest.nodes[c];
             prop_assert_eq!(dump.name(node.name_id), "prop/worker");
-            prop_assert_eq!(node.arg, w as u64);
             prop_assert_eq!(node.parent, root.id);
+            args.push(node.arg);
         }
+        args.sort_unstable();
+        prop_assert_eq!(args, (0..programs.len() as u64).collect::<Vec<_>>());
+    }
+
+    /// The tree does not depend on the schedule: two runs of the same
+    /// programs give equal trees once timestamps and ids are stripped.
+    #[test]
+    fn same_programs_give_the_same_tree_under_any_schedule(
+        programs in proptest::collection::vec(
+            proptest::collection::vec(0u8..=255, 0..24),
+            1..6,
+        )
+    ) {
+        let first = run_workers(&programs);
+        let second = run_workers(&programs);
+        let a = fw_obs::validate_forest(&first).map_err(TestCaseError::Fail)?;
+        let b = fw_obs::validate_forest(&second).map_err(TestCaseError::Fail)?;
+        prop_assert_eq!(forest_shape(&first, &a), forest_shape(&second, &b));
     }
 
     /// The virtual clock is globally monotonic, so every span's sim
@@ -128,6 +204,30 @@ proptest! {
             }
         }
     }
+}
+
+/// Sibling order is begin order, not spawn order: worker 1 begins its
+/// span before worker 0 is allowed to, so it is the root's first child.
+#[test]
+fn siblings_follow_begin_order_not_spawn_order() {
+    let dump = traced(|fork| {
+        let (began, wait) = std::sync::mpsc::channel::<()>();
+        let w0 = std::thread::spawn(move || {
+            wait.recv().unwrap();
+            let _worker = fw_obs::trace_span_child_of(fork, "prop/worker", 0);
+        });
+        let w1 = std::thread::spawn(move || {
+            let _worker = fw_obs::trace_span_child_of(fork, "prop/worker", 1);
+            began.send(()).unwrap();
+        });
+        w0.join().unwrap();
+        w1.join().unwrap();
+    });
+    let forest = fw_obs::validate_forest(&dump).expect("well-formed");
+    let root = &forest.nodes[forest.roots[0]];
+    let args: Vec<u64> = root.children.iter().map(|&c| forest.nodes[c].arg).collect();
+    assert_eq!(args, [1, 0]);
+    assert!(siblings_in_time_order(&forest));
 }
 
 /// `fw_obs::span` emits trace events when tracing is on even with the

@@ -115,10 +115,6 @@ impl<B: PdnsBackend> ServeApi<B> {
         }
     }
 
-    pub fn state(&self) -> &ServeState<B> {
-        &self.state
-    }
-
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }

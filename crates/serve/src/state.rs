@@ -90,10 +90,6 @@ impl<B: PdnsBackend> ServeState<B> {
         &self.report
     }
 
-    pub fn backend(&self) -> &B {
-        &self.backend
-    }
-
     pub fn candidate_count(&self) -> usize {
         self.detections.len()
     }

@@ -120,10 +120,6 @@ impl SegmentBuilder {
         self.rows.is_empty()
     }
 
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     pub fn push(&mut self, fqdn: &Fqdn, rdata: &Rdata, day: DayStamp, cnt: u64) {
         if cnt == 0 {
             return;

@@ -2,7 +2,7 @@
 //!
 //! A small JSON summary of a daemon's progress — the watermark plus
 //! monotone counters — using the shared [`fw_types::Json`] value type.
-//! It is what the daemon exposes as a status endpoint and what the
+//! It is the daemon's status (`StreamDaemon::checkpoint`) and what the
 //! stream gate embeds in `BENCH_stream.json`; `from_json` exists so a
 //! supervisor can read a checkpoint back and verify resume invariants
 //! (watermark monotonicity, row-count continuity) without re-deriving

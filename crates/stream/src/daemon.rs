@@ -30,7 +30,7 @@ use fw_core::usage::{
 };
 use fw_dns::pdns::{PdnsBackend, PdnsRow, PdnsStore};
 use fw_obs::{counter_add, counter_inc, histogram_record, trace_span_arg};
-use fw_types::{DayStamp, Json};
+use fw_types::DayStamp;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -202,12 +202,6 @@ impl<B: PdnsBackend> StreamDaemon<B> {
             total_requests: self.engine.total_requests(),
             candidates: self.scorer.candidate_count(),
         }
-    }
-
-    /// Status document (the checkpoint as JSON) — what a supervisor
-    /// polls.
-    pub fn status_json(&self) -> Json {
-        self.checkpoint().to_json()
     }
 
     /// Read access to the absorbed backend.

@@ -48,11 +48,6 @@ impl DayStamp {
         MonthStamp { year: y, month: m }
     }
 
-    /// Number of days from `self` to `other` (positive if `other` is later).
-    pub fn days_until(self, other: DayStamp) -> i64 {
-        other.0 - self.0
-    }
-
     /// ISO-8601 `YYYY-MM-DD` rendering.
     pub fn iso(self) -> String {
         let (y, m, d) = self.ymd();

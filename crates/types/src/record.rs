@@ -1,15 +1,14 @@
 //! DNS record types and rdata as they appear in passive-DNS tuples.
 //!
 //! The paper's analysis (Table 2) distinguishes three resolution outcomes:
-//! A (rtype=1), CNAME (rtype=5) and AAAA (rtype=28). The wire codec in
-//! `fw-dns` supports a few more types; this module only carries the subset
-//! the measurement pipeline reasons about.
+//! A (rtype=1), CNAME (rtype=5) and AAAA (rtype=28). This module carries
+//! exactly that subset.
 
 use crate::Fqdn;
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
-/// DNS record type, with the numeric code used in PDNS `rtype` fields.
+/// DNS record type; each variant notes its PDNS `rtype` code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RecordType {
     /// IPv4 address record (rtype = 1).
@@ -18,29 +17,6 @@ pub enum RecordType {
     Cname,
     /// IPv6 address record (rtype = 28).
     Aaaa,
-}
-
-impl RecordType {
-    /// Numeric code as used in DNS wire format and PDNS dumps.
-    pub fn code(self) -> u16 {
-        match self {
-            RecordType::A => 1,
-            RecordType::Cname => 5,
-            RecordType::Aaaa => 28,
-        }
-    }
-
-    /// Parse from the numeric code.
-    pub fn from_code(code: u16) -> Option<Self> {
-        match code {
-            1 => Some(RecordType::A),
-            5 => Some(RecordType::Cname),
-            28 => Some(RecordType::Aaaa),
-            _ => None,
-        }
-    }
-
-    pub const ALL: [RecordType; 3] = [RecordType::A, RecordType::Cname, RecordType::Aaaa];
 }
 
 impl fmt::Display for RecordType {
@@ -141,17 +117,6 @@ impl fmt::Display for Rdata {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn codes_match_iana() {
-        assert_eq!(RecordType::A.code(), 1);
-        assert_eq!(RecordType::Cname.code(), 5);
-        assert_eq!(RecordType::Aaaa.code(), 28);
-        for t in RecordType::ALL {
-            assert_eq!(RecordType::from_code(t.code()), Some(t));
-        }
-        assert_eq!(RecordType::from_code(16), None);
-    }
 
     #[test]
     fn rdata_type_and_text() {

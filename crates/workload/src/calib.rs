@@ -138,10 +138,6 @@ pub const REQUEST_MIXTURE: [(f64, u64, u64); 5] = [
 pub const FRACTION_SINGLE_DAY: f64 = 0.8130;
 /// 83.94% active fewer than five days.
 pub const FRACTION_UNDER_5_DAYS: f64 = 0.8394;
-/// Mean lifespan target, days.
-pub const MEAN_LIFESPAN_DAYS: f64 = 21.44;
-/// 83.01% of functions have activity density p = 1.
-pub const FRACTION_DENSITY_ONE: f64 = 0.8301;
 
 /// Lifespan mixture: `(weight, lo_days, hi_days, contiguous)`.
 /// Contiguous lifespans have p = 1 (active every day).
@@ -158,10 +154,7 @@ pub const LIFESPAN_MIXTURE: [(f64, i64, i64, bool); 4] = [
 pub const FRACTION_UNREACHABLE: f64 = 0.0203;
 /// 19.12% of unreachable are DNS failures (all Tencent).
 pub const FRACTION_UNREACHABLE_DNS: f64 = 0.1912;
-/// 99.82% of reachable functions supported HTTPS.
-pub const FRACTION_HTTPS: f64 = 0.9982;
-/// Figure 6 top buckets (share of reachable functions).
-pub const FRACTION_404: f64 = 0.8931;
+/// Figure 6 buckets (share of reachable functions).
 pub const FRACTION_200: f64 = 0.0314;
 pub const FRACTION_502: f64 = 0.0282;
 pub const FRACTION_401: f64 = 0.0013;
@@ -230,22 +223,13 @@ pub const ABUSE_GEO_PROXY: AbuseCalib = AbuseCalib {
 /// EXPERIMENTS.md reports both.
 pub const ABUSE_TOTAL_FUNCTIONS: u64 = 594;
 pub const ABUSE_TOTAL_REQUESTS: u64 = 615_219;
-pub const ABUSE_TOTAL_REQUESTS_AS_PRINTED: u64 = 614_219;
 
-/// §5.2: gambling sites average 311.39 active days.
-pub const GAMBLING_MEAN_ACTIVE_DAYS: f64 = 311.39;
 /// §5.3: the largest resale group used one WeChat across 157 functions.
 pub const OPENAI_BIGGEST_GROUP: u64 = 157;
 /// §5.3: one group of 14 functions sold accounts outright.
 pub const OPENAI_ACCOUNT_GROUP: u64 = 14;
 /// §5.3: 28 distinct contact handles.
 pub const OPENAI_CONTACTS: u64 = 28;
-/// §5.4: geo-bypass composition — 61 OpenAI (14 front-ends + 47 relays),
-/// 1 GitHub, 4 VPN (+20 unspecified in the 86 total).
-pub const GEO_OPENAI_FRONTEND: u64 = 14;
-pub const GEO_OPENAI_RELAY: u64 = 47;
-pub const GEO_GITHUB: u64 = 1;
-pub const GEO_VPN: u64 = 4;
 
 // ---- Finding 5: sensitive-data exposure (item counts, full scale) ----
 
@@ -264,7 +248,6 @@ pub const SENSITIVE_TOTAL: u64 = 394;
 pub const MONTHS: usize = 24;
 
 /// Month index helpers for the annotated Figure 4 events.
-pub const MONTH_AWS_FUNCTION_URL: usize = 0; // Apr 2022 launch spike
 pub const MONTH_KINGSOFT_LAUNCH: usize = 4; // Aug 2022
 pub const MONTH_TENCENT_LAUNCH: usize = 16; // Aug 2023
 pub const MONTH_GOOGLE2_DEFAULT: usize = 16; // Aug 2023

@@ -11,7 +11,6 @@ use faaswild::cloud::platform::{CloudPlatform, DeploySpec, PlatformConfig};
 use faaswild::core::identify::identify_functions;
 use faaswild::dns::pdns::SharedPdns;
 use faaswild::dns::resolver::Resolver;
-use faaswild::dns::wire::{Message, QType};
 use faaswild::net::SimNet;
 use faaswild::types::{ProviderId, RecordType};
 use parking_lot::RwLock;
@@ -60,20 +59,6 @@ fn main() {
         // Flush so each day's first query reaches the authority again.
         r.flush_cache();
     }
-
-    // The resolver also answers real RFC 1035 wire queries.
-    let wire_query = Message::query(0xbeef, aws.fqdn.clone(), QType::A).encode();
-    let wire_resp = resolver
-        .write()
-        .serve_wire(&wire_query, fw_secs(6))
-        .expect("decodable query");
-    let decoded = Message::decode(&wire_resp).unwrap();
-    println!(
-        "wire query for {} -> {} answers, rcode {}\n",
-        aws.fqdn,
-        decoded.answers.len(),
-        decoded.flags.rcode
-    );
 
     // Explore the store like §3.2. (The guard must drop before any
     // further resolutions — the resolver's sensor locks this same store.)

@@ -8,7 +8,7 @@
 //!
 //! * [`types`] — shared vocabulary (providers, day stamps, domains, records)
 //! * [`pattern`] — the regex-lite engine behind Table 1's domain expressions
-//! * [`dns`] — DNS wire codec, authority zones, resolver and the PDNS store
+//! * [`dns`] — authority zones, the caching resolver and the PDNS store
 //! * [`net`] — in-memory simulated internet with fault injection
 //! * [`http`] — from-scratch HTTP/1.1 model, parser, client and server
 //! * [`cloud`] — the serverless platform simulator (nine providers)

@@ -5,14 +5,14 @@ use faaswild::cloud::behavior::Behavior;
 use faaswild::cloud::platform::{CloudPlatform, DeploySpec, PlatformConfig};
 use faaswild::dns::pdns::SharedPdns;
 use faaswild::dns::resolver::Resolver;
-use faaswild::dns::wire::{Message, QType, Rcode};
+use faaswild::dns::zone::Zone;
 use faaswild::http::client::{ClientConfig, HttpClient, SimDialer};
 use faaswild::http::url::Url;
 use faaswild::net::{FaultConfig, SimNet};
 use faaswild::probe::prober::{ProbeConfig, Prober};
-use faaswild::types::{ProviderId, Rdata, RecordType};
+use faaswild::types::{Fqdn, ProviderId, Rdata, RecordType};
 use parking_lot::RwLock;
-use std::net::{IpAddr, SocketAddr};
+use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -58,28 +58,49 @@ fn probe_resolutions_feed_pdns_and_identify() {
     assert_eq!(report.functions[0].provider, ProviderId::Google2);
 }
 
-/// Wire-format DNS against the platform's zones: an A query for a
-/// deployed Aliyun function returns the CNAME chain; a deleted Tencent
-/// function returns NXDOMAIN on the wire.
+/// The §3.5 gateway exclusion: a custom domain says nothing about its
+/// backend. `fn.api.examplecorp.com` CNAMEs to a deployed Google2
+/// function and `vm.api.examplecorp.com` is a plain A record; the
+/// sensor records both, and identification leaves both unidentified
+/// while the backend's own domain identifies as Google2.
 #[test]
-fn wire_dns_against_platform_zones() {
-    let (platform, _net, resolver, _pdns) = world();
-    let aliyun = platform
-        .deploy(DeploySpec::new(ProviderId::Aliyun, Behavior::EmptyOk))
+fn custom_domains_identify_alike_whatever_their_backend() {
+    let (platform, _net, resolver, pdns) = world();
+    let backend = platform
+        .deploy(DeploySpec::new(
+            ProviderId::Google2,
+            Behavior::JsonApi {
+                service: "faas".into(),
+            },
+        ))
         .unwrap();
-    let tencent = platform
-        .deploy(DeploySpec::new(ProviderId::Tencent, Behavior::EmptyOk))
-        .unwrap();
-    platform.delete(&tencent.fqdn);
+    let fq = |s: &str| Fqdn::parse(s).unwrap();
+    let via_function = fq("fn.api.examplecorp.com");
+    let via_vm = fq("vm.api.examplecorp.com");
+    let mut zone = Zone::new(fq("api.examplecorp.com"));
+    zone.add(via_function.clone(), Rdata::Name(backend.fqdn.clone()), 60);
+    zone.add(
+        via_vm.clone(),
+        Rdata::V4(Ipv4Addr::new(198, 51, 100, 80)),
+        60,
+    );
+    resolver.write().add_zone(zone);
 
-    let q = Message::query(9, aliyun.fqdn.clone(), QType::A).encode();
-    let resp = Message::decode(&resolver.write().serve_wire(&q, 0).unwrap()).unwrap();
-    assert_eq!(Rcode::from_code(resp.flags.rcode), Rcode::NoError);
-    assert!(resp.answers.len() >= 2, "cname chain: {:?}", resp.answers);
+    for name in [&via_function, &via_vm] {
+        resolver
+            .read()
+            .resolve_shared(name, RecordType::A, 0)
+            .unwrap();
+    }
 
-    let q = Message::query(10, tencent.fqdn.clone(), QType::A).encode();
-    let resp = Message::decode(&resolver.write().serve_wire(&q, 0).unwrap()).unwrap();
-    assert_eq!(Rcode::from_code(resp.flags.rcode), Rcode::NxDomain);
+    let store = pdns.lock();
+    let report = faaswild::core::identify::identify_functions(&*store);
+    for name in [&via_function, &via_vm] {
+        assert!(store.aggregate(name).is_some(), "{name} not sensed");
+        assert!(report.find(name).is_none(), "{name} identified");
+    }
+    let identified = report.find(&backend.fqdn).expect("backend identified");
+    assert_eq!(identified.provider, ProviderId::Google2);
 }
 
 /// The prober under an adverse network (smoltcp-style fault injection):
