@@ -14,8 +14,9 @@
 //! * [`parse`] — size limits, the typed [`HttpError`], and the
 //!   `Content-Length`-framing serializers.
 //! * [`client`] — request serialization + response reading with deadlines,
-//!   over any [`Dialer`] (simulated network or real TCP), with a
-//!   keep-alive slot that parks a connection together with its scratch.
+//!   over any [`Dialer`] (simulated network or real TCP). Requests go
+//!   out as pipelined *flights* of a rendered [`Batch`]; a keep-alive
+//!   slot parks a connection together with its scratch.
 //! * [`server`] — a per-connection serve loop with keep-alive semantics,
 //!   used by the cloud ingress nodes.
 //!
@@ -30,7 +31,7 @@ pub mod server;
 pub mod types;
 pub mod url;
 
-pub use client::{ClientConfig, Dialer, HttpClient, SimDialer, TcpDialer};
+pub use client::{Batch, ClientConfig, Dialer, HttpClient, SimDialer, TcpDialer};
 pub use fast::{FastRequest, FastResponse, Scratch};
 pub use parse::HttpError;
 pub use types::{HeaderMap, Method, Request, Response};

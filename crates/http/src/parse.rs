@@ -69,6 +69,13 @@ impl HttpError {
 /// Serialize a request (adds `Content-Length` when a body is present).
 pub fn write_request(conn: &mut dyn Connection, req: &Request) -> Result<(), HttpError> {
     let mut out = Vec::with_capacity(256 + req.body.len());
+    render_request(&mut out, req);
+    conn.write_all(&out)?;
+    Ok(())
+}
+
+/// Append the wire image [`write_request`] sends for `req` to `out`.
+pub(crate) fn render_request(out: &mut Vec<u8>, req: &Request) {
     out.extend_from_slice(req.method.as_str().as_bytes());
     out.push(b' ');
     out.extend_from_slice(req.target.as_bytes());
@@ -88,8 +95,6 @@ pub fn write_request(conn: &mut dyn Connection, req: &Request) -> Result<(), Htt
     }
     out.extend_from_slice(b"\r\n");
     out.extend_from_slice(&req.body);
-    conn.write_all(&out)?;
-    Ok(())
 }
 
 /// Serialize a response with `Content-Length` framing.

@@ -1,19 +1,21 @@
 //! Criterion benches for the C2-scan critical path (§5.1).
 //!
-//! `c2_scan_reuse_on` replays the full 26-signature corpus against a
-//! planted relay through the client's keep-alive slot (one dial per
-//! port); `c2_scan_reuse_off` sends the same probes with
-//! `Connection: close` on every request — the pre-keep-alive behavior,
-//! one dial and handshake per signature. `resolver_read_path` measures
-//! warm cache hits through `Resolver::resolve_shared` under the shard
-//! read lock.
+//! `c2_scan_pipelined` replays the full 26-signature corpus against a
+//! planted relay as one pipelined flight (one dial and one write, the
+//! way `C2Scanner::scan_one` sends it); `c2_scan_reuse_on` sends the
+//! same probes one `send` at a time through the client's keep-alive
+//! slot (one dial, one round trip per signature); `c2_scan_reuse_off`
+//! adds `Connection: close` to every request — the pre-keep-alive
+//! behavior, one dial and handshake per signature.
+//! `resolver_read_path` measures warm cache hits through
+//! `Resolver::resolve_shared` under the shard read lock.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use fw_abuse::c2::{corpus, relay_template};
 use fw_cloud::behavior::Behavior;
 use fw_cloud::platform::{CloudPlatform, DeploySpec, PlatformConfig};
 use fw_dns::resolver::Resolver;
-use fw_http::client::{ClientConfig, HttpClient, SimDialer};
+use fw_http::client::{Batch, ClientConfig, HttpClient, SimDialer};
 use fw_net::SimNet;
 use fw_probe::c2probe::C2Scanner;
 use fw_types::{Fqdn, ProviderId, Rdata, RecordType};
@@ -61,10 +63,11 @@ fn relay_addr(resolver: &Arc<RwLock<Resolver>>, fqdn: &Fqdn, port: u16) -> Socke
     SocketAddr::new(IpAddr::V4(ip), port)
 }
 
-/// Replay every corpus signature against one relay, with and without
-/// connection reuse. The request bodies are identical; "off" only adds
-/// `Connection: close`, which bypasses the keep-alive slot exactly like
-/// the old one-dial-per-probe client.
+/// Replay every corpus signature against one relay as one flight, one
+/// request at a time with connection reuse, and without it. The request
+/// bodies are identical; "off" only adds `Connection: close`, which
+/// bypasses the keep-alive slot exactly like the old one-dial-per-probe
+/// client.
 fn bench_corpus_replay(c: &mut Criterion) {
     let (platform, net, resolver) = world();
     let fqdn = deploy_relay(&platform, 0);
@@ -73,6 +76,20 @@ fn bench_corpus_replay(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("c2_corpus_replay");
     group.throughput(Throughput::Elements(sigs.len() as u64));
+    group.bench_function("c2_scan_pipelined", |b| {
+        b.iter(|| {
+            let client = HttpClient::new(SimDialer::new(net.clone()), ClientConfig::default());
+            let corpus: Batch = sigs
+                .iter()
+                .map(|sig| sig.probe.to_request(fqdn.as_str()))
+                .collect();
+            let ok = client
+                .flight(addr, fqdn.as_str(), true, &corpus)
+                .filter(Result::is_ok)
+                .count();
+            black_box(ok)
+        })
+    });
     group.bench_function("c2_scan_reuse_on", |b| {
         b.iter(|| {
             let client = HttpClient::new(SimDialer::new(net.clone()), ClientConfig::default());
@@ -104,7 +121,7 @@ fn bench_corpus_replay(c: &mut Criterion) {
 }
 
 /// End-to-end `scan_one` over a mixed population: the scanner resolves,
-/// dials once per port, and replays the corpus through keep-alive.
+/// dials once per port, and flies the corpus at it.
 fn bench_scan_one(c: &mut Criterion) {
     let (platform, net, resolver) = world();
     let relay = deploy_relay(&platform, 0);

@@ -9,7 +9,7 @@
 
 use fw_abuse::c2::{corpus, C2Fingerprint};
 use fw_dns::resolver::Resolver;
-use fw_http::client::{ClientConfig, FetchError, HttpClient, SimDialer};
+use fw_http::client::{Batch, ClientConfig, FetchError, HttpClient, SimDialer};
 use fw_net::SimNet;
 use fw_types::{Fqdn, Rdata, RecordType};
 use parking_lot::RwLock;
@@ -57,11 +57,13 @@ impl C2Scanner {
 
     /// Scan one domain with every signature; first hit wins.
     ///
-    /// The probe requests carry no `Connection: close`, so the client's
-    /// keep-alive slot replays all 26 signatures of a port over a single
-    /// connection: one dial (and TLS handshake) per port instead of one
-    /// per signature. A server that hangs up mid-corpus costs exactly
-    /// one transparent re-dial inside `send`.
+    /// The corpus is rendered once per domain and flown at each port as
+    /// one pipelined flight: one dial (and TLS handshake) and one write
+    /// per port instead of one round trip per signature. Responses are
+    /// matched in corpus order, so the first hit is the one a
+    /// one-request-at-a-time scan finds. A server that hangs up
+    /// mid-corpus costs exactly one fresh dial inside the flight, which
+    /// re-sends the signatures not yet answered.
     pub fn scan_one(&self, fqdn: &Fqdn) -> Option<C2Detection> {
         let _trace = fw_obs::trace_span("c2scan/domain");
         let addrs = self
@@ -81,12 +83,21 @@ impl C2Scanner {
                 ..ClientConfig::default()
             },
         );
+        let host = fqdn.as_str();
+        let corpus: Batch = self
+            .fingerprints
+            .iter()
+            .map(|sig| sig.probe.to_request(host))
+            .collect();
         // Ports 80 and 443, like the paper.
         for (port, tls) in [(443u16, true), (80u16, false)] {
             let addr = SocketAddr::new(IpAddr::V4(ip), port);
-            for sig in self.fingerprints {
-                let req = sig.probe.to_request(fqdn.as_str());
-                match client.send(addr, fqdn.as_str(), tls, &req) {
+            for (sig, outcome) in self
+                .fingerprints
+                .iter()
+                .zip(client.flight(addr, host, tls, &corpus))
+            {
+                match outcome {
                     Ok(resp) => {
                         if sig.matches(&resp) {
                             return Some(C2Detection {
@@ -161,7 +172,7 @@ impl C2Scanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fw_abuse::c2::relay_template;
+    use fw_abuse::c2::{relay_template, FAMILIES};
     use fw_cloud::behavior::Behavior;
     use fw_cloud::platform::{CloudPlatform, DeploySpec, PlatformConfig};
     use fw_types::ProviderId;
@@ -267,6 +278,119 @@ mod tests {
                 baseline,
                 "hit list must be schedule-independent (workers={workers})"
             );
+        }
+    }
+
+    /// `scan_one` one request at a time: every signature's probe
+    /// through `HttpClient::send`, first hit wins, a refused port moves
+    /// on to the next.
+    fn scan_one_by_one(
+        net: &SimNet,
+        resolver: &Arc<RwLock<Resolver>>,
+        timeout: Duration,
+        fqdn: &Fqdn,
+    ) -> Option<C2Detection> {
+        let answers = resolver
+            .read()
+            .resolve_shared(fqdn, RecordType::A, 0)
+            .ok()?;
+        let ip = answers.addresses().iter().find_map(|r| match r {
+            Rdata::V4(ip) => Some(*ip),
+            _ => None,
+        })?;
+        let client = HttpClient::new(
+            SimDialer::new(net.clone()),
+            ClientConfig {
+                read_timeout: timeout,
+                ..ClientConfig::default()
+            },
+        );
+        for (port, tls) in [(443u16, true), (80u16, false)] {
+            let addr = SocketAddr::new(IpAddr::V4(ip), port);
+            for sig in corpus() {
+                let req = sig.probe.to_request(fqdn.as_str());
+                match client.send(addr, fqdn.as_str(), tls, &req) {
+                    Ok(resp) if sig.matches(&resp) => {
+                        return Some(C2Detection {
+                            fqdn: fqdn.clone(),
+                            family: sig.family,
+                            signature_id: sig.signature_id,
+                        })
+                    }
+                    Ok(_) | Err(FetchError::Http(_)) => {}
+                    Err(FetchError::Dial(_)) => break,
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn detections_match_a_one_request_at_a_time_scan() {
+        let net = SimNet::new(17);
+        let resolver = Arc::new(RwLock::new(Resolver::new()));
+        let platform = CloudPlatform::new(
+            net.clone(),
+            resolver.clone(),
+            PlatformConfig {
+                hang_ms: 100,
+                ..PlatformConfig::default()
+            },
+        );
+        let mut domains: Vec<Fqdn> = (0..FAMILIES.len())
+            .map(|i| deploy_relay(&platform, i))
+            .collect();
+        for behavior in [
+            Behavior::JsonApi {
+                service: "api".into(),
+            },
+            Behavior::HtmlPage {
+                title: "page".into(),
+            },
+            Behavior::PathGated {
+                good_path: "/real".into(),
+            },
+            Behavior::AuthRequired,
+            Behavior::Crasher,
+            Behavior::InternalOnly,
+        ] {
+            let deployed = platform.deploy(DeploySpec::new(ProviderId::Aws, behavior));
+            domains.push(deployed.unwrap().fqdn);
+        }
+        // A deleted AWS function still resolves and answers "not found".
+        let deleted = platform
+            .deploy(DeploySpec::new(
+                ProviderId::Aws,
+                Behavior::JsonApi {
+                    service: "gone".into(),
+                },
+            ))
+            .unwrap()
+            .fqdn;
+        assert!(platform.delete(&deleted));
+        domains.push(deleted);
+
+        // The hanging function answers 504 within the longer timeout and
+        // times out under the shorter one.
+        for timeout in [Duration::from_millis(500), Duration::from_millis(50)] {
+            let scanner = C2Scanner::new(net.clone(), resolver.clone()).with_timeout(timeout);
+            {
+                // Scan from a clock-registered thread, as scan workers
+                // do. An unregistered caller leases a registration per
+                // connection instead, and the :443 connection parked
+                // idle in the client would then hold off the virtual
+                // time the hanging function needs on :80.
+                let _registered = net.clock().register().map(|r| r.activate());
+                for fqdn in &domains {
+                    assert_eq!(
+                        scanner.scan_one(fqdn),
+                        scan_one_by_one(&net, &resolver, timeout, fqdn),
+                        "{fqdn} at timeout {timeout:?}"
+                    );
+                }
+            }
+            let families: Vec<&str> = scanner.scan(&domains).iter().map(|h| h.family).collect();
+            assert_eq!(families, FAMILIES, "every relay, and nothing else");
         }
     }
 
