@@ -62,8 +62,10 @@ struct FamilyStats {
     p99_days: f64,
 }
 
-/// Join the scorer's detections against the world's abuse ground truth.
-fn family_table(world: &World, detections: &[Detection]) -> Vec<FamilyStats> {
+/// Join the scorer's detections against the world's abuse ground truth:
+/// the per-family table, and every flagged abuse function's latency in
+/// days, sorted.
+fn family_table(world: &World, detections: &[Detection]) -> (Vec<FamilyStats>, Vec<f64>) {
     let flagged: HashMap<&Fqdn, &Detection> = detections.iter().map(|d| (&d.fqdn, d)).collect();
     let mut latencies: HashMap<AbuseCase, Vec<f64>> = HashMap::new();
     let mut totals: HashMap<AbuseCase, usize> = HashMap::new();
@@ -80,7 +82,9 @@ fn family_table(world: &World, detections: &[Detection]) -> Vec<FamilyStats> {
                 .push(d.latency_us() as f64 / DAY_US as f64);
         }
     }
-    AbuseCase::ALL
+    let mut all: Vec<f64> = latencies.values().flatten().copied().collect();
+    all.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let families = AbuseCase::ALL
         .iter()
         .map(|&case| {
             let mut lats = latencies.remove(&case).unwrap_or_default();
@@ -93,7 +97,8 @@ fn family_table(world: &World, detections: &[Detection]) -> Vec<FamilyStats> {
                 p99_days: percentile(&lats, 99.0),
             }
         })
-        .collect()
+        .collect();
+    (families, all)
 }
 
 fn main() {
@@ -177,19 +182,7 @@ fn main() {
     );
 
     // Detection latency vs ground truth, overall and per abuse family.
-    let families = family_table(&world, &result.final_state.detections);
-    let mut all_lats: Vec<f64> = world
-        .abuse_functions()
-        .filter_map(|f| {
-            result
-                .final_state
-                .detections
-                .iter()
-                .find(|d| d.fqdn == f.fqdn)
-                .map(|d| d.latency_us() as f64 / DAY_US as f64)
-        })
-        .collect();
-    all_lats.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let (families, all_lats) = family_table(&world, &result.final_state.detections);
     let abuse_total: usize = families.iter().map(|f| f.total).sum();
     let abuse_detected = all_lats.len();
     let detect_p50_days = percentile(&all_lats, 50.0);

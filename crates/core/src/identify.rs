@@ -143,7 +143,7 @@ const PAR_CLASSIFY_MIN: usize = 64;
 /// path (batch wrappers) the day set is already collapsed into
 /// `days_count` and `days` stays empty — an engine is fed by one path
 /// or the other, never both.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct FnState {
     fqdn: Fqdn,
     provider: ProviderId,
@@ -231,11 +231,11 @@ enum Class {
 ///
 /// Feed it rows with [`apply_rows`](Self::apply_rows) (streaming) or
 /// whole aggregates with [`absorb_aggregates`](Self::absorb_aggregates)
-/// (batch wrappers); materialize an [`IdentificationReport`] at any
-/// point. Both paths share the classifier and the report shape, and
-/// every aggregate update commutes over rows, so final state depends
-/// only on the multiset of rows seen — not batching, ordering, or
-/// worker count.
+/// (batch wrappers), then consume it into an [`IdentificationReport`]
+/// with [`into_report`](Self::into_report). Both paths share the
+/// classifier and the report shape, and every aggregate update commutes
+/// over rows, so final state depends only on the multiset of rows seen
+/// — not batching, ordering, or worker count.
 #[derive(Debug)]
 pub struct IdentifyEngine {
     workers: usize,
@@ -429,12 +429,6 @@ impl IdentifyEngine {
         self.total_requests
     }
 
-    /// Materialize the batch-shaped report without consuming the
-    /// engine (functions sorted by fqdn, same as the sweep output).
-    pub fn report(&self) -> IdentificationReport {
-        self.clone_report(self.states.iter().map(|st| st.clone().into_identified()))
-    }
-
     /// Consume the engine into its final report.
     pub fn into_report(self) -> IdentificationReport {
         let unmatched = self.unmatched;
@@ -485,19 +479,6 @@ impl IdentifyEngine {
             functions,
             unmatched,
             total_requests,
-        }
-    }
-
-    fn clone_report(
-        &self,
-        functions: impl Iterator<Item = IdentifiedFunction>,
-    ) -> IdentificationReport {
-        let mut functions: Vec<IdentifiedFunction> = functions.collect();
-        functions.sort_unstable_by(|a, b| a.fqdn.cmp(&b.fqdn));
-        IdentificationReport {
-            functions,
-            unmatched: self.unmatched,
-            total_requests: self.total_requests,
         }
     }
 }

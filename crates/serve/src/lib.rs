@@ -5,10 +5,10 @@
 //! The pipeline's batch binaries answer one question per run; this
 //! crate turns the same state into an always-up read path:
 //!
-//! * [`state::ServeState`] — the queryable snapshot, built by replaying
-//!   the store's rows through the exact incremental components the
-//!   sensing daemon uses (`IdentifyEngine`, `UsageState`,
-//!   `CandidateScorer`), plus the pre-rendered figure documents;
+//! * [`state::ServeState`] — the queryable snapshot: the output of the
+//!   store's rows folded through the sensing daemon's
+//!   [`fw_stream::Measurement`], frozen behind point-lookup indexes
+//!   and pre-rendered figure documents;
 //! * [`api::ServeApi`] — request routing over `fw-http`, fronted by a
 //!   sharded in-memory LRU ([`cache::ShardedCache`]) keyed on the
 //!   request target, with per-endpoint latency histograms and trace

@@ -1,18 +1,16 @@
 //! The queryable serving snapshot.
 //!
-//! [`ServeState::build`] replays a backend's rows — in the canonical
-//! day order the streaming source uses — through the exact incremental
-//! components the sensing daemon runs (`IdentifyEngine` for verdicts,
-//! `UsageState` for the §4 tables, `CandidateScorer` for the abuse
-//! front-of-funnel), then freezes the result behind point-lookup
-//! indexes. Every response body is a pure function of this state, so
-//! the cache in front of the router can never serve a stale or
-//! divergent byte.
+//! [`ServeState::build`] folds a backend's rows — one batch per day, in
+//! the canonical order the streaming source uses — through the same
+//! [`Measurement`] the sensing daemon runs, then freezes its output
+//! behind point-lookup indexes and pre-rendered figure documents.
+//! Every response body is a pure function of this state, so the cache
+//! in front of the router can never serve a stale or divergent byte.
 
-use fw_core::identify::{IdentificationReport, IdentifyEngine};
-use fw_core::usage::{invocation_report, monthly_new_fqdns, IngressRow, MonthlySeries};
+use fw_core::identify::IdentificationReport;
+use fw_core::usage::{IngressRow, MonthlySeries};
 use fw_dns::pdns::PdnsBackend;
-use fw_stream::{collect_rows, day_batches, CandidateScorer, Detection, ScoreConfig};
+use fw_stream::{collect_rows, day_batches, Detection, Measurement, ScoreConfig};
 use fw_types::{Fqdn, Json, MonthStamp, ProviderId};
 use std::collections::{BTreeMap, HashMap};
 
@@ -29,46 +27,28 @@ pub struct ServeState<B: PdnsBackend> {
 }
 
 impl<B: PdnsBackend> ServeState<B> {
-    /// Build the snapshot by replaying `backend`'s rows through the
-    /// daemon's incremental components on `workers` threads.
+    /// Build the snapshot by folding `backend`'s day batches through a
+    /// [`Measurement`] classifying on `workers` threads.
     pub fn build(backend: B, workers: usize) -> ServeState<B> {
         let _span = fw_obs::span("serve/build");
-        let rows = collect_rows(&backend);
-        let store_rows = rows.len() as u64;
-        let mut engine = IdentifyEngine::with_workers(workers.max(1));
-        let mut usage = fw_core::usage::UsageState::new();
-        let mut scorer = CandidateScorer::new(ScoreConfig::default());
-        for batch in day_batches(&rows, 1) {
-            let changes = engine.apply_rows(&batch.rows);
-            for row in &batch.rows {
-                if let Some(provider) = engine.provider_of(&row.fqdn) {
-                    usage.apply(provider, row.rdata.rtype(), &row.rdata, row.day, row.cnt);
-                }
-            }
-            scorer.observe(&changes, batch.offset_us);
+        let batches = day_batches(&collect_rows(&backend), 1);
+        let store_rows = batches.iter().map(|b| b.rows.len() as u64).sum();
+        let mut measurement = Measurement::new(workers, ScoreConfig::default());
+        for batch in batches {
+            measurement.apply(&batch.rows, batch.offset_us);
         }
-        let report = engine.into_report();
+        let (usage, mut detections) = measurement.finish();
 
         let figures = vec![
-            (
-                "monthly_new",
-                series_json(&monthly_new_fqdns(&report)).render(),
-            ),
+            ("monthly_new", series_json(&usage.new_fqdns).render()),
             (
                 "monthly_requests",
-                series_json(&usage.monthly_series()).render(),
+                series_json(&usage.request_series).render(),
             ),
-            (
-                "ingress",
-                ingress_json(&usage.ingress_rows(&report)).render(),
-            ),
-            (
-                "invocation",
-                invocation_json(&invocation_report(&report)).render(),
-            ),
+            ("ingress", ingress_json(&usage.ingress).render()),
+            ("invocation", invocation_json(&usage.invocation).render()),
         ];
 
-        let mut detections = scorer.into_detections();
         detections.sort_by(|a, b| a.fqdn.cmp(&b.fqdn));
         let by_fqdn = detections
             .iter()
@@ -78,7 +58,7 @@ impl<B: PdnsBackend> ServeState<B> {
 
         ServeState {
             backend,
-            report,
+            report: usage.identification,
             detections,
             by_fqdn,
             store_rows,

@@ -52,6 +52,11 @@ fn same_seed_is_identical_across_worker_counts_and_reruns() {
     let wide = run(8);
     let wide_again = run(8);
     assert!(serial.requests >= 2_000, "every client issues >= 1 request");
+    // Pinned: the seed-7 scale-0.01 run's request count, response-byte
+    // digest and final virtual time.
+    assert_eq!(serial.requests, 4_047);
+    assert_eq!(format!("{:016x}", serial.digest), "600c20934205aaba");
+    assert_eq!(serial.virtual_us, 599_908_385);
     assert_eq!(
         fingerprint(&serial),
         fingerprint(&wide),

@@ -1,18 +1,15 @@
-//! The sensing daemon: incremental identify/usage state with an
-//! explicit watermark (DESIGN.md §14).
+//! The sensing daemon: a [`Measurement`] plus a store and an explicit
+//! watermark (DESIGN.md §14).
 //!
-//! One [`StreamDaemon`] owns the four pieces of always-on state:
+//! A [`StreamDaemon`] adds to the measurement state only what a
+//! long-lived process needs:
 //!
-//! 1. an [`IdentifyEngine`] fed row deltas (verdicts + cumulative
-//!    §3.2 aggregates),
-//! 2. a [`UsageState`] accumulating the §4 monthly/ingress tables for
-//!    rows the engine routes to identified functions,
-//! 3. the backing [`PdnsBackend`] (any implementation — the in-memory
+//! 1. the backing [`PdnsBackend`] (any implementation — the in-memory
 //!    store by default, the persistent `fw-store` engine for a durable
-//!    deployment), absorbing every row so the daemon can serve batch
-//!    sweeps and snapshots at any time,
-//! 4. a [`CandidateScorer`] re-scoring abuse candidates on each
-//!    batch's evidence.
+//!    deployment), absorbing every row before the measurement sees it,
+//! 2. the watermark and its batch/row/late-row counters, reported as a
+//!    [`Checkpoint`],
+//! 3. the `fw.stream.*` counters and the per-batch trace span.
 //!
 //! The watermark is the contract with the source: a batch stamped with
 //! watermark day `D` promises no further rows for days before `D` will
@@ -22,12 +19,10 @@
 //! disorder, which a production deployment would alert on.
 
 use crate::checkpoint::Checkpoint;
-use crate::score::{CandidateScorer, ScoreConfig};
-use fw_core::identify::{IdentificationReport, IdentifyEngine, VerdictChange};
-use fw_core::usage::{
-    ingress_table_with, invocation_report, monthly_new_fqdns, monthly_requests_with, IngressRow,
-    InvocationReport, MonthlySeries, UsageState,
-};
+use crate::measurement::Measurement;
+use crate::score::ScoreConfig;
+use fw_core::identify::IdentificationReport;
+use fw_core::usage::{IngressRow, InvocationReport, MonthlySeries};
 use fw_dns::pdns::{PdnsBackend, PdnsRow, PdnsStore};
 use fw_obs::{counter_add, counter_inc, histogram_record, trace_span_arg};
 use fw_types::DayStamp;
@@ -53,18 +48,6 @@ impl Default for StreamConfig {
     }
 }
 
-/// Outcome of one applied batch.
-#[derive(Debug, Clone)]
-pub struct BatchSummary {
-    /// Verdict deltas the batch produced (fqdn-sorted per group; see
-    /// [`IdentifyEngine::apply_rows`]).
-    pub changes: Vec<VerdictChange>,
-    /// Functions newly flagged as abuse candidates.
-    pub newly_flagged: u64,
-    /// Rows below the pre-batch watermark.
-    pub late_rows: u64,
-}
-
 /// Final materialized state of a finished daemon — field-for-field the
 /// shape of a batch `Pipeline::run_usage`, plus the streaming-only
 /// outputs (detections, checkpoint, the absorbed store).
@@ -82,10 +65,8 @@ pub struct DaemonFinal<B> {
 
 /// Long-lived incremental sensing state over any PDNS backend.
 pub struct StreamDaemon<B: PdnsBackend = PdnsStore> {
-    engine: IdentifyEngine,
-    usage: UsageState,
+    measurement: Measurement,
     store: B,
-    scorer: CandidateScorer,
     watermark_day: Option<DayStamp>,
     batches: u64,
     rows: u64,
@@ -104,10 +85,8 @@ impl<B: PdnsBackend> StreamDaemon<B> {
     /// persistent `fw-store` `DiskStore`).
     pub fn with_store(config: &StreamConfig, store: B) -> Self {
         StreamDaemon {
-            engine: IdentifyEngine::with_workers(config.workers),
-            usage: UsageState::new(),
+            measurement: Measurement::new(config.workers, config.score),
             store,
-            scorer: CandidateScorer::new(config.score),
             watermark_day: None,
             batches: 0,
             rows: 0,
@@ -118,17 +97,9 @@ impl<B: PdnsBackend> StreamDaemon<B> {
     /// Fold one batch in, stamped with its virtual arrival time.
     ///
     /// `watermark_day` is the day this batch closes; it must be
-    /// non-decreasing across calls (the source contract). Rows are
-    /// applied in one pass each to the backing store, the identify
-    /// engine, and — for rows of identified functions — the usage
-    /// state; the batch's verdict deltas then drive the candidate
-    /// scorer.
-    pub fn apply_batch(
-        &mut self,
-        watermark_day: DayStamp,
-        rows: &[PdnsRow],
-        now_us: u64,
-    ) -> BatchSummary {
+    /// non-decreasing across calls (the source contract). Rows go to
+    /// the backing store, then through [`Measurement::apply`].
+    pub fn apply_batch(&mut self, watermark_day: DayStamp, rows: &[PdnsRow], now_us: u64) {
         let _span = trace_span_arg("stream/batch", self.batches);
         if self
             .watermark_day
@@ -148,14 +119,9 @@ impl<B: PdnsBackend> StreamDaemon<B> {
             self.store
                 .observe_count(&row.fqdn, &row.rdata, row.day, row.cnt);
         }
-        let changes = self.engine.apply_rows(rows);
-        for row in rows {
-            if let Some(provider) = self.engine.provider_of(&row.fqdn) {
-                self.usage
-                    .apply(provider, row.rdata.rtype(), &row.rdata, row.day, row.cnt);
-            }
-        }
-        let newly_flagged = self.scorer.observe(&changes, now_us);
+        let before = self.measurement.checkpoint();
+        self.measurement.apply(rows, now_us);
+        let after = self.measurement.checkpoint();
 
         self.watermark_day = Some(match self.watermark_day {
             Some(w) => DayStamp(w.0.max(watermark_day.0)),
@@ -168,26 +134,13 @@ impl<B: PdnsBackend> StreamDaemon<B> {
         counter_inc!("fw.stream.batches");
         counter_add!("fw.stream.rows", rows.len() as u64);
         counter_add!("fw.stream.late_rows", late);
+        // Each first-seen fqdn gets exactly one verdict.
         counter_add!(
             "fw.stream.verdicts",
-            changes
-                .iter()
-                .filter(|c| {
-                    matches!(
-                        c,
-                        VerdictChange::Identified { .. } | VerdictChange::Unmatched { .. }
-                    )
-                })
-                .count() as u64
+            (after.identified + after.unmatched) - (before.identified + before.unmatched)
         );
-        counter_add!("fw.stream.candidates", newly_flagged);
+        counter_add!("fw.stream.candidates", after.candidates - before.candidates);
         histogram_record!("fw.stream.batch_rows", rows.len() as u64);
-
-        BatchSummary {
-            changes,
-            newly_flagged,
-            late_rows: late,
-        }
     }
 
     /// Current progress summary.
@@ -197,49 +150,25 @@ impl<B: PdnsBackend> StreamDaemon<B> {
             batches: self.batches,
             rows: self.rows,
             late_rows: self.late_rows,
-            identified: self.engine.function_count() as u64,
-            unmatched: self.engine.unmatched_count(),
-            total_requests: self.engine.total_requests(),
-            candidates: self.scorer.candidate_count(),
+            ..self.measurement.checkpoint()
         }
     }
 
-    /// Read access to the absorbed backend.
-    pub fn store(&self) -> &B {
-        &self.store
-    }
-
-    /// Consume the daemon into its final materialized reports. The
-    /// identification report and the §4 tables come straight out of
-    /// the incremental state — no sweep over the store — yet match a
-    /// batch sweep byte-for-byte (see [`crate::equiv`]).
+    /// Consume the daemon into its final materialized reports, straight
+    /// out of [`Measurement::finish`].
     pub fn finish(self) -> DaemonFinal<B> {
         let checkpoint = self.checkpoint();
-        let report = self.engine.into_report();
-        let request_series = self.usage.monthly_series();
-        let ingress = self.usage.ingress_rows(&report);
+        let (usage, detections) = self.measurement.finish();
         DaemonFinal {
-            new_fqdns: monthly_new_fqdns(&report),
-            invocation: invocation_report(&report),
-            request_series,
-            ingress,
-            detections: self.scorer.into_detections(),
+            report: usage.identification,
+            new_fqdns: usage.new_fqdns,
+            request_series: usage.request_series,
+            ingress: usage.ingress,
+            invocation: usage.invocation,
+            detections,
             checkpoint,
             store: self.store,
-            report,
         }
-    }
-
-    /// Materialize the §4 tables by sweeping the backing store with
-    /// the *batch* code path (provided-method sweeps over aggregates).
-    /// Only used by tests/tools to cross-check the incremental state;
-    /// the daemon itself never re-sweeps.
-    pub fn sweep_usage(&self, workers: usize) -> (MonthlySeries, Vec<IngressRow>) {
-        let report = self.engine.report();
-        (
-            monthly_requests_with(&report, &self.store, workers),
-            ingress_table_with(&report, &self.store, workers),
-        )
     }
 }
 
@@ -277,7 +206,7 @@ mod tests {
         );
         assert_eq!(d.checkpoint().watermark_day, Some(DayStamp(19_100)));
         // A batch with one on-time and one late row.
-        let summary = d.apply_batch(
+        d.apply_batch(
             DayStamp(19_101),
             &[
                 row("a1b2c3d4e5f6.lambda-url.us-east-1.on.aws", 1, 19_101, 2),
@@ -285,7 +214,6 @@ mod tests {
             ],
             DAY_US_TEST,
         );
-        assert_eq!(summary.late_rows, 1);
         let cp = d.checkpoint();
         assert_eq!(cp.watermark_day, Some(DayStamp(19_101)));
         assert_eq!(cp.batches, 2);
@@ -319,10 +247,8 @@ mod tests {
         for (i, r) in rows.iter().enumerate() {
             d.apply_batch(r.day, std::slice::from_ref(r), i as u64 * DAY_US_TEST);
         }
-        let (swept_months, swept_ingress) = d.sweep_usage(1);
         let fin = d.finish();
-        assert_eq!(fin.request_series, swept_months);
-        assert_eq!(fin.ingress, swept_ingress);
+        crate::check_equivalence(&fin, &fin.store, 1).unwrap();
         assert_eq!(fin.report.unmatched, 1);
     }
 }

@@ -12,6 +12,7 @@ use fw_store::{DiskStore, StoreConfig};
 use fw_stream::{
     check_equivalence, collect_rows, day_batches, replay, DaemonFinal, StreamConfig, StreamDaemon,
 };
+use fw_types::fnv::{fnv1a, fold, update};
 use fw_workload::{World, WorldConfig};
 
 fn usage_world(scale: f64) -> World {
@@ -37,27 +38,68 @@ fn daemon_run(world: &World, batches_per_day: u32, workers: usize) -> DaemonFina
     daemon.finish()
 }
 
-fn check_matrix(scale: f64) {
+/// Digest of the checkpoint and of every detection with its virtual
+/// timestamps (perfbench's `stream_hourly` end-state recipe), the part
+/// of a finished daemon `check_equivalence` does not compare.
+fn state_digest(fin: &DaemonFinal<PdnsStore>) -> u64 {
+    let cp = &fin.checkpoint;
+    let mut h = fnv1a(b"perfbench-stream-v1");
+    for v in [
+        cp.watermark_day.map_or(0, |d| d.0 as u64),
+        cp.batches,
+        cp.rows,
+        cp.late_rows,
+        cp.identified,
+        cp.unmatched,
+        cp.total_requests,
+        cp.candidates,
+    ] {
+        h = fold(h, v);
+    }
+    for d in &fin.detections {
+        h = update(h, d.fqdn.as_str().as_bytes());
+        h = fold(h, d.provider as u64);
+        h = fold(fold(h, d.first_seen_us), d.flagged_us);
+    }
+    h
+}
+
+/// Runs every granularity at 1 and 8 workers. `pinned` holds the
+/// scale-0.01, seed-42 end-state digest per batches-per-day; with it
+/// the row and detection counts are pinned too.
+fn check_matrix(scale: f64, pinned: Option<[u64; 3]>) {
     let world = usage_world(scale);
-    for batches_per_day in [1u32, 4, 24] {
+    for (i, batches_per_day) in [1u32, 4, 24].into_iter().enumerate() {
         for workers in [1usize, 8] {
             let fin = daemon_run(&world, batches_per_day, workers);
             check_equivalence(&fin, &world.pdns, workers).unwrap_or_else(|e| {
                 panic!("scale {scale} bpd {batches_per_day} workers {workers}: {e}")
             });
+            if let Some(pinned) = pinned {
+                assert_eq!(fin.checkpoint.rows, 90_642);
+                assert_eq!(fin.detections.len(), 960);
+                assert_eq!(
+                    format!("{:016x}", state_digest(&fin)),
+                    format!("{:016x}", pinned[i]),
+                    "scale {scale} bpd {batches_per_day} workers {workers}: end state digest"
+                );
+            }
         }
     }
 }
 
 #[test]
 fn daemon_matches_batch_at_scale_001_all_granularities_and_workers() {
-    check_matrix(0.01);
+    check_matrix(
+        0.01,
+        Some([0x606e4eaee6357a05, 0x3f9b5a75b70a85b0, 0x15ad31bdc33870ac]),
+    );
 }
 
 #[test]
 #[ignore = "scale-0.1 matrix; run in release via CI (cargo test --release -- --ignored)"]
 fn daemon_matches_batch_at_scale_01_all_granularities_and_workers() {
-    check_matrix(0.1);
+    check_matrix(0.1, None);
 }
 
 /// The full wire path — frames over a simulated network in virtual
