@@ -1,10 +1,10 @@
 //! Criterion benches for the data-parallel analysis stages: the
-//! sensitive-data scan fanned out through `par_map_indexed` (serial vs.
+//! sensitive-data scan fanned out through `par_map` (serial vs.
 //! 8 workers over the same corpus) and the TF-IDF vectorization split.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use fw_abuse::sensitive::SensitiveScanner;
-use fw_analysis::par_map_indexed;
+use fw_analysis::par_map;
 use fw_analysis::text::TfIdf;
 
 /// A synthetic response corpus with sensitive tokens sprinkled in, so
@@ -32,7 +32,9 @@ fn bench_sensitive_scan(c: &mut Criterion) {
     for workers in [1usize, 8] {
         group.bench_function(&format!("workers_{workers}"), |b| {
             b.iter(|| {
-                let out = par_map_indexed(&docs, workers, |_, d| scanner.scan_and_anonymize(d));
+                let out = par_map(&docs, workers, "", None, |_, d| {
+                    scanner.scan_and_anonymize(d)
+                });
                 black_box(out.len())
             })
         });

@@ -79,7 +79,7 @@ pub fn cluster_corpus<S: AsRef<str> + Sync>(docs: &[S], params: &ClusterParams) 
 }
 
 /// [`cluster_corpus`] with TF-IDF vectorization fanned out over
-/// `workers` threads (`crate::par::par_map_indexed`) — output is
+/// `workers` threads (`crate::par::par_map`) — output is
 /// identical at any worker count; dedup and the clustering proper stay
 /// serial.
 pub fn cluster_corpus_par<S: AsRef<str> + Sync>(

@@ -166,14 +166,16 @@ impl TfIdf {
     /// transform stage is a pure per-document function of the fitted
     /// model (and `SparseVec::from_pairs` sorts by term index before
     /// normalizing, so each vector's float operations run in a fixed
-    /// order) — `par_map_indexed` therefore returns bit-identical
-    /// vectors to the serial loop at any worker count.
+    /// order) — `par_map` therefore returns bit-identical vectors to the
+    /// serial loop at any worker count.
     pub fn fit_transform_par<S: AsRef<str> + Sync>(
         corpus: &[S],
         workers: usize,
     ) -> (TfIdf, Vec<SparseVec>) {
         let model = TfIdf::fit(corpus);
-        let vecs = crate::par::par_map_indexed(corpus, workers, |_, d| model.transform(d.as_ref()));
+        let vecs = crate::par::par_map(corpus, workers, "", None, |_, d| {
+            model.transform(d.as_ref())
+        });
         (model, vecs)
     }
 }

@@ -28,6 +28,7 @@
 //! against the committed baseline.
 
 use crate::gate::peak_rss_kb;
+use fw_analysis::par::fork;
 use fw_core::identify::{classify_fqdn, IdentificationReport, IdentifyEngine};
 use fw_core::usage::{usage_sampled, IngressRow, MonthlySeries, SampledUsage, UsageState};
 use fw_dns::pdns::{FqdnAggregate, PdnsBackend as _};
@@ -150,78 +151,63 @@ pub fn run_fused(
     let track_usage = opts.sample.is_none();
     let engine = Mutex::new(IdentifyEngine::batch(1));
     let last_seal_ns = AtomicU64::new(0);
-    let fork = fw_obs::current_trace_span();
 
-    let parts: Vec<WorkerPart> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let store = &store;
-                let engine = &engine;
-                let last_seal_ns = &last_seal_ns;
-                scope.spawn(move || {
-                    let _trace = fw_obs::trace_span_child_of(fork, "fused/seal_analyze", w as u64);
-                    let mut worker_fnv = 0u64;
-                    let mut worker_usage = UsageState::new();
-                    let mut worker_stats = Vec::new();
-                    for shard in (w..shard_count).step_by(workers) {
-                        store.seal_shard(shard)?;
-                        last_seal_ns.fetch_max(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        worker_stats.push(store.shard_stats(shard));
-                        if track_usage {
-                            // The scan re-reads the sealed segment
-                            // from disk; the table is dead weight.
-                            store.release_shard_table(shard);
-                        }
-                        let acc = RefCell::new(ScanAcc {
-                            cur: None,
-                            rows_fnv: 0,
-                            track_usage,
-                            usage: UsageState::new(),
-                            batch: Vec::new(),
-                        });
-                        scan_shard_visit(
-                            store.dir(),
-                            shard,
-                            &mut |agg| {
-                                let mut a = acc.borrow_mut();
-                                let verdict = match &a.cur {
-                                    Some((f, v)) if *f == agg.fqdn => v.clone(),
-                                    _ => classify_fqdn(&agg.fqdn),
-                                };
-                                a.batch.push((agg, verdict));
-                            },
-                            Some(&mut |fqdn, rdata, day, cnt| {
-                                let mut a = acc.borrow_mut();
-                                if a.cur.as_ref().is_none_or(|(f, _)| f != fqdn) {
-                                    a.cur = Some((fqdn.clone(), classify_fqdn(fqdn)));
-                                }
-                                // The `pdns_content_hash` term of this row.
-                                let k = row_key_hash(fqdn, rdata, day);
-                                a.rows_fnv = a.rows_fnv.wrapping_add(k.wrapping_mul(cnt));
-                                if a.track_usage {
-                                    if let Some((_, Some((provider, _)))) = &a.cur {
-                                        let provider = *provider;
-                                        a.usage.apply(provider, rdata.rtype(), rdata, day, cnt);
-                                    }
-                                }
-                            }),
-                        )?;
-                        let acc = acc.into_inner();
-                        worker_fnv = worker_fnv.wrapping_add(acc.rows_fnv);
-                        worker_usage.merge(acc.usage);
-                        let mut engine = engine.lock();
-                        for (agg, verdict) in acc.batch {
-                            engine.absorb_classified(agg, verdict);
+    let parts: Vec<WorkerPart> = fork(workers, "fused/seal_analyze", None, |w| {
+        let mut worker_fnv = 0u64;
+        let mut worker_usage = UsageState::new();
+        let mut worker_stats = Vec::new();
+        for shard in (w..shard_count).step_by(workers) {
+            store.seal_shard(shard)?;
+            last_seal_ns.fetch_max(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            worker_stats.push(store.shard_stats(shard));
+            if track_usage {
+                // The scan re-reads the sealed segment from disk; the
+                // table is dead weight.
+                store.release_shard_table(shard);
+            }
+            let acc = RefCell::new(ScanAcc {
+                cur: None,
+                rows_fnv: 0,
+                track_usage,
+                usage: UsageState::new(),
+                batch: Vec::new(),
+            });
+            scan_shard_visit(
+                store.dir(),
+                shard,
+                &mut |agg| {
+                    let mut a = acc.borrow_mut();
+                    let verdict = match &a.cur {
+                        Some((f, v)) if *f == agg.fqdn => v.clone(),
+                        _ => classify_fqdn(&agg.fqdn),
+                    };
+                    a.batch.push((agg, verdict));
+                },
+                Some(&mut |fqdn, rdata, day, cnt| {
+                    let mut a = acc.borrow_mut();
+                    if a.cur.as_ref().is_none_or(|(f, _)| f != fqdn) {
+                        a.cur = Some((fqdn.clone(), classify_fqdn(fqdn)));
+                    }
+                    // The `pdns_content_hash` term of this row.
+                    let k = row_key_hash(fqdn, rdata, day);
+                    a.rows_fnv = a.rows_fnv.wrapping_add(k.wrapping_mul(cnt));
+                    if a.track_usage {
+                        if let Some((_, Some((provider, _)))) = &a.cur {
+                            let provider = *provider;
+                            a.usage.apply(provider, rdata.rtype(), rdata, day, cnt);
                         }
                     }
-                    Ok((worker_fnv, worker_usage, worker_stats))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("seal/analyze workers do not panic"))
-            .collect()
+                }),
+            )?;
+            let acc = acc.into_inner();
+            worker_fnv = worker_fnv.wrapping_add(acc.rows_fnv);
+            worker_usage.merge(acc.usage);
+            let mut engine = engine.lock();
+            for (agg, verdict) in acc.batch {
+                engine.absorb_classified(agg, verdict);
+            }
+        }
+        Ok((worker_fnv, worker_usage, worker_stats))
     });
 
     let mut rows_fnv = 0u64;

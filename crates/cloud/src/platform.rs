@@ -809,7 +809,7 @@ mod tests {
 
     fn resolve_v4(resolver: &Arc<RwLock<Resolver>>, fqdn: &Fqdn) -> Ipv4Addr {
         let res = resolver
-            .write()
+            .read()
             .resolve(fqdn, RecordType::A, 0)
             .expect("resolvable");
         match res.addresses().first().expect("has address") {
@@ -862,7 +862,7 @@ mod tests {
                 },
             ))
             .unwrap();
-        let res = resolver.write().resolve(&d.fqdn, RecordType::A, 0).unwrap();
+        let res = resolver.read().resolve(&d.fqdn, RecordType::A, 0).unwrap();
         // Chain: function CNAME → ingress A.
         assert!(res.answers[0].1.rtype() == RecordType::Cname);
         assert!(!res.addresses().is_empty());
@@ -877,7 +877,7 @@ mod tests {
         let d = platform
             .deploy(DeploySpec::new(ProviderId::Baidu, Behavior::EmptyOk))
             .unwrap();
-        let res = resolver.write().resolve(&d.fqdn, RecordType::A, 0).unwrap();
+        let res = resolver.read().resolve(&d.fqdn, RecordType::A, 0).unwrap();
         let cname = res
             .answers
             .iter()
@@ -907,7 +907,7 @@ mod tests {
 
         // Tencent: NXDOMAIN.
         let err = resolver
-            .write()
+            .read()
             .resolve(&t.fqdn, RecordType::A, 10_000)
             .unwrap_err();
         assert_eq!(err, fw_dns::ResolveError::NxDomain);

@@ -20,7 +20,7 @@ use fw_abuse::sensitive::{SensitiveKind, SensitiveScanner};
 use fw_abuse::threatintel::{ThreatIntel, UrlReputation, UrlVerdict};
 use fw_analysis::cluster::{cluster_corpus_par, ClusterParams};
 use fw_analysis::content::ContentType;
-use fw_analysis::par::par_map_named;
+use fw_analysis::par::par_map;
 use fw_dns::pdns::PdnsBackend;
 use fw_dns::resolver::Resolver;
 use fw_http::types::Response;
@@ -154,14 +154,15 @@ pub fn abuse_scan<B: PdnsBackend + ?Sized>(
 
     // 2. Sensitive scan + anonymization before any analysis. The
     // per-document scan is a pure function, so it fans out over
-    // `par_map_named`; counts are then merged serially in input order
+    // `par_map`; counts are then merged serially in input order
     // — identical to the old serial loop at any worker count.
     let sensitive_span = fw_obs::span("sensitive");
     let scanner = SensitiveScanner::new(&config.salt);
-    let scanned = par_map_named(
+    let scanned = par_map(
         &corpus,
         config.workers,
         "abuse/sensitive",
+        None,
         |_, (_, resp)| scanner.scan_and_anonymize(&resp.body_text()),
     );
     let mut sensitive: HashMap<SensitiveKind, u64> = HashMap::new();
@@ -180,10 +181,11 @@ pub fn abuse_scan<B: PdnsBackend + ?Sized>(
     // 3. Content typing + per-type clustering. Classification is
     // per-document pure, merged in index order.
     let cluster_span = fw_obs::span("cluster");
-    let types = par_map_named(
+    let types = par_map(
         &sanitized,
         config.workers,
         "abuse/classify",
+        None,
         |_, (_, resp)| ContentType::classify(&resp.body_text(), resp.headers.get("content-type")),
     );
     let mut content_mix: HashMap<ContentType, u64> = HashMap::new();

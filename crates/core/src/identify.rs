@@ -14,7 +14,7 @@
 //! engine from the backend's per-fqdn aggregates — so a daemon's final
 //! state is provably identical to a batch run over the same rows.
 
-use fw_analysis::par::{default_workers, par_map_named};
+use fw_analysis::par::{default_workers, par_map};
 use fw_cloud::formats::{all_formats, identify, identify_with_region};
 use fw_dns::pdns::{FqdnAggregate, PdnsBackend, PdnsRow};
 use fw_types::{DayStamp, Fqdn, ProviderId, Rdata};
@@ -78,7 +78,7 @@ impl IdentificationReport {
     }
 
     /// Point lookup by fqdn. `functions` is sorted by fqdn (both
-    /// [`IdentifyEngine::report`] and the batch sweep guarantee it), so
+    /// [`IdentifyEngine::into_report`] and the batch sweep guarantee it), so
     /// the serving read path can binary-search instead of scanning.
     pub fn find(&self, fqdn: &Fqdn) -> Option<&IdentifiedFunction> {
         debug_assert!(self.functions.windows(2).all(|w| w[0].fqdn <= w[1].fqdn));
@@ -134,7 +134,7 @@ pub fn classify_fqdn(fqdn: &Fqdn) -> Option<(ProviderId, Option<String>)> {
 
 /// Classification fans out to worker threads only above this many new
 /// fqdns per batch; tiny streaming batches run inline. Purely a
-/// scheduling choice — `par_map_named` is order-identical to serial, so
+/// scheduling choice — `par_map` is order-identical to serial, so
 /// results never depend on it.
 const PAR_CLASSIFY_MIN: usize = 64;
 
@@ -300,7 +300,7 @@ impl IdentifyEngine {
 
         let verdicts: Vec<Option<(ProviderId, Option<String>)>> =
             if fresh.len() >= PAR_CLASSIFY_MIN && self.workers > 1 {
-                par_map_named(&fresh, self.workers, "identify/verdicts", |_, f| {
+                par_map(&fresh, self.workers, "identify/verdicts", None, |_, f| {
                     classify(f)
                 })
             } else {
@@ -365,7 +365,7 @@ impl IdentifyEngine {
     /// are emitted (the batch wrappers go straight to the report).
     pub fn absorb_aggregates(&mut self, aggs: Vec<FqdnAggregate>) {
         let verdicts: Vec<Option<(ProviderId, Option<String>)>> =
-            par_map_named(&aggs, self.workers, "identify/verdicts", |_, agg| {
+            par_map(&aggs, self.workers, "identify/verdicts", None, |_, agg| {
                 classify(&agg.fqdn)
             });
         for (agg, verdict) in aggs.into_iter().zip(verdicts) {

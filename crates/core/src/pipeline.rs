@@ -67,36 +67,19 @@ impl Pipeline {
     /// §4 analyses only (passive data, no probing).
     pub fn run_usage<B: PdnsBackend + ?Sized>(pdns: &B) -> UsageReport {
         let _pipeline = fw_obs::span("pipeline");
-        let identification = {
-            let _s = fw_obs::span("identify");
-            identify_functions(pdns)
-        };
-        let _s = fw_obs::span("usage");
-        UsageReport {
-            new_fqdns: monthly_new_fqdns(&identification),
-            request_series: monthly_requests(&identification, pdns),
-            ingress: ingress_table(&identification, pdns),
-            invocation: invocation_report(&identification),
-            identification,
-        }
+        usage_half(pdns)
     }
 
     /// The full §3–§5 pipeline.
     pub fn run<B: PdnsBackend + ?Sized>(&self, pdns: &B, config: &PipelineConfig) -> FullReport {
         let _pipeline = fw_obs::span("pipeline");
-        let identification = {
-            let _s = fw_obs::span("identify");
-            identify_functions(pdns)
-        };
-        let (new_fqdns, request_series, ingress, invocation) = {
-            let _s = fw_obs::span("usage");
-            (
-                monthly_new_fqdns(&identification),
-                monthly_requests(&identification, pdns),
-                ingress_table(&identification, pdns),
-                invocation_report(&identification),
-            )
-        };
+        let UsageReport {
+            identification,
+            new_fqdns,
+            request_series,
+            ingress,
+            invocation,
+        } = usage_half(pdns);
 
         let probe_records = {
             let _s = fw_obs::span("probe");
@@ -133,6 +116,23 @@ impl Pipeline {
             status,
             abuse,
         }
+    }
+}
+
+/// Identification and the four usage tables, under the `identify` and
+/// `usage` stage spans of the caller's `pipeline` span.
+fn usage_half<B: PdnsBackend + ?Sized>(pdns: &B) -> UsageReport {
+    let identification = {
+        let _s = fw_obs::span("identify");
+        identify_functions(pdns)
+    };
+    let _s = fw_obs::span("usage");
+    UsageReport {
+        new_fqdns: monthly_new_fqdns(&identification),
+        request_series: monthly_requests(&identification, pdns),
+        ingress: ingress_table(&identification, pdns),
+        invocation: invocation_report(&identification),
+        identification,
     }
 }
 

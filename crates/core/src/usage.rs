@@ -8,13 +8,14 @@
 //! materializers, so their outputs are identical for the same rows.
 
 use crate::identify::{IdentificationReport, IdentifiedFunction};
-use fw_analysis::par::{default_workers, par_map_named};
+use fw_analysis::par::{default_workers, par_map};
 use fw_analysis::stats;
 use fw_dns::pdns::PdnsBackend;
 use fw_types::fnv::FnvBuildHasher;
 use fw_types::{
     DayStamp, MonthStamp, ProviderId, Rdata, RecordType, MEASUREMENT_END, MEASUREMENT_START,
 };
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -26,6 +27,42 @@ use std::ops::Range;
 fn function_chunks(n: usize, workers: usize) -> Vec<Range<usize>> {
     let w = workers.clamp(1, n.max(1));
     (0..w).map(|i| (n * i / w)..(n * (i + 1) / w)).collect()
+}
+
+/// The batch usage sweep: fold every row of `functions` into a state
+/// built by `new_state`. Each worker visits one contiguous function
+/// chunk through [`PdnsBackend::for_each_record_of`] (rather than
+/// scanning every row in the store against an fqdn map), and the
+/// partial states merge commutatively, so the result is worker-count
+/// invariant.
+fn sweep_functions<B, F>(
+    functions: &[F],
+    pdns: &B,
+    workers: usize,
+    label: &str,
+    new_state: fn() -> UsageState,
+) -> UsageState
+where
+    B: PdnsBackend + ?Sized,
+    F: Borrow<IdentifiedFunction> + Sync,
+{
+    let chunks = function_chunks(functions.len(), workers);
+    let parts = par_map(&chunks, workers, label, None, |_, range| {
+        let mut part = new_state();
+        for f in &functions[range.clone()] {
+            let f = f.borrow();
+            part.touch_ingress(f.provider);
+            pdns.for_each_record_of(&f.fqdn, &mut |rtype, rdata, pdate, cnt| {
+                part.apply(f.provider, rtype, rdata, pdate, cnt);
+            });
+        }
+        part
+    });
+    let mut state = new_state();
+    for part in parts {
+        state.merge(part);
+    }
+    state
 }
 
 /// Figure 3/4 series: per-month values for one provider (or the total).
@@ -296,31 +333,21 @@ pub fn monthly_requests<B: PdnsBackend + ?Sized>(
     monthly_requests_with(report, pdns, default_workers())
 }
 
-/// [`monthly_requests`] with an explicit worker count. Rather than
-/// scanning every row in the store and filtering against an fqdn map,
-/// each worker visits only its own functions' rows through
-/// [`PdnsBackend::for_each_record_of`]; per-month sums are commutative,
-/// so merging the partials is worker-count invariant.
+/// [`monthly_requests`] with an explicit worker count: one
+/// function-chunk sweep whose per-month sums merge commutatively.
 pub fn monthly_requests_with<B: PdnsBackend + ?Sized>(
     report: &IdentificationReport,
     pdns: &B,
     workers: usize,
 ) -> MonthlySeries {
-    let chunks = function_chunks(report.functions.len(), workers);
-    let parts: Vec<UsageState> = par_map_named(&chunks, workers, "usage/monthly", |_, range| {
-        let mut part = UsageState::monthly_only();
-        for f in &report.functions[range.clone()] {
-            pdns.for_each_record_of(&f.fqdn, &mut |rtype, rdata, pdate, cnt| {
-                part.apply(f.provider, rtype, rdata, pdate, cnt);
-            });
-        }
-        part
-    });
-    let mut state = UsageState::monthly_only();
-    for part in parts {
-        state.merge(part);
-    }
-    state.monthly_series()
+    sweep_functions(
+        &report.functions,
+        pdns,
+        workers,
+        "usage/monthly",
+        UsageState::monthly_only,
+    )
+    .monthly_series()
 }
 
 /// Table 2 row computed from the measured data.
@@ -350,31 +377,22 @@ pub fn ingress_table<B: PdnsBackend + ?Sized>(
     ingress_table_with(report, pdns, default_workers())
 }
 
-/// [`ingress_table`] with an explicit worker count. Same sweep shape as
-/// [`monthly_requests_with`]: workers visit disjoint function chunks via
-/// [`PdnsBackend::for_each_record_of`] and the per-rdata request sums
-/// merge commutatively, so the table is worker-count invariant.
+/// [`ingress_table`] with an explicit worker count: the same sweep as
+/// [`monthly_requests_with`], whose per-rdata request sums merge
+/// commutatively.
 pub fn ingress_table_with<B: PdnsBackend + ?Sized>(
     report: &IdentificationReport,
     pdns: &B,
     workers: usize,
 ) -> Vec<IngressRow> {
-    let chunks = function_chunks(report.functions.len(), workers);
-    let parts: Vec<UsageState> = par_map_named(&chunks, workers, "usage/ingress", |_, range| {
-        let mut part = UsageState::ingress_only();
-        for f in &report.functions[range.clone()] {
-            part.touch_ingress(f.provider);
-            pdns.for_each_record_of(&f.fqdn, &mut |rtype, rdata, pdate, cnt| {
-                part.apply(f.provider, rtype, rdata, pdate, cnt);
-            });
-        }
-        part
-    });
-    let mut state = UsageState::ingress_only();
-    for part in parts {
-        state.merge(part);
-    }
-    state.ingress_rows(report)
+    sweep_functions(
+        &report.functions,
+        pdns,
+        workers,
+        "usage/ingress",
+        UsageState::ingress_only,
+    )
+    .ingress_rows(report)
 }
 
 /// Deterministic sample membership for the approximate usage sweep:
@@ -446,21 +464,7 @@ pub fn usage_sampled<B: PdnsBackend + ?Sized>(
         total_functions as f64 / n as f64
     };
 
-    let chunks = function_chunks(sampled.len(), workers);
-    let parts: Vec<UsageState> = par_map_named(&chunks, workers, "usage/sampled", |_, range| {
-        let mut part = UsageState::new();
-        for f in &sampled[range.clone()] {
-            part.touch_ingress(f.provider);
-            pdns.for_each_record_of(&f.fqdn, &mut |rtype, rdata, pdate, cnt| {
-                part.apply(f.provider, rtype, rdata, pdate, cnt);
-            });
-        }
-        part
-    });
-    let mut state = UsageState::new();
-    for part in parts {
-        state.merge(part);
-    }
+    let state = sweep_functions(&sampled, pdns, workers, "usage/sampled", UsageState::new);
 
     let mut monthly = state.monthly_series();
     if scale_factor != 1.0 {

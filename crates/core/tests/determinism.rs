@@ -1,7 +1,7 @@
 //! Worker-count determinism: the CI gate byte-diffs the probing
 //! figures, so every parallel stage must produce identical output at
 //! any worker count. This test drives the §5 analysis (and through it
-//! `par_map_indexed`, `cluster_corpus_par` and
+//! `par_map`, `cluster_corpus_par` and
 //! `C2Scanner::scan_parallel`) at worker counts {1, 3, 8, 16} against
 //! one generated world and asserts the reports are equal field-by-field.
 

@@ -170,12 +170,12 @@ pub trait PdnsBackend: Sync {
 
     /// [`PdnsBackend::all_aggregates`], computed on up to `workers`
     /// threads. Identical output at any worker count: the work-list is
-    /// the sorted fqdn list and `par_map_indexed` merges in input order.
+    /// the sorted fqdn list and `par_map` merges in input order.
     /// Backends with cheaper internal parallelism (per-shard locks)
     /// override this.
     fn par_aggregates(&self, workers: usize) -> Vec<FqdnAggregate> {
         let fqdns = self.sorted_fqdns();
-        fw_analysis::par::par_map_indexed(&fqdns, workers, |_, fqdn| {
+        fw_analysis::par::par_map(&fqdns, workers, "", None, |_, fqdn| {
             self.aggregate(fqdn).expect("fqdn is in the store")
         })
     }

@@ -32,7 +32,7 @@ pub enum ResolveError {
     /// No zone is authoritative for the name (simulated internet only
     /// contains provider zones).
     NoZone,
-    /// CNAME chain exceeded [`MAX_CHAIN`].
+    /// CNAME chain exceeded `MAX_CHAIN` (8) links.
     ChainTooLong,
 }
 
@@ -103,7 +103,7 @@ type CacheShard = RwLock<HashMap<(Fqdn, RecordType), CacheEntry>>;
 /// The recursive resolver.
 ///
 /// The cache and counters are interior-mutable (sharded `RwLock`s and
-/// atomics), so [`Resolver::resolve_shared`] serves lookups — cached or
+/// atomics), so [`Resolver::resolve`] serves lookups — cached or
 /// not — through `&self`. Callers that hold the resolver inside an
 /// outer `Arc<RwLock<..>>` can therefore stay on the outer **read**
 /// lock for the entire scan/probe path; the outer write lock is only
@@ -195,18 +195,7 @@ impl Resolver {
     }
 
     /// Resolve `name` for record type `rtype` at virtual time `now`
-    /// (seconds). Kept for API compatibility — delegates to
-    /// [`Resolver::resolve_shared`], which only needs `&self`.
-    pub fn resolve(
-        &mut self,
-        name: &Fqdn,
-        rtype: RecordType,
-        now: u64,
-    ) -> Result<Resolution, ResolveError> {
-        self.resolve_shared(name, rtype, now)
-    }
-
-    /// Resolve through `&self`: the scan/probe read path.
+    /// (seconds), through `&self`.
     ///
     /// Cached, unexpired entries are served under a shard **read** lock
     /// (the fast path — no exclusive lock anywhere); misses walk the
@@ -216,7 +205,7 @@ impl Resolver {
     /// vantage point sees traffic; the sensor's own interior mutability
     /// (e.g. `SharedPdns`) makes the observation append-friendly, so a
     /// cache hit never needs `&mut Resolver`.
-    pub fn resolve_shared(
+    pub fn resolve(
         &self,
         name: &Fqdn,
         rtype: RecordType,
@@ -378,7 +367,7 @@ mod tests {
 
     #[test]
     fn follows_cname_chain() {
-        let mut r = resolver_with_tencent();
+        let r = resolver_with_tencent();
         let res = r
             .resolve(
                 &fq("1300000001-abcdefghij-gz.scf.tencentcs.com"),
@@ -393,7 +382,7 @@ mod tests {
 
     #[test]
     fn caches_within_ttl_and_expires_after() {
-        let mut r = resolver_with_tencent();
+        let r = resolver_with_tencent();
         let name = fq("1300000001-abcdefghij-gz.scf.tencentcs.com");
         let first = r.resolve(&name, RecordType::A, 0).unwrap();
         assert!(!first.from_cache);
@@ -421,7 +410,7 @@ mod tests {
     #[test]
     fn nxdomain_for_unknown_tencent_name() {
         // Tencent zone has no wildcard — the paper's deleted-function case.
-        let mut r = resolver_with_tencent();
+        let r = resolver_with_tencent();
         let err = r
             .resolve(
                 &fq("9999999999-deleted000-gz.scf.tencentcs.com"),
@@ -447,7 +436,7 @@ mod tests {
 
     #[test]
     fn no_zone_error_for_foreign_names() {
-        let mut r = resolver_with_tencent();
+        let r = resolver_with_tencent();
         assert_eq!(
             r.resolve(&fq("example.org"), RecordType::A, 0),
             Err(ResolveError::NoZone)
@@ -501,10 +490,9 @@ mod tests {
     }
 
     /// PDNS sensing is unchanged by the lock-free read path: the same
-    /// query schedule, issued serially through `resolve` and from 8
-    /// concurrent threads through `resolve_shared`, yields the same
-    /// per-key request counts, the same per-fqdn aggregates and the
-    /// same query count.
+    /// query schedule, issued through `resolve` from one thread and
+    /// from 8 concurrent threads, yields the same per-key request
+    /// counts, the same per-fqdn aggregates and the same query count.
     ///
     /// Rows and cache hits are not compared: both depend on the
     /// schedule. A key may span several rows (the `PdnsStore` merge
@@ -518,14 +506,14 @@ mod tests {
 
         let schedule = pdns_schedule();
 
-        // Old write path, serial.
+        // One thread.
         let serial_pdns = SharedPdns::new();
-        let mut serial = wildcard_resolver(Arc::new(serial_pdns.clone()));
+        let serial = wildcard_resolver(Arc::new(serial_pdns.clone()));
         for (name, now) in &schedule {
             serial.resolve(name, RecordType::A, *now).unwrap();
         }
 
-        // Read path, 8 threads round-robin over the same schedule.
+        // 8 threads round-robin over the same schedule.
         let shared_pdns = SharedPdns::new();
         let shared = wildcard_resolver(Arc::new(shared_pdns.clone()));
         std::thread::scope(|scope| {
@@ -534,7 +522,7 @@ mod tests {
                 let schedule = &schedule;
                 scope.spawn(move || {
                     for (name, now) in schedule.iter().skip(w).step_by(8) {
-                        shared.resolve_shared(name, RecordType::A, *now).unwrap();
+                        shared.resolve(name, RecordType::A, *now).unwrap();
                     }
                 });
             }
@@ -569,14 +557,14 @@ mod tests {
         let r = resolver_with_tencent();
         let name = fq("1300000001-abcdefghij-gz.scf.tencentcs.com");
         // Warm the cache.
-        r.resolve_shared(&name, RecordType::A, 0).unwrap();
+        r.resolve(&name, RecordType::A, 0).unwrap();
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 let r = &r;
                 let name = &name;
                 scope.spawn(move || {
                     for _ in 0..50 {
-                        let res = r.resolve_shared(name, RecordType::A, 10).unwrap();
+                        let res = r.resolve(name, RecordType::A, 10).unwrap();
                         assert!(res.from_cache);
                     }
                 });

@@ -5,7 +5,7 @@
 //! [`Connection`]; the listener's handler runs on a thread of its own with
 //! the other end of the duplex pipe, exactly as a blocking accept-loop
 //! server would. Handler threads are spares reused across connections
-//! ([`Spares`]). All connections pass through the fault layer
+//! (`Spares`). All connections pass through the fault layer
 //! ([`FaultConfig`]), and global counters ([`NetStats`]) make fault
 //! behaviour observable.
 

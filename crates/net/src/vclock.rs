@@ -25,7 +25,7 @@
 //! ## Locking
 //!
 //! One global mutex serializes all clock state; waiters park on one of
-//! [`LANES`] condvars. Resource locks (e.g. a pipe's buffer mutex) are
+//! `LANES` condvars. Resource locks (e.g. a pipe's buffer mutex) are
 //! always acquired *before* the clock lock and the clock never takes
 //! resource locks, so the ordering is acyclic. The two-phase wait
 //! ([`VClock::prepare_wait`] under the resource lock, then
@@ -37,7 +37,7 @@
 //!
 //! * **Wake after unlock.** Waiters are marked woken or fired under the
 //!   state mutex, but their lanes are signalled only after it is
-//!   released ([`Lanes`]), so a woken thread never runs straight into
+//!   released (`Lanes`), so a woken thread never runs straight into
 //!   the held mutex and parks again. A thread signals every lane it
 //!   queued before it blocks on a lane itself.
 //! * **Signal only parked waiters.** A lane is signalled only if a

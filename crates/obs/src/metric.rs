@@ -69,7 +69,7 @@ const SUBS: usize = 1 << SUB_BITS;
 /// 8 exact buckets + 61 octaves (msb position 3..=63) × 8 sub-buckets.
 pub const NUM_BUCKETS: usize = LINEAR_MAX as usize + (64 - SUB_BITS as usize) * SUBS;
 
-/// Bucket index for a value. Exact below [`LINEAR_MAX`]; above it the
+/// Bucket index for a value. Exact below `LINEAR_MAX` (8); above it the
 /// bucket width is `2^(msb-3)`, so the relative quantization error is
 /// bounded by `1/8 = 12.5%` (midpoint reporting halves that).
 #[inline]

@@ -8,7 +8,7 @@
 //! adds `Connection: close` to every request — the pre-keep-alive
 //! behavior, one dial and handshake per signature.
 //! `resolver_read_path` measures warm cache hits through
-//! `Resolver::resolve_shared` under the shard read lock.
+//! `Resolver::resolve` under the shard read lock.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use fw_abuse::c2::{corpus, relay_template};
@@ -50,7 +50,7 @@ fn deploy_relay(platform: &CloudPlatform, family_idx: usize) -> Fqdn {
 fn relay_addr(resolver: &Arc<RwLock<Resolver>>, fqdn: &Fqdn, port: u16) -> SocketAddr {
     let answers = resolver
         .read()
-        .resolve_shared(fqdn, RecordType::A, 0)
+        .resolve(fqdn, RecordType::A, 0)
         .expect("relay resolves");
     let ip = answers
         .addresses()
@@ -165,10 +165,7 @@ fn bench_resolver_read_path(c: &mut Criterion) {
         .collect();
     // Warm every entry so the bench measures pure fast-path hits.
     for f in &fqdns {
-        resolver
-            .read()
-            .resolve_shared(f, RecordType::A, 0)
-            .expect("warms");
+        resolver.read().resolve(f, RecordType::A, 0).expect("warms");
     }
 
     let mut group = c.benchmark_group("resolver_read_path");
@@ -179,7 +176,7 @@ fn bench_resolver_read_path(c: &mut Criterion) {
             let mut n = 0usize;
             for f in &fqdns {
                 n += guard
-                    .resolve_shared(f, RecordType::A, 0)
+                    .resolve(f, RecordType::A, 0)
                     .map(|a| a.addresses().len())
                     .unwrap_or(0);
             }

@@ -8,6 +8,7 @@
 //! paper notes the count is therefore a lower bound.
 
 use fw_abuse::c2::{corpus, C2Fingerprint};
+use fw_analysis::par::par_map;
 use fw_dns::resolver::Resolver;
 use fw_http::client::{Batch, ClientConfig, FetchError, HttpClient, SimDialer};
 use fw_net::SimNet;
@@ -69,7 +70,7 @@ impl C2Scanner {
         let addrs = self
             .resolver
             .read()
-            .resolve_shared(fqdn, RecordType::A, self.now)
+            .resolve(fqdn, RecordType::A, self.now)
             .ok()?
             .addresses();
         let ip = addrs.iter().find_map(|r| match r {
@@ -117,55 +118,26 @@ impl C2Scanner {
         None
     }
 
-    /// Scan many domains; returns only the hits (input order preserved).
-    pub fn scan(&self, domains: &[Fqdn]) -> Vec<C2Detection> {
-        self.scan_parallel(domains, 8)
-    }
-
-    /// Scan with an explicit worker count.
+    /// Scan `domains` on `workers` clock-registered workers; returns
+    /// only the hits, in input order.
     ///
     /// Like `Prober::probe_all`, the work is partitioned round-robin
-    /// and every worker registers with the virtual clock pre-spawn, so
-    /// scan outcomes and virtual timestamps are schedule-independent.
+    /// and every worker registers with the virtual clock before the
+    /// first spawns (`fw_analysis::par::fork`), so scan outcomes and
+    /// virtual timestamps are schedule-independent. A single worker is
+    /// spawned too: scanning on an unregistered caller would leave its
+    /// idle keep-alive connection holding a lease that stops the clock.
     pub fn scan_parallel(&self, domains: &[Fqdn], workers: usize) -> Vec<C2Detection> {
-        if domains.is_empty() {
-            return Vec::new();
-        }
-        let workers = workers.clamp(1, domains.len());
-        if workers == 1 {
-            return domains.iter().filter_map(|d| self.scan_one(d)).collect();
-        }
-        let clock = self.net.clock();
-        // Register the whole pool before spawning anyone (see
-        // `Prober::probe_all`).
-        let registrations: Vec<_> = (0..workers).map(|_| clock.register()).collect();
-        let fork = fw_obs::current_trace_span();
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = registrations
-                .into_iter()
-                .enumerate()
-                .map(|(w, registration)| {
-                    scope.spawn(move |_| {
-                        let _active = registration.map(|r| r.activate());
-                        let _trace = fw_obs::trace_span_child_of(fork, "c2scan/worker", w as u64);
-                        domains
-                            .iter()
-                            .enumerate()
-                            .skip(w)
-                            .step_by(workers)
-                            .filter_map(|(i, fqdn)| self.scan_one(fqdn).map(|hit| (i, hit)))
-                            .collect::<Vec<(usize, C2Detection)>>()
-                    })
-                })
-                .collect();
-            let mut hits: Vec<(usize, C2Detection)> = handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("c2 scan workers do not panic"))
-                .collect();
-            hits.sort_by_key(|(i, _)| *i);
-            hits.into_iter().map(|(_, h)| h).collect()
-        })
-        .expect("c2 scan workers do not panic")
+        par_map(
+            domains,
+            workers,
+            "c2scan/worker",
+            Some(self.net.clock()),
+            |_, fqdn| self.scan_one(fqdn),
+        )
+        .into_iter()
+        .flatten()
+        .collect()
     }
 }
 
@@ -217,7 +189,7 @@ mod tests {
 
         let scanner = C2Scanner::new(net, resolver).with_timeout(Duration::from_millis(500));
         assert_eq!(scanner.signature_count(), 26);
-        let hits = scanner.scan(&[relay0.clone(), benign.clone(), relay1.clone()]);
+        let hits = scanner.scan_parallel(&[relay0.clone(), benign.clone(), relay1.clone()], 8);
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].fqdn, relay0);
         assert_eq!(hits[0].family, "CobaltStrike");
@@ -247,7 +219,7 @@ mod tests {
             );
         }
         let scanner = C2Scanner::new(net, resolver).with_timeout(Duration::from_millis(500));
-        assert!(scanner.scan(&domains).is_empty());
+        assert!(scanner.scan_parallel(&domains, 8).is_empty());
     }
 
     #[test]
@@ -290,10 +262,7 @@ mod tests {
         timeout: Duration,
         fqdn: &Fqdn,
     ) -> Option<C2Detection> {
-        let answers = resolver
-            .read()
-            .resolve_shared(fqdn, RecordType::A, 0)
-            .ok()?;
+        let answers = resolver.read().resolve(fqdn, RecordType::A, 0).ok()?;
         let ip = answers.addresses().iter().find_map(|r| match r {
             Rdata::V4(ip) => Some(*ip),
             _ => None,
@@ -389,9 +358,48 @@ mod tests {
                     );
                 }
             }
-            let families: Vec<&str> = scanner.scan(&domains).iter().map(|h| h.family).collect();
+            let families: Vec<&str> = scanner
+                .scan_parallel(&domains, 8)
+                .iter()
+                .map(|h| h.family)
+                .collect();
             assert_eq!(families, FAMILIES, "every relay, and nothing else");
         }
+    }
+
+    /// A one-worker scan runs on a clock-registered worker, not on the
+    /// caller, so it finishes from a plain unregistered thread even when
+    /// the scan needs virtual time to pass. The hanging function
+    /// answers :443 at once and sleeps `hang_ms` before answering :80;
+    /// an unregistered scanner's idle :443 keep-alive connection would
+    /// hold a lease that counts as a running thread, and the sleep would
+    /// never fire.
+    #[test]
+    fn one_worker_scan_from_an_unregistered_thread_lets_virtual_time_pass() {
+        let net = SimNet::new(17);
+        let resolver = Arc::new(RwLock::new(Resolver::new()));
+        let platform = CloudPlatform::new(
+            net.clone(),
+            resolver.clone(),
+            PlatformConfig {
+                hang_ms: 100,
+                ..PlatformConfig::default()
+            },
+        );
+        let fqdn = platform
+            .deploy(DeploySpec::new(ProviderId::Aws, Behavior::InternalOnly))
+            .unwrap()
+            .fqdn;
+        let scanner = C2Scanner::new(net, resolver).with_timeout(Duration::from_millis(500));
+        let (done, result) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(scanner.scan_parallel(&[fqdn], 1).len());
+        });
+        assert_eq!(
+            result.recv_timeout(Duration::from_secs(20)),
+            Ok(0),
+            "a one-worker scan must not stall the virtual clock"
+        );
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! `User-Agent` (the paper additionally ran an opt-out page on the probe
 //! host).
 
+use fw_analysis::par::par_map;
 use fw_dns::resolver::{ResolveError, Resolver};
 use fw_http::client::{ClientConfig, FetchError, HttpClient, SimDialer};
 use fw_http::types::Response;
@@ -209,7 +210,7 @@ impl Prober {
         let resolution = self
             .resolver
             .read()
-            .resolve_shared(fqdn, RecordType::A, self.config.now);
+            .resolve(fqdn, RecordType::A, self.config.now);
         let addrs = match resolution {
             Ok(res) => res.addresses(),
             Err(e) => {
@@ -289,48 +290,18 @@ impl Prober {
     /// Work is partitioned round-robin (domain `i` goes to worker
     /// `i % workers`), not pulled from a shared queue: the assignment —
     /// and with it every per-domain virtual timestamp — is a pure
-    /// function of the input, independent of host scheduling. Each
-    /// worker is registered with the virtual clock before it spawns so
-    /// timeouts fire deterministically at quiescence.
+    /// function of the input, independent of host scheduling. Every
+    /// worker is registered with the virtual clock before the first
+    /// spawns (`fw_analysis::par::fork`), so timeouts fire
+    /// deterministically at quiescence.
     pub fn probe_all(&self, domains: &[Fqdn]) -> Vec<ProbeRecord> {
-        if domains.is_empty() {
-            return Vec::new();
-        }
-        let workers = self.config.workers.min(domains.len()).max(1);
-        let clock = self.net.clock();
-        // All registrations exist before any worker spawns, so the
-        // clock can only advance once the whole pool is blocked.
-        let registrations: Vec<_> = (0..workers).map(|_| clock.register()).collect();
-        let fork = fw_obs::current_trace_span();
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = registrations
-                .into_iter()
-                .enumerate()
-                .map(|(w, registration)| {
-                    scope.spawn(move |_| {
-                        let _active = registration.map(|r| r.activate());
-                        let _trace = fw_obs::trace_span_child_of(fork, "probe/worker", w as u64);
-                        domains
-                            .iter()
-                            .enumerate()
-                            .skip(w)
-                            .step_by(workers)
-                            .map(|(i, fqdn)| (i, self.probe_one(fqdn)))
-                            .collect::<Vec<(usize, ProbeRecord)>>()
-                    })
-                })
-                .collect();
-            let mut out: Vec<Option<ProbeRecord>> = vec![None; domains.len()];
-            for handle in handles {
-                for (i, rec) in handle.join().expect("probe workers do not panic") {
-                    out[i] = Some(rec);
-                }
-            }
-            out.into_iter()
-                .map(|r| r.expect("partition covers every domain"))
-                .collect()
-        })
-        .expect("probe workers do not panic")
+        par_map(
+            domains,
+            self.config.workers,
+            "probe/worker",
+            Some(self.net.clock()),
+            |_, fqdn| self.probe_one(fqdn),
+        )
     }
 }
 

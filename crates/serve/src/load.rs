@@ -3,7 +3,8 @@
 //! Topology and virtual-time model (DESIGN.md §15): the API runs as a
 //! SimNet listener, so each accepted connection gets a clock-registered
 //! handler thread running the keep-alive serve loop. The harness side
-//! is a fixed pool of pre-registered worker threads; client ids are
+//! is a fixed pool of pre-registered worker threads
+//! (`fw_analysis::par::fork`); client ids are
 //! partitioned round-robin (`id % workers`), and each worker plays its
 //! clients one after another: sleep the *virtual* clock to the client's
 //! arrival offset, connect, issue the client's keep-alive request
@@ -19,11 +20,12 @@
 //! stream (`fnv::stream_seed(seed, client_id)`), so the multiset of
 //! requests is independent of worker count and wall scheduling. Each
 //! client's *response byte stream* is FNV-1a-digested as it is read off
-//! the wire ([`TapConn`]), and per-client digests fold into the run
+//! the wire (`TapConn`), and per-client digests fold into the run
 //! digest commutatively (wrapping add + xor of a mixed per-client
 //! word) — two runs with the same seed are byte-identical iff their
 //! digests match, at any worker count.
 
+use fw_analysis::par::fork;
 use fw_http::fast::{read_response_fast, render_get, Scratch};
 use fw_http::parse::Limits;
 use fw_net::{Connection, SimNet};
@@ -397,37 +399,22 @@ pub fn run_load(
     let _span = fw_obs::span("serve/load");
     let wall_start = Instant::now();
     let workers = config.workers.max(1);
-    let mut handles = Vec::with_capacity(workers);
-    for w in 0..workers {
-        let registration = net.clock().register();
-        let net = net.clone();
-        let config = config.clone();
-        let plan = plan.clone();
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("serve-load-{w}"))
-                .spawn(move || {
-                    let _active = registration.map(|r| r.activate());
-                    let mut acc = WorkerAcc::default();
-                    let mut scratch = ClientScratch::new();
-                    let mut id = w as u64;
-                    while id < config.clients {
-                        let digest =
-                            run_client(&net, addr, id, &config, &plan, &mut acc, &mut scratch)
-                                .unwrap_or_else(|e| panic!("client {id} failed: {e}"));
-                        let word = mix(digest ^ mix(id.wrapping_add(1)));
-                        acc.digest_xor ^= word;
-                        acc.digest_sum = acc.digest_sum.wrapping_add(word);
-                        id += workers as u64;
-                    }
-                    acc
-                })
-                .expect("spawn load worker"),
-        );
-    }
+    let parts = fork(workers, "", Some(net.clock()), |w| {
+        let mut acc = WorkerAcc::default();
+        let mut scratch = ClientScratch::new();
+        let mut id = w as u64;
+        while id < config.clients {
+            let digest = run_client(net, addr, id, config, plan, &mut acc, &mut scratch)
+                .unwrap_or_else(|e| panic!("client {id} failed: {e}"));
+            let word = mix(digest ^ mix(id.wrapping_add(1)));
+            acc.digest_xor ^= word;
+            acc.digest_sum = acc.digest_sum.wrapping_add(word);
+            id += workers as u64;
+        }
+        acc
+    });
     let mut total = WorkerAcc::default();
-    for h in handles {
-        let acc = h.join().expect("load worker panicked");
+    for acc in parts {
         total.requests += acc.requests;
         total.status_ok += acc.status_ok;
         total.status_not_found += acc.status_not_found;

@@ -23,6 +23,7 @@
 
 use crate::segment::{read_segment, SegmentBuilder};
 use crate::{StoreConfig, StoreError};
+use fw_analysis::par::{fork, par_map};
 use fw_dns::pdns::{FqdnAggregate, PdnsBackend};
 use fw_types::fnv::FnvBuildHasher;
 use fw_types::{DayStamp, Fqdn, Rdata, RecordType};
@@ -355,19 +356,11 @@ impl DiskStore {
         // Shards are independent on disk, so replay them concurrently —
         // on a multi-core host this takes open from O(total rows) to
         // O(largest shard).
-        let loaded: Vec<Result<Shard, StoreError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shard_count)
-                .map(|i| scope.spawn(move || Self::load_shard(dir, i)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard loader does not panic"))
-                .collect()
-        });
-        let mut shards = Vec::with_capacity(shard_count);
-        for shard in loaded {
-            shards.push(Mutex::new(shard?));
-        }
+        let shards = fork(shard_count, "", None, |i| {
+            Self::load_shard(dir, i).map(Mutex::new)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
 
         Ok(DiskStore {
             dir: dir.to_path_buf(),
@@ -533,22 +526,11 @@ impl DiskStore {
         }
         let _span = fw_obs::span("store/flush");
         // Shards flush to independent files: do them concurrently.
-        let parts: Vec<Result<u64, StoreError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| scope.spawn(move || shard.lock().flush()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("flush workers do not panic"))
-                .collect()
-        });
-        let mut total = 0u64;
-        for part in parts {
-            total += part?;
-        }
-        Ok(total)
+        fork(self.shards.len(), "", None, |i| {
+            self.shards[i].lock().flush()
+        })
+        .into_iter()
+        .sum()
     }
 
     /// [`seal_shard`](Self::seal_shard) every shard concurrently, as
@@ -556,14 +538,9 @@ impl DiskStore {
     /// its whole table, which is what the streaming scan reads.
     pub fn seal(&self) -> Result<(), StoreError> {
         let _span = fw_obs::span("store/seal");
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.shards.len())
-                .map(|shard| scope.spawn(move || self.seal_shard(shard)))
-                .collect();
-            handles
-                .into_iter()
-                .try_for_each(|h| h.join().expect("seal workers do not panic"))
-        })
+        fork(self.shards.len(), "", None, |shard| self.seal_shard(shard))
+            .into_iter()
+            .collect()
     }
 
     /// Seal one shard, leaving it a single sorted segment ready for the
@@ -807,33 +784,21 @@ impl PdnsBackend for DiskStore {
     /// `aggregate`. The final sort by fqdn makes the output identical to
     /// the provided implementation at any worker count.
     fn par_aggregates(&self, workers: usize) -> Vec<FqdnAggregate> {
-        let workers = workers.clamp(1, self.shards.len());
-        let fork = fw_obs::current_trace_span();
-        let mut out: Vec<FqdnAggregate> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let _trace =
-                            fw_obs::trace_span_child_of(fork, "store/agg_worker", w as u64);
-                        let mut part = Vec::new();
-                        for shard in self.shards.iter().skip(w).step_by(workers) {
-                            let shard = shard.lock();
-                            part.extend(
-                                shard
-                                    .table
-                                    .iter()
-                                    .map(|(fqdn, entry)| aggregate_entry(fqdn, entry)),
-                            );
-                        }
-                        part
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("aggregate workers do not panic"))
-                .collect()
-        });
+        let parts = par_map(
+            &self.shards,
+            workers,
+            "store/agg_worker",
+            None,
+            |_, shard| {
+                let shard = shard.lock();
+                shard
+                    .table
+                    .iter()
+                    .map(|(fqdn, entry)| aggregate_entry(fqdn, entry))
+                    .collect::<Vec<_>>()
+            },
+        );
+        let mut out: Vec<FqdnAggregate> = parts.into_iter().flatten().collect();
         out.sort_by(|a, b| a.fqdn.cmp(&b.fqdn));
         out
     }

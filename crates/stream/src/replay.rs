@@ -22,6 +22,7 @@
 use crate::daemon::{DaemonFinal, StreamConfig, StreamDaemon};
 use crate::source::Batch;
 use crate::wire::{self, Frame};
+use fw_analysis::par::fork;
 use fw_dns::pdns::{PdnsBackend, PdnsStore};
 use fw_net::vclock::ClockSource;
 use fw_net::SimNet;
@@ -82,37 +83,14 @@ where
         }
     });
 
-    // Feeder thread, registered with the virtual clock before spawn so
-    // its sleeps participate in quiescence from the first instruction.
-    let registration = net.clock().register();
-    let feeder_net = net.clone();
-    let feeder = std::thread::spawn(move || -> std::io::Result<(u64, u64)> {
-        let _active = registration.map(|r| r.activate());
-        let clock = feeder_net.clock().clone();
-        let mut conn = feeder_net.connect(addr)?;
-        conn.set_read_timeout(None)?;
-        let mut wire_bytes = 0u64;
-        for batch in &batches {
-            let now = clock.now_us();
-            if batch.offset_us > now {
-                clock.sleep(Duration::from_micros(batch.offset_us - now));
-            }
-            wire_bytes +=
-                wire::write_batch(&mut conn, batch.seq, batch.watermark_day, &batch.rows)? as u64;
-        }
-        wire_bytes += wire::write_eos(&mut conn)? as u64;
-        // Block until the daemon has applied everything; the ack pins
-        // the end-of-stream virtual timestamp.
-        let mut ack = [0u8; 1];
-        conn.read_exact(&mut ack)?;
-        debug_assert_eq!(ack[0], wire::ACK);
-        Ok((clock.now_us(), wire_bytes))
-    });
-
-    let (virtual_us, wire_bytes) = feeder
-        .join()
-        .expect("feeder thread panicked")
+    // The feeder runs on its own worker, registered with the virtual
+    // clock before spawn so its sleeps participate in quiescence from
+    // the first instruction.
+    let (virtual_us, wire_bytes) = fork(1, "", Some(net.clock()), |_| feed(&net, addr, &batches))
+        .pop()
+        .expect("one feeder")
         .expect("feeder stream failed");
+    drop(batches);
     counter_add!("fw.stream.wire_bytes", wire_bytes);
 
     let final_state = daemon
@@ -125,6 +103,31 @@ where
         virtual_us,
         wire_bytes,
     }
+}
+
+/// Stream every batch to the daemon at `addr` at its virtual arrival
+/// offset, then end-of-stream. Returns the virtual time of the daemon's
+/// ack and the wire bytes sent.
+fn feed(net: &SimNet, addr: SocketAddr, batches: &[Batch]) -> std::io::Result<(u64, u64)> {
+    let clock = net.clock();
+    let mut conn = net.connect(addr)?;
+    conn.set_read_timeout(None)?;
+    let mut wire_bytes = 0u64;
+    for batch in batches {
+        let now = clock.now_us();
+        if batch.offset_us > now {
+            clock.sleep(Duration::from_micros(batch.offset_us - now));
+        }
+        wire_bytes +=
+            wire::write_batch(&mut conn, batch.seq, batch.watermark_day, &batch.rows)? as u64;
+    }
+    wire_bytes += wire::write_eos(&mut conn)? as u64;
+    // Block until the daemon has applied everything; the ack pins the
+    // end-of-stream virtual timestamp.
+    let mut ack = [0u8; 1];
+    conn.read_exact(&mut ack)?;
+    debug_assert_eq!(ack[0], wire::ACK);
+    Ok((clock.now_us(), wire_bytes))
 }
 
 /// [`replay`] into a fresh in-memory store.

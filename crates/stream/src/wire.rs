@@ -1,5 +1,5 @@
 //! Frame codec for streaming PDNS batches over a
-//! [`Connection`](fw_net::Connection).
+//! [`Connection`].
 //!
 //! Layout (all integers little-endian):
 //!

@@ -18,7 +18,7 @@
 
 use crate::calib;
 use fw_abuse::c2::relay_template;
-use fw_analysis::par::{default_workers, par_map_named};
+use fw_analysis::par::{default_workers, par_map};
 use fw_cloud::behavior::{Behavior, LeakItem};
 use fw_cloud::formats::format_for;
 use fw_cloud::platform::{CloudPlatform, DeploySpec, PlatformConfig};
@@ -114,8 +114,8 @@ pub struct WorldConfig {
     /// experiments, which is much faster).
     pub deploy_live: bool,
     /// Worker threads for generation (0 = one per available core).
-    /// Output is byte-identical at every worker count — see
-    /// [`GEN_SHARDS`].
+    /// Output is byte-identical at every worker count: the world is
+    /// always cut into the same 32 generation shards (`GEN_SHARDS`).
     pub gen_workers: usize,
     pub platform: PlatformConfig,
 }
@@ -299,7 +299,7 @@ fn generate_parts(
     // only the functions come back.
     let shards: Vec<usize> = (0..GEN_SHARDS).collect();
     let parts: Vec<(Option<PdnsStore>, Vec<WorldFunction>)> =
-        par_map_named(&shards, workers, "gen/worker", |_, shard| {
+        par_map(&shards, workers, "gen/worker", None, |_, shard| {
             let _trace = fw_obs::trace_span_arg("gen/shard", *shard as u64);
             let mut gen = Generator {
                 rng: SmallRng::seed_from_u64(fw_types::fnv::stream_seed(

@@ -60,7 +60,7 @@ fn main() {
         },
     );
     let resolve = |fqdn: &faaswild::types::Fqdn| -> IpAddr {
-        let res = resolver.write().resolve(fqdn, RecordType::A, 0).unwrap();
+        let res = resolver.read().resolve(fqdn, RecordType::A, 0).unwrap();
         match res.addresses()[0] {
             Rdata::V4(ip) => IpAddr::V4(ip),
             _ => unreachable!("aws publishes v4"),

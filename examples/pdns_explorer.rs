@@ -103,7 +103,7 @@ fn main() {
     // Deletion semantics (§4.4): Tencent NXDOMAIN vs AWS wildcard.
     platform.delete(&tencent.fqdn);
     platform.delete(&aws.fqdn);
-    let mut r = resolver.write();
+    let r = resolver.read();
     let tencent_now = r.resolve(&tencent.fqdn, RecordType::A, fw_secs(7));
     let aws_now = r.resolve(&aws.fqdn, RecordType::A, fw_secs(7));
     println!("\nafter deletion:");

@@ -87,10 +87,7 @@ fn custom_domains_identify_alike_whatever_their_backend() {
     resolver.write().add_zone(zone);
 
     for name in [&via_function, &via_vm] {
-        resolver
-            .read()
-            .resolve_shared(name, RecordType::A, 0)
-            .unwrap();
+        resolver.read().resolve(name, RecordType::A, 0).unwrap();
     }
 
     let store = pdns.lock();
@@ -163,7 +160,7 @@ fn billing_and_cold_starts_through_http() {
     let d = platform.deploy(spec).unwrap();
 
     let ip = {
-        let res = resolver.write().resolve(&d.fqdn, RecordType::A, 0).unwrap();
+        let res = resolver.read().resolve(&d.fqdn, RecordType::A, 0).unwrap();
         match res.addresses()[0] {
             Rdata::V4(ip) => ip,
             _ => unreachable!(),
@@ -228,7 +225,7 @@ fn regional_vs_anycast_ingress_serve_correctly() {
         )
         .unwrap();
     let resolve = |fqdn: &faaswild::types::Fqdn| {
-        let res = resolver.write().resolve(fqdn, RecordType::A, 0).unwrap();
+        let res = resolver.read().resolve(fqdn, RecordType::A, 0).unwrap();
         match res.addresses()[0] {
             Rdata::V4(ip) => ip,
             _ => unreachable!(),
@@ -267,7 +264,7 @@ fn shared_egress_pool_across_tenants() {
 
     let client = HttpClient::new(SimDialer::new(net), ClientConfig::default());
     let egress_of = |fqdn: &faaswild::types::Fqdn| -> std::collections::HashSet<String> {
-        let res = resolver.write().resolve(fqdn, RecordType::A, 0).unwrap();
+        let res = resolver.read().resolve(fqdn, RecordType::A, 0).unwrap();
         let Rdata::V4(ip) = res.addresses()[0] else {
             unreachable!()
         };
