@@ -159,14 +159,10 @@ pub fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
     Json::Obj(fields.map(|(k, v)| (k.to_string(), v)).into())
 }
 
-/// A JSON number rounded to 4 decimals; `null` if not finite (a
-/// percentile of nothing).
+/// A JSON number rounded to 4 decimals. A non-finite value (a
+/// percentile of nothing) stays non-finite and renders as `null`.
 pub fn num(v: f64) -> Json {
-    if v.is_finite() {
-        Json::Num((v * 1e4).round() / 1e4)
-    } else {
-        Json::Null
-    }
+    Json::Num((v * 1e4).round() / 1e4)
 }
 
 /// A JSON number, or `null` when absent.

@@ -387,7 +387,8 @@ impl SimNet {
     /// Unlike [`SimNet::listen`], handlers run *on the worker*, so a
     /// worker serves one connection at a time; suited to short
     /// request/response exchanges (the fw-serve plane), not long-lived
-    /// streams.
+    /// streams. Like a spare, a worker flushes its trace buffer after
+    /// each handler returns.
     pub fn listen_pool<F, H>(&self, addr: SocketAddr, workers: usize, mut factory: F)
     where
         F: FnMut(usize) -> H,
@@ -408,6 +409,9 @@ impl SimNet {
                     let _active = registration.activate();
                     while let Some(conn) = worker_q.accept() {
                         handler(conn);
+                        // The worker outlives its connections, like a
+                        // spare, so its trace cannot wait for thread exit.
+                        fw_obs::flush_thread_trace();
                     }
                 })
                 .expect("spawn accept worker");
@@ -1006,9 +1010,27 @@ mod tests {
         }
     }
 
+    /// The trace sink is global: tests that drain it take turns so one
+    /// cannot drain the span another is looking for.
+    static TRACE_DRAIN: Mutex<()> = Mutex::new(());
+
+    /// Drain the trace and return the args of span `name`'s events.
+    fn drained_args(name: &str) -> Vec<u64> {
+        let dump = fw_obs::drain_trace();
+        let Some(id) = dump.names.iter().position(|n| n == name) else {
+            return Vec::new();
+        };
+        dump.events
+            .iter()
+            .filter(|e| e.name_id as usize == id)
+            .map(|e| e.arg)
+            .collect()
+    }
+
     #[test]
     fn handler_spans_are_flushed_when_the_handler_returns() {
         const SPAN: &str = "net/test/spare_handler_span";
+        let _turn = TRACE_DRAIN.lock();
         fw_obs::set_trace_enabled(true);
         let net = SimNet::new(35);
         let echo = echo_handler();
@@ -1020,11 +1042,43 @@ mod tests {
         wait_idle(&net, 1);
         // The spare is parked, not exited, and the world is alive: only
         // the flush after the handler returned can have delivered it.
-        let dump = fw_obs::drain_trace();
-        let id = dump.names.iter().position(|n| n == SPAN);
         assert!(
-            id.is_some_and(|id| dump.events.iter().any(|e| e.name_id as usize == id)),
+            !drained_args(SPAN).is_empty(),
             "handler span missing from the drained trace"
+        );
+        drop(net);
+    }
+
+    #[test]
+    fn pooled_handler_spans_are_flushed_when_the_handler_returns() {
+        const SPAN: &str = "net/test/pool_handler_span";
+        let _turn = TRACE_DRAIN.lock();
+        fw_obs::set_trace_enabled(true);
+        let net = SimNet::new(36);
+        net.listen_pool(addr(9, 80), 1, |_w| {
+            let mut served = 0u64;
+            move |mut conn: Box<dyn Connection>| {
+                served += 1;
+                let _span = fw_obs::trace_span_arg(SPAN, served);
+                let mut buf = [0u8; 1];
+                if conn.read_exact(&mut buf).is_ok() {
+                    let _ = conn.write_all(&buf);
+                }
+            }
+        });
+        for msg in [b"1", b"2"] {
+            let mut conn = net.connect_flow_id(addr(9, 80), 0).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+            conn.write_all(msg).unwrap();
+            let mut buf = [0u8; 1];
+            conn.read_exact(&mut buf).unwrap();
+        }
+        // The one worker answered the second connection, so it returned
+        // from the first handler; the world is alive, so only a flush
+        // after that handler can have delivered its span.
+        assert!(
+            drained_args(SPAN).contains(&1),
+            "first connection's span missing from the drained trace"
         );
         drop(net);
     }

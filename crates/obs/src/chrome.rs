@@ -9,7 +9,7 @@
 //! `args.wall_ns`, and the sim clock rides along as `args.sim_us`.
 
 use crate::trace::{TraceDump, TraceEventKind, ARG_NONE};
-use fw_types::json::escape;
+use fw_types::json::write_str;
 use std::fmt::Write as _;
 
 /// Process id reported in every event; the pipeline is single-process.
@@ -34,9 +34,10 @@ pub fn to_chrome_json(dump: &TraceDump) -> String {
         line.clear();
         let _ = write!(
             line,
-            "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
-            escape(name)
+            "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":"
         );
+        write_str(&mut line, name);
+        line.push_str("}}");
         push(&line, &mut first);
     }
 
@@ -47,10 +48,10 @@ pub fn to_chrome_json(dump: &TraceDump) -> String {
         let ts_frac = (ev.wall_ns % 1000) / 100; // one decimal of µs
         let _ = write!(
             line,
-            "{{\"ph\":\"{ph}\",\"pid\":{PID},\"tid\":{tid},\"ts\":{ts_us}.{ts_frac},\"name\":{name}",
+            "{{\"ph\":\"{ph}\",\"pid\":{PID},\"tid\":{tid},\"ts\":{ts_us}.{ts_frac},\"name\":",
             tid = ev.tid,
-            name = escape(dump.name(ev.name_id)),
         );
+        write_str(&mut line, dump.name(ev.name_id));
         match ev.kind {
             TraceEventKind::AsyncBegin | TraceEventKind::AsyncEnd => {
                 // Async events need a correlation id and category.

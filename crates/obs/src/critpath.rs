@@ -87,10 +87,10 @@ impl CritReport {
 
     /// JSON object for machine consumption (bench_regress, CI).
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n");
+        let mut out = String::from("{\n  \"root\": ");
+        fw_types::json::write_str(&mut out, &self.root);
         out.push_str(&format!(
-            "  \"root\": {},\n  \"total_ns\": {},\n  \"attributed_ns\": {},\n  \"entries\": [\n",
-            fw_types::json::escape(&self.root),
+            ",\n  \"total_ns\": {},\n  \"attributed_ns\": {},\n  \"entries\": [\n",
             self.total_ns,
             self.attributed_ns()
         ));
@@ -99,9 +99,10 @@ impl CritReport {
                 Some(a) => a.to_string(),
                 None => "null".to_string(),
             };
+            out.push_str("    {\"name\": ");
+            fw_types::json::write_str(&mut out, &e.name);
             out.push_str(&format!(
-                "    {{\"name\": {}, \"arg\": {}, \"self_ns\": {}, \"spans\": {}}}{}\n",
-                fw_types::json::escape(&e.name),
+                ", \"arg\": {}, \"self_ns\": {}, \"spans\": {}}}{}\n",
                 arg,
                 e.self_ns,
                 e.spans,

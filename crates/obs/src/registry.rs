@@ -2,7 +2,7 @@
 
 use crate::metric::{Counter, Gauge, Histogram};
 use crate::span::StageStat;
-use fw_types::json::escape;
+use fw_types::json::write_str;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -169,7 +169,8 @@ impl Registry {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:{}", escape(name), c.get());
+            write_str(&mut out, name);
+            let _ = write!(out, ":{}", c.get());
         }
         drop(counters);
         out.push_str("},\"gauges\":{");
@@ -178,7 +179,8 @@ impl Registry {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:{}", escape(name), g.get());
+            write_str(&mut out, name);
+            let _ = write!(out, ":{}", g.get());
         }
         drop(gauges);
         out.push_str("},\"histograms\":{");
@@ -187,10 +189,10 @@ impl Registry {
             if i > 0 {
                 out.push(',');
             }
+            write_str(&mut out, name);
             let _ = write!(
                 out,
-                "{}:{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{:.3},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                escape(name),
+                ":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{:.3},\"p50\":{},\"p90\":{},\"p99\":{}}}",
                 h.count(),
                 h.sum(),
                 h.min(),
@@ -207,13 +209,11 @@ impl Registry {
             if i > 0 {
                 out.push(',');
             }
+            write_str(&mut out, path);
             let _ = write!(
                 out,
-                "{}:{{\"count\":{},\"wall_ns\":{},\"sim_us\":{}}}",
-                escape(path),
-                stat.count,
-                stat.wall_ns,
-                stat.sim_us,
+                ":{{\"count\":{},\"wall_ns\":{},\"sim_us\":{}}}",
+                stat.count, stat.wall_ns, stat.sim_us,
             );
         }
         out.push_str("}}");

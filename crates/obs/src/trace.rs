@@ -530,7 +530,7 @@ impl TraceDump {
                 out.push(',');
             }
             out.push_str(&format!("[{tid},"));
-            out.push_str(&fw_types::json::escape(name));
+            fw_types::json::write_str(&mut out, name);
             out.push(']');
         }
         out.push_str("]}\n");
@@ -542,7 +542,7 @@ impl TraceDump {
                 ev.parent_id,
                 ev.tid,
             ));
-            out.push_str(&fw_types::json::escape(self.name(ev.name_id)));
+            fw_types::json::write_str(&mut out, self.name(ev.name_id));
             if ev.arg != ARG_NONE {
                 out.push_str(&format!(",\"arg\":{}", ev.arg));
             }

@@ -1,7 +1,8 @@
 //! Microbenchmarks for the serving hot path: one request through the
-//! zero-copy serve loop (cache-hit replay vs cold compute per endpoint
-//! class), raw sharded-cache churn under TinyLFU admission, and a full
-//! client↔server round trip over a wall-clock pipe.
+//! zero-copy serve loop (cache-hit replay vs a miss that renders its
+//! body, per endpoint class), raw sharded-cache churn under TinyLFU
+//! admission, and a full client↔server round trip over a wall-clock
+//! pipe.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use fw_dns::pdns::PdnsStore;
@@ -86,7 +87,6 @@ fn bench_serve_fast(c: &mut Criterion) {
     let api = api();
     let mut scratch = Scratch::new();
     let mut verdict = OneShot::get(&format!("/v1/verdict/{FQDN}"));
-    let mut usage = OneShot::get(&format!("/v1/usage/{FQDN}"));
     let mut figures = OneShot::get("/v1/figures/ingress");
 
     let mut g = c.benchmark_group("serve_fast");
@@ -101,14 +101,22 @@ fn bench_serve_fast(c: &mut Criterion) {
         api.serve_fast(figures.rewind(), &mut scratch);
         b.iter(|| api.serve_fast(figures.rewind(), &mut scratch))
     });
-    // Cold compute: a fresh API per batch so every request is a miss.
-    g.bench_function("usage_miss", |b| {
-        b.iter_batched(
-            api_fresh,
-            |fresh| fresh.serve_fast(usage.rewind(), &mut scratch),
-            criterion::BatchSize::SmallInput,
-        )
-    });
+    // Cold compute: a fresh API per batch so every request is a miss
+    // and renders its body (a 20-entry page for the candidates list).
+    for (name, target) in [
+        ("verdict_miss", format!("/v1/verdict/{FQDN}")),
+        ("usage_miss", format!("/v1/usage/{FQDN}")),
+        ("candidates_miss", "/v1/candidates?offset=0&limit=20".into()),
+    ] {
+        let mut request = OneShot::get(&target);
+        g.bench_function(name, |b| {
+            b.iter_batched(
+                api_fresh,
+                |fresh| fresh.serve_fast(request.rewind(), &mut scratch),
+                criterion::BatchSize::SmallInput,
+            )
+        });
+    }
     g.finish();
 }
 

@@ -13,7 +13,9 @@
 //! image straight to the connection (one pointer clone + one
 //! `write_all`), and renders everything else — the live status
 //! document and any `Connection: close` reply — into a reusable scratch
-//! buffer. [`ServeApi::serve_pool`] runs it on a fixed pool of
+//! buffer. A miss calls the [`ServeState`] renderer for its route,
+//! which writes the body in one pass, and caches the wire image.
+//! [`ServeApi::serve_pool`] runs it on a fixed pool of
 //! clock-registered accept workers with flow-steered connections. The
 //! renderers are byte-identical to `fw_http::parse::write_response`,
 //! and the unit tests pin the response bytes.
@@ -31,7 +33,6 @@ use fw_http::parse::{HttpError, Limits};
 use fw_http::types::Method;
 use fw_net::{Connection, SimNet};
 use fw_obs::{counter_inc, Histogram};
-use fw_types::Json;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -117,26 +118,6 @@ impl<B: PdnsBackend> ServeApi<B> {
 
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Render the live status document (uncached by design: it reports
-    /// the cache's own counters).
-    fn status_body(&self) -> String {
-        let cache = self.cache.stats();
-        let mut doc = match self.state.status_json() {
-            Json::Obj(fields) => fields,
-            other => vec![("state".to_string(), other)],
-        };
-        doc.push((
-            "cache".to_string(),
-            Json::Obj(vec![
-                ("hits".to_string(), Json::Num(cache.hits as f64)),
-                ("misses".to_string(), Json::Num(cache.misses as f64)),
-                ("evictions".to_string(), Json::Num(cache.evictions as f64)),
-                ("entries".to_string(), Json::Num(cache.entries as f64)),
-            ]),
-        ));
-        Json::Obj(doc).render()
     }
 
     /// Route a GET target to its endpoint class and response source.
@@ -240,7 +221,9 @@ impl<B: PdnsBackend> ServeApi<B> {
                     write_json(conn, &mut scratch.out, entry.status, entry.body(), true),
                 ),
                 Routed::Status => {
-                    let body = self.status_body();
+                    // Uncached by design: it reports the cache's own
+                    // live counters.
+                    let body = self.state.status_body(&self.cache.stats());
                     let written =
                         write_json(conn, &mut scratch.out, 200, body.as_bytes(), req.close);
                     (200, written)
@@ -325,7 +308,7 @@ mod tests {
     use fw_http::parse::write_request;
     use fw_http::types::{Request, Response};
     use fw_net::{pipe_pair, PipeConn};
-    use fw_types::{DayStamp, Fqdn, Rdata};
+    use fw_types::{DayStamp, Fqdn, Json, Rdata};
     use std::net::Ipv4Addr;
     use std::thread::JoinHandle;
 
@@ -447,6 +430,50 @@ mod tests {
         let cache = doc.get("cache").unwrap();
         assert_eq!(cache.get("hits").and_then(Json::as_f64), Some(1.0));
         assert_eq!(cache.get("misses").and_then(Json::as_f64), Some(1.0));
+    }
+
+    /// The status document after a fixed request sequence, byte for
+    /// byte: the state's counts, then the live cache counters.
+    #[test]
+    fn status_after_fixed_sequence_matches_pinned_bytes() {
+        let verdict = format!("/v1/verdict/{FQDN}");
+        let usage = format!("/v1/usage/{FQDN}");
+        let resps = exchange_all(
+            &api(),
+            &[
+                (Method::Get, verdict.as_str()),
+                (Method::Get, verdict.as_str()),
+                (Method::Get, usage.as_str()),
+                (Method::Get, "/v1/nope"),
+                (Method::Get, "/v1/candidates?offset=0&limit=5"),
+                (Method::Get, "/v1/status"),
+            ],
+        );
+        assert_eq!(
+            resps[5].body_text(),
+            concat!(
+                r#"{"functions":1,"unmatched":0,"candidates":1,"total_requests":120,"#,
+                r#""store_fqdns":1,"store_rows":3,"#,
+                r#""cache":{"hits":1,"misses":3,"evictions":0,"entries":3}}"#,
+            )
+        );
+    }
+
+    /// A page offset at `usize::MAX` gets an empty page, not a panic
+    /// that would end the connection's worker.
+    #[test]
+    fn paging_past_usize_max_answers_an_empty_page() {
+        let resps = exchange_all(
+            &api(),
+            &[
+                (Method::Get, "/v1/candidates?offset=18446744073709551615"),
+                (Method::Get, "/v1/status"),
+            ],
+        );
+        assert_eq!(resps[0].status, 200);
+        let doc = Json::parse(&resps[0].body_text()).unwrap();
+        assert_eq!(doc.get("candidates").and_then(Json::as_arr), Some(&[][..]));
+        assert_eq!(resps[1].status, 200);
     }
 
     /// A mixed sequence of hits, misses and 404s, sent back to back on

@@ -8,7 +8,9 @@
 //! * [`state::ServeState`] — the queryable snapshot: the output of the
 //!   store's rows folded through the sensing daemon's
 //!   [`fw_stream::Measurement`], frozen behind point-lookup indexes
-//!   and pre-rendered figure documents;
+//!   and pre-rendered figure documents. Every response body is written
+//!   in one pass straight into its `String` through
+//!   [`fw_types::json`]'s writer, with no `Json` value tree;
 //! * [`api::ServeApi`] — request routing over `fw-http`, fronted by a
 //!   sharded in-memory LRU ([`cache::ShardedCache`]) keyed on the
 //!   request target, with per-endpoint latency histograms and trace

@@ -6,12 +6,18 @@
 //! behind point-lookup indexes and pre-rendered figure documents.
 //! Every response body is a pure function of this state, so the cache
 //! in front of the router can never serve a stale or divergent byte.
+//!
+//! Bodies are written in one pass: each renderer appends its document
+//! straight into the response `String` through [`fw_types::json`]'s
+//! writer, with no intermediate value tree.
 
+use crate::cache::CacheStats;
 use fw_core::identify::IdentificationReport;
-use fw_core::usage::{IngressRow, MonthlySeries};
+use fw_core::usage::{IngressRow, InvocationReport, MonthlySeries};
 use fw_dns::pdns::PdnsBackend;
 use fw_stream::{collect_rows, day_batches, Detection, Measurement, ScoreConfig};
-use fw_types::{Fqdn, Json, MonthStamp, ProviderId};
+use fw_types::json::{Array, Object};
+use fw_types::{Fqdn, MonthStamp, ProviderId};
 use std::collections::{BTreeMap, HashMap};
 
 /// Immutable measurement state plus the backing store's read path.
@@ -25,6 +31,11 @@ pub struct ServeState<B: PdnsBackend> {
     /// Pre-rendered figure documents, keyed by endpoint name.
     figures: Vec<(&'static str, String)>,
 }
+
+/// Room for a verdict, abuse or error body without regrowing.
+const BODY_CAPACITY: usize = 256;
+/// Room for one candidate entry of a listing page.
+const DETECTION_CAPACITY: usize = 192;
 
 impl<B: PdnsBackend> ServeState<B> {
     /// Build the snapshot by folding `backend`'s day batches through a
@@ -40,13 +51,10 @@ impl<B: PdnsBackend> ServeState<B> {
         let (usage, mut detections) = measurement.finish();
 
         let figures = vec![
-            ("monthly_new", series_json(&usage.new_fqdns).render()),
-            (
-                "monthly_requests",
-                series_json(&usage.request_series).render(),
-            ),
-            ("ingress", ingress_json(&usage.ingress).render()),
-            ("invocation", invocation_json(&usage.invocation).render()),
+            ("monthly_new", series_body(&usage.new_fqdns)),
+            ("monthly_requests", series_body(&usage.request_series)),
+            ("ingress", ingress_body(&usage.ingress)),
+            ("invocation", invocation_body(&usage.invocation)),
         ];
 
         detections.sort_by(|a, b| a.fqdn.cmp(&b.fqdn));
@@ -84,20 +92,26 @@ impl<B: PdnsBackend> ServeState<B> {
             .collect()
     }
 
-    /// Status document body (counts only; the router appends live cache
-    /// stats).
-    pub fn status_json(&self) -> Json {
-        Json::Obj(vec![
-            ("functions".into(), num(self.report.functions.len() as f64)),
-            ("unmatched".into(), num(self.report.unmatched as f64)),
-            ("candidates".into(), num(self.detections.len() as f64)),
-            (
-                "total_requests".into(),
-                num(self.report.total_requests as f64),
-            ),
-            ("store_fqdns".into(), num(self.backend.fqdn_count() as f64)),
-            ("store_rows".into(), num(self.store_rows as f64)),
-        ])
+    /// `GET /v1/status` — the snapshot's counts, then the live `cache`
+    /// counters the router passes in.
+    pub fn status_body(&self, cache: &CacheStats) -> String {
+        let mut out = String::with_capacity(BODY_CAPACITY);
+        let mut doc = Object::new(&mut out);
+        doc.num("functions", self.report.functions.len() as f64)
+            .num("unmatched", self.report.unmatched as f64)
+            .num("candidates", self.detections.len() as f64)
+            .num("total_requests", self.report.total_requests as f64)
+            .num("store_fqdns", self.backend.fqdn_count() as f64)
+            .num("store_rows", self.store_rows as f64);
+        let mut counters = Object::new(doc.field("cache"));
+        counters
+            .num("hits", cache.hits as f64)
+            .num("misses", cache.misses as f64)
+            .num("evictions", cache.evictions as f64)
+            .num("entries", cache.entries as f64);
+        counters.end();
+        doc.end();
+        out
     }
 
     /// `GET /v1/verdict/{fqdn}` — identified / noise / unknown.
@@ -105,40 +119,28 @@ impl<B: PdnsBackend> ServeState<B> {
         let Ok(fqdn) = Fqdn::parse(raw) else {
             return error_body(400, "invalid fqdn");
         };
-        if let Some(f) = self.report.find(&fqdn) {
-            let mut obj = vec![
-                ("fqdn".into(), Json::Str(raw.to_string())),
-                ("verdict".into(), Json::Str("function".into())),
-                ("provider".into(), Json::Str(f.provider.label().into())),
-                (
-                    "region".into(),
-                    f.region
-                        .as_ref()
-                        .map_or(Json::Null, |r| Json::Str(r.clone())),
-                ),
-                ("first_seen_day".into(), num(f.agg.first_seen_all.0 as f64)),
-                ("last_seen_day".into(), num(f.agg.last_seen_all.0 as f64)),
-                ("days_active".into(), num(f.agg.days_count as f64)),
-                ("total_requests".into(), num(f.agg.total_request_cnt as f64)),
-                ("lifespan_days".into(), num(f.agg.lifespan_days() as f64)),
-            ];
-            obj.push((
-                "activity_density".into(),
-                num((f.agg.activity_density() * 1e6).round() / 1e6),
-            ));
-            return (200, Json::Obj(obj).render());
+        let found = self.report.find(&fqdn);
+        if found.is_none() && self.backend.aggregate(&fqdn).is_none() {
+            return error_body(404, "fqdn not observed");
         }
-        if self.backend.aggregate(&fqdn).is_some() {
-            return (
-                200,
-                Json::Obj(vec![
-                    ("fqdn".into(), Json::Str(raw.to_string())),
-                    ("verdict".into(), Json::Str("noise".into())),
-                ])
-                .render(),
-            );
-        }
-        error_body(404, "fqdn not observed")
+        let mut out = String::with_capacity(BODY_CAPACITY);
+        let mut doc = Object::new(&mut out);
+        doc.str("fqdn", raw);
+        match found {
+            Some(f) => doc
+                .str("verdict", "function")
+                .str("provider", f.provider.label())
+                .opt_str("region", f.region.as_deref())
+                .num("first_seen_day", f.agg.first_seen_all.0 as f64)
+                .num("last_seen_day", f.agg.last_seen_all.0 as f64)
+                .num("days_active", f.agg.days_count as f64)
+                .num("total_requests", f.agg.total_request_cnt as f64)
+                .num("lifespan_days", f.agg.lifespan_days() as f64)
+                .num("activity_density", round6(f.agg.activity_density())),
+            None => doc.str("verdict", "noise"),
+        };
+        doc.end();
+        (200, out)
     }
 
     /// `GET /v1/usage/{fqdn}` — the per-function read path: monthly
@@ -160,34 +162,22 @@ impl<B: PdnsBackend> ServeState<B> {
                 by_rtype[rtype as usize] += cnt;
                 total += cnt;
             });
-        let provider = self
-            .report
-            .find(&fqdn)
-            .map_or(Json::Null, |f| Json::Str(f.provider.label().into()));
-        let body = Json::Obj(vec![
-            ("fqdn".into(), Json::Str(raw.to_string())),
-            ("provider".into(), provider),
-            (
-                "months".into(),
-                Json::Arr(months.keys().map(|m| Json::Str(m.label())).collect()),
-            ),
-            (
-                "requests".into(),
-                Json::Arr(months.values().map(|&v| num(v as f64)).collect()),
-            ),
-            (
-                "by_rtype".into(),
-                Json::Obj(
-                    ["A", "CNAME", "AAAA"]
-                        .iter()
-                        .zip(by_rtype)
-                        .map(|(name, v)| (name.to_string(), num(v as f64)))
-                        .collect(),
-                ),
-            ),
-            ("total_requests".into(), num(total as f64)),
-        ]);
-        (200, body.render())
+        let mut out = String::with_capacity(BODY_CAPACITY + 24 * months.len());
+        let mut doc = Object::new(&mut out);
+        doc.str("fqdn", raw).opt_str(
+            "provider",
+            self.report.find(&fqdn).map(|f| f.provider.label()),
+        );
+        month_labels(doc.field("months"), months.keys());
+        nums(doc.field("requests"), months.values().map(|&v| v as f64));
+        let mut rtypes = Object::new(doc.field("by_rtype"));
+        for (name, v) in ["A", "CNAME", "AAAA"].into_iter().zip(by_rtype) {
+            rtypes.num(name, v as f64);
+        }
+        rtypes.end();
+        doc.num("total_requests", total as f64);
+        doc.end();
+        (200, out)
     }
 
     /// `GET /v1/abuse/{fqdn}` — candidate status from the scorer state.
@@ -196,40 +186,42 @@ impl<B: PdnsBackend> ServeState<B> {
             return error_body(400, "invalid fqdn");
         };
         if let Some(&i) = self.by_fqdn.get(&fqdn) {
-            return (200, detection_json(&self.detections[i]).render());
+            let mut out = String::with_capacity(BODY_CAPACITY);
+            write_detection(&mut out, &self.detections[i]);
+            return (200, out);
         }
-        match self.report.find(&fqdn) {
-            Some(f) => (
-                200,
-                Json::Obj(vec![
-                    ("fqdn".into(), Json::Str(raw.to_string())),
-                    ("candidate".into(), Json::Bool(false)),
-                    ("days_active".into(), num(f.agg.days_count as f64)),
-                    ("total_requests".into(), num(f.agg.total_request_cnt as f64)),
-                ])
-                .render(),
-            ),
-            None => error_body(404, "not an identified function"),
-        }
+        let Some(f) = self.report.find(&fqdn) else {
+            return error_body(404, "not an identified function");
+        };
+        let mut out = String::with_capacity(BODY_CAPACITY);
+        let mut doc = Object::new(&mut out);
+        doc.str("fqdn", raw)
+            .bool("candidate", false)
+            .num("days_active", f.agg.days_count as f64)
+            .num("total_requests", f.agg.total_request_cnt as f64);
+        doc.end();
+        (200, out)
     }
 
     /// `GET /v1/candidates?offset=&limit=` — paged candidate listing.
+    /// The limit is clamped to 1..=1000; an offset past the end (up to
+    /// `usize::MAX`) gets an empty page.
     pub fn candidates_body(&self, offset: usize, limit: usize) -> (u16, String) {
-        let end = (offset + limit.clamp(1, 1000)).min(self.detections.len());
-        let page = if offset < end {
-            &self.detections[offset..end]
-        } else {
-            &[]
-        };
-        let body = Json::Obj(vec![
-            ("count".into(), num(self.detections.len() as f64)),
-            ("offset".into(), num(offset as f64)),
-            (
-                "candidates".into(),
-                Json::Arr(page.iter().map(detection_json).collect()),
-            ),
-        ]);
-        (200, body.render())
+        let end = offset
+            .saturating_add(limit.clamp(1, 1000))
+            .min(self.detections.len());
+        let page = self.detections.get(offset..end).unwrap_or(&[]);
+        let mut out = String::with_capacity(64 + DETECTION_CAPACITY * page.len());
+        let mut doc = Object::new(&mut out);
+        doc.num("count", self.detections.len() as f64)
+            .num("offset", offset as f64);
+        let mut list = Array::new(doc.field("candidates"));
+        for d in page {
+            write_detection(list.item(), d);
+        }
+        list.end();
+        doc.end();
+        (200, out)
     }
 
     /// `GET /v1/figures/{name}` — pre-rendered figure documents.
@@ -241,136 +233,121 @@ impl<B: PdnsBackend> ServeState<B> {
     }
 }
 
-fn num(v: f64) -> Json {
-    Json::Num(v)
-}
-
 fn error_body(status: u16, msg: &str) -> (u16, String) {
-    (
-        status,
-        Json::Obj(vec![("error".into(), Json::Str(msg.into()))]).render(),
-    )
+    let mut out = String::with_capacity(BODY_CAPACITY);
+    let mut doc = Object::new(&mut out);
+    doc.str("error", msg);
+    doc.end();
+    (status, out)
 }
 
-fn detection_json(d: &Detection) -> Json {
-    Json::Obj(vec![
-        ("fqdn".into(), Json::Str(d.fqdn.to_string())),
-        ("candidate".into(), Json::Bool(true)),
-        ("provider".into(), Json::Str(d.provider.label().into())),
-        ("first_seen_us".into(), num(d.first_seen_us as f64)),
-        ("flagged_us".into(), num(d.flagged_us as f64)),
-        ("latency_us".into(), num(d.latency_us() as f64)),
-    ])
+fn write_detection(out: &mut String, d: &Detection) {
+    let mut doc = Object::new(out);
+    doc.str("fqdn", d.fqdn.as_str())
+        .bool("candidate", true)
+        .str("provider", d.provider.label())
+        .num("first_seen_us", d.first_seen_us as f64)
+        .num("flagged_us", d.flagged_us as f64)
+        .num("latency_us", d.latency_us() as f64);
+    doc.end();
 }
 
-/// Figure 3/4 series as JSON. Providers render in `ProviderId::ALL`
-/// order so the document is byte-stable (the series' own map is a
-/// `HashMap`).
-fn series_json(s: &MonthlySeries) -> Json {
-    Json::Obj(vec![
-        (
-            "months".into(),
-            Json::Arr(s.months.iter().map(|m| Json::Str(m.label())).collect()),
-        ),
-        (
-            "total".into(),
-            Json::Arr(s.total().iter().map(|&v| num(v as f64)).collect()),
-        ),
-        (
-            "per_provider".into(),
-            Json::Obj(
-                ProviderId::ALL
-                    .iter()
-                    .filter_map(|&p| {
-                        s.for_provider(p).map(|vals| {
-                            (
-                                p.label().to_string(),
-                                Json::Arr(vals.iter().map(|&v| num(v as f64)).collect()),
-                            )
-                        })
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+/// A JSON array of numbers.
+fn nums(out: &mut String, values: impl IntoIterator<Item = f64>) {
+    let mut list = Array::new(out);
+    for v in values {
+        list.num(v);
+    }
+    list.end();
 }
 
-fn triple(name: &str, (a, c, aaaa): (f64, f64, f64)) -> (String, Json) {
-    (
-        name.to_string(),
-        Json::Arr(vec![num(round6(a)), num(round6(c)), num(round6(aaaa))]),
-    )
+/// A JSON array of `YYYY-MM` month labels.
+fn month_labels<'a>(out: &mut String, months: impl IntoIterator<Item = &'a MonthStamp>) {
+    let mut list = Array::new(out);
+    for m in months {
+        list.str(&m.label());
+    }
+    list.end();
 }
 
 fn round6(v: f64) -> f64 {
     (v * 1e6).round() / 1e6
 }
 
-fn ingress_json(rows: &[IngressRow]) -> Json {
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::Obj(vec![
-                    ("provider".into(), Json::Str(r.provider.label().into())),
-                    ("domains".into(), num(r.domains as f64)),
-                    ("total_requests".into(), num(r.total_requests as f64)),
-                    ("regions".into(), num(r.regions as f64)),
-                    triple("rtype_share", r.rtype_share),
-                    (
-                        "rdata_cnt".into(),
-                        Json::Arr(vec![
-                            num(r.rdata_cnt.0 as f64),
-                            num(r.rdata_cnt.1 as f64),
-                            num(r.rdata_cnt.2 as f64),
-                        ]),
-                    ),
-                    triple("top10", r.top10),
-                    triple("entropy_bits", r.entropy_bits),
-                ])
-            })
-            .collect(),
-    )
+/// Figure 3/4 series. Providers render in `ProviderId::ALL` order so
+/// the document is byte-stable (the series' own map is a `HashMap`).
+fn series_body(s: &MonthlySeries) -> String {
+    let mut out = String::new();
+    let mut doc = Object::new(&mut out);
+    month_labels(doc.field("months"), &s.months);
+    nums(doc.field("total"), s.total().iter().map(|&v| v as f64));
+    let mut per_provider = Object::new(doc.field("per_provider"));
+    for p in ProviderId::ALL {
+        if let Some(vals) = s.for_provider(p) {
+            nums(
+                per_provider.field(p.label()),
+                vals.iter().map(|&v| v as f64),
+            );
+        }
+    }
+    per_provider.end();
+    doc.end();
+    out
 }
 
-fn invocation_json(r: &fw_core::usage::InvocationReport) -> Json {
-    Json::Obj(vec![
-        ("functions".into(), num(r.functions as f64)),
-        ("frac_under_5".into(), num(round6(r.frac_under_5))),
-        ("frac_over_100".into(), num(round6(r.frac_over_100))),
-        ("frac_single_day".into(), num(round6(r.frac_single_day))),
-        ("frac_under_5_days".into(), num(round6(r.frac_under_5_days))),
-        (
-            "mean_lifespan_days".into(),
-            num(round6(r.mean_lifespan_days)),
-        ),
-        ("frac_density_one".into(), num(round6(r.frac_density_one))),
-        (
-            "full_window_functions".into(),
-            num(r.full_window_functions as f64),
-        ),
-        (
-            "histogram".into(),
-            Json::Arr(
-                r.log_histogram
-                    .iter()
-                    .map(|b| {
-                        Json::Obj(vec![
-                            ("lo".into(), num(round6(b.lo))),
-                            ("hi".into(), num(round6(b.hi))),
-                            ("count".into(), num(b.count as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+/// Table 2's ingress rows; shares, top-10 fractions and entropies
+/// rounded to six decimals.
+fn ingress_body(rows: &[IngressRow]) -> String {
+    let triple = |(a, c, aaaa): (f64, f64, f64)| [round6(a), round6(c), round6(aaaa)];
+    let mut out = String::new();
+    let mut list = Array::new(&mut out);
+    for r in rows {
+        let mut row = Object::new(list.item());
+        row.str("provider", r.provider.label())
+            .num("domains", r.domains as f64)
+            .num("total_requests", r.total_requests as f64)
+            .num("regions", r.regions as f64);
+        nums(row.field("rtype_share"), triple(r.rtype_share));
+        let (a, c, aaaa) = r.rdata_cnt;
+        nums(row.field("rdata_cnt"), [a as f64, c as f64, aaaa as f64]);
+        nums(row.field("top10"), triple(r.top10));
+        nums(row.field("entropy_bits"), triple(r.entropy_bits));
+        row.end();
+    }
+    list.end();
+    out
+}
+
+/// Figure 5's invocation summary and log-scale histogram.
+fn invocation_body(r: &InvocationReport) -> String {
+    let mut out = String::new();
+    let mut doc = Object::new(&mut out);
+    doc.num("functions", r.functions as f64)
+        .num("frac_under_5", round6(r.frac_under_5))
+        .num("frac_over_100", round6(r.frac_over_100))
+        .num("frac_single_day", round6(r.frac_single_day))
+        .num("frac_under_5_days", round6(r.frac_under_5_days))
+        .num("mean_lifespan_days", round6(r.mean_lifespan_days))
+        .num("frac_density_one", round6(r.frac_density_one))
+        .num("full_window_functions", r.full_window_functions as f64);
+    let mut bins = Array::new(doc.field("histogram"));
+    for b in &r.log_histogram {
+        let mut bin = Object::new(bins.item());
+        bin.num("lo", round6(b.lo))
+            .num("hi", round6(b.hi))
+            .num("count", b.count as f64);
+        bin.end();
+    }
+    bins.end();
+    doc.end();
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fw_dns::pdns::PdnsStore;
-    use fw_types::{DayStamp, Rdata};
+    use fw_types::{DayStamp, Json, Rdata};
     use std::net::Ipv4Addr;
 
     fn test_store() -> PdnsStore {
@@ -446,5 +423,146 @@ mod tests {
         }
         let (code, _) = state.figure_body("nope");
         assert_eq!(code, 404);
+    }
+
+    const AWS: &str = "a1b2c3d4e5f6.lambda-url.us-east-1.on.aws";
+    const GCF: &str = "us-proj-fn.cloudfunctions.net";
+
+    /// Four identified functions (three of them candidates), an Azure
+    /// host and a plain domain the identifier leaves unmatched; `AWS`
+    /// spans two months and all three record types.
+    fn pin_state() -> ServeState<PdnsStore> {
+        let mut store = PdnsStore::new();
+        let v4 = Rdata::V4(Ipv4Addr::new(203, 0, 113, 7));
+        let v6 = Rdata::V6("2001:db8::7".parse().unwrap());
+        let cname = Rdata::Name(Fqdn::parse("edge.example.net").unwrap());
+        let aws = Fqdn::parse(AWS).unwrap();
+        for d in [19_100, 19_101, 19_102] {
+            store.observe_count(&aws, &v4, DayStamp(d), 10);
+        }
+        store.observe_count(&aws, &cname, DayStamp(19_125), 7);
+        store.observe_count(&aws, &v6, DayStamp(19_126), 3);
+        store.observe_count(&Fqdn::parse(GCF).unwrap(), &v4, DayStamp(19_110), 150);
+        for (name, n) in [
+            ("0f1e2d3c4b5a.lambda-url.eu-west-1.on.aws", 4),
+            ("99aa88bb77cc.lambda-url.ap-south-1.on.aws", 6),
+        ] {
+            let f = Fqdn::parse(name).unwrap();
+            for d in [19_130, 19_140, 19_150] {
+                store.observe_count(&f, &v4, DayStamp(d), n);
+            }
+        }
+        let azure = Fqdn::parse("myapp.azurewebsites.net").unwrap();
+        store.observe_count(&azure, &v4, DayStamp(19_111), 5);
+        let noise = Fqdn::parse("www.example.com").unwrap();
+        store.observe_count(&noise, &v4, DayStamp(19_100), 99);
+        ServeState::build(store, 1)
+    }
+
+    fn pinned(got: (u16, String), code: u16, body: &str) {
+        assert_eq!(got, (code, body.to_string()));
+    }
+
+    /// Every keyed body shape, byte for byte as the serving plane has
+    /// always written it.
+    #[test]
+    fn keyed_bodies_match_pinned_bytes() {
+        let state = pin_state();
+        pinned(
+            state.verdict_body(AWS),
+            200,
+            concat!(
+                r#"{"fqdn":"a1b2c3d4e5f6.lambda-url.us-east-1.on.aws","verdict":"function","#,
+                r#""provider":"AWS","region":"us-east-1","first_seen_day":19100,"#,
+                r#""last_seen_day":19126,"days_active":5,"total_requests":40,"#,
+                r#""lifespan_days":27,"activity_density":0.185185}"#,
+            ),
+        );
+        pinned(
+            state.verdict_body("www.example.com"),
+            200,
+            r#"{"fqdn":"www.example.com","verdict":"noise"}"#,
+        );
+        pinned(
+            state.verdict_body("never-seen.example.net"),
+            404,
+            r#"{"error":"fqdn not observed"}"#,
+        );
+        pinned(
+            state.verdict_body("bad..fqdn"),
+            400,
+            r#"{"error":"invalid fqdn"}"#,
+        );
+        pinned(
+            state.usage_body(AWS),
+            200,
+            concat!(
+                r#"{"fqdn":"a1b2c3d4e5f6.lambda-url.us-east-1.on.aws","provider":"AWS","#,
+                r#""months":["2022-04","2022-05"],"requests":[30,10],"#,
+                r#""by_rtype":{"A":30,"CNAME":7,"AAAA":3},"total_requests":40}"#,
+            ),
+        );
+        pinned(
+            state.usage_body("never-seen.example.net"),
+            404,
+            r#"{"error":"fqdn not observed"}"#,
+        );
+        pinned(
+            state.abuse_body(AWS),
+            200,
+            concat!(
+                r#"{"fqdn":"a1b2c3d4e5f6.lambda-url.us-east-1.on.aws","candidate":true,"#,
+                r#""provider":"AWS","first_seen_us":0,"flagged_us":172800000000,"#,
+                r#""latency_us":172800000000}"#,
+            ),
+        );
+        pinned(
+            state.abuse_body(GCF),
+            200,
+            concat!(
+                r#"{"fqdn":"us-proj-fn.cloudfunctions.net","candidate":false,"#,
+                r#""days_active":1,"total_requests":150}"#,
+            ),
+        );
+        pinned(
+            state.candidates_body(1, 2),
+            200,
+            concat!(
+                r#"{"count":3,"offset":1,"candidates":["#,
+                r#"{"fqdn":"99aa88bb77cc.lambda-url.ap-south-1.on.aws","candidate":true,"#,
+                r#""provider":"AWS","first_seen_us":2592000000000,"#,
+                r#""flagged_us":4320000000000,"latency_us":1728000000000},"#,
+                r#"{"fqdn":"a1b2c3d4e5f6.lambda-url.us-east-1.on.aws","candidate":true,"#,
+                r#""provider":"AWS","first_seen_us":0,"flagged_us":172800000000,"#,
+                r#""latency_us":172800000000}]}"#,
+            ),
+        );
+        pinned(
+            state.candidates_body(5, 20),
+            200,
+            r#"{"count":3,"offset":5,"candidates":[]}"#,
+        );
+    }
+
+    /// The four figure documents of the seed-7 scale-0.01 world, pinned
+    /// by length and FNV-1a digest.
+    #[test]
+    fn figures_match_pinned_bytes() {
+        let world = fw_workload::World::generate(fw_workload::WorldConfig::usage(7, 0.01));
+        let state = ServeState::build(world.pdns, 2);
+        for (name, len, fnv) in [
+            ("monthly_new", 992, 0x8a83_0799_0dab_305f),
+            ("monthly_requests", 1589, 0x2067_2588_e68d_88fb),
+            ("ingress", 1498, 0xb610_8626_6dce_f24e),
+            ("invocation", 992, 0x536e_bde5_25df_287b),
+        ] {
+            let (code, body) = state.figure_body(name);
+            assert_eq!(code, 200, "figure {name}");
+            assert_eq!(
+                (body.len(), fw_types::fnv::fnv1a(body.as_bytes())),
+                (len, fnv),
+                "figure {name}"
+            );
+        }
     }
 }

@@ -1,14 +1,25 @@
-//! A minimal JSON value parser and renderer.
+//! The workspace's one JSON reader and one JSON writer.
 //!
-//! The workspace writes most of its JSON by hand (registry export,
-//! bench reports, trace dumps) but several consumers also need to
-//! *read* it back: the trace reporter, the bench regression gate, and
-//! the streaming daemon's checkpoint/status format. This is the one
-//! shared implementation — a strict recursive-descent parser over the
-//! full JSON grammar, small enough to audit, with the handful of
-//! accessors the consumers use. No serde in the vendored dependency
-//! set. `fw-obs` re-exports [`Json`] for compatibility with its
-//! pre-move consumers.
+//! **Writing.** The writer appends straight into a caller's `String`:
+//! [`write_str`] writes a string literal, escaping in place with no
+//! temporary; [`write_num`] writes a number (integral values below
+//! 2^53 as integers, other finite values in Rust's shortest round-trip
+//! `{}` form, NaN and ±inf as `null`); and [`Object`] / [`Array`]
+//! open a container and place its commas. fw-serve writes its response
+//! bodies with it in one pass, fw-obs's hand-rolled exporters escape
+//! their names through [`write_str`], and [`Json::render`] is a walk
+//! over the same primitives, so the workspace has one escaper and one
+//! rule for JSON numbers.
+//!
+//! **Reading.** Several consumers also need to *read* JSON back: the
+//! trace reporter, the bench regression gate, and the streaming
+//! daemon's checkpoint/status format. [`Json::parse`] is a strict
+//! recursive-descent parser over the full JSON grammar, small enough
+//! to audit, with the handful of accessors the consumers use. No serde
+//! in the vendored dependency set. `fw-obs` re-exports [`Json`] for
+//! compatibility with its pre-move consumers.
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value. Object keys keep insertion order (duplicates:
 /// last one wins on [`Json::get`] lookups — matching serde_json).
@@ -93,77 +104,201 @@ impl Json {
     }
 
     /// Compact serialization (no whitespace). Round-trips through
-    /// [`Json::parse`]; the bench regression gate uses it to carry
-    /// history entries from an old report into a rewritten one, and
-    /// the streaming daemon uses it for checkpoint/status documents.
+    /// [`Json::parse`] (a non-finite number renders as `null`, as
+    /// `JSON.stringify` does); the bench regression gate uses it to
+    /// carry history entries from an old report into a rewritten one,
+    /// and the streaming daemon uses it for checkpoint/status
+    /// documents.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out);
+        self.write(&mut out);
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                // Integral values print without a fraction so counters
-                // and ids survive a parse/render cycle byte-identically.
-                if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{n}"));
-                }
-            }
-            Json::Str(s) => out.push_str(&escape(s)),
+            Json::Bool(b) => write_bool(out, *b),
+            Json::Num(n) => write_num(out, *n),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.render_into(out);
+                let mut arr = Array::new(out);
+                for v in items {
+                    v.write(arr.item());
                 }
-                out.push(']');
+                arr.end();
             }
             Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&escape(k));
-                    out.push(':');
-                    v.render_into(out);
+                let mut obj = Object::new(out);
+                for (k, v) in fields {
+                    v.write(obj.field(k));
                 }
-                out.push('}');
+                obj.end();
             }
         }
     }
 }
 
-/// Quote and escape a string as a JSON string literal (including the
-/// surrounding double quotes). The shared primitive behind every
-/// hand-rolled JSON writer in the workspace.
-pub fn escape(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len() + 2);
+/// Append `s` as a JSON string literal, surrounding quotes included.
+/// Runs of bytes that need no escape are copied whole; `"`, `\` and
+/// the control characters are escaped (`\n`, `\r`, `\t`, else
+/// `\u00xx`).
+pub fn write_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        if esc.is_empty() {
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
+        } else {
+            out.push_str(esc);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
-    out
+}
+
+/// Append `n` as a JSON number. An integral value below 2^53 in
+/// magnitude prints as an integer (so counters and ids survive a
+/// parse/render cycle byte-identically), written digit by digit; any
+/// other finite value prints in Rust's shortest round-trip `{}` form;
+/// NaN and ±inf, which JSON cannot spell, print as `null`.
+pub fn write_num(out: &mut String, n: f64) {
+    if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
+        let mut digits = [0u8; 16];
+        let mut at = digits.len();
+        let mut m = (n as i64).unsigned_abs();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (m % 10) as u8;
+            m /= 10;
+            if m == 0 {
+                break;
+            }
+        }
+        if n < 0.0 {
+            out.push('-');
+        }
+        out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    } else if n.is_finite() {
+        let _ = write!(out, "{n}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+fn write_bool(out: &mut String, b: bool) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
+/// An open JSON object being appended to a `String`: each field places
+/// the comma before it, [`Object::end`] writes the closing brace.
+#[must_use = "close the object with `end`"]
+pub struct Object<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> Object<'a> {
+    /// Open an object at the end of `out`.
+    pub fn new(out: &'a mut String) -> Object<'a> {
+        out.push('{');
+        Object { out, empty: true }
+    }
+
+    /// Write the next field's key and return the buffer its value goes
+    /// into: write exactly one value there (nested containers too).
+    pub fn field(&mut self, key: &str) -> &mut String {
+        if !std::mem::take(&mut self.empty) {
+            self.out.push(',');
+        }
+        write_str(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    pub fn str(&mut self, key: &str, v: &str) -> &mut Self {
+        write_str(self.field(key), v);
+        self
+    }
+
+    /// A string field, or `null` when `v` is `None`.
+    pub fn opt_str(&mut self, key: &str, v: Option<&str>) -> &mut Self {
+        match v {
+            Some(v) => write_str(self.field(key), v),
+            None => self.field(key).push_str("null"),
+        }
+        self
+    }
+
+    pub fn num(&mut self, key: &str, v: f64) -> &mut Self {
+        write_num(self.field(key), v);
+        self
+    }
+
+    pub fn bool(&mut self, key: &str, v: bool) -> &mut Self {
+        write_bool(self.field(key), v);
+        self
+    }
+
+    /// Close the object.
+    pub fn end(self) {
+        self.out.push('}');
+    }
+}
+
+/// An open JSON array being appended to a `String`: each item places
+/// the comma before it, [`Array::end`] writes the closing bracket.
+#[must_use = "close the array with `end`"]
+pub struct Array<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> Array<'a> {
+    /// Open an array at the end of `out`.
+    pub fn new(out: &'a mut String) -> Array<'a> {
+        out.push('[');
+        Array { out, empty: true }
+    }
+
+    /// Return the buffer the next item goes into: write exactly one
+    /// value there (nested containers too).
+    pub fn item(&mut self) -> &mut String {
+        if !std::mem::take(&mut self.empty) {
+            self.out.push(',');
+        }
+        self.out
+    }
+
+    pub fn str(&mut self, v: &str) -> &mut Self {
+        write_str(self.item(), v);
+        self
+    }
+
+    pub fn num(&mut self, v: f64) -> &mut Self {
+        write_num(self.item(), v);
+        self
+    }
+
+    /// Close the array.
+    pub fn end(self) {
+        self.out.push(']');
+    }
 }
 
 struct Parser<'a> {
@@ -398,6 +533,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn scalars_and_nesting() {
@@ -446,17 +582,98 @@ mod tests {
         assert!(rendered.contains("[1,2.5,-300,"), "got {rendered}");
     }
 
+    fn string_literal(s: &str) -> String {
+        let mut out = String::new();
+        write_str(&mut out, s);
+        out
+    }
+
     #[test]
-    fn escape_quotes_and_controls() {
-        assert_eq!(escape("plain"), "\"plain\"");
-        assert_eq!(escape("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(escape("n\nr\rt\t"), "\"n\\nr\\rt\\t\"");
-        assert_eq!(escape("\u{1}"), "\"\\u0001\"");
+    fn write_str_escapes_quotes_and_controls() {
+        assert_eq!(string_literal("plain"), "\"plain\"");
+        assert_eq!(string_literal("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        assert_eq!(string_literal("n\nr\rt\t"), "\"n\\nr\\rt\\t\"");
+        assert_eq!(string_literal("\u{1}x\u{1f}"), "\"\\u0001x\\u001f\"");
         // Escaped output parses back to the original string.
         let tricky = "q\"uote\\slash\nline\u{7}bell😀";
         assert_eq!(
-            Json::parse(&escape(tricky)).unwrap(),
+            Json::parse(&string_literal(tricky)).unwrap(),
             Json::Str(tricky.to_string())
         );
+    }
+
+    #[test]
+    fn non_finite_numbers_render_as_parseable_null() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let text = Json::Num(x).render();
+            assert_eq!(Json::parse(&text), Ok(Json::Null), "{x} rendered as {text}");
+        }
+        let doc = Json::Arr(vec![Json::Num(1.5), Json::Num(f64::NAN)]);
+        assert_eq!(doc.render(), "[1.5,null]");
+    }
+
+    #[test]
+    fn write_num_keeps_the_integer_and_shortest_forms() {
+        for (x, want) in [
+            (0.0, "0"),
+            (-0.0, "0"),
+            (7.0, "7"),
+            (-300.0, "-300"),
+            (9_007_199_254_740_991.0, "9007199254740991"),
+            (-9_007_199_254_740_991.0, "-9007199254740991"),
+            (9_007_199_254_740_992.0, "9007199254740992"),
+            (1.8446744073709552e19, "18446744073709552000"),
+            (0.185185, "0.185185"),
+            (2.5e-7, "0.00000025"),
+        ] {
+            let mut out = String::new();
+            write_num(&mut out, x);
+            assert_eq!(out, want, "{x}");
+        }
+    }
+
+    #[test]
+    fn containers_place_commas() {
+        let mut out = String::new();
+        let mut obj = Object::new(&mut out);
+        obj.str("s", "x")
+            .num("n", 2.0)
+            .bool("b", false)
+            .opt_str("o", None);
+        let mut arr = Array::new(obj.field("a"));
+        arr.num(1.0).str("y");
+        Object::new(arr.item()).end();
+        Array::new(arr.item()).end();
+        arr.end();
+        obj.end();
+        assert_eq!(
+            out,
+            r#"{"s":"x","n":2,"b":false,"o":null,"a":[1,"y",{},[]]}"#
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn finite_numbers_round_trip(bits in any::<u64>()) {
+            let x = f64::from_bits(bits);
+            prop_assume!(x.is_finite());
+            prop_assert_eq!(Json::parse(&Json::Num(x).render()), Ok(Json::Num(x)));
+        }
+
+        #[test]
+        fn finite_integers_round_trip(v in -(1i64 << 60)..(1i64 << 60)) {
+            let x = v as f64;
+            prop_assert_eq!(Json::parse(&Json::Num(x).render()), Ok(Json::Num(x)));
+        }
+
+        /// ASCII-heavy code points (controls, quotes and backslashes
+        /// included) mixed with the rest of the BMP and beyond.
+        #[test]
+        fn strings_round_trip(
+            cps in proptest::collection::vec(prop_oneof![0u32..0x80, 0u32..0x3_0000], 0..24)
+        ) {
+            let s: String = cps.into_iter().filter_map(char::from_u32).collect();
+            prop_assert_eq!(Json::parse(&string_literal(&s)), Ok(Json::Str(s.clone())));
+        }
     }
 }
