@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use fw_cloud::billing::PriceModel;
-use fw_cloud::formats::{all_formats, identify};
+use fw_cloud::formats::{all_formats, identify, identify_with_region};
 use fw_dns::pdns::PdnsStore;
 use fw_http::fast::{read_response_fast, Scratch};
 use fw_http::parse::{write_response, Limits};
@@ -49,6 +49,19 @@ fn bench_identification(c: &mut Criterion) {
                 }
             }
             black_box(hits)
+        })
+    });
+    // The call the pipeline makes per fqdn: provider and region from
+    // one captures run.
+    group.bench_function("classify_10k_fqdns", |b| {
+        b.iter(|| {
+            let mut regions = 0usize;
+            for f in &stream {
+                if let Some((_, Some(_))) = identify_with_region(black_box(f)) {
+                    regions += 1;
+                }
+            }
+            black_box(regions)
         })
     });
     group.finish();

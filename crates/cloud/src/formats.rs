@@ -232,26 +232,28 @@ pub fn all_formats() -> &'static [UrlFormat; 10] {
     })
 }
 
-/// The format for one provider.
+/// The format for one provider. [`all_formats`] lists the rows in
+/// [`ProviderId::ALL`] order, so the provider indexes its row.
 pub fn format_for(provider: ProviderId) -> &'static UrlFormat {
-    all_formats()
-        .iter()
-        .find(|f| f.provider == provider)
-        .expect("every provider has a format")
+    &all_formats()[provider as usize]
 }
 
-/// Identify the provider format matching a domain, if any. Formats are
-/// tried in Table 1 order; the expressions are mutually exclusive for
-/// well-formed inputs. Azure is excluded — its suffix is shared with
-/// ordinary web apps, so the paper drops it from collection (§3.2).
+/// The DNS-identifiable format whose domain suffix `fqdn` carries, if
+/// any: the one candidate [`identify`] runs its expression for. The nine
+/// suffixes never nest (the tests check it), so at most one applies.
+/// Azure is excluded — its suffix is shared with ordinary web apps, so
+/// the paper drops it from collection (§3.2).
+pub fn format_by_suffix(fqdn: &Fqdn) -> Option<&'static UrlFormat> {
+    ProviderId::collected()
+        .find(|p| fqdn.has_suffix(p.domain_suffix()))
+        .map(format_for)
+}
+
+/// Identify the provider format matching a domain, if any: the
+/// expression of the one format [`format_by_suffix`] selects.
 pub fn identify(fqdn: &Fqdn) -> Option<ProviderId> {
-    // Cheap suffix pre-filter before running the pattern engine: this is
-    // the hot path when scanning PDNS-scale inputs.
-    all_formats()
-        .iter()
-        .filter(|f| f.provider.dns_identifiable())
-        .find(|f| fqdn.has_suffix(suffix_hint(f.provider)) && f.matches(fqdn))
-        .map(|f| f.provider)
+    let f = format_by_suffix(fqdn)?;
+    f.matches(fqdn).then_some(f.provider)
 }
 
 /// Identify the provider *and* extract its region code in one pass.
@@ -261,23 +263,9 @@ pub fn identify(fqdn: &Fqdn) -> Option<ProviderId> {
 /// once instead of twice — this is the per-fqdn hot path when classifying
 /// PDNS-scale aggregate streams.
 pub fn identify_with_region(fqdn: &Fqdn) -> Option<(ProviderId, Option<String>)> {
-    for f in all_formats()
-        .iter()
-        .filter(|f| f.provider.dns_identifiable())
-    {
-        if !fqdn.has_suffix(suffix_hint(f.provider)) {
-            continue;
-        }
-        if let Some(caps) = f.pattern().captures(fqdn.as_str()) {
-            return Some((f.provider, f.region_from(&caps)));
-        }
-    }
-    None
-}
-
-/// Static suffix used as the pre-filter for [`identify`].
-fn suffix_hint(provider: ProviderId) -> &'static str {
-    provider.domain_suffix()
+    let f = format_by_suffix(fqdn)?;
+    let caps = f.pattern().captures(fqdn.as_str())?;
+    Some((f.provider, f.region_from(&caps)))
 }
 
 #[cfg(test)]
@@ -315,6 +303,13 @@ mod tests {
     }
 
     #[test]
+    fn format_for_finds_each_providers_row() {
+        for p in ProviderId::ALL {
+            assert_eq!(format_for(p).provider, p);
+        }
+    }
+
+    #[test]
     fn every_generated_domain_matches_its_format() {
         for f in all_formats() {
             let (fqdn, path) = f.generate(&parts_for(f.provider));
@@ -336,18 +331,106 @@ mod tests {
         }
     }
 
+    const LOOKALIKES: [&str; 6] = [
+        "a.scf.tencentcs.com",                       // missing uid-random shape
+        "123456789-abcdefghij-gz.scf.tencentcs.com", // 9-digit uid
+        "example.com",
+        "www.fcapp.run",                // no fname-pname-random prefix
+        "cloudfunctionsxnet.other.dom", // the unescaped-dot trap
+        "x.lambda-url.on.aws",          // missing region label
+    ];
+
     #[test]
     fn identify_rejects_lookalikes() {
-        for bad in [
-            "a.scf.tencentcs.com",                       // missing uid-random shape
-            "123456789-abcdefghij-gz.scf.tencentcs.com", // 9-digit uid
-            "example.com",
-            "www.fcapp.run",                // no fname-pname-random prefix
-            "cloudfunctionsxnet.other.dom", // the unescaped-dot trap
-            "x.lambda-url.on.aws",          // missing region label
-        ] {
+        for bad in LOOKALIKES {
             let fqdn = Fqdn::parse(bad).unwrap();
             assert_eq!(identify(&fqdn), None, "{bad}");
+        }
+    }
+
+    /// The lookup's premise: no DNS-identifiable suffix is a label-wise
+    /// suffix of another.
+    #[test]
+    fn dns_identifiable_suffixes_never_nest() {
+        let suffixes: Vec<&str> = ProviderId::collected().map(|p| p.domain_suffix()).collect();
+        assert_eq!(suffixes.len(), 9);
+        for a in &suffixes {
+            for b in &suffixes {
+                if a != b {
+                    let fqdn = Fqdn::parse(a).unwrap();
+                    assert!(!fqdn.has_suffix(b), "{a} nests under {b}");
+                }
+            }
+        }
+    }
+
+    /// The per-format scan the lookup replaced: every DNS-identifiable
+    /// row of [`all_formats`] in Table 1 order, the first whose suffix
+    /// the fqdn carries.
+    fn scan_by_suffix(fqdn: &Fqdn) -> Option<ProviderId> {
+        all_formats()
+            .iter()
+            .filter(|f| f.provider.dns_identifiable())
+            .find(|f| fqdn.has_suffix(f.provider.domain_suffix()))
+            .map(|f| f.provider)
+    }
+
+    #[test]
+    fn suffix_lookup_agrees_with_a_table1_scan() {
+        let mut rng = fw_pattern::XorShiftRng::new(21);
+        let mut names: Vec<String> = LOOKALIKES.iter().map(|s| s.to_string()).collect();
+        for f in all_formats() {
+            let sampler = fw_pattern::Sampler::with_config(
+                f.pattern(),
+                fw_pattern::SamplerConfig::domain_friendly(),
+            );
+            names.extend((0..50).map(|_| sampler.sample(&mut rng)));
+        }
+        // Random names built from the suffixes' own labels, so near
+        // misses (`run.app` without `a.`, `oraclecloud.com` without
+        // `oci.`) and bare suffixes come up often.
+        let labels = [
+            "a",
+            "run",
+            "app",
+            "fcapp",
+            "com",
+            "scf",
+            "tencentcs",
+            "baidubce",
+            "ksyuncf",
+            "on",
+            "aws",
+            "cloudfunctions",
+            "net",
+            "functions",
+            "appdomain",
+            "cloud",
+            "oci",
+            "oraclecloud",
+            "azurewebsites",
+            "x",
+        ];
+        for _ in 0..5_000 {
+            let n = 2 + fw_pattern::Rng::below(&mut rng, 4) as usize;
+            let name: Vec<&str> = (0..n)
+                .map(|_| labels[fw_pattern::Rng::below(&mut rng, labels.len() as u32) as usize])
+                .collect();
+            names.push(name.join("."));
+        }
+        for name in &names {
+            let fqdn = Fqdn::parse(name).unwrap();
+            assert_eq!(
+                format_by_suffix(&fqdn).map(|f| f.provider),
+                scan_by_suffix(&fqdn),
+                "{name}"
+            );
+            let scanned = all_formats()
+                .iter()
+                .filter(|f| f.provider.dns_identifiable())
+                .find(|f| fqdn.has_suffix(f.provider.domain_suffix()) && f.matches(&fqdn))
+                .map(|f| f.provider);
+            assert_eq!(identify(&fqdn), scanned, "{name}");
         }
     }
 

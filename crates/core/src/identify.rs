@@ -15,7 +15,7 @@
 //! state is provably identical to a batch run over the same rows.
 
 use fw_analysis::par::{default_workers, par_map};
-use fw_cloud::formats::{all_formats, identify, identify_with_region};
+use fw_cloud::formats::{format_by_suffix, identify, identify_with_region};
 use fw_dns::pdns::{FqdnAggregate, PdnsBackend, PdnsRow};
 use fw_types::{DayStamp, Fqdn, ProviderId, Rdata};
 use std::collections::HashMap;
@@ -520,10 +520,7 @@ pub fn suffix_only_ablation<B: PdnsBackend + ?Sized>(pdns: &B) -> (u64, u64) {
         if identify(fqdn).is_some() {
             full += 1;
         }
-        if all_formats()
-            .iter()
-            .any(|f| f.provider.dns_identifiable() && fqdn.has_suffix(f.provider.domain_suffix()))
-        {
+        if format_by_suffix(fqdn).is_some() {
             suffix_only += 1;
         }
     });

@@ -1,9 +1,15 @@
 //! AST → NFA program (Thompson construction).
 //!
-//! The program is a flat instruction list executed by the Pike VM in
-//! `vm.rs`. Bounded repetitions are expanded at compile time (the Table 1
-//! expressions use small counts like `{10}`/`{13}`), keeping the VM free of
-//! counters.
+//! The program is a flat instruction list executed by either engine: the
+//! bounded backtracker in `backtrack.rs` or the Pike VM in `vm.rs`.
+//! Bounded repetitions are expanded at compile time (the Table 1
+//! expressions use small counts like `{10}`/`{13}`), keeping both engines
+//! free of counters, and each character class is folded into a 256-bit
+//! [`ByteSet`].
+//!
+//! [`compile_peeled`] also peels a required literal suffix off the
+//! program when the pattern ends in one, so a search can test it with
+//! `ends_with` before running an engine over the rest.
 
 use crate::ast::{Ast, ClassItem};
 
@@ -14,11 +20,8 @@ pub enum Inst {
     Byte(u8),
     /// Consume any byte except `\n`.
     Any,
-    /// Consume one byte matched by the class.
-    Class {
-        items: Vec<ClassItem>,
-        negated: bool,
-    },
+    /// Consume one byte in the set.
+    Class(ByteSet),
     /// Try `a` first (higher priority), then `b`.
     Split(usize, usize),
     /// Unconditional jump.
@@ -31,6 +34,28 @@ pub enum Inst {
     AssertEnd,
     /// Successful match.
     Match,
+}
+
+/// A character class folded at compile time: one bit per byte value,
+/// with negation already applied.
+#[derive(Debug, Clone, Copy)]
+pub struct ByteSet([u64; 4]);
+
+impl ByteSet {
+    fn of(items: &[ClassItem], negated: bool) -> ByteSet {
+        let mut bits = [0u64; 4];
+        for b in 0..=u8::MAX {
+            if items.iter().any(|i| i.contains(b)) != negated {
+                bits[usize::from(b >> 6)] |= 1 << (b & 63);
+            }
+        }
+        ByteSet(bits)
+    }
+
+    #[inline]
+    pub fn contains(&self, b: u8) -> bool {
+        self.0[usize::from(b >> 6)] >> (b & 63) & 1 != 0
+    }
 }
 
 /// A compiled NFA program.
@@ -47,6 +72,50 @@ impl Program {
     pub fn anchored_start(&self) -> bool {
         // Save(0) is always first; check the instruction after it.
         matches!(self.insts.get(1), Some(Inst::AssertStart))
+    }
+}
+
+/// Compile an AST into the program a search runs, peeling a required
+/// literal suffix off it where there is one.
+///
+/// The peel applies when the top-level concatenation ends in a run of
+/// literal bytes and then `$`: the run sits outside every group and on
+/// every path, so every match ends with it at the end of the input.
+/// The program returned then matches only the head (everything before
+/// the run) followed by `$`, to be run over the input with the run cut
+/// off; the search itself checks `ends_with(suffix)` and sets the
+/// group-0 end past the cut. A head that holds a `$` of its own is not
+/// peeled: that `$` would see the cut as the end of the input.
+pub fn compile_peeled(ast: &Ast, group_count: usize) -> (Program, Option<Box<[u8]>>) {
+    if let Ast::Concat(parts) = ast {
+        if let Some((Ast::EndAnchor, body)) = parts.split_last() {
+            let mut suffix: Vec<u8> = body
+                .iter()
+                .rev()
+                .map_while(|p| match p {
+                    Ast::Literal(b) => Some(*b),
+                    _ => None,
+                })
+                .collect();
+            suffix.reverse();
+            let head = &body[..body.len() - suffix.len()];
+            if !suffix.is_empty() && !head.iter().any(has_end_anchor) {
+                let mut head = head.to_vec();
+                head.push(Ast::EndAnchor);
+                let program = compile(&Ast::Concat(head), group_count);
+                return (program, Some(suffix.into()));
+            }
+        }
+    }
+    (compile(ast, group_count), None)
+}
+
+fn has_end_anchor(ast: &Ast) -> bool {
+    match ast {
+        Ast::EndAnchor => true,
+        Ast::Concat(parts) | Ast::Alternation(parts) => parts.iter().any(has_end_anchor),
+        Ast::Repeat { node, .. } | Ast::Group { node, .. } => has_end_anchor(node),
+        _ => false,
     }
 }
 
@@ -103,10 +172,7 @@ impl Compiler {
                 self.push(Inst::Any);
             }
             Ast::Class { items, negated } => {
-                self.push(Inst::Class {
-                    items: items.clone(),
-                    negated: *negated,
-                });
+                self.push(Inst::Class(ByteSet::of(items, *negated)));
             }
             Ast::Concat(parts) => {
                 for p in parts {

@@ -16,12 +16,23 @@
 //! * quantifiers `*` `+` `?` and bounded repetition `{n}` `{m,n}` `{m,}`,
 //!   each with a lazy variant (`*?` ...)
 //!
-//! Matching uses a Pike VM (Thompson NFA simulation with capture slots), so
-//! it runs in `O(len(input) × len(program))` — no catastrophic backtracking,
-//! which matters when scanning PDNS-scale fqdn streams. A companion
-//! [`Sampler`] generates random strings that match a pattern; the workload
-//! generator uses it to mint provider-shaped domains, and the property tests
-//! use it to cross-validate the matcher.
+//! A pattern compiles to one Thompson NFA program, and two engines run it
+//! with the same leftmost-first answer, captures included. Both run in
+//! `O(len(input) × len(program))`, with no catastrophic backtracking:
+//!
+//! * a bounded backtracker, which searches depth-first and marks each
+//!   (instruction, position) state it enters so it never enters one twice.
+//!   It takes every search whose `(len + 1) × program` fits a fixed bitset,
+//!   which covers every fqdn;
+//! * a Pike VM (NFA simulation with capture slots), whose memory does not
+//!   grow with the input, for longer inputs, and as the tests' oracle.
+//!
+//! When a pattern ends in literal bytes and then `$`, outside every group
+//! (all ten Table 1 expressions do), compilation peels that suffix off: a
+//! search checks `ends_with` first and runs the engine over the rest only.
+//! A companion [`Sampler`] generates random strings that match a pattern;
+//! the workload generator uses it to mint provider-shaped domains, and the
+//! property tests use it to cross-validate the matcher.
 //!
 //! ```
 //! use fw_pattern::Pattern;
@@ -32,6 +43,7 @@
 //! ```
 
 mod ast;
+mod backtrack;
 mod compile;
 mod sample;
 mod vm;
@@ -46,7 +58,12 @@ use compile::Program;
 pub struct Pattern {
     source: String,
     ast: Ast,
+    /// The program a search runs: the whole pattern, or only its head
+    /// when `suffix` was peeled off.
     program: Program,
+    /// The literal suffix every match ends with, at the end of the input
+    /// (see `compile::compile_peeled`).
+    suffix: Option<Box<[u8]>>,
     group_count: usize,
 }
 
@@ -54,11 +71,12 @@ impl Pattern {
     /// Parse and compile a pattern.
     pub fn compile(source: &str) -> Result<Pattern, ParseError> {
         let (ast, group_count) = ast::parse(source)?;
-        let program = compile::compile(&ast, group_count);
+        let (program, suffix) = compile::compile_peeled(&ast, group_count);
         Ok(Pattern {
             source: source.to_string(),
             ast,
             program,
+            suffix,
             group_count,
         })
     }
@@ -76,22 +94,26 @@ impl Pattern {
     /// Does the pattern match anywhere in `input`?
     /// (Anchors inside the pattern still apply.)
     pub fn is_match(&self, input: &str) -> bool {
-        vm::is_match(&self.program, input.as_bytes())
+        let Some(hay) = self.haystack(input.as_bytes()) else {
+            return false;
+        };
+        if backtrack::fits(&self.program, hay.len()) {
+            backtrack::is_match(&self.program, hay)
+        } else {
+            vm::search_at(&self.program, hay, 0).is_some()
+        }
     }
 
     /// Leftmost match with capture groups, or `None`.
     pub fn captures<'i>(&self, input: &'i str) -> Option<Captures<'i>> {
-        let slots = vm::search(&self.program, input.as_bytes())?;
+        let slots = self.search_at(input.as_bytes(), 0)?;
         Some(Captures { input, slots })
     }
 
     /// Leftmost match span `(start, end)` in byte offsets, or `None`.
     pub fn find(&self, input: &str) -> Option<(usize, usize)> {
-        let slots = vm::search(&self.program, input.as_bytes())?;
-        match (slots[0], slots[1]) {
-            (Some(s), Some(e)) => Some((s, e)),
-            _ => None,
-        }
+        let slots = self.search_at(input.as_bytes(), 0)?;
+        Some((slots.get(0)?, slots.get(1)?))
     }
 
     /// All non-overlapping match spans, leftmost-first.
@@ -100,15 +122,16 @@ impl Pattern {
         let bytes = input.as_bytes();
         let mut at = 0;
         while at <= bytes.len() {
-            match vm::search_at(&self.program, bytes, at) {
-                Some(slots) => {
-                    let (s, e) = (slots[0].unwrap(), slots[1].unwrap());
-                    out.push((s, e));
-                    // Empty matches must still advance the cursor.
-                    at = if e > at { e } else { at + 1 };
-                }
-                None => break,
-            }
+            let Some(slots) = self.search_at(bytes, at) else {
+                break;
+            };
+            let (s, e) = slots
+                .get(0)
+                .zip(slots.get(1))
+                .expect("a match sets group 0");
+            out.push((s, e));
+            // Empty matches must still advance the cursor.
+            at = if e > at { e } else { at + 1 };
         }
         out
     }
@@ -117,24 +140,113 @@ impl Pattern {
     pub fn ast(&self) -> &Ast {
         &self.ast
     }
+
+    /// The bytes the program runs over: all of `input`, or `input` with
+    /// the peeled suffix cut off; `None` when `input` lacks that suffix.
+    fn haystack<'a>(&self, input: &'a [u8]) -> Option<&'a [u8]> {
+        match &self.suffix {
+            Some(suffix) => input.strip_suffix(&suffix[..]),
+            None => Some(input),
+        }
+    }
+
+    /// The leftmost match starting at `start` or later. Every public
+    /// search comes through here or [`Pattern::is_match`], which pick
+    /// the engine by the same [`backtrack::fits`] test.
+    fn search_at(&self, input: &[u8], start: usize) -> Option<Slots> {
+        let hay = self.haystack(input)?;
+        let len = hay.len().checked_sub(start)?;
+        let mut slots = if backtrack::fits(&self.program, len) {
+            backtrack::search_at(&self.program, hay, start)
+        } else {
+            vm::search_at(&self.program, hay, start)
+        }?;
+        if self.suffix.is_some() {
+            // The head matched up to the cut; the whole match runs on
+            // through the suffix to the end.
+            slots.set(1, input.len());
+        }
+        Some(slots)
+    }
+}
+
+/// Capture slots up to this many (patterns with ≤ 7 groups) live inline
+/// in [`Captures`]; more spill to the heap.
+const INLINE_SLOTS: usize = 16;
+
+/// An unset inline slot. Inline slots therefore need the input to be
+/// shorter than `u32::MAX` bytes.
+const UNSET: u32 = u32::MAX;
+
+/// One match's capture slots: a `(start, end)` pair per group, group 0
+/// first. The backtracker returns them inline whenever they fit, so a
+/// capturing search on it allocates nothing; the Pike VM returns its
+/// winning thread's `Vec`.
+#[derive(Debug, Clone)]
+enum Slots {
+    Inline {
+        len: usize,
+        buf: [u32; INLINE_SLOTS],
+    },
+    Heap(Vec<Option<usize>>),
+}
+
+impl Slots {
+    /// From raw slots, [`UNSET`] marking an unset one.
+    fn from_raw(raw: &[u32]) -> Slots {
+        if raw.len() > INLINE_SLOTS {
+            return Slots::Heap(raw.iter().map(|&v| offset(v)).collect());
+        }
+        let mut buf = [UNSET; INLINE_SLOTS];
+        buf[..raw.len()].copy_from_slice(raw);
+        Slots::Inline {
+            len: raw.len(),
+            buf,
+        }
+    }
+
+    fn get(&self, i: usize) -> Option<usize> {
+        match self {
+            Slots::Inline { len, buf } => offset(*buf[..*len].get(i)?),
+            Slots::Heap(v) => *v.get(i)?,
+        }
+    }
+
+    fn set(&mut self, i: usize, v: usize) {
+        match self {
+            Slots::Inline { buf, .. } => {
+                buf[i] = u32::try_from(v).expect("inline slots hold offsets below u32::MAX")
+            }
+            Slots::Heap(slots) => slots[i] = Some(v),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Slots::Inline { len, .. } => *len,
+            Slots::Heap(v) => v.len(),
+        }
+    }
+}
+
+/// A raw slot as a byte offset.
+fn offset(v: u32) -> Option<usize> {
+    (v != UNSET).then_some(v as usize)
 }
 
 /// Capture groups for one match. Group 0 is the whole match.
 #[derive(Debug, Clone)]
 pub struct Captures<'i> {
     input: &'i str,
-    slots: Vec<Option<usize>>,
+    slots: Slots,
 }
 
 impl<'i> Captures<'i> {
     /// Text of group `idx`, if the group participated in the match.
     pub fn get(&self, idx: usize) -> Option<&'i str> {
-        let s = *self.slots.get(idx * 2)?;
-        let e = *self.slots.get(idx * 2 + 1)?;
-        match (s, e) {
-            (Some(s), Some(e)) => self.input.get(s..e),
-            _ => None,
-        }
+        let s = self.slots.get(idx * 2)?;
+        let e = self.slots.get(idx * 2 + 1)?;
+        self.input.get(s..e)
     }
 
     /// Number of groups including group 0.

@@ -5,148 +5,53 @@
 //! leftmost-first match semantics with greedy/lazy quantifier behaviour
 //! driven by `Split` operand order.
 //!
-//! Slot storage is generic so the hot paths stay allocation-free: plain
-//! membership tests run with no slot tracking at all, and capture runs over
-//! small programs (the Table 1 URL formats have ≤3 groups) use an inline
-//! fixed-size array instead of cloning a heap `Vec` on every thread add.
+//! This engine serves the searches too long for the bounded backtracker
+//! (`backtrack.rs`): its memory is two thread lists, whatever the input
+//! length, where the backtracker's visited set grows with it. Both give
+//! the same answer on every input, and the tests use this one as the
+//! oracle. Each thread carries its own slot `Vec`, cloned when the thread
+//! is added; short searches, where that cost would show, never come here.
 
 use crate::compile::{Inst, Program};
+use crate::Slots;
 
-type Slots = Vec<Option<usize>>;
+/// One thread's capture slots.
+type Caps = Vec<Option<usize>>;
 
-/// Capture-slot storage strategy. All impls must behave identically for
-/// control flow; they only differ in what (if anything) they record.
-trait SlotTrack: Clone {
-    fn new(count: usize) -> Self;
-    fn get(&self, i: usize) -> Option<usize>;
-    fn set(&mut self, i: usize, v: Option<usize>);
-    fn into_vec(self, count: usize) -> Slots;
-}
-
-impl SlotTrack for Slots {
-    fn new(count: usize) -> Self {
-        vec![None; count]
-    }
-    fn get(&self, i: usize) -> Option<usize> {
-        self[i]
-    }
-    fn set(&mut self, i: usize, v: Option<usize>) {
-        self[i] = v;
-    }
-    fn into_vec(self, _count: usize) -> Slots {
-        self
-    }
-}
-
-/// Programs with at most this many slots (pattern groups ≤ 7) use the
-/// inline representation; larger ones fall back to the heap `Vec`.
-const INLINE_SLOTS: usize = 16;
-
-/// `u32::MAX` is the `None` sentinel, so inline tracking also requires the
-/// input to be shorter than `u32::MAX` bytes (checked at dispatch).
-#[derive(Clone, Copy)]
-struct InlineSlots {
-    buf: [u32; INLINE_SLOTS],
-}
-
-impl SlotTrack for InlineSlots {
-    fn new(_count: usize) -> Self {
-        InlineSlots {
-            buf: [u32::MAX; INLINE_SLOTS],
-        }
-    }
-    fn get(&self, i: usize) -> Option<usize> {
-        let v = self.buf[i];
-        if v == u32::MAX {
-            None
-        } else {
-            Some(v as usize)
-        }
-    }
-    fn set(&mut self, i: usize, v: Option<usize>) {
-        self.buf[i] = match v {
-            Some(p) => p as u32,
-            None => u32::MAX,
-        };
-    }
-    fn into_vec(self, count: usize) -> Slots {
-        (0..count).map(|i| self.get(i)).collect()
-    }
-}
-
-/// Zero-cost tracker for pure membership tests (`is_match`).
-#[derive(Clone, Copy)]
-struct NoSlots;
-
-impl SlotTrack for NoSlots {
-    fn new(_count: usize) -> Self {
-        NoSlots
-    }
-    fn get(&self, _i: usize) -> Option<usize> {
-        None
-    }
-    fn set(&mut self, _i: usize, _v: Option<usize>) {}
-    fn into_vec(self, count: usize) -> Slots {
-        vec![None; count]
-    }
-}
-
-struct ThreadList<S> {
+struct ThreadList {
     /// `(pc, slots)` in priority order.
-    threads: Vec<(usize, S)>,
-    /// Generation marker per pc to dedupe adds within one step.
-    seen: Vec<u32>,
-    gen: u32,
+    threads: Vec<(usize, Caps)>,
+    /// Per pc: already added in this step.
+    seen: Vec<bool>,
 }
 
-impl<S: SlotTrack> ThreadList<S> {
-    fn new() -> Self {
+impl ThreadList {
+    fn new(len: usize) -> Self {
         ThreadList {
             threads: Vec::new(),
-            // `seen` starts at generation 0; the live generation starts at 1
-            // so a fresh list has no instruction marked as seen.
-            seen: Vec::new(),
-            gen: 0,
+            seen: vec![false; len],
         }
-    }
-
-    /// Ready the list for a fresh search over a program of `len`
-    /// instructions: grow `seen` if needed and bump the generation so
-    /// nothing reads as already-added. Buffers keep their capacity, so
-    /// a reused list does no per-search allocation.
-    fn prepare(&mut self, len: usize) {
-        if self.seen.len() < len {
-            self.seen.resize(len, 0);
-        }
-        self.clear();
     }
 
     fn clear(&mut self) {
         self.threads.clear();
-        if self.gen == u32::MAX {
-            // Generation wrap: stale marks from 4 billion clears ago
-            // would read as current. Reset them (rare, amortized free).
-            self.seen.iter_mut().for_each(|g| *g = 0);
-            self.gen = 1;
-        } else {
-            self.gen += 1;
-        }
+        self.seen.fill(false);
     }
 }
 
 /// Add a thread, following zero-width instructions.
-fn add_thread<S: SlotTrack>(
+fn add_thread(
     prog: &Program,
-    list: &mut ThreadList<S>,
+    list: &mut ThreadList,
     pc: usize,
     pos: usize,
     input_len: usize,
-    slots: &mut S,
+    slots: &mut Caps,
 ) {
-    if list.seen[pc] == list.gen {
+    if list.seen[pc] {
         return;
     }
-    list.seen[pc] = list.gen;
+    list.seen[pc] = true;
     match &prog.insts[pc] {
         Inst::Jump(t) => add_thread(prog, list, *t, pos, input_len, slots),
         Inst::Split(a, b) => {
@@ -154,10 +59,10 @@ fn add_thread<S: SlotTrack>(
             add_thread(prog, list, *b, pos, input_len, slots);
         }
         Inst::Save(n) => {
-            let old = slots.get(*n);
-            slots.set(*n, Some(pos));
+            let old = slots[*n];
+            slots[*n] = Some(pos);
             add_thread(prog, list, pc + 1, pos, input_len, slots);
-            slots.set(*n, old);
+            slots[*n] = old;
         }
         Inst::AssertStart => {
             if pos == 0 {
@@ -173,59 +78,12 @@ fn add_thread<S: SlotTrack>(
     }
 }
 
-/// Search the whole input for the leftmost match. Returns capture slots.
-pub fn search(prog: &Program, input: &[u8]) -> Option<Slots> {
-    search_at(prog, input, 0)
-}
-
-// Per-thread scratch lists, reused across searches. Classification
-// calls `captures`/`is_match` millions of times on short inputs;
-// without reuse every call pays two `seen` allocations and the thread
-// vectors regrow from zero.
-thread_local! {
-    static INLINE_SCRATCH: std::cell::RefCell<(ThreadList<InlineSlots>, ThreadList<InlineSlots>)> =
-        std::cell::RefCell::new((ThreadList::new(), ThreadList::new()));
-    static NOSLOT_SCRATCH: std::cell::RefCell<(ThreadList<NoSlots>, ThreadList<NoSlots>)> =
-        std::cell::RefCell::new((ThreadList::new(), ThreadList::new()));
-}
-
-/// Search starting at byte offset `start`.
+/// Search for the leftmost match starting at byte offset `start`.
+/// Returns its capture slots.
 pub fn search_at(prog: &Program, input: &[u8], start: usize) -> Option<Slots> {
-    if prog.slot_count <= INLINE_SLOTS && input.len() < u32::MAX as usize {
-        INLINE_SCRATCH
-            .with(|s| {
-                let (clist, nlist) = &mut *s.borrow_mut();
-                search_impl::<InlineSlots>(prog, input, start, clist, nlist)
-            })
-            .map(|s| s.into_vec(prog.slot_count))
-    } else {
-        let (mut clist, mut nlist) = (ThreadList::new(), ThreadList::new());
-        search_impl::<Slots>(prog, input, start, &mut clist, &mut nlist)
-    }
-}
-
-/// Membership test without slot tracking: same thread scheduling, no
-/// captures, no allocation per thread add.
-pub fn is_match(prog: &Program, input: &[u8]) -> bool {
-    NOSLOT_SCRATCH
-        .with(|s| {
-            let (clist, nlist) = &mut *s.borrow_mut();
-            search_impl::<NoSlots>(prog, input, 0, clist, nlist)
-        })
-        .is_some()
-}
-
-fn search_impl<S: SlotTrack>(
-    prog: &Program,
-    input: &[u8],
-    start: usize,
-    clist: &mut ThreadList<S>,
-    nlist: &mut ThreadList<S>,
-) -> Option<S> {
     let n = prog.insts.len();
-    clist.prepare(n);
-    nlist.prepare(n);
-    let mut matched: Option<S> = None;
+    let (mut clist, mut nlist) = (ThreadList::new(n), ThreadList::new(n));
+    let mut matched: Option<Caps> = None;
     let anchored = prog.anchored_start();
 
     // One iteration per input position, inclusive of the end-of-input step
@@ -235,8 +93,8 @@ fn search_impl<S: SlotTrack>(
         // was already found (leftmost wins) or the pattern is start-anchored
         // and this is past the only legal start position.
         if matched.is_none() && (!anchored || pos == start) {
-            let mut slots = S::new(prog.slot_count);
-            add_thread(prog, clist, 0, pos, input.len(), &mut slots);
+            let mut slots = vec![None; prog.slot_count];
+            add_thread(prog, &mut clist, 0, pos, input.len(), &mut slots);
         }
         if clist.threads.is_empty() {
             if matched.is_some() || anchored {
@@ -249,29 +107,11 @@ fn search_impl<S: SlotTrack>(
         nlist.clear();
         // Drain (not take): the vector keeps its capacity for the next
         // position, and a `Match` break drops the lower-priority tail.
-        for (pc, slots) in clist.threads.drain(..) {
-            match &prog.insts[pc] {
-                Inst::Byte(b) => {
-                    if byte == Some(*b) {
-                        let mut s = slots;
-                        add_thread(prog, nlist, pc + 1, pos + 1, input.len(), &mut s);
-                    }
-                }
-                Inst::Any => {
-                    if matches!(byte, Some(b) if b != b'\n') {
-                        let mut s = slots;
-                        add_thread(prog, nlist, pc + 1, pos + 1, input.len(), &mut s);
-                    }
-                }
-                Inst::Class { items, negated } => {
-                    if let Some(b) = byte {
-                        let inside = items.iter().any(|i| i.contains(b));
-                        if inside != *negated {
-                            let mut s = slots;
-                            add_thread(prog, nlist, pc + 1, pos + 1, input.len(), &mut s);
-                        }
-                    }
-                }
+        for (pc, mut slots) in clist.threads.drain(..) {
+            let consumed = match &prog.insts[pc] {
+                Inst::Byte(b) => byte == Some(*b),
+                Inst::Any => matches!(byte, Some(b) if b != b'\n'),
+                Inst::Class(set) => matches!(byte, Some(b) if set.contains(b)),
                 Inst::Match => {
                     // Highest-priority thread reaching Match at this step
                     // wins; lower-priority threads are discarded. Threads
@@ -283,57 +123,81 @@ fn search_impl<S: SlotTrack>(
                 }
                 // Zero-width instructions never appear in thread lists.
                 _ => unreachable!("zero-width inst in thread list"),
+            };
+            if consumed {
+                add_thread(prog, &mut nlist, pc + 1, pos + 1, input.len(), &mut slots);
             }
         }
-        std::mem::swap(clist, nlist);
+        std::mem::swap(&mut clist, &mut nlist);
     }
-    matched
+    matched.map(Slots::Heap)
 }
 
 #[cfg(test)]
 mod tests {
+    //! The Pike VM on its own, over whole (unpeeled) programs.
+
+    use super::*;
+    use crate::ast::parse;
+    use crate::compile::compile;
     use crate::Pattern;
+
+    fn search(pat: &str, input: &str) -> Option<Slots> {
+        let (ast, groups) = parse(pat).unwrap();
+        search_at(&compile(&ast, groups), input.as_bytes(), 0)
+    }
+
+    fn find(pat: &str, input: &str) -> Option<(usize, usize)> {
+        let slots = search(pat, input)?;
+        Some((slots.get(0)?, slots.get(1)?))
+    }
 
     #[test]
     fn empty_pattern_matches_empty_input() {
-        let p = Pattern::compile("").unwrap();
-        assert!(p.is_match(""));
-        assert!(p.is_match("abc")); // matches empty prefix
-        assert_eq!(p.find("abc"), Some((0, 0)));
+        assert_eq!(find("", ""), Some((0, 0)));
+        assert_eq!(find("", "abc"), Some((0, 0))); // matches empty prefix
     }
 
     #[test]
     fn anchored_end_only() {
-        let p = Pattern::compile("abc$").unwrap();
-        assert!(p.is_match("xxabc"));
-        assert!(!p.is_match("abcx"));
+        assert_eq!(find("abc$", "xxabc"), Some((2, 5)));
+        assert_eq!(find("abc$", "abcx"), None);
     }
 
     #[test]
     fn match_at_exact_end_of_input() {
-        let p = Pattern::compile("^a+$").unwrap();
-        assert!(p.is_match("a"));
-        assert!(p.is_match("aaaa"));
-        assert!(!p.is_match(""));
+        assert_eq!(find("^a+$", "a"), Some((0, 1)));
+        assert_eq!(find("^a+$", "aaaa"), Some((0, 4)));
+        assert_eq!(find("^a+$", ""), None);
     }
 
     #[test]
     fn leftmost_priority_over_longer_later() {
-        let p = Pattern::compile("a|aa").unwrap();
-        assert_eq!(p.find("aa"), Some((0, 1)));
+        assert_eq!(find("a|aa", "aa"), Some((0, 1)));
+    }
+
+    #[test]
+    fn abandoned_paths_leave_no_captures() {
+        // `(a)` opens on the first branch, which dies at `c`; the match
+        // through the second branch must not carry its start.
+        let slots = search("^((a)b|a)c", "ac").unwrap();
+        assert_eq!((slots.get(2), slots.get(3)), (Some(0), Some(1)));
+        assert_eq!((slots.get(4), slots.get(5)), (None, None));
     }
 
     #[test]
     fn unanchored_long_scan() {
         let hay = format!("{}{}", "x".repeat(10_000), "needle");
-        let p = Pattern::compile("needle$").unwrap();
-        assert_eq!(p.find(&hay), Some((10_000, 10_006)));
+        assert_eq!(find("needle$", &hay), Some((10_000, 10_006)));
+        assert_eq!(find("needle$", &format!("{hay}x")), None);
     }
 
     #[test]
     fn is_match_agrees_with_search_across_shapes() {
-        // The slotless fast path must schedule threads identically to the
-        // capturing path; spot-check shapes that stress priority order.
+        // The public membership test (the backtracker's capture-free run,
+        // over the peeled program where there is a suffix) must agree
+        // with this engine's capturing search; spot-check shapes that
+        // stress priority order.
         let cases = [
             ("^(a|ab)(c?)$", vec!["ac", "abc", "ab", "a", "abcc"]),
             ("(x+)(y*)z", vec!["xyz", "xz", "yz", "xxyyz", ""]),
@@ -347,7 +211,7 @@ mod tests {
             for input in inputs {
                 assert_eq!(
                     p.is_match(input),
-                    p.captures(input).is_some(),
+                    search(pat, input).is_some(),
                     "divergence for {pat:?} on {input:?}"
                 );
             }
@@ -356,9 +220,18 @@ mod tests {
 
     #[test]
     fn many_groups_fall_back_to_heap_slots() {
-        // 8 groups → 18 slots, past the inline capacity.
-        let p = Pattern::compile("^(a)(b)(c)(d)(e)(f)(g)(h)$").unwrap();
-        let caps = p.captures("abcdefgh").unwrap();
+        // 8 groups → 18 slots, past what `Captures` keeps inline.
+        let pat = "^(a)(b)(c)(d)(e)(f)(g)(h)$";
+        let slots = search(pat, "abcdefgh").unwrap();
+        assert_eq!(slots.len(), 18);
+        for g in 1..=8 {
+            assert_eq!(
+                (slots.get(2 * g), slots.get(2 * g + 1)),
+                (Some(g - 1), Some(g))
+            );
+        }
+        let caps = Pattern::compile(pat).unwrap().captures("abcdefgh").unwrap();
+        assert!(matches!(caps.slots, Slots::Heap(_)));
         for (i, s) in ["a", "b", "c", "d", "e", "f", "g", "h"].iter().enumerate() {
             assert_eq!(caps.get(i + 1), Some(*s));
         }

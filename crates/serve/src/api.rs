@@ -21,7 +21,9 @@
 //! and the unit tests pin the response bytes.
 //!
 //! Instrumentation: one latency histogram per endpoint
-//! (`fw.serve.latency_us.<endpoint>`), `fw.serve.requests` /
+//! (`fw.serve.latency_us.<endpoint>`: route, cache and render, stopped
+//! before the response write), one for the writes
+//! (`fw.serve.write_us`), `fw.serve.requests` /
 //! `fw.serve.responses.<class>` counters, and a trace span per request
 //! when the trace layer is armed.
 
@@ -86,6 +88,7 @@ pub struct ServeApi<B: PdnsBackend> {
     state: Arc<ServeState<B>>,
     cache: ShardedCache,
     latency: Vec<Arc<Histogram>>,
+    write_us: Arc<Histogram>,
     seq: AtomicU64,
     /// Pre-rendered wire images for the two constant error responses.
     wire_404: Arc<CachedResponse>,
@@ -102,6 +105,7 @@ impl<B: PdnsBackend> ServeApi<B> {
             state,
             cache: ShardedCache::new(cache),
             latency,
+            write_us: fw_obs::registry().histogram("fw.serve.write_us"),
             seq: AtomicU64::new(0),
             wire_404: Arc::new(CachedResponse::render(
                 404,
@@ -202,7 +206,7 @@ impl<B: PdnsBackend> ServeApi<B> {
                     break;
                 }
             };
-            let t = Instant::now();
+            let t = fw_obs::enabled().then(Instant::now);
             let _span =
                 fw_obs::trace_span_arg("serve/req", self.seq.fetch_add(1, Ordering::Relaxed));
             counter_inc!("fw.serve.requests");
@@ -214,26 +218,37 @@ impl<B: PdnsBackend> ServeApi<B> {
                     Routed::Cached(Arc::clone(&self.wire_405)),
                 )
             };
-            let (status, written) = match routed {
-                Routed::Cached(entry) if !req.close => (entry.status, conn.write_all(entry.wire())),
+            let (status, wire) = match &routed {
+                Routed::Cached(entry) if !req.close => (entry.status, entry.wire()),
                 Routed::Cached(entry) => (
                     entry.status,
-                    write_json(conn, &mut scratch.out, entry.status, entry.body(), true),
+                    render_json(&mut scratch.out, entry.status, entry.body(), true),
                 ),
                 Routed::Status => {
                     // Uncached by design: it reports the cache's own
                     // live counters.
                     let body = self.state.status_body(&self.cache.stats());
-                    let written =
-                        write_json(conn, &mut scratch.out, 200, body.as_bytes(), req.close);
-                    (200, written)
+                    (
+                        200,
+                        render_json(&mut scratch.out, 200, body.as_bytes(), req.close),
+                    )
                 }
             };
+            // The endpoint's latency stops here, before the write: on a
+            // shared core, handing the response to a woken client can run
+            // the client's turn first. The write is timed on its own.
+            let t = t.map(|t| {
+                self.latency[ep as usize].record(t.elapsed().as_micros() as u64);
+                Instant::now()
+            });
+            let written = conn.write_all(wire);
+            if let Some(t) = t {
+                self.write_us.record(t.elapsed().as_micros() as u64);
+            }
             if written.is_err() {
                 break;
             }
-            if fw_obs::enabled() {
-                self.latency[ep as usize].record(t.elapsed().as_micros() as u64);
+            if t.is_some() {
                 match status {
                     200..=299 => counter_inc!("fw.serve.responses.ok"),
                     400..=499 => counter_inc!("fw.serve.responses.client_error"),
@@ -274,17 +289,11 @@ enum Routed {
     Cached(Arc<CachedResponse>),
 }
 
-/// Render a JSON response into `out` and write it.
-fn write_json(
-    conn: &mut dyn Connection,
-    out: &mut Vec<u8>,
-    status: u16,
-    body: &[u8],
-    close: bool,
-) -> std::io::Result<()> {
+/// Render a JSON response into `out`, returning its bytes.
+fn render_json<'o>(out: &'o mut Vec<u8>, status: u16, body: &[u8], close: bool) -> &'o [u8] {
     out.clear();
     render_response(out, status, "application/json", close, body);
-    conn.write_all(out)
+    out
 }
 
 /// Parse `offset=&limit=` out of a query string (defaults 0 / 50).
