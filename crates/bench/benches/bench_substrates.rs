@@ -1,8 +1,10 @@
 //! Criterion benches for the substrate layers: pattern matching on
-//! PDNS-scale fqdn streams, PDNS ingestion/aggregation, HTTP parsing,
-//! C2 fingerprint matching, billing arithmetic.
+//! PDNS-scale fqdn streams and on long response bodies, PDNS
+//! ingestion/aggregation, HTTP parsing, C2 fingerprint matching,
+//! billing arithmetic.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use fw_abuse::{SensitiveKind, SensitiveScanner};
 use fw_cloud::billing::PriceModel;
 use fw_cloud::formats::{all_formats, identify, identify_with_region};
 use fw_dns::pdns::PdnsStore;
@@ -11,6 +13,7 @@ use fw_http::parse::{write_response, Limits};
 use fw_net::{pipe_pair, Connection};
 use fw_pattern::{Pattern, Sampler, SamplerConfig, XorShiftRng};
 use fw_types::{DayStamp, Fqdn, Rdata};
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 /// A mixed stream of provider-shaped and noise fqdns (the §3.2 hot path).
@@ -63,6 +66,50 @@ fn bench_identification(c: &mut Criterion) {
             }
             black_box(regions)
         })
+    });
+    group.finish();
+}
+
+/// A response body of more than 64 KiB: filler prose with a finding of
+/// one of five detector kinds planted every ~1 KiB. At this length
+/// `(len + 1) × program` exceeds fw-pattern's 64 Kbit backtracking
+/// budget for every detector, so each detector's scan starts on the
+/// Pike VM (searches re-decide by the bytes left, so the last ones,
+/// within a few KiB of the end, fall back to the backtracker).
+fn sensitive_body() -> String {
+    const FINDINGS: [&str; 5] = [
+        "call +8613912345678 for access",
+        "token ghp_AbCdEfGhIjKlMnOpQrStUvWx0123",
+        "key sk-AbCdEfGhIjKlMnOpQrStUvWx",
+        r#"{"password": "hunter2hunter2"}"#,
+        "from 10.20.30.40 via 00:1a:2b:3c:4d:5e",
+    ];
+    let filler = "Lorem ipsum dolor sit amet, consectetur adipiscing elit, sed do \
+                  eiusmod tempor incididunt ut labore et dolore magna aliqua. ";
+    let mut body = String::new();
+    for i in 0.. {
+        if body.len() > 64 * 1024 {
+            break;
+        }
+        body.push_str("<p>");
+        for _ in 0..7 {
+            body.push_str(filler);
+        }
+        body.push_str(FINDINGS[i % FINDINGS.len()]);
+        body.push_str("</p>\n");
+    }
+    body
+}
+
+fn bench_sensitive_scan(c: &mut Criterion) {
+    let body = sensitive_body();
+    let scanner = SensitiveScanner::new("faas-wild1");
+    let kinds: BTreeSet<SensitiveKind> = scanner.scan(&body).iter().map(|f| f.kind).collect();
+    assert_eq!(kinds.len(), 5, "every planted kind is found: {kinds:?}");
+    let mut group = c.benchmark_group("pattern");
+    group.throughput(Throughput::Bytes(body.len() as u64));
+    group.bench_function("sensitive_scan_64k_body", |b| {
+        b.iter(|| black_box(scanner.scan(black_box(&body)).len()))
     });
     group.finish();
 }
@@ -151,6 +198,7 @@ fn bench_billing(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_identification,
+    bench_sensitive_scan,
     bench_pdns,
     bench_http,
     bench_c2_matching,

@@ -274,14 +274,14 @@ impl Stages {
     }
 
     /// Run `f` as stage `name` under a `stage/<name>` span (a child of
-    /// the gate's `gate/<gate>` root span).
+    /// the gate's `gate/<gate>` root span in the trace), timed by that
+    /// span's clock.
     pub fn run<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
-        let t = Instant::now();
-        let out = {
-            let _span = fw_obs::span(&format!("stage/{name}"));
-            f()
-        };
-        self.record(name, t.elapsed().as_secs_f64() * 1e3, peak_rss_kb());
+        let span = fw_obs::span(&format!("stage/{name}"));
+        let out = f();
+        let ms = span.elapsed().as_secs_f64() * 1e3;
+        drop(span);
+        self.record(name, ms, peak_rss_kb());
         out
     }
 

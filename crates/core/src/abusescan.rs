@@ -138,7 +138,7 @@ pub fn abuse_scan<B: PdnsBackend + ?Sized>(
     config: &AbuseScanConfig,
 ) -> AbuseScanReport {
     // 1. Corpus: 200-with-content plus redirect responses.
-    let corpus_span = fw_obs::span("corpus");
+    let corpus_span = fw_obs::span("abuse/corpus");
     let mut corpus: Vec<(Fqdn, Response)> = Vec::new();
     let mut redirects: Vec<(Fqdn, Response)> = Vec::new();
     for rec in records {
@@ -156,7 +156,7 @@ pub fn abuse_scan<B: PdnsBackend + ?Sized>(
     // per-document scan is a pure function, so it fans out over
     // `par_map`; counts are then merged serially in input order
     // — identical to the old serial loop at any worker count.
-    let sensitive_span = fw_obs::span("sensitive");
+    let sensitive_span = fw_obs::span("abuse/sensitive");
     let scanner = SensitiveScanner::new(&config.salt);
     let scanned = par_map(
         &corpus,
@@ -180,7 +180,7 @@ pub fn abuse_scan<B: PdnsBackend + ?Sized>(
 
     // 3. Content typing + per-type clustering. Classification is
     // per-document pure, merged in index order.
-    let cluster_span = fw_obs::span("cluster");
+    let cluster_span = fw_obs::span("abuse/cluster");
     let types = par_map(
         &sanitized,
         config.workers,
@@ -241,7 +241,7 @@ pub fn abuse_scan<B: PdnsBackend + ?Sized>(
 
     // Redirect responses (3xx) reviewed directly — their body is empty so
     // clustering adds nothing.
-    let review_span = fw_obs::span("review");
+    let review_span = fw_obs::span("abuse/review");
     for (fqdn, resp) in &redirects {
         if detected.contains(fqdn) {
             continue;
@@ -258,7 +258,7 @@ pub fn abuse_scan<B: PdnsBackend + ?Sized>(
     drop(review_span);
 
     // 5. C2 fingerprint scan over all probed domains.
-    let c2_span = fw_obs::span("c2scan");
+    let c2_span = fw_obs::span("abuse/c2scan");
     let mut c2_domains: Vec<Fqdn> = Vec::new();
     if config.scan_c2 {
         let scanner = C2Scanner::new(net.clone(), resolver.clone()).with_timeout(config.c2_timeout);
@@ -281,7 +281,7 @@ pub fn abuse_scan<B: PdnsBackend + ?Sized>(
     drop(c2_span);
 
     // 6. Table 3 + Figure 7 + Finding 10.
-    let _report_span = fw_obs::span("report");
+    let _report_span = fw_obs::span("abuse/report");
     if fw_obs::enabled() {
         // Per-family verdict counters (dynamic names, so the registry is
         // addressed directly instead of via the handle-caching macros).

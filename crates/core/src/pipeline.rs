@@ -82,7 +82,7 @@ impl Pipeline {
         } = usage_half(pdns);
 
         let probe_records = {
-            let _s = fw_obs::span("probe");
+            let _s = fw_obs::span("pipeline/probe");
             let prober = Prober::new(
                 self.net.clone(),
                 self.resolver.clone(),
@@ -91,11 +91,11 @@ impl Pipeline {
             prober.probe_all(&identification.probe_scope())
         };
         let status = {
-            let _s = fw_obs::span("status");
+            let _s = fw_obs::span("pipeline/status");
             status_report(&probe_records)
         };
         let abuse = {
-            let _s = fw_obs::span("abuse");
+            let _s = fw_obs::span("pipeline/abuse");
             abuse_scan(
                 &probe_records,
                 &identification,
@@ -119,14 +119,14 @@ impl Pipeline {
     }
 }
 
-/// Identification and the four usage tables, under the `identify` and
-/// `usage` stage spans of the caller's `pipeline` span.
+/// Identification and the four usage tables, under the
+/// `pipeline/identify` and `pipeline/usage` stage spans.
 fn usage_half<B: PdnsBackend + ?Sized>(pdns: &B) -> UsageReport {
     let identification = {
-        let _s = fw_obs::span("identify");
+        let _s = fw_obs::span("pipeline/identify");
         identify_functions(pdns)
     };
-    let _s = fw_obs::span("usage");
+    let _s = fw_obs::span("pipeline/usage");
     UsageReport {
         new_fqdns: monthly_new_fqdns(&identification),
         request_series: monthly_requests(&identification, pdns),

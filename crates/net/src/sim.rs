@@ -18,6 +18,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -388,7 +389,10 @@ impl SimNet {
     /// worker serves one connection at a time; suited to short
     /// request/response exchanges (the fw-serve plane), not long-lived
     /// streams. Like a spare, a worker flushes its trace buffer after
-    /// each handler returns.
+    /// each handler returns. A handler that panics ends only its own
+    /// connection (the unwind drops it, counted as
+    /// `fw.net.pool.handler_panics`); the worker keeps accepting the
+    /// flows steered to it.
     pub fn listen_pool<F, H>(&self, addr: SocketAddr, workers: usize, mut factory: F)
     where
         F: FnMut(usize) -> H,
@@ -408,7 +412,9 @@ impl SimNet {
                 .spawn(move || {
                     let _active = registration.activate();
                     while let Some(conn) = worker_q.accept() {
-                        handler(conn);
+                        if catch_unwind(AssertUnwindSafe(|| handler(conn))).is_err() {
+                            fw_obs::counter_inc!("fw.net.pool.handler_panics");
+                        }
                         // The worker outlives its connections, like a
                         // spare, so its trace cannot wait for thread exit.
                         fw_obs::flush_thread_trace();
@@ -616,10 +622,9 @@ impl Connection for FaultedConn {
         fw_obs::counter_add!("fw.net.bytes_sent", buf.len() as u64);
         let fate = chunk_fate(&faults, buf.len(), &mut self.rng);
         if faults.delay_us > 0 {
-            // Injected latency is a scheduled event on the virtual
-            // clock, which mirrors its advances into the fw-obs sim
-            // counter. A leased endpoint's sleep counts against the
-            // lease (see `PipeConn::set_lease`), not a fresh
+            // Injected latency is a scheduled event on this world's
+            // virtual clock. A leased endpoint's sleep counts against
+            // the lease (see `PipeConn::set_lease`), not a fresh
             // registration.
             self.net.vclock.sleep_counted(
                 Duration::from_micros(faults.delay_us),
@@ -864,6 +869,46 @@ mod tests {
             conn.read_exact(&mut buf).unwrap();
             assert_eq!(buf[0], expect);
         }
+    }
+
+    #[test]
+    fn panicking_pooled_handler_ends_only_its_own_connection() {
+        fw_obs::set_enabled(true);
+        let net = SimNet::new(24);
+        // One worker: `p` panics mid-connection, anything else echoes.
+        net.listen_pool(addr(10, 80), 1, |_w| {
+            move |mut conn: Box<dyn Connection>| {
+                let mut buf = [0u8; 1];
+                if conn.read_exact(&mut buf).is_ok() {
+                    if buf[0] == b'p' {
+                        panic!("handler panic (expected by the test)");
+                    }
+                    let _ = conn.write_all(&buf);
+                }
+            }
+        });
+        let mut conn = net.connect_flow_id(addr(10, 80), 0).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        conn.write_all(b"p").unwrap();
+        let mut buf = [0u8; 1];
+        // The unwind dropped the server end: clean EOF, no timeout.
+        assert_eq!(conn.read(&mut buf).unwrap(), 0);
+        drop(conn);
+
+        // The same worker still takes the flows steered to it.
+        let mut conn = net.connect_flow_id(addr(10, 80), 0).unwrap();
+        conn.set_read_timeout(Some(Duration::from_millis(300)))
+            .unwrap();
+        conn.write_all(b"x").unwrap();
+        conn.read_exact(&mut buf).unwrap();
+        assert_eq!(&buf, b"x");
+        assert_eq!(net.clock().now_us(), 0);
+        assert_eq!(
+            fw_obs::registry()
+                .counter("fw.net.pool.handler_panics")
+                .get(),
+            1
+        );
     }
 
     #[test]

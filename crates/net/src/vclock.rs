@@ -414,13 +414,7 @@ impl VClock {
         else {
             return lanes;
         };
-        let delta = min_dl.saturating_sub(st.now_us);
         st.now_us = min_dl;
-        if delta > 0 {
-            // Mirror into the global fw-obs sim clock so stage spans
-            // attribute virtual time alongside wall time.
-            fw_obs::advance_sim_micros(delta);
-        }
         let mut fired = 0u32;
         for w in st.waiters.values_mut() {
             if w.state == WaitState::Blocked && w.deadline.is_some_and(|d| d <= min_dl) {

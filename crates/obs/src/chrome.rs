@@ -5,8 +5,7 @@
 //! sync spans, `b`/`e` async events (with `id` and a shared `cat`) for
 //! off-stack lifetimes, `i` instants, and one `thread_name` metadata
 //! event per registered thread. Timestamps are microseconds (`ts`);
-//! wall nanoseconds are carried at full precision in
-//! `args.wall_ns`, and the sim clock rides along as `args.sim_us`.
+//! wall nanoseconds are carried at full precision in `args.wall_ns`.
 
 use crate::trace::{TraceDump, TraceEventKind, ARG_NONE};
 use fw_types::json::write_str;
@@ -66,8 +65,8 @@ pub fn to_chrome_json(dump: &TraceDump) -> String {
         if !matches!(ev.kind, TraceEventKind::End | TraceEventKind::AsyncEnd) {
             let _ = write!(
                 line,
-                ",\"args\":{{\"span\":{},\"parent\":{},\"wall_ns\":{},\"sim_us\":{}",
-                ev.span_id, ev.parent_id, ev.wall_ns, ev.sim_us
+                ",\"args\":{{\"span\":{},\"parent\":{},\"wall_ns\":{}",
+                ev.span_id, ev.parent_id, ev.wall_ns
             );
             if ev.arg != ARG_NONE {
                 let _ = write!(line, ",\"worker\":{}", ev.arg);
@@ -96,7 +95,6 @@ mod tests {
             name_id,
             arg,
             wall_ns,
-            sim_us: wall_ns / 1000,
         };
         TraceDump {
             events: vec![
@@ -166,7 +164,7 @@ mod tests {
     }
 
     #[test]
-    fn args_carry_dual_clocks_and_worker_labels() {
+    fn args_carry_wall_clock_and_worker_labels() {
         let text = to_chrome_json(&sample_dump());
         let doc = Json::parse(&text).unwrap();
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
@@ -176,7 +174,13 @@ mod tests {
             .expect("async begin present");
         let args = open.get("args").expect("args on opening event");
         assert_eq!(args.get("wall_ns").and_then(Json::as_u64), Some(1500));
-        assert_eq!(args.get("sim_us").and_then(Json::as_u64), Some(1));
+        let keys: Vec<&str> = args
+            .as_obj()
+            .expect("args object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["span", "parent", "wall_ns", "worker"]);
         assert_eq!(args.get("worker").and_then(Json::as_u64), Some(443));
         // Name with an embedded quote survives escaping.
         assert!(events

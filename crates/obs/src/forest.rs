@@ -2,7 +2,7 @@
 //!
 //! A [`crate::TraceDump`] is a flat multiset of begin/end events from
 //! many threads. This module pairs them back into [`SpanNode`]s with
-//! intervals on both clocks, resolves parent links (same-thread
+//! wall-clock intervals, resolves parent links (same-thread
 //! nesting and explicit cross-thread fork edges alike), and checks the
 //! structural invariants the exporters rely on.
 
@@ -23,8 +23,6 @@ pub struct SpanNode {
     pub arg: u64,
     pub begin_ns: u64,
     pub end_ns: u64,
-    pub begin_sim_us: u64,
-    pub end_sim_us: u64,
     /// Indices into [`Forest::nodes`] in sibling order (see [`Forest`]).
     pub children: Vec<usize>,
     /// Off-stack lifetime span ([`crate::trace_async`]).
@@ -81,7 +79,6 @@ impl Forest {
 /// instants become zero-width leaves.
 pub fn build_forest(dump: &TraceDump) -> Forest {
     let horizon_ns = dump.events.iter().map(|e| e.wall_ns).max().unwrap_or(0);
-    let horizon_sim = dump.events.iter().map(|e| e.sim_us).max().unwrap_or(0);
     let mut nodes: Vec<SpanNode> = Vec::new();
     let mut by_id: HashMap<u64, usize> = HashMap::new();
 
@@ -104,12 +101,6 @@ pub fn build_forest(dump: &TraceDump) -> Forest {
                     } else {
                         horizon_ns
                     },
-                    begin_sim_us: ev.sim_us,
-                    end_sim_us: if ev.kind == TraceEventKind::Instant {
-                        ev.sim_us
-                    } else {
-                        horizon_sim
-                    },
                     children: Vec::new(),
                     is_async: ev.kind == TraceEventKind::AsyncBegin,
                     unclosed: ev.kind != TraceEventKind::Instant,
@@ -124,7 +115,6 @@ pub fn build_forest(dump: &TraceDump) -> Forest {
             if let Some(&idx) = by_id.get(&ev.span_id) {
                 let n = &mut nodes[idx];
                 n.end_ns = ev.wall_ns.max(n.begin_ns);
-                n.end_sim_us = ev.sim_us.max(n.begin_sim_us);
                 n.unclosed = false;
             }
         }
@@ -155,10 +145,9 @@ pub fn build_forest(dump: &TraceDump) -> Forest {
 /// 1. every End/AsyncEnd matches an open Begin of the same kind, and
 ///    no span is ended twice;
 /// 2. every sync span closes (unclosed spans are reported);
-/// 3. timestamps are non-regressive within a span (`begin ≤ end`) on
-///    both the wall and the sim clock;
-/// 4. children nest within their parents on both clocks (begin and end
-///    inside the parent's interval).
+/// 3. timestamps are non-regressive within a span (`begin ≤ end`);
+/// 4. children nest within their parents (begin and end inside the
+///    parent's interval).
 ///
 /// Returns the forest on success so callers can keep analyzing.
 pub fn validate_forest(dump: &TraceDump) -> Result<Forest, String> {
@@ -204,21 +193,12 @@ pub fn validate_forest(dump: &TraceDump) -> Result<Forest, String> {
         if node.begin_ns > node.end_ns {
             return Err(format!("span {} wall clock regressed", node.id));
         }
-        if node.begin_sim_us > node.end_sim_us {
-            return Err(format!("span {} sim clock regressed", node.id));
-        }
         for &c in &node.children {
             let child = &forest.nodes[c];
             if child.begin_ns < node.begin_ns || child.end_ns > node.end_ns {
                 return Err(format!(
                     "child {} [{}, {}] ns escapes parent {} [{}, {}] ns",
                     child.id, child.begin_ns, child.end_ns, node.id, node.begin_ns, node.end_ns
-                ));
-            }
-            if child.begin_sim_us < node.begin_sim_us || child.end_sim_us > node.end_sim_us {
-                return Err(format!(
-                    "child {} escapes parent {} on the sim clock",
-                    child.id, node.id
                 ));
             }
         }
@@ -244,7 +224,6 @@ pub(crate) mod testutil {
                     name_id: name as u32,
                     arg: ARG_NONE,
                     wall_ns: w,
-                    sim_us: w / 1000,
                 })
                 .collect(),
             threads: vec![(1, "main".to_string()), (2, "worker".to_string())],

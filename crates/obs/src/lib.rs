@@ -2,9 +2,9 @@
 //!
 //! Structured telemetry for the faaswild measurement pipeline: named
 //! [`Counter`]s, [`Gauge`]s and log-bucketed [`Histogram`]s in a global
-//! [`Registry`], hierarchical RAII [`Span`]s that time pipeline stages
-//! against both the wall clock and the sim clock, and text/JSON
-//! exporters suitable for diffing across runs.
+//! [`Registry`], RAII stage [`Span`]s that time a scope into a
+//! histogram under their call site's name, event-level tracing, and
+//! text exporters suitable for diffing across runs.
 //!
 //! ## Gating
 //!
@@ -19,8 +19,9 @@
 //!
 //! `fw.<crate>.<subsystem>.<name>`, e.g. `fw.net.bytes_sent` or
 //! `fw.probe.latency_us.aws`. Histograms carry their unit as a suffix
-//! (`_us`, `_bytes`). Stage paths use `/` separators and mirror call
-//! nesting: `pipeline/abuse/cluster`.
+//! (`_us`, `_bytes`). Stage timers take `/`-separated names that say
+//! where they sit, `<layer>/<stage>` (`pipeline/probe`,
+//! `abuse/c2scan`), spelled out in full at the call site.
 //!
 //! ## Recording cheaply
 //!
@@ -49,7 +50,7 @@ pub use fw_types::Json;
 pub use metric::{bucket_bounds, bucket_index, Counter, Gauge, Histogram, NUM_BUCKETS};
 pub use registry::Registry;
 pub use report::{artifact_paths, write_trace_reports, TraceReportPaths};
-pub use span::{advance_sim_micros, sim_now_micros, Span, StageStat};
+pub use span::{span, Span};
 pub use trace::{
     current_trace_span, drain_trace, flush_thread_trace, set_trace_enabled, trace_async,
     trace_enabled, trace_instant, trace_reset, trace_span, trace_span_arg, trace_span_child_of,
@@ -88,22 +89,6 @@ pub fn set_enabled(on: bool) {
 pub fn registry() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
-}
-
-/// Open a timed stage span (child of the thread's current span). Inert
-/// when telemetry is disabled. Bind the guard: `let _span = ...`.
-///
-/// When event tracing is on ([`trace_enabled`]) the guard also emits
-/// begin/end trace events — even if the metrics layer is off, in which
-/// case the stage tree is left untouched.
-pub fn span(name: &str) -> Span {
-    if enabled() {
-        Span::enter(name)
-    } else if trace_enabled() {
-        Span::enter_gated(name, false)
-    } else {
-        Span::disabled()
-    }
 }
 
 /// Runtime support for the recording macros; not public API.
@@ -161,9 +146,9 @@ mod tests {
     fn gating_and_macro_recording() {
         set_enabled(false);
         let s = span("never-recorded");
-        assert!(s.path().is_none());
+        assert!(s.elapsed() < std::time::Duration::from_secs(60));
         drop(s);
-        assert!(registry().stage("never-recorded").is_none());
+        assert_eq!(registry().timer("never-recorded").count(), 0);
         counter_inc!("fw.obs.test.macro_counter");
         assert_eq!(registry().counter("fw.obs.test.macro_counter").get(), 0);
 
@@ -178,6 +163,18 @@ mod tests {
         bump();
         assert_eq!(registry().counter("fw.obs.test.macro_counter").get(), 4);
         assert_eq!(registry().histogram("fw.obs.test.macro_hist").count(), 1);
+        // A span records its duration, in ns, into its name's timer.
+        let timed = span("test/timed");
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let elapsed = timed.elapsed();
+        drop(timed);
+        let timer = registry().timer("test/timed");
+        assert_eq!(timer.count(), 1);
+        assert!(timer.sum() >= elapsed.as_nanos() as u64);
+        assert!(elapsed >= std::time::Duration::from_millis(2));
+        // A span still open across a reset records into the zeroed
+        // timer, like the macros' cached handles below.
+        let open = span("test/timed");
 
         // `bump()` cached its handles in per-call-site statics;
         // `Registry::reset()` must leave those handles live (it zeroes
@@ -187,6 +184,9 @@ mod tests {
         registry().reset();
         assert_eq!(registry().counter("fw.obs.test.macro_counter").get(), 0);
         assert_eq!(registry().histogram("fw.obs.test.macro_hist").count(), 0);
+        assert_eq!(timer.count(), 0);
+        drop(open);
+        assert_eq!(registry().timer("test/timed").count(), 1);
         bump();
         assert_eq!(
             registry().counter("fw.obs.test.macro_counter").get(),

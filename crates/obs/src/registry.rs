@@ -1,26 +1,26 @@
-//! The metric registry and its exporters.
+//! The metric registry and its text exporter.
 
 use crate::metric::{Counter, Gauge, Histogram};
-use crate::span::StageStat;
-use fw_types::json::write_str;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// A named collection of metrics plus the accumulated stage-timing
-/// tree. Handles returned by the getters are `Arc`s that stay valid for
-/// the registry's lifetime — [`Registry::reset`] zeroes values in place
-/// and never invalidates a cached handle.
+type Metrics<T> = RwLock<BTreeMap<String, Arc<T>>>;
+
+/// A named collection of metrics and stage timers. Handles returned by
+/// the getters are `Arc`s that stay valid for the registry's lifetime —
+/// [`Registry::reset`] zeroes values in place and never invalidates a
+/// cached handle.
 #[derive(Default)]
 pub struct Registry {
-    counters: RwLock<BTreeMap<String, Arc<Counter>>>,
-    gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
-    histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
-    stages: Mutex<BTreeMap<String, StageStat>>,
+    counters: Metrics<Counter>,
+    gauges: Metrics<Gauge>,
+    histograms: Metrics<Histogram>,
+    timers: Metrics<Histogram>,
 }
 
-fn get_or_create<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+fn get_or_create<T: Default>(map: &Metrics<T>, name: &str) -> Arc<T> {
     if let Some(m) = map.read().get(name) {
         return m.clone();
     }
@@ -28,6 +28,25 @@ fn get_or_create<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str)
         .entry(name.to_string())
         .or_insert_with(|| Arc::new(T::default()))
         .clone()
+}
+
+/// Append a `[section]` with one `name  values` row per metric for
+/// which `values` renders something; an all-silent section is left out.
+fn section<T>(
+    out: &mut String,
+    header: &str,
+    map: &Metrics<T>,
+    values: impl Fn(&T) -> Option<String>,
+) {
+    let mut rows = String::new();
+    for (name, m) in map.read().iter() {
+        if let Some(v) = values(m) {
+            let _ = writeln!(rows, "  {name:<52} {v}");
+        }
+    }
+    if !rows.is_empty() {
+        let _ = write!(out, "\n{header}\n{rows}");
+    }
 }
 
 impl Registry {
@@ -50,33 +69,16 @@ impl Registry {
         get_or_create(&self.histograms, name)
     }
 
-    /// Fold one completed span into the stage tree.
-    pub(crate) fn record_stage(&self, path: &str, wall_ns: u64, sim_us: u64) {
-        let mut stages = self.stages.lock();
-        let stat = stages.entry(path.to_string()).or_default();
-        stat.count += 1;
-        stat.wall_ns += wall_ns;
-        stat.sim_us += sim_us;
+    /// Get or create the stage timer called `name`: the histogram of
+    /// span durations, in nanoseconds, that [`crate::span`] records
+    /// into and `[stages]` reports.
+    pub fn timer(&self, name: &str) -> Arc<Histogram> {
+        get_or_create(&self.timers, name)
     }
 
-    /// Snapshot of the stage tree, sorted by path (parents precede
-    /// their children).
-    pub fn stages(&self) -> Vec<(String, StageStat)> {
-        self.stages
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect()
-    }
-
-    /// Accumulated stat for one exact stage path.
-    pub fn stage(&self, path: &str) -> Option<StageStat> {
-        self.stages.lock().get(path).copied()
-    }
-
-    /// Zero every metric in place and clear the stage tree. Existing
-    /// handles (including ones cached in `static`s by the recording
-    /// macros) remain valid.
+    /// Zero every metric and timer in place. Existing handles
+    /// (including ones cached in `static`s by the recording macros and
+    /// ones held by open spans) remain valid.
     pub fn reset(&self) {
         for c in self.counters.read().values() {
             c.reset();
@@ -84,139 +86,52 @@ impl Registry {
         for g in self.gauges.read().values() {
             g.reset();
         }
-        for h in self.histograms.read().values() {
+        for h in self
+            .histograms
+            .read()
+            .values()
+            .chain(self.timers.read().values())
+        {
             h.reset();
         }
-        self.stages.lock().clear();
     }
 
-    /// Human-readable report, suitable for diffing across runs.
+    /// Human-readable report, suitable for diffing across runs. Zero
+    /// counters and gauges and empty histograms and timers are elided.
     pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str("== fw metrics ==\n");
-
-        let counters = self.counters.read();
-        if counters.values().any(|c| c.get() > 0) {
-            out.push_str("\n[counters]\n");
-            for (name, c) in counters.iter() {
-                if c.get() > 0 {
-                    let _ = writeln!(out, "  {name:<52} {}", c.get());
-                }
-            }
-        }
-        drop(counters);
-
-        let gauges = self.gauges.read();
-        if gauges.values().any(|g| g.get() != 0) {
-            out.push_str("\n[gauges]\n");
-            for (name, g) in gauges.iter() {
-                if g.get() != 0 {
-                    let _ = writeln!(out, "  {name:<52} {}", g.get());
-                }
-            }
-        }
-        drop(gauges);
-
-        let histograms = self.histograms.read();
-        if histograms.values().any(|h| h.count() > 0) {
-            out.push_str("\n[histograms]\n");
-            for (name, h) in histograms.iter() {
-                if h.count() == 0 {
-                    continue;
-                }
-                let _ = writeln!(
-                    out,
-                    "  {name:<52} n={} p50={} p90={} p99={} max={} mean={:.1}",
+        let mut out = String::from("== fw metrics ==\n");
+        section(&mut out, "[counters]", &self.counters, |c| {
+            (c.get() > 0).then(|| c.get().to_string())
+        });
+        section(&mut out, "[gauges]", &self.gauges, |g| {
+            (g.get() != 0).then(|| g.get().to_string())
+        });
+        section(&mut out, "[histograms]", &self.histograms, |h| {
+            (h.count() > 0).then(|| {
+                format!(
+                    "n={} p50={} p90={} p99={} max={} mean={:.1}",
                     h.count(),
                     h.percentile(0.50),
                     h.percentile(0.90),
                     h.percentile(0.99),
                     h.max(),
                     h.mean(),
-                );
-            }
-        }
-        drop(histograms);
-
-        let stages = self.stages();
-        if !stages.is_empty() {
-            out.push_str("\n[stages]  (wall ms | sim ms | count)\n");
-            for (path, stat) in &stages {
-                let depth = path.matches('/').count();
-                let name = path.rsplit('/').next().unwrap_or(path);
-                let _ = writeln!(
-                    out,
-                    "  {:indent$}{name:<width$} {:>10.3} {:>10.3} {:>6}",
-                    "",
-                    stat.wall_ns as f64 / 1e6,
-                    stat.sim_us as f64 / 1e3,
-                    stat.count,
-                    indent = depth * 2,
-                    width = 40usize.saturating_sub(depth * 2),
-                );
-            }
-        }
-        out
-    }
-
-    /// Machine-readable JSON report (stable key order).
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{");
-
-        out.push_str("\"counters\":{");
-        let counters = self.counters.read();
-        for (i, (name, c)) in counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_str(&mut out, name);
-            let _ = write!(out, ":{}", c.get());
-        }
-        drop(counters);
-        out.push_str("},\"gauges\":{");
-        let gauges = self.gauges.read();
-        for (i, (name, g)) in gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_str(&mut out, name);
-            let _ = write!(out, ":{}", g.get());
-        }
-        drop(gauges);
-        out.push_str("},\"histograms\":{");
-        let histograms = self.histograms.read();
-        for (i, (name, h)) in histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_str(&mut out, name);
-            let _ = write!(
-                out,
-                ":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{:.3},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                h.count(),
-                h.sum(),
-                h.min(),
-                h.max(),
-                h.mean(),
-                h.percentile(0.50),
-                h.percentile(0.90),
-                h.percentile(0.99),
-            );
-        }
-        drop(histograms);
-        out.push_str("},\"stages\":{");
-        for (i, (path, stat)) in self.stages().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_str(&mut out, path);
-            let _ = write!(
-                out,
-                ":{{\"count\":{},\"wall_ns\":{},\"sim_us\":{}}}",
-                stat.count, stat.wall_ns, stat.sim_us,
-            );
-        }
-        out.push_str("}}");
+                )
+            })
+        });
+        // Stage timers hold nanoseconds; their rows read in ms.
+        section(&mut out, "[stages]  (wall ms)", &self.timers, |t| {
+            let ms = |ns: u64| ns as f64 / 1e6;
+            (t.count() > 0).then(|| {
+                format!(
+                    "n={} total={:.3} p50={:.3} max={:.3}",
+                    t.count(),
+                    ms(t.sum()),
+                    ms(t.percentile(0.50)),
+                    ms(t.max()),
+                )
+            })
+        });
         out
     }
 }
@@ -224,36 +139,6 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Json;
-
-    #[test]
-    fn parses_registry_export() {
-        let r = Registry::new();
-        r.counter("fw.test.a\"quote").add(3);
-        r.gauge("g").set(-7);
-        r.histogram("h").record(100);
-        r.record_stage("root/child", 12345, 6);
-        let v = Json::parse(&r.render_json()).expect("registry JSON parses");
-        assert_eq!(
-            v.get("counters")
-                .and_then(|c| c.get("fw.test.a\"quote"))
-                .and_then(Json::as_u64),
-            Some(3)
-        );
-        assert_eq!(
-            v.get("gauges")
-                .and_then(|g| g.get("g"))
-                .and_then(Json::as_f64),
-            Some(-7.0)
-        );
-        assert_eq!(
-            v.get("stages")
-                .and_then(|s| s.get("root/child"))
-                .and_then(|s| s.get("wall_ns"))
-                .and_then(Json::as_u64),
-            Some(12345)
-        );
-    }
 
     #[test]
     fn handles_are_shared_per_name() {
@@ -299,24 +184,24 @@ mod tests {
         r.counter("fw.test.hits").add(7);
         r.counter("fw.test.silent");
         r.histogram("fw.test.lat").record(100);
+        r.gauge("fw.test.depth").set(-4);
+        r.gauge("fw.test.idle");
+        r.timer("test/stage").record(2_500_000);
+        r.timer("test/idle");
         let text = r.render_text();
-        assert!(text.contains("fw.test.hits"));
+        let row = |name: &str| text.lines().find(|l| l.trim_start().starts_with(name));
+        assert!(row("fw.test.hits").unwrap().ends_with(" 7"));
         assert!(!text.contains("fw.test.silent"), "zero counters are elided");
-        assert!(text.contains("p50="));
-        assert!(text.contains("p99="));
-    }
-
-    #[test]
-    fn json_render_is_parseable_shape() {
-        let r = Registry::new();
-        r.counter("a\"b").inc();
-        r.gauge("g").set(-4);
-        r.histogram("h").record(9);
-        r.record_stage("root/child", 1_000, 2);
-        let json = r.render_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"a\\\"b\":1"));
-        assert!(json.contains("\"g\":-4"));
-        assert!(json.contains("\"wall_ns\":1000"));
+        assert!(row("fw.test.lat").unwrap().contains("n=1 p50=100 "));
+        assert!(row("fw.test.lat").unwrap().contains("p99=100 "));
+        assert!(row("fw.test.depth").unwrap().ends_with(" -4"));
+        assert!(!text.contains("fw.test.idle"), "zero gauges are elided");
+        // One `[stages]` row per timer, under its full name, in ms.
+        let stages = text.split("[stages]").nth(1).expect("[stages] section");
+        assert!(stages.contains("test/stage"));
+        assert!(row("test/stage")
+            .unwrap()
+            .ends_with("n=1 total=2.500 p50=2.500 max=2.500"));
+        assert!(!text.contains("test/idle"), "empty timers are elided");
     }
 }

@@ -1,115 +1,60 @@
-//! Hierarchical RAII spans.
+//! Stage timers.
 //!
-//! A [`Span`] measures one pipeline stage against two clocks:
+//! A [`Span`] times one pipeline stage. It holds the start [`Instant`],
+//! the trace span it opens under the same name and, while the metrics
+//! layer is on, the registry's timer for that name: a [`Histogram`] of
+//! span durations in nanoseconds. On drop it records the elapsed time
+//! into that timer, so the `[stages]` report section shows every stage
+//! as a distribution (count, total, p50, max) under the full name its
+//! call site passed. Names carry their own qualification
+//! (`pipeline/probe`, `abuse/c2scan`); nothing is derived from the
+//! runtime nesting, which is the trace's to record.
 //!
-//! * **wall clock** — [`std::time::Instant`] elapsed time;
-//! * **sim clock** — a global virtual-time counter (microseconds) that
-//!   simulation components advance when they model latency (e.g. the
-//!   SimNet fault layer's injected per-chunk delay). It separates "time
-//!   the simulated world spent" from "time the host machine spent".
-//!
-//! Spans nest per thread: a span opened while another is live becomes
-//! its child, and the accumulated stage tree is keyed by the full
-//! `parent/child` path. Guards are expected to drop in LIFO order
-//! (guaranteed by scoping them to blocks); a worker thread starts its
-//! own root rather than inheriting the spawning thread's stack.
+//! Opening or dropping a span formats nothing and, once its name's
+//! timer exists, allocates nothing and takes no `Mutex`: the timer is
+//! looked up once per span under the registry's read lock.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use crate::metric::Histogram;
+use crate::trace::TraceSpan;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-/// Global virtual-time counter, in microseconds.
-static SIM_CLOCK_US: AtomicU64 = AtomicU64::new(0);
-
-/// Advance the sim clock. Called by simulation components that model
-/// the passage of time (injected network delay, platform hangs).
-#[inline]
-pub fn advance_sim_micros(us: u64) {
-    SIM_CLOCK_US.fetch_add(us, Ordering::Relaxed);
-}
-
-/// Current sim-clock reading in microseconds.
-#[inline]
-pub fn sim_now_micros() -> u64 {
-    SIM_CLOCK_US.load(Ordering::Relaxed)
-}
-
-thread_local! {
-    static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Accumulated timing of one stage path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageStat {
-    /// Number of completed spans on this path.
-    pub count: u64,
-    /// Total wall-clock nanoseconds.
-    pub wall_ns: u64,
-    /// Total sim-clock microseconds elapsed while the span was open.
-    pub sim_us: u64,
-}
-
-/// RAII guard for one timed stage. Created via [`crate::span`]; a
-/// disabled telemetry layer yields an inert guard with zero cost beyond
-/// the construction check.
-#[must_use = "a span measures the scope it is bound to; bind it to a variable"]
+/// RAII guard for one timed stage. With metrics and tracing both off it
+/// costs two relaxed loads and one `Instant::now()`.
+#[must_use = "a span times the scope it is bound to; bind it to a variable"]
 pub struct Span {
-    /// Full `parent/child` path; `None` for inert guards.
-    path: Option<String>,
-    start_wall: Instant,
-    start_sim: u64,
-    /// Whether to fold the timing into the stage tree on drop; stage
-    /// recording follows the metrics gate, not the trace gate.
-    record_stage: bool,
+    start: Instant,
+    /// The registry's timer for this name; `None` while metrics are off.
+    timer: Option<Arc<Histogram>>,
     /// Companion trace span (inert unless event tracing is on).
-    trace: crate::trace::TraceSpan,
+    trace: TraceSpan,
+}
+
+/// Open a timed stage span called `name`. Bind the guard:
+/// `let _span = fw_obs::span("pipeline/probe");`.
+///
+/// While metrics are on ([`crate::enabled`]) the drop records the
+/// span's duration into [`crate::Registry::timer`]`(name)`. While event
+/// tracing is on ([`crate::trace_enabled`]) the guard also emits
+/// begin/end trace events under the same name, nested under the
+/// thread's current trace span — each gate independently of the other.
+pub fn span(name: &str) -> Span {
+    let timer = crate::enabled().then(|| crate::registry().timer(name));
+    Span {
+        start: Instant::now(),
+        timer,
+        trace: crate::trace::trace_span(name),
+    }
 }
 
 impl Span {
-    /// An inert span that records nothing on drop.
-    pub(crate) fn disabled() -> Span {
-        Span {
-            path: None,
-            start_wall: Instant::now(),
-            start_sim: 0,
-            record_stage: false,
-            trace: crate::trace::TraceSpan::inert(),
-        }
-    }
-
-    /// Open a span named `name` under the current thread's span stack.
-    pub(crate) fn enter(name: &str) -> Span {
-        Span::enter_gated(name, true)
-    }
-
-    /// [`Span::enter`], with stage-tree recording decided by the caller
-    /// (event tracing can be on while the metrics layer is off).
-    pub(crate) fn enter_gated(name: &str, record_stage: bool) -> Span {
-        let path = SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let path = match stack.last() {
-                Some(parent) => format!("{parent}/{name}"),
-                None => name.to_string(),
-            };
-            stack.push(path.clone());
-            path
-        });
-        Span {
-            path: Some(path),
-            start_wall: Instant::now(),
-            start_sim: sim_now_micros(),
-            record_stage,
-            trace: crate::trace::trace_span(name),
-        }
-    }
-
-    /// The full stage path, e.g. `pipeline/probe` (`None` when inert).
-    pub fn path(&self) -> Option<&str> {
-        self.path.as_deref()
+    /// Time since the span opened, whichever gates are on.
+    pub fn elapsed(&self) -> Duration {
+        self.start.elapsed()
     }
 
     /// Trace span id for cross-thread parent links (0 when tracing is
-    /// off or the guard is inert).
+    /// off).
     pub fn trace_id(&self) -> u64 {
         self.trace.id()
     }
@@ -117,111 +62,8 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(path) = self.path.take() else {
-            return;
-        };
-        SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            // Pop by position, not just when this span is the top: a
-            // guard dropped out of LIFO order (mis-scoped, moved into a
-            // struct, leaked across a loop) must not leave its path
-            // stuck on the stack corrupting every later span's parent.
-            if let Some(i) = stack.iter().rposition(|p| *p == path) {
-                stack.remove(i);
-            }
-        });
-        if self.record_stage {
-            let wall_ns = self.start_wall.elapsed().as_nanos() as u64;
-            let sim_us = sim_now_micros().saturating_sub(self.start_sim);
-            crate::registry().record_stage(&path, wall_ns, sim_us);
+        if let Some(timer) = &self.timer {
+            timer.record(self.start.elapsed().as_nanos() as u64);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // These tests call `Span::enter` directly (crate-private) instead of
-    // `fw_obs::span`, so they don't need to flip the process-global
-    // enable flag and can't race the gating test in lib.rs.
-    #[test]
-    fn spans_nest_into_slash_paths() {
-        let root = Span::enter("nest_root");
-        assert_eq!(root.path(), Some("nest_root"));
-        {
-            let child = Span::enter("child");
-            assert_eq!(child.path(), Some("nest_root/child"));
-            let grandchild = Span::enter("leaf");
-            assert_eq!(grandchild.path(), Some("nest_root/child/leaf"));
-        }
-        // Siblings opened after a child closed still nest under root.
-        let sibling = Span::enter("sibling");
-        assert_eq!(sibling.path(), Some("nest_root/sibling"));
-        drop(sibling);
-        drop(root);
-
-        let stages = crate::registry().stages();
-        let paths: Vec<&str> = stages.iter().map(|(p, _)| p.as_str()).collect();
-        for expect in [
-            "nest_root",
-            "nest_root/child",
-            "nest_root/child/leaf",
-            "nest_root/sibling",
-        ] {
-            assert!(paths.contains(&expect), "missing stage {expect:?}");
-        }
-        // Parents sort before their children, as render_text relies on.
-        let root_idx = paths.iter().position(|p| *p == "nest_root").unwrap();
-        let leaf_idx = paths
-            .iter()
-            .position(|p| *p == "nest_root/child/leaf")
-            .unwrap();
-        assert!(root_idx < leaf_idx);
-    }
-
-    #[test]
-    fn span_captures_sim_clock_advance() {
-        let s = Span::enter("sim_advance_test");
-        advance_sim_micros(250);
-        drop(s);
-        let stat = crate::registry().stage("sim_advance_test").unwrap();
-        assert_eq!(stat.count, 1);
-        assert!(stat.sim_us >= 250);
-    }
-
-    #[test]
-    fn out_of_order_guard_drops_do_not_corrupt_the_stack() {
-        let root = Span::enter("ooo_root");
-        let a = Span::enter("a");
-        let b = Span::enter("b");
-        // Drop the *outer* child first — a mis-scoped guard. `a`'s path
-        // must be removed from the middle of the stack, not ignored.
-        drop(a);
-        assert_eq!(b.path(), Some("ooo_root/a/b"));
-        drop(b);
-        // With `a` gone and `b` popped, the next child nests directly
-        // under the root — before the fix, the stale "ooo_root/a" left
-        // on the stack would parent it as "ooo_root/a/after".
-        let after = Span::enter("after");
-        assert_eq!(after.path(), Some("ooo_root/after"));
-        drop(after);
-        drop(root);
-        // And the stack is fully unwound for whatever runs next.
-        let fresh = Span::enter("ooo_fresh_root");
-        assert_eq!(fresh.path(), Some("ooo_fresh_root"));
-    }
-
-    #[test]
-    fn worker_threads_start_their_own_root() {
-        let _outer = Span::enter("thread_outer");
-        let inner_path = std::thread::spawn(|| {
-            let s = Span::enter("thread_inner");
-            s.path().map(str::to_string)
-        })
-        .join()
-        .unwrap();
-        // The span stack is thread-local: no inheritance across spawn.
-        assert_eq!(inner_path.as_deref(), Some("thread_inner"));
     }
 }

@@ -1,11 +1,11 @@
 //! Event-level tracing: causal span begin/end events.
 //!
-//! Where [`crate::Span`] folds every completed span into a path-summed
-//! [`crate::StageStat`] (cheap, aggregate, loses individuals), this
-//! layer records *every* span boundary as a discrete event — span id,
-//! parent link, thread, optional worker/shard label, and dual
-//! timestamps (wall nanoseconds since process trace epoch + the global
-//! sim clock in microseconds, which the fw-net virtual clock advances).
+//! Where a [`crate::Span`] folds its duration into its name's timer
+//! (cheap, aggregate, loses individuals and their nesting), this layer
+//! records *every* span boundary as a discrete event — span id, parent
+//! link, thread, optional worker/shard label, and a wall-clock
+//! timestamp (nanoseconds since the process trace epoch). Virtual time
+//! belongs to each simulated world's own clock, not to the trace.
 //! The event stream reconstructs into a cross-thread span DAG that the
 //! exporters turn into a Chrome `trace_event` file, a folded-stacks
 //! flamegraph, and a critical-path attribution (DESIGN.md §13).
@@ -70,8 +70,6 @@ pub struct TraceEvent {
     pub arg: u64,
     /// Wall clock: nanoseconds since the process trace epoch.
     pub wall_ns: u64,
-    /// Sim clock: [`crate::sim_now_micros`] at the event.
-    pub sim_us: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -293,7 +291,6 @@ pub(crate) fn enter_traced(name: &str, arg: u64, explicit_parent: Option<u64>) -
     let name_id = intern(name);
     let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
     let wall_ns = wall_now_ns();
-    let sim_us = crate::sim_now_micros();
     with_buf(|tb| {
         let parent = explicit_parent.unwrap_or_else(|| tb.stack.last().copied().unwrap_or(0));
         tb.stack.push(id);
@@ -305,7 +302,6 @@ pub(crate) fn enter_traced(name: &str, arg: u64, explicit_parent: Option<u64>) -
             name_id,
             arg,
             wall_ns,
-            sim_us,
         });
     });
     TraceSpan { id, name_id }
@@ -317,7 +313,6 @@ impl Drop for TraceSpan {
             return;
         }
         let wall_ns = wall_now_ns();
-        let sim_us = crate::sim_now_micros();
         let (id, name_id) = (self.id, self.name_id);
         with_buf(|tb| {
             // Pop by position, not `pop()`: a mis-scoped guard dropped
@@ -333,7 +328,6 @@ impl Drop for TraceSpan {
                 name_id,
                 arg: ARG_NONE,
                 wall_ns,
-                sim_us,
             });
         });
     }
@@ -372,7 +366,6 @@ pub fn trace_instant(name: &str, arg: u64) {
     let name_id = intern(name);
     let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
     let wall_ns = wall_now_ns();
-    let sim_us = crate::sim_now_micros();
     with_buf(|tb| {
         let parent = tb.stack.last().copied().unwrap_or(0);
         tb.push(TraceEvent {
@@ -383,7 +376,6 @@ pub fn trace_instant(name: &str, arg: u64) {
             name_id,
             arg,
             wall_ns,
-            sim_us,
         });
     });
 }
@@ -405,7 +397,6 @@ pub fn trace_async(name: &str, arg: u64) -> AsyncSpan {
     let name_id = intern(name);
     let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
     let wall_ns = wall_now_ns();
-    let sim_us = crate::sim_now_micros();
     with_buf(|tb| {
         let parent = tb.stack.last().copied().unwrap_or(0);
         tb.push(TraceEvent {
@@ -416,7 +407,6 @@ pub fn trace_async(name: &str, arg: u64) -> AsyncSpan {
             name_id,
             arg,
             wall_ns,
-            sim_us,
         });
     });
     AsyncSpan { id, name_id }
@@ -428,7 +418,6 @@ impl Drop for AsyncSpan {
             return;
         }
         let wall_ns = wall_now_ns();
-        let sim_us = crate::sim_now_micros();
         let (id, name_id) = (self.id, self.name_id);
         let pushed = with_buf(|tb| {
             tb.push(TraceEvent {
@@ -439,7 +428,6 @@ impl Drop for AsyncSpan {
                 name_id,
                 arg: ARG_NONE,
                 wall_ns,
-                sim_us,
             });
         });
         if pushed.is_none() {
@@ -452,7 +440,6 @@ impl Drop for AsyncSpan {
                 name_id,
                 arg: ARG_NONE,
                 wall_ns,
-                sim_us,
             }];
             flush_into_sink(&mut one);
         }
@@ -546,7 +533,7 @@ impl TraceDump {
             if ev.arg != ARG_NONE {
                 out.push_str(&format!(",\"arg\":{}", ev.arg));
             }
-            out.push_str(&format!(",\"w\":{},\"s\":{}}}\n", ev.wall_ns, ev.sim_us));
+            out.push_str(&format!(",\"w\":{}}}\n", ev.wall_ns));
         }
         out
     }
@@ -606,7 +593,6 @@ impl TraceDump {
                 name_id,
                 arg: num("arg").unwrap_or(ARG_NONE),
                 wall_ns: num("w").unwrap_or(0),
-                sim_us: num("s").unwrap_or(0),
             });
         }
         Ok(dump)
@@ -631,7 +617,6 @@ mod tests {
                     name_id: 0,
                     arg: 7,
                     wall_ns: 1000,
-                    sim_us: 5,
                 },
                 TraceEvent {
                     kind: TraceEventKind::End,
@@ -641,7 +626,6 @@ mod tests {
                     name_id: 0,
                     arg: ARG_NONE,
                     wall_ns: 2000,
-                    sim_us: 9,
                 },
                 TraceEvent {
                     kind: TraceEventKind::AsyncBegin,
@@ -651,7 +635,6 @@ mod tests {
                     name_id: 1,
                     arg: ARG_NONE,
                     wall_ns: 1500,
-                    sim_us: 6,
                 },
             ],
             threads: vec![(1, "main".to_string()), (2, "worker \"x\"".to_string())],
@@ -670,9 +653,23 @@ mod tests {
             assert_eq!(a.tid, b.tid);
             assert_eq!(a.arg, b.arg);
             assert_eq!(a.wall_ns, b.wall_ns);
-            assert_eq!(a.sim_us, b.sim_us);
             assert_eq!(dump.name(a.name_id), back.name(b.name_id));
         }
+    }
+
+    /// Dumps written while events still carried a sim-clock `"s"` field
+    /// parse; the field is ignored, and events are 48 bytes without it.
+    #[test]
+    fn jsonl_with_retired_sim_field_still_parses() {
+        let text = "{\"meta\":1,\"dropped\":0,\"threads\":[[1,\"main\"]]}\n\
+            {\"ph\":\"B\",\"id\":1,\"par\":0,\"tid\":1,\"name\":\"gate/serve\",\"w\":10,\"s\":5}\n\
+            {\"ph\":\"E\",\"id\":1,\"par\":0,\"tid\":1,\"name\":\"gate/serve\",\"w\":20,\"s\":9}\n";
+        let dump = TraceDump::from_jsonl(text).expect("parse");
+        assert_eq!(dump.events.len(), 2);
+        assert_eq!(dump.events[1].wall_ns, 20);
+        assert_eq!(dump.name(dump.events[0].name_id), "gate/serve");
+        assert!(!dump.to_jsonl().contains("\"s\":"));
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 48);
     }
 
     #[test]

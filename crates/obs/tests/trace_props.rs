@@ -1,12 +1,13 @@
 //! Trace event-ordering properties (ISSUE-6 satellite).
 //!
 //! Begin/end events produced by N concurrent worker threads — with
-//! random nesting depths, sim-clock advances, and instants mixed in —
-//! must always reconstruct a well-formed forest: every end matches an
-//! open begin of the same kind, and children nest within their parents
-//! on both the wall clock and the virtual clock. Siblings come in time
-//! order, `(begin_ns, id)`, and the tree with timestamps and ids
-//! stripped does not depend on the schedule.
+//! random nesting depths, spans closed out of LIFO order, and instants
+//! mixed in — must always reconstruct a well-formed forest: every end
+//! matches an open begin of the same kind, and children nest within
+//! their parents. Siblings come in time order, `(begin_ns, id)`, and
+//! the tree with timestamps and ids stripped does not depend on the
+//! schedule. Each thread's span stack pops by position and starts from
+//! its own root.
 //!
 //! These run in the integration-test process (not the lib tests)
 //! because they flip the process-global trace flag and drain the global
@@ -36,8 +37,13 @@ fn traced(body: impl FnOnce(u64)) -> TraceDump {
 
 /// Execute one program per worker thread under an enabled tracer and
 /// drain the resulting dump. Ops (per byte, mod 4): 0 = open a nested
-/// span, 1 = close the innermost open span, 2 = advance the sim clock,
-/// 3 = record an instant. Unclosed spans unwind LIFO at thread end.
+/// span, 1 = close the innermost open span, 2 = close a randomly chosen
+/// open span that has no open child, 3 = record an instant. Op 0 with
+/// the byte's top bit set opens the span as a sibling of the innermost
+/// one instead (an explicit parent), so the stack holds childless spans
+/// under open ones, and op 2 pops them from the middle of the stack;
+/// the next nested span and instant must still parent to the stack's
+/// innermost span. Unclosed spans unwind LIFO at thread end.
 fn run_workers(programs: &[Vec<u8>]) -> TraceDump {
     traced(|fork| {
         let handles: Vec<_> = programs
@@ -46,15 +52,39 @@ fn run_workers(programs: &[Vec<u8>]) -> TraceDump {
             .enumerate()
             .map(|(w, prog)| {
                 std::thread::spawn(move || {
-                    let _worker = fw_obs::trace_span_child_of(fork, "prop/worker", w as u64);
-                    let mut open: Vec<fw_obs::TraceSpan> = Vec::new();
+                    let worker = fw_obs::trace_span_child_of(fork, "prop/worker", w as u64);
+                    // Open spans in opening order, each with its parent.
+                    let mut open: Vec<(fw_obs::TraceSpan, u64)> = Vec::new();
                     for op in prog {
                         match op % 4 {
-                            0 => open.push(fw_obs::trace_span_arg("prop/op", u64::from(op))),
+                            0 if op & 0x80 == 0 => {
+                                let top = open.last().map_or(worker.id(), |(s, _)| s.id());
+                                let span = fw_obs::trace_span_arg("prop/op", u64::from(op));
+                                open.push((span, top));
+                            }
+                            0 => {
+                                // A sibling of the innermost open span.
+                                let parent = open.last().map_or(worker.id(), |(_, p)| *p);
+                                let span =
+                                    fw_obs::trace_span_child_of(parent, "prop/op", u64::from(op));
+                                open.push((span, parent));
+                            }
                             1 => {
                                 open.pop();
                             }
-                            2 => fw_obs::advance_sim_micros(u64::from(op) + 1),
+                            2 => {
+                                // A span with an open child would end
+                                // before it and fail the nesting check.
+                                let leaves: Vec<usize> = (0..open.len())
+                                    .filter(|&i| {
+                                        let id = open[i].0.id();
+                                        !open.iter().any(|(_, p)| *p == id)
+                                    })
+                                    .collect();
+                                if !leaves.is_empty() {
+                                    drop(open.remove(leaves[usize::from(op / 4) % leaves.len()]));
+                                }
+                            }
                             _ => fw_obs::trace_instant("prop/mark", u64::from(op)),
                         }
                     }
@@ -179,31 +209,6 @@ proptest! {
         let b = fw_obs::validate_forest(&second).map_err(TestCaseError::Fail)?;
         prop_assert_eq!(forest_shape(&first, &a), forest_shape(&second, &b));
     }
-
-    /// The virtual clock is globally monotonic, so every span's sim
-    /// interval is well-ordered and nested exactly like its wall
-    /// interval — even when workers advance the clock concurrently.
-    #[test]
-    fn sim_clock_intervals_nest_like_wall_intervals(
-        programs in proptest::collection::vec(
-            proptest::collection::vec(0u8..=255, 1..16),
-            2..5,
-        )
-    ) {
-        let dump = run_workers(&programs);
-        let forest = fw_obs::validate_forest(&dump)
-            .map_err(|e| proptest::test_runner::TestCaseError::Fail(
-                format!("forest invalid: {e}"),
-            ))?;
-        for node in &forest.nodes {
-            prop_assert!(node.begin_sim_us <= node.end_sim_us);
-            for &c in &node.children {
-                let ch = &forest.nodes[c];
-                prop_assert!(ch.begin_sim_us >= node.begin_sim_us);
-                prop_assert!(ch.end_sim_us <= node.end_sim_us);
-            }
-        }
-    }
 }
 
 /// Sibling order is begin order, not spawn order: worker 1 begins its
@@ -230,8 +235,56 @@ fn siblings_follow_begin_order_not_spawn_order() {
     assert!(siblings_in_time_order(&forest));
 }
 
+/// The parent a `Begin` event recorded for the span called `name`.
+fn parent_of(dump: &TraceDump, name: &str) -> u64 {
+    dump.events
+        .iter()
+        .find(|e| e.kind == fw_obs::TraceEventKind::Begin && dump.name(e.name_id) == name)
+        .unwrap_or_else(|| panic!("no span {name}"))
+        .parent_id
+}
+
+/// A guard dropped out of LIFO order removes only itself from the
+/// thread's span stack: a span opened next nests under the innermost
+/// span still open, and once that closes too, under the root — not
+/// under the closed middle span.
+#[test]
+fn out_of_order_guard_drops_do_not_corrupt_the_stack() {
+    let mut ids = (0, 0, 0);
+    let dump = traced(|_| {
+        let root = fw_obs::trace_span("ooo/root");
+        let a = fw_obs::trace_span("ooo/a");
+        let b = fw_obs::trace_span("ooo/b");
+        ids = (root.id(), a.id(), b.id());
+        // Drop the outer child first — a mis-scoped guard.
+        drop(a);
+        drop(fw_obs::trace_span("ooo/mid"));
+        drop(b);
+        let _after = fw_obs::trace_span("ooo/after");
+    });
+    let (root, a, b) = ids;
+    assert_eq!(parent_of(&dump, "ooo/b"), a);
+    assert_eq!(parent_of(&dump, "ooo/mid"), b);
+    assert_eq!(parent_of(&dump, "ooo/after"), root);
+}
+
+/// The span stack is thread-local: a spawned thread's first span is a
+/// root of its own, not a child of the spawner's open span.
+#[test]
+fn worker_threads_start_their_own_root() {
+    let dump = traced(|fork| {
+        assert_eq!(fw_obs::current_trace_span(), fork);
+        std::thread::spawn(|| {
+            let _inner = fw_obs::trace_span("thread/inner");
+        })
+        .join()
+        .unwrap();
+    });
+    assert_eq!(parent_of(&dump, "thread/inner"), 0);
+}
+
 /// `fw_obs::span` emits trace events when tracing is on even with the
-/// metrics layer off — and leaves the stage tree untouched.
+/// metrics layer off — and records nothing into its timer.
 #[test]
 fn stage_spans_trace_without_metrics() {
     let _serialize = TRACE_LOCK.lock().unwrap();
@@ -248,8 +301,8 @@ fn stage_spans_trace_without_metrics() {
     let forest = fw_obs::validate_forest(&dump).expect("well-formed");
     assert_eq!(forest.nodes.len(), 2);
     assert_eq!(forest.roots.len(), 1);
-    // Metrics gate was off: nothing reached the stage tree.
-    assert!(fw_obs::registry().stage("traced_only_outer").is_none());
+    // Metrics gate was off: nothing reached the timer.
+    assert_eq!(fw_obs::registry().timer("traced_only_outer").count(), 0);
 }
 
 /// With tracing off, instrumentation is inert: no events, id 0 guards.

@@ -396,8 +396,7 @@ pub fn run_load(
     config: &LoadConfig,
     plan: &LoadPlan,
 ) -> LoadReport {
-    let _span = fw_obs::span("serve/load");
-    let wall_start = Instant::now();
+    let span = fw_obs::span("serve/load");
     let workers = config.workers.max(1);
     let parts = fork(workers, "", Some(net.clock()), |w| {
         let mut acc = WorkerAcc::default();
@@ -448,7 +447,7 @@ pub fn run_load(
         ),
         response_bytes: total.response_bytes,
         virtual_us,
-        wall_ms: wall_start.elapsed().as_secs_f64() * 1e3,
+        wall_ms: span.elapsed().as_secs_f64() * 1e3,
         latencies_us: total.latencies_us,
     }
 }
