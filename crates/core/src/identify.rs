@@ -284,16 +284,34 @@ impl IdentifyEngine {
     /// identified function, sorted by fqdn. Row order *within* the
     /// batch never affects the deltas or the final state.
     pub fn apply_rows(&mut self, rows: &[PdnsRow]) -> Vec<VerdictChange> {
+        self.apply_rows_routed(rows, |_, _| {})
+    }
+
+    /// [`apply_rows`](Self::apply_rows) that also hands each row of an
+    /// identified function, with its provider, to `route`, in batch
+    /// order, from the loop that absorbs the row. A row's fqdn is
+    /// looked up once; only the rows of fqdns first seen in this batch
+    /// are looked up again, once their verdicts are in.
+    pub fn apply_rows_routed(
+        &mut self,
+        rows: &[PdnsRow],
+        mut route: impl FnMut(&PdnsRow, ProviderId),
+    ) -> Vec<VerdictChange> {
         assert!(
             self.lookup,
             "apply_rows needs the verdict map; use a tracking engine, not IdentifyEngine::batch"
         );
+        let known: Vec<Option<Class>> = rows
+            .iter()
+            .map(|r| self.class.get(&r.fqdn).copied())
+            .collect();
         // New fqdns this batch, sorted so verdict deltas (and state
         // indices) are independent of row order.
         let mut fresh: Vec<&Fqdn> = rows
             .iter()
-            .map(|r| &r.fqdn)
-            .filter(|f| !self.class.contains_key(*f))
+            .zip(&known)
+            .filter(|(_, class)| class.is_none())
+            .map(|(r, _)| &r.fqdn)
             .collect();
         fresh.sort_unstable();
         fresh.dedup();
@@ -330,11 +348,19 @@ impl IdentifyEngine {
         }
 
         let mut touched: Vec<u32> = Vec::new();
-        for row in rows {
-            if let Some(Class::Function(idx)) = self.class.get(&row.fqdn) {
-                self.states[*idx as usize].absorb_row(row);
+        for (row, class) in rows.iter().zip(known) {
+            let class = class.unwrap_or_else(|| {
+                *self
+                    .class
+                    .get(&row.fqdn)
+                    .expect("every first-seen fqdn was classified above")
+            });
+            if let Class::Function(idx) = class {
+                let state = &mut self.states[idx as usize];
+                state.absorb_row(row);
                 self.total_requests += row.cnt;
-                touched.push(*idx);
+                touched.push(idx);
+                route(row, state.provider);
             }
         }
         touched.sort_unstable();
@@ -737,6 +763,45 @@ mod tests {
             })
             .unwrap();
         assert_eq!(ev, 14, "evidence carries cumulative totals");
+    }
+
+    /// The routed rows are exactly the rows `provider_of` would route
+    /// after the batch, in batch order, and routing leaves the deltas
+    /// as they are, for fqdns first seen in the batch and known ones.
+    #[test]
+    fn routed_rows_match_provider_of_after_the_batch() {
+        let mut s = store_with(&[
+            ("1300000001-abcde12345-ap-guangzhou.scf.tencentcs.com", 10),
+            ("myfn-a1b2c3d4e5-uc.a.run.app", 7),
+            ("x2h5k7m9p1q3.lambda-url.us-east-1.on.aws", 3),
+            ("www.example.com", 100),
+        ]);
+        let g2 = Fqdn::parse("myfn-a1b2c3d4e5-uc.a.run.app").unwrap();
+        for day in 19_101..19_104 {
+            s.observe_count(
+                &g2,
+                &Rdata::V4(Ipv4Addr::new(203, 0, 113, 9)),
+                DayStamp(day),
+                2,
+            );
+        }
+        let rows = rows_of(&s);
+        let mut routed_engine = IdentifyEngine::with_workers(1);
+        let mut plain_engine = IdentifyEngine::with_workers(1);
+        let mut total_routed = 0;
+        for chunk in rows.chunks(3) {
+            let mut routed = Vec::new();
+            let with_routing =
+                routed_engine.apply_rows_routed(chunk, |row, p| routed.push((row.clone(), p)));
+            assert_eq!(with_routing, plain_engine.apply_rows(chunk));
+            let expected: Vec<(PdnsRow, ProviderId)> = chunk
+                .iter()
+                .filter_map(|r| plain_engine.provider_of(&r.fqdn).map(|p| (r.clone(), p)))
+                .collect();
+            assert_eq!(routed, expected);
+            total_routed += routed.len();
+        }
+        assert_eq!(total_routed, rows.len() - 1, "every row but the noise row");
     }
 
     #[test]

@@ -117,15 +117,21 @@ fn window_months() -> Vec<MonthStamp> {
 /// the same result — the property the batch wrappers (per-worker
 /// partial states) and the streaming daemon (one long-lived state)
 /// both lean on. Tracking is opt-in per table so the batch sweeps
-/// don't pay for `rdata.text()` keys they won't read.
+/// don't pay for a table they won't read.
+///
+/// Table 2's rdata tables are keyed by [`Rdata`] itself, not by its
+/// rendered text. That gives the same table: each slot's rtype fixes
+/// its rdata variant, and each variant's text maps one-to-one to its
+/// value, so every slot holds the same multiset of counts, and
+/// [`ingress_rows`](Self::ingress_rows) reads only the sorted counts.
 #[derive(Debug, Clone)]
 pub struct UsageState {
     track_monthly: bool,
     track_ingress: bool,
     n_months: usize,
     monthly: HashMap<ProviderId, Vec<u64>, FnvBuildHasher>,
-    /// provider → rtype slot `(A, CNAME, AAAA)` → rdata text → requests.
-    ingress: HashMap<ProviderId, [HashMap<String, u64, FnvBuildHasher>; 3], FnvBuildHasher>,
+    /// provider → rtype slot `(A, CNAME, AAAA)` → rdata → requests.
+    ingress: HashMap<ProviderId, [HashMap<Rdata, u64, FnvBuildHasher>; 3], FnvBuildHasher>,
 }
 
 impl UsageState {
@@ -179,14 +185,13 @@ impl UsageState {
                 RecordType::Aaaa => 2,
             };
             let table = &mut self.ingress.entry(provider).or_default()[slot];
-            // Borrow the text for the (overwhelmingly common) repeat-key
-            // case; allocate the owned key only on first sight.
-            rdata.with_text(|text| match table.get_mut(text) {
+            // Repeat keys are the common case: clone only on first sight.
+            match table.get_mut(rdata) {
                 Some(requests) => *requests += cnt,
                 None => {
-                    table.insert(text.to_string(), cnt);
+                    table.insert(rdata.clone(), cnt);
                 }
-            });
+            }
         }
     }
 
@@ -216,8 +221,8 @@ impl UsageState {
         for (provider, maps) in other.ingress {
             let acc = self.ingress.entry(provider).or_default();
             for (slot, map) in maps.into_iter().enumerate() {
-                for (text, cnt) in map {
-                    *acc[slot].entry(text).or_insert(0) += cnt;
+                for (rdata, cnt) in map {
+                    *acc[slot].entry(rdata).or_insert(0) += cnt;
                 }
             }
         }
@@ -718,6 +723,85 @@ mod tests {
         } else {
             assert_eq!(a.est_total_requests, 0);
         }
+    }
+
+    /// Table 2 from `Rdata`-keyed tables equals Table 2 from tables
+    /// keyed by the rendered text, including for a CNAME target that
+    /// reads like an IPv4 address.
+    #[test]
+    fn rdata_keyed_tables_match_text_keyed_reference() {
+        let aws = Fqdn::parse("abc123.lambda-url.us-east-1.on.aws").unwrap();
+        let g2 = Fqdn::parse("myfn-a1b2c3d4e5-uc.a.run.app").unwrap();
+        let v6 = |s: &str| Rdata::V6(s.parse().unwrap());
+        let name = |s: &str| Rdata::Name(Fqdn::parse(s).unwrap());
+        let rows = [
+            (&aws, v4(1), 3, 5),
+            (&aws, v4(1), 4, 7),
+            (&aws, v4(2), 4, 1),
+            (&aws, Rdata::V4(Ipv4Addr::new(1, 2, 3, 4)), 5, 2),
+            (&aws, name("1.2.3.4"), 5, 11),
+            (&aws, name("edge.cdn.example.net"), 6, 4),
+            (&aws, name("1.2.3.4"), 7, 3),
+            (&aws, v6("2001:db8::1"), 6, 9),
+            (&aws, v6("::ffff:1.2.3.4"), 6, 2),
+            (&g2, v4(3), 10, 60),
+            (&g2, v4(4), 11, 20),
+            (&g2, v6("2001:db8::1"), 12, 8),
+            (&g2, name("ghs.googlehosted.com"), 13, 1),
+        ];
+        let mut store = PdnsStore::new();
+        for (fqdn, rdata, d, cnt) in &rows {
+            store.observe_count(fqdn, rdata, day(*d), *cnt);
+        }
+        let report = identify_functions(&store);
+
+        let mut state = UsageState::new();
+        let mut by_text: HashMap<ProviderId, [HashMap<String, u64>; 3]> = HashMap::new();
+        for (fqdn, rdata, d, cnt) in &rows {
+            let provider = report
+                .functions
+                .iter()
+                .find(|f| &f.fqdn == *fqdn)
+                .unwrap()
+                .provider;
+            state.apply(provider, rdata.rtype(), rdata, day(*d), *cnt);
+            let slot = match rdata.rtype() {
+                RecordType::A => 0,
+                RecordType::Cname => 1,
+                RecordType::Aaaa => 2,
+            };
+            *by_text.entry(provider).or_default()[slot]
+                .entry(rdata.text())
+                .or_insert(0) += cnt;
+        }
+
+        let table = state.ingress_rows(&report);
+        assert_eq!(table, ingress_table(&report, &store));
+        assert_eq!(table.len(), by_text.len());
+        for row in &table {
+            let maps = &by_text[&row.provider];
+            let per_slot = |slot: usize| {
+                let mut counts: Vec<u64> = maps[slot].values().copied().collect();
+                counts.sort_unstable();
+                (
+                    counts.len() as u64,
+                    stats::top_k_share(&counts, 10),
+                    stats::entropy_bits(&counts),
+                )
+            };
+            let (c0, t0, e0) = per_slot(0);
+            let (c1, t1, e1) = per_slot(1);
+            let (c2, t2, e2) = per_slot(2);
+            assert_eq!(row.rdata_cnt, (c0, c1, c2), "{:?}", row.provider);
+            assert_eq!(row.top10, (t0, t1, t2), "{:?}", row.provider);
+            assert_eq!(row.entropy_bits, (e0, e1, e2), "{:?}", row.provider);
+            let totals: Vec<u64> = maps.iter().map(|m| m.values().sum()).collect();
+            let grand: u64 = totals.iter().sum();
+            let share = |slot: usize| totals[slot] as f64 / grand as f64;
+            assert_eq!(row.rtype_share, (share(0), share(1), share(2)));
+        }
+        let aws_row = table.iter().find(|r| r.provider == ProviderId::Aws);
+        assert_eq!(aws_row.unwrap().rdata_cnt, (3, 2, 2));
     }
 
     #[test]

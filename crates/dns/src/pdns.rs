@@ -232,7 +232,11 @@ impl PdnsStore {
             return;
         }
         fw_obs::counter_inc!("fw.dns.pdns.rows_ingested");
-        let entry = self.entries.entry(fqdn.clone()).or_default();
+        // Most rows repeat a known fqdn: copy the key only on insert.
+        let entry = match self.entries.get_mut(fqdn) {
+            Some(entry) => entry,
+            None => self.entries.entry(fqdn.clone()).or_default(),
+        };
         let idx = entry.intern(rdata);
         // Merge into the tail run of same-day rows only: a cheap
         // best effort, not a keyed merge (see the type's merge contract).

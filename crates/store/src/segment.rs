@@ -203,18 +203,16 @@ impl SegmentBuilder {
         // Sort the fqdn dictionary so row order is lexicographic and the
         // per-row fqdn delta is non-negative.
         // Unstable is safe: the dictionary holds each fqdn once.
-        let mut fqdn_order: Vec<u32> = (0..self.fqdns.len() as u32).collect();
-        fqdn_order.sort_unstable_by(|&a, &b| self.fqdns[a as usize].cmp(&self.fqdns[b as usize]));
-        let mut remap = vec![0u32; self.fqdns.len()];
-        for (new, &old) in fqdn_order.iter().enumerate() {
+        let mut sorted: Vec<(Fqdn, u32)> = std::mem::take(&mut self.fqdns)
+            .into_iter()
+            .zip(0..)
+            .collect();
+        sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut remap = vec![0u32; sorted.len()];
+        let mut fqdns = Vec::with_capacity(sorted.len());
+        for (new, (fqdn, old)) in sorted.into_iter().enumerate() {
             remap[old as usize] = new as u32;
-        }
-        let mut fqdns = Vec::with_capacity(self.fqdns.len());
-        for &old in &fqdn_order {
-            fqdns.push(std::mem::replace(
-                &mut self.fqdns[old as usize],
-                Fqdn::parse("x.invalid").expect("placeholder fqdn"),
-            ));
+            fqdns.push(fqdn);
         }
         for row in &mut self.rows {
             row.0 = remap[row.0 as usize];

@@ -42,15 +42,13 @@ impl Measurement {
 
     /// Fold one batch in, stamped with its virtual arrival time: the
     /// engine takes every row, the usage state the rows of identified
-    /// functions, and the batch's verdict deltas drive the scorer.
+    /// functions, and the batch's verdict deltas drive the scorer. The
+    /// engine routes each usage row from the lookup that absorbs it.
     pub fn apply(&mut self, rows: &[PdnsRow], now_us: u64) {
-        let changes = self.engine.apply_rows(rows);
-        for row in rows {
-            if let Some(provider) = self.engine.provider_of(&row.fqdn) {
-                self.usage
-                    .apply(provider, row.rdata.rtype(), &row.rdata, row.day, row.cnt);
-            }
-        }
+        let usage = &mut self.usage;
+        let changes = self.engine.apply_rows_routed(rows, |row, provider| {
+            usage.apply(provider, row.rdata.rtype(), &row.rdata, row.day, row.cnt)
+        });
         self.scorer.observe(&changes, now_us);
     }
 

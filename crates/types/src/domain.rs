@@ -19,27 +19,34 @@ impl Fqdn {
     /// total length ≤ 253 bytes, at least two labels. A single trailing dot
     /// is stripped.
     pub fn parse(raw: &str) -> Result<Self, crate::FwError> {
+        let invalid = || crate::FwError::InvalidDomain(raw.to_string());
         let trimmed = raw.strip_suffix('.').unwrap_or(raw);
         if trimmed.is_empty() || trimmed.len() > 253 {
-            return Err(crate::FwError::InvalidDomain(raw.to_string()));
+            return Err(invalid());
         }
-        let lower = trimmed.to_ascii_lowercase();
-        let labels: Vec<&str> = lower.split('.').collect();
-        if labels.len() < 2 {
-            return Err(crate::FwError::InvalidDomain(raw.to_string()));
-        }
-        for label in &labels {
-            if label.is_empty() || label.len() > 63 {
-                return Err(crate::FwError::InvalidDomain(raw.to_string()));
+        // One pass over the borrowed bytes checks every label, so the
+        // lowercase copy below is the only allocation.
+        let (mut dots, mut label_len) = (0usize, 0usize);
+        for &b in trimmed.as_bytes() {
+            if b == b'.' {
+                if label_len == 0 {
+                    return Err(invalid());
+                }
+                dots += 1;
+                label_len = 0;
+            } else if b.is_ascii_alphanumeric() || b == b'-' || b == b'_' {
+                label_len += 1;
+                if label_len > 63 {
+                    return Err(invalid());
+                }
+            } else {
+                return Err(invalid());
             }
-            if !label
-                .bytes()
-                .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
-            {
-                return Err(crate::FwError::InvalidDomain(raw.to_string()));
-            }
         }
-        Ok(Fqdn(lower))
+        if dots == 0 || label_len == 0 {
+            return Err(invalid());
+        }
+        Ok(Fqdn(trimmed.to_ascii_lowercase()))
     }
 
     /// The name as a string slice.
@@ -149,5 +156,78 @@ mod tests {
         let f = Fqdn::parse("x.y.fcapp.run").unwrap();
         assert_eq!(f.last_labels(2), "fcapp.run");
         assert_eq!(f.last_labels(10), "x.y.fcapp.run");
+    }
+
+    /// The split-and-collect parser the one-pass [`Fqdn::parse`]
+    /// replaced, kept as its oracle.
+    fn parse_by_split(raw: &str) -> Result<Fqdn, crate::FwError> {
+        let trimmed = raw.strip_suffix('.').unwrap_or(raw);
+        if trimmed.is_empty() || trimmed.len() > 253 {
+            return Err(crate::FwError::InvalidDomain(raw.to_string()));
+        }
+        let lower = trimmed.to_ascii_lowercase();
+        let labels: Vec<&str> = lower.split('.').collect();
+        if labels.len() < 2 {
+            return Err(crate::FwError::InvalidDomain(raw.to_string()));
+        }
+        for label in &labels {
+            if label.is_empty() || label.len() > 63 {
+                return Err(crate::FwError::InvalidDomain(raw.to_string()));
+            }
+            if !label
+                .bytes()
+                .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
+            {
+                return Err(crate::FwError::InvalidDomain(raw.to_string()));
+            }
+        }
+        Ok(Fqdn(lower))
+    }
+
+    /// Labels of every length class, 63 and 64 bytes included.
+    fn label() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::prelude::*;
+        prop_oneof![
+            "[a-zA-Z0-9_-]{0,8}",
+            "[a-zA-Z0-9._-]{0,6}",
+            "[a-z0-9]{62,65}",
+            "[a-zA-Z0-9_-]{0,3}[éİK\u{80}][a-z]{0,3}",
+        ]
+    }
+
+    /// Names near the 253-byte limit: `len` bytes before the optional
+    /// trailing dot, cut into 63-byte labels.
+    fn long_name(len: usize, case: u8) -> String {
+        let mut name = String::with_capacity(len + 1);
+        while name.len() < len {
+            if !name.is_empty() && name.len() % 64 == 63 {
+                name.push('.');
+            } else {
+                name.push(if case.is_multiple_of(2) { 'a' } else { 'Z' });
+            }
+        }
+        if case >= 2 {
+            name.push('.');
+        }
+        name
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn one_pass_parse_matches_split_parse(
+            labels in proptest::collection::vec(label(), 1..6),
+            dots in "\\.{0,2}",
+            (len, case) in (248usize..258, 0u8..4),
+            pick in 0u8..4,
+        ) {
+            let raw = match pick {
+                0 => long_name(len, case),
+                1 => format!("{}.{}", long_name(len - 4, case), labels[0]),
+                _ => format!("{}{dots}", labels.join(".")),
+            };
+            proptest::prop_assert_eq!(Fqdn::parse(&raw), parse_by_split(&raw), "input {:?}", raw);
+        }
     }
 }
