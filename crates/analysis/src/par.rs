@@ -193,7 +193,7 @@ mod tests {
     #[test]
     fn spawned_workers_are_named_from_their_label() {
         let name = || std::thread::current().name().map(str::to_string);
-        let clock = Clock::new_virtual();
+        let clock = Clock::default();
         assert_eq!(
             fork(1, "seal", Some(&clock), |_| name()),
             vec![Some("seal/0".to_string())]
@@ -210,7 +210,7 @@ mod tests {
     /// caller does not.
     #[test]
     fn clocked_workers_are_registered_and_the_caller_is_not() {
-        let clock = Clock::new_virtual();
+        let clock = Clock::default();
         for workers in [1, 4] {
             let seen = fork(workers, "", Some(&clock), |_| {
                 fw_net::vclock::thread_registered()
@@ -239,7 +239,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "clocked worker 1 failed")]
     fn a_clocked_worker_panic_reaches_the_caller_with_its_message() {
-        let clock = Clock::new_virtual();
+        let clock = Clock::default();
         fork(2, "", Some(&clock), |w| {
             if w == 1 {
                 panic!("clocked worker {w} failed");
@@ -254,7 +254,7 @@ mod tests {
     #[test]
     fn each_worker_is_one_labelled_child_of_the_callers_span() {
         use std::collections::BTreeSet;
-        let clock = Clock::new_virtual();
+        let clock = Clock::default();
         fw_obs::set_trace_enabled(true);
         let mut roots = Vec::new();
         for (workers, clock) in [(1, None), (3, None), (1, Some(&clock)), (4, Some(&clock))] {

@@ -17,8 +17,10 @@
 //! wildcard DNS keeps resolving to an ingress node that answers 404 (403
 //! on AWS).
 //!
-//! Time is virtual: the platform's millisecond clock only advances when
-//! told to, so cold/warm-start behaviour is deterministic and testable.
+//! Time is the world's virtual clock (the [`SimNet`]'s): cold/warm-start
+//! accounting and hang sleeps read the same clock that times out the
+//! probes, so a function idle past its keep-alive window starts cold
+//! again and the whole lifecycle is deterministic and testable.
 
 use crate::behavior::{Behavior, BehaviorContext, Outcome};
 use crate::billing::BillingLedger;
@@ -30,6 +32,7 @@ use fw_http::parse::Limits;
 use fw_http::server::serve_connection;
 use fw_http::types::{Request, Response};
 use fw_net::{Clock, ClockSource as _, Connection, SimNet, TlsServer};
+use fw_types::fnv::fnv1a;
 use fw_types::{Fqdn, ProviderId, Rdata};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::SmallRng;
@@ -38,6 +41,20 @@ use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
+
+/// Idle window within which an execution environment stays warm.
+const WARM_KEEPALIVE_MS: u64 = 600_000;
+/// Simulated cold-start initialization latency (metered, not slept).
+const COLD_START_MS: u64 = 450;
+/// Default memory size of a function.
+const DEFAULT_MEMORY_MB: u32 = 128;
+/// Default execution duration per invocation (metered).
+const DEFAULT_EXEC_MS: u64 = 20;
+/// Egress IPs available per provider-region.
+const EGRESS_POOL_SIZE: u8 = 8;
+/// DNS record TTL published for function names.
+const RECORD_TTL: u32 = 60;
 
 /// Platform-wide configuration.
 #[derive(Debug, Clone)]
@@ -46,18 +63,6 @@ pub struct PlatformConfig {
     /// How long an `InternalOnly` function holds a connection before
     /// answering 504 (probes must time out first). Tests use small values.
     pub hang_ms: u64,
-    /// Idle window within which an execution environment stays warm.
-    pub warm_keepalive_ms: u64,
-    /// Simulated cold-start initialization latency (metered, not slept).
-    pub cold_start_ms: u64,
-    /// Default memory size of a function.
-    pub default_memory_mb: u32,
-    /// Default execution duration per invocation (metered).
-    pub default_exec_ms: u64,
-    /// Egress IPs available per provider-region.
-    pub egress_pool_size: u8,
-    /// DNS record TTL published for function names.
-    pub record_ttl: u32,
 }
 
 impl Default for PlatformConfig {
@@ -65,12 +70,6 @@ impl Default for PlatformConfig {
         PlatformConfig {
             seed: 0xfaa5,
             hang_ms: 120_000,
-            warm_keepalive_ms: 600_000,
-            cold_start_ms: 450,
-            default_memory_mb: 128,
-            default_exec_ms: 20,
-            egress_pool_size: 8,
-            record_ttl: 60,
         }
     }
 }
@@ -176,7 +175,7 @@ struct FunctionEntry {
     seed: u64,
     deleted: AtomicBool,
     invocations: AtomicU64,
-    /// Execution environments: last-used virtual ms.
+    /// Execution environments: last-used virtual ms on the world clock.
     envs: Mutex<Vec<u64>>,
 }
 
@@ -207,12 +206,12 @@ struct PlatformInner {
     functions: RwLock<HashMap<Fqdn, Arc<FunctionEntry>>>,
     providers: RwLock<HashMap<ProviderId, Arc<ProviderState>>>,
     billing: Mutex<BillingLedger>,
-    clock_ms: AtomicU64,
     rng: Mutex<SmallRng>,
     stats: PlatformStats,
-    /// The world's time source (shared with [`SimNet`]): a hanging
-    /// function sleeps on it, so on virtual time a hang is a scheduled
-    /// event rather than a real `thread::sleep`.
+    /// The world's time source (shared with [`SimNet`]): invocations
+    /// read warm/cold idle time from it, and a hanging function sleeps
+    /// on it, so a hang is a scheduled event rather than a real
+    /// `thread::sleep`.
     net_clock: Clock,
 }
 
@@ -244,7 +243,6 @@ impl CloudPlatform {
                 functions: RwLock::new(HashMap::new()),
                 providers: RwLock::new(HashMap::new()),
                 billing: Mutex::new(BillingLedger::new()),
-                clock_ms: AtomicU64::new(0),
                 stats: PlatformStats::default(),
                 net_clock,
             }),
@@ -254,11 +252,6 @@ impl CloudPlatform {
     /// The shared resolver (probes resolve through it).
     pub fn resolver(&self) -> Arc<RwLock<Resolver>> {
         self.resolver.clone()
-    }
-
-    /// Advance the virtual clock.
-    pub fn advance_ms(&self, ms: u64) {
-        self.inner.clock_ms.fetch_add(ms, Ordering::Relaxed);
     }
 
     /// Lifecycle counters.
@@ -335,12 +328,8 @@ impl CloudPlatform {
             region_idx,
             behavior: spec_req.behavior,
             auth_protected: spec_req.auth_protected,
-            memory_mb: spec_req
-                .memory_mb
-                .unwrap_or(self.inner.config.default_memory_mb),
-            exec_ms: spec_req
-                .exec_ms
-                .unwrap_or(self.inner.config.default_exec_ms),
+            memory_mb: spec_req.memory_mb.unwrap_or(DEFAULT_MEMORY_MB),
+            exec_ms: spec_req.exec_ms.unwrap_or(DEFAULT_EXEC_MS),
             seed,
             deleted: AtomicBool::new(false),
             invocations: AtomicU64::new(0),
@@ -462,7 +451,6 @@ impl CloudPlatform {
     fn create_zone(&self, state: &ProviderState) {
         let origin = Fqdn::parse(state.spec.id.domain_suffix()).expect("valid suffix");
         let mut zone = Zone::new(origin.clone());
-        let ttl = self.inner.config.record_ttl;
 
         // Register CNAME targets (ingress A records) once per region.
         // Walk regions in spec order: HashMap iteration order is not
@@ -473,10 +461,10 @@ impl CloudPlatform {
             for (i, cname) in ingress.cnames.iter().enumerate() {
                 let ip = ingress.v4[i % ingress.v4.len()];
                 if cname.has_suffix(origin.as_str()) {
-                    zone.add(cname.clone(), Rdata::V4(ip), ttl);
+                    zone.add(cname.clone(), Rdata::V4(ip), RECORD_TTL);
                     // IBM-style AAAA via the CNAME front.
                     if let Some(v6) = ingress.v6.get(i) {
-                        zone.add(cname.clone(), Rdata::V6(*v6), ttl);
+                        zone.add(cname.clone(), Rdata::V6(*v6), RECORD_TTL);
                     }
                 } else {
                     third_party.push((cname.clone(), ip));
@@ -492,9 +480,9 @@ impl CloudPlatform {
                 .first()
                 .and_then(|r| state.regions.get(*r))
                 .expect("provider has regions");
-            let mut recs = vec![(Rdata::V4(first.v4[0]), ttl)];
+            let mut recs = vec![(Rdata::V4(first.v4[0]), RECORD_TTL)];
             if let Some(v6) = first.v6.first() {
-                recs.push((Rdata::V6(*v6), ttl));
+                recs.push((Rdata::V6(*v6), RECORD_TTL));
             }
             zone.set_wildcard(recs);
         }
@@ -509,12 +497,12 @@ impl CloudPlatform {
             // shadow each other in `zone_for` and make resolution depend
             // on insertion order.
             if let Some(z) = resolver.zone_for_mut(&cname) {
-                z.add(cname.clone(), Rdata::V4(ip), self.inner.config.record_ttl);
+                z.add(cname.clone(), Rdata::V4(ip), RECORD_TTL);
                 continue;
             }
             let tp_origin = Fqdn::parse(&cname.last_labels(2)).expect("valid");
             let mut tp_zone = Zone::new(tp_origin);
-            tp_zone.add(cname.clone(), Rdata::V4(ip), self.inner.config.record_ttl);
+            tp_zone.add(cname.clone(), Rdata::V4(ip), RECORD_TTL);
             resolver.add_zone(tp_zone);
         }
     }
@@ -539,7 +527,7 @@ impl CloudPlatform {
                         // Idle timeout: on a lossy network a client's dropped
                         // handshake or request must not pin this handler
                         // thread forever.
-                        let _ = conn.set_read_timeout(Some(std::time::Duration::from_secs(60)));
+                        let _ = conn.set_read_timeout(Some(Duration::from_secs(60)));
                         let mut conn = if tls {
                             match TlsServer::accept(conn, &cert) {
                                 Ok((c, _sni)) => c,
@@ -560,7 +548,6 @@ impl CloudPlatform {
 
     fn publish_dns(&self, state: &ProviderState, region: &str, fqdn: &Fqdn) {
         let ingress = state.regions.get(region).expect("region planned");
-        let ttl = self.inner.config.record_ttl;
         let mut resolver = self.resolver.write();
         let zone = resolver
             .zone_for_mut(fqdn)
@@ -568,32 +555,32 @@ impl CloudPlatform {
         match state.spec.ingress {
             IngressArch::DirectIp { .. } => {
                 // Deterministic node choice per function.
-                let pick = stable_hash(fqdn.as_str()) as usize;
+                let pick = fnv1a(fqdn.as_str().as_bytes()) as usize;
                 zone.add(
                     fqdn.clone(),
                     Rdata::V4(ingress.v4[pick % ingress.v4.len()]),
-                    ttl,
+                    RECORD_TTL,
                 );
                 if !ingress.v6.is_empty() {
                     zone.add(
                         fqdn.clone(),
                         Rdata::V6(ingress.v6[pick % ingress.v6.len()]),
-                        ttl,
+                        RECORD_TTL,
                     );
                 }
             }
             IngressArch::Anycast { .. } => {
                 for ip in &ingress.v4 {
-                    zone.add(fqdn.clone(), Rdata::V4(*ip), ttl);
+                    zone.add(fqdn.clone(), Rdata::V4(*ip), RECORD_TTL);
                 }
                 for ip in &ingress.v6 {
-                    zone.add(fqdn.clone(), Rdata::V6(*ip), ttl);
+                    zone.add(fqdn.clone(), Rdata::V6(*ip), RECORD_TTL);
                 }
             }
             IngressArch::CnameLb { .. } => {
-                let pick = stable_hash(fqdn.as_str()) as usize;
+                let pick = fnv1a(fqdn.as_str().as_bytes()) as usize;
                 let target = &ingress.cnames[pick % ingress.cnames.len()];
-                zone.add(fqdn.clone(), Rdata::Name(target.clone()), ttl);
+                zone.add(fqdn.clone(), Rdata::Name(target.clone()), RECORD_TTL);
             }
         }
     }
@@ -627,11 +614,11 @@ impl PlatformInner {
             }
         }
 
-        // Cold/warm environment accounting (virtual time).
-        let now = self.clock_ms.load(Ordering::Relaxed);
+        // Cold/warm environment accounting on the world clock.
+        let now = self.net_clock.now_us() / 1_000;
         let cold = {
             let mut envs = entry.envs.lock();
-            envs.retain(|last| now.saturating_sub(*last) <= self.config.warm_keepalive_ms);
+            envs.retain(|last| now.saturating_sub(*last) <= WARM_KEEPALIVE_MS);
             match envs.iter_mut().min_by_key(|l| **l) {
                 Some(slot) => {
                     *slot = now;
@@ -659,7 +646,7 @@ impl PlatformInner {
         let egress_ip = egress_ip(
             pstate_idx,
             entry.region_idx as u8,
-            (inv_no % u64::from(self.config.egress_pool_size)) as u8,
+            (inv_no % u64::from(EGRESS_POOL_SIZE)) as u8,
         );
 
         let mut ctx = BehaviorContext {
@@ -667,7 +654,7 @@ impl PlatformInner {
             egress_ip,
             fqdn: entry.fqdn.to_string(),
         };
-        let exec_ms = entry.exec_ms + if cold { self.config.cold_start_ms } else { 0 };
+        let exec_ms = entry.exec_ms + if cold { COLD_START_MS } else { 0 };
         self.billing
             .lock()
             .record(&entry.fqdn, entry.memory_mb, exec_ms);
@@ -679,7 +666,7 @@ impl PlatformInner {
                 // event; the probing client's shorter timeout fires
                 // first, exactly as with a real hang.
                 self.net_clock
-                    .sleep(std::time::Duration::from_millis(self.config.hang_ms));
+                    .sleep(Duration::from_millis(self.config.hang_ms));
                 Response::new(504)
             }
         }
@@ -780,10 +767,6 @@ fn plan_region_ingress(
 /// cloud's egress ranges).
 fn egress_ip(provider_idx: u8, region_idx: u8, slot: u8) -> Ipv4Addr {
     Ipv4Addr::new(34, 100 + provider_idx, region_idx, 100 + slot)
-}
-
-fn stable_hash(s: &str) -> u64 {
-    fw_types::fnv::fnv1a(s.as_bytes())
 }
 
 #[cfg(test)]
@@ -990,8 +973,8 @@ mod tests {
         fetch(&net, &resolver, &d.fqdn, true);
         assert_eq!(platform.stats().cold_starts.load(Ordering::Relaxed), 1);
         assert_eq!(platform.stats().warm_starts.load(Ordering::Relaxed), 1);
-        // Long idle → environment expires → cold again.
-        platform.advance_ms(2_000_000);
+        // Long idle on the world clock → environment expires → cold again.
+        net.clock().sleep(Duration::from_secs(2_000));
         fetch(&net, &resolver, &d.fqdn, true);
         assert_eq!(platform.stats().cold_starts.load(Ordering::Relaxed), 2);
     }

@@ -9,7 +9,6 @@
 //! chunked responses, which the serializers in `fw_http::parse` never
 //! emit.
 
-use bytes::{BufMut, BytesMut};
 use fw_http::parse::{HttpError, Limits};
 use fw_http::types::{HeaderMap, Method, Request, Response};
 use fw_net::Connection;
@@ -17,14 +16,14 @@ use fw_net::Connection;
 /// Buffered reader over a connection.
 pub struct BufConn<'c> {
     conn: &'c mut dyn Connection,
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl<'c> BufConn<'c> {
     pub fn new(conn: &'c mut dyn Connection) -> BufConn<'c> {
         BufConn {
             conn,
-            buf: BytesMut::with_capacity(8 * 1024),
+            buf: Vec::with_capacity(8 * 1024),
         }
     }
 
@@ -35,7 +34,7 @@ impl<'c> BufConn<'c> {
         if n == 0 {
             return Ok(false);
         }
-        self.buf.put_slice(&chunk[..n]);
+        self.buf.extend_from_slice(&chunk[..n]);
         Ok(true)
     }
 
@@ -46,8 +45,7 @@ impl<'c> BufConn<'c> {
                 if pos + 4 > max_head {
                     return Err(HttpError::TooLarge("head"));
                 }
-                let head = self.buf.split_to(pos + 4);
-                return Ok(head.to_vec());
+                return Ok(self.buf.drain(..pos + 4).collect());
             }
             if self.buf.len() > max_head {
                 return Err(HttpError::TooLarge("head"));
@@ -71,7 +69,7 @@ impl<'c> BufConn<'c> {
                 return Err(HttpError::Parse("eof inside body"));
             }
         }
-        Ok(self.buf.split_to(n).to_vec())
+        Ok(self.buf.drain(..n).collect())
     }
 
     /// Read until EOF (response without a length).
@@ -88,7 +86,7 @@ impl<'c> BufConn<'c> {
                 Err(e) => return Err(e),
             }
         }
-        Ok(self.buf.split_to(self.buf.len()).to_vec())
+        Ok(std::mem::take(&mut self.buf))
     }
 
     /// Decode a chunked body.
@@ -124,7 +122,7 @@ impl<'c> BufConn<'c> {
     fn read_line(&mut self, max: usize) -> Result<String, HttpError> {
         loop {
             if let Some(pos) = find_subsequence(&self.buf, b"\r\n") {
-                let line = self.buf.split_to(pos + 2);
+                let line: Vec<u8> = self.buf.drain(..pos + 2).collect();
                 let s = std::str::from_utf8(&line[..pos])
                     .map_err(|_| HttpError::Parse("non-utf8 line"))?;
                 return Ok(s.to_string());

@@ -5,13 +5,13 @@
 //! (an in-memory half of a duplex pipe, used by the simulated internet) and
 //! the `TcpStream` adapter in [`crate::tcp`].
 
-use crate::vclock::{Clock, ClockSource as _, Registration, WaitOutcome};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use crate::vclock::{Clock, ClockSource as _, Registration, VClock, WaitOutcome};
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Capacity of one pipe direction. Writers block when the peer's receive
 /// buffer is full — backpressure, like a real TCP window.
@@ -89,12 +89,11 @@ struct PipeState {
     waiters: u32,
 }
 
+/// One direction's state. Its waiters park on the world's clock, on
+/// this pipe's [`Pipe::chan`].
 #[derive(Debug)]
 struct Pipe {
     state: Mutex<PipeState>,
-    /// Wall-clock waiters park here; on a virtual clock they park on
-    /// the clock, on this pipe's [`Pipe::chan`].
-    changed: Condvar,
 }
 
 impl Pipe {
@@ -107,21 +106,17 @@ impl Pipe {
                 reset: false,
                 waiters: 0,
             }),
-            changed: Condvar::new(),
         })
     }
 
     /// Unlock after a state change, then wake the thread waiting on
     /// this direction, if any. Signalling after the unlock lets the
     /// woken thread take the lock without parking again.
-    fn release(self: &Arc<Pipe>, st: MutexGuard<'_, PipeState>, clock: &Clock) {
+    fn release(self: &Arc<Pipe>, st: MutexGuard<'_, PipeState>, clock: &VClock) {
         let parked = st.waiters > 0;
         drop(st);
         if parked {
-            match clock.vclock() {
-                Some(vc) => vc.notify_chan(self.chan()),
-                None => self.changed.notify_all(),
-            }
+            clock.notify_chan(self.chan());
         }
     }
 
@@ -142,11 +137,9 @@ pub struct PipeConn {
     read_timeout: Option<Duration>,
     local: SocketAddr,
     peer: SocketAddr,
-    /// Time source for blocking waits. On a virtual clock, reads and
-    /// backpressure block on the clock (a timeout is a heap event); on
-    /// the wall clock, the per-pipe condvar and `Instant` deadlines
-    /// are used.
-    clock: Clock,
+    /// Time source for blocking waits: reads and backpressure block on
+    /// the clock, and a read timeout is a virtual deadline.
+    clock: Arc<VClock>,
     /// Held when this endpoint was opened by a thread with no persistent
     /// clock registration (e.g. a test's main thread): the connection
     /// itself then counts as a runnable actor, so a registered peer's
@@ -165,20 +158,24 @@ impl std::fmt::Debug for PipeConn {
     }
 }
 
-/// Create a connected pair of pipe endpoints.
+/// Create a connected pair of pipe endpoints on a fresh virtual clock of
+/// their own.
 ///
 /// `a_addr` is the address of the first endpoint (its peer sees it as the
 /// remote), and vice versa.
 pub fn pipe_pair(a_addr: SocketAddr, b_addr: SocketAddr) -> (PipeConn, PipeConn) {
-    pipe_pair_with_clock(a_addr, b_addr, Clock::Wall)
+    pipe_pair_with_clock(a_addr, b_addr, &Clock::default())
 }
 
-/// [`pipe_pair`] with an explicit time source shared by both endpoints.
+/// [`pipe_pair`] on an existing clock shared by both endpoints. A test
+/// whose threads must all count toward quiescence (a peer still working
+/// while the other end reads with a deadline) registers them on `clock`.
 pub fn pipe_pair_with_clock(
     a_addr: SocketAddr,
     b_addr: SocketAddr,
-    clock: Clock,
+    clock: &Clock,
 ) -> (PipeConn, PipeConn) {
+    let clock = clock.vclock();
     let ab = Pipe::new(); // a → b
     let ba = Pipe::new(); // b → a
     let a = PipeConn {
@@ -196,7 +193,7 @@ pub fn pipe_pair_with_clock(
         read_timeout: None,
         local: b_addr,
         peer: a_addr,
-        clock,
+        clock: clock.clone(),
         lease: None,
     };
     (a, b)
@@ -255,19 +252,15 @@ impl Connection for PipeConn {
                     break;
                 }
                 st.waiters += 1;
-                match self.clock.vclock() {
-                    Some(vc) => {
-                        // Register the waiter before releasing the pipe
-                        // lock so the reader's drain cannot slip past
-                        // unnoticed, then block on the clock.
-                        let token =
-                            vc.prepare_wait_chan(None, self.lease.is_some(), self.tx.chan());
-                        drop(st);
-                        vc.complete_wait(token);
-                        st = self.tx.state.lock();
-                    }
-                    None => self.tx.changed.wait(&mut st),
-                }
+                // Register the waiter before releasing the pipe lock so
+                // the reader's drain cannot slip past unnoticed, then
+                // block on the clock.
+                let token =
+                    self.clock
+                        .prepare_wait_chan(None, self.lease.is_some(), self.tx.chan());
+                drop(st);
+                self.clock.complete_wait(token);
+                st = self.tx.state.lock();
                 st.waiters -= 1;
             }
             let room = PIPE_CAPACITY - st.buf.len();
@@ -283,9 +276,8 @@ impl Connection for PipeConn {
         if buf.is_empty() {
             return Ok(0);
         }
-        let deadline = self.read_timeout.map(|t| Instant::now() + t);
-        // Virtual deadlines are absolute microseconds on the sim clock.
-        let vdeadline = self
+        // Deadlines are absolute microseconds on the virtual clock.
+        let deadline = self
             .read_timeout
             .map(|t| self.clock.now_us() + t.as_micros() as u64);
         let mut st = self.rx.state.lock();
@@ -315,27 +307,14 @@ impl Connection for PipeConn {
                 return Ok(0); // clean EOF
             }
             st.waiters += 1;
-            let timed_out = match self.clock.vclock() {
-                Some(vc) => {
-                    let token =
-                        vc.prepare_wait_chan(vdeadline, self.lease.is_some(), self.rx.chan());
-                    drop(st);
-                    let outcome = vc.complete_wait(token);
-                    st = self.rx.state.lock();
-                    outcome == WaitOutcome::TimedOut
-                }
-                None => match deadline {
-                    Some(d) => {
-                        Instant::now() >= d || self.rx.changed.wait_until(&mut st, d).timed_out()
-                    }
-                    None => {
-                        self.rx.changed.wait(&mut st);
-                        false
-                    }
-                },
-            };
+            let token =
+                self.clock
+                    .prepare_wait_chan(deadline, self.lease.is_some(), self.rx.chan());
+            drop(st);
+            let outcome = self.clock.complete_wait(token);
+            st = self.rx.state.lock();
             st.waiters -= 1;
-            if timed_out {
+            if outcome == WaitOutcome::TimedOut {
                 return Err(io::Error::new(io::ErrorKind::TimedOut, "read timed out"));
             }
         }
@@ -407,10 +386,20 @@ mod tests {
     fn read_timeout_fires() {
         let (la, ra) = addrs();
         let (_a, mut b) = pipe_pair(la, ra);
-        b.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
-        let mut buf = [0u8; 8];
-        let err = b.read(&mut buf).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        // A virtual deadline: the lone reader is quiescence, so the
+        // minute elapses on the pipe's clock, not on the wall.
+        b.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut buf = [0u8; 8];
+            let kind = b.read(&mut buf).map_err(|e| e.kind());
+            tx.send((kind, b.clock.now_us())).unwrap();
+        });
+        let (kind, now_us) = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("no real waiting");
+        assert_eq!(kind, Err(io::ErrorKind::TimedOut));
+        assert_eq!(now_us, 60_000_000);
     }
 
     #[test]

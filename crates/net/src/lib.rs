@@ -19,10 +19,11 @@
 //!   with SNI and a certificate-name check. It gives the prober a real
 //!   HTTPS-then-HTTP fallback decision to make without re-implementing
 //!   X.509.
-//! * **Time is virtual by default** ([`vclock`]): a discrete-event clock
-//!   turns every timeout and injected delay into a scheduled event, so
-//!   probing sweeps are byte-reproducible and never sleep for real. The
-//!   wall clock remains available behind the same [`ClockSource`] trait.
+//! * **Time is virtual** ([`vclock`]): a discrete-event clock turns every
+//!   timeout and injected delay into a scheduled event, so probing sweeps
+//!   are byte-reproducible and never sleep for real. Each world (a
+//!   [`SimNet`], or a bare [`pipe_pair`]) runs on one [`Clock`]; only the
+//!   `TcpStream` adapter waits on the host's clock, through the socket.
 
 pub mod conn;
 pub mod fault;
@@ -35,4 +36,4 @@ pub use conn::{pipe_pair, Connection, PipeConn};
 pub use fault::FaultConfig;
 pub use sim::{NetStats, SimNet};
 pub use tls::{TlsClient, TlsError, TlsServer};
-pub use vclock::{Clock, ClockSource, VClock, WallClock};
+pub use vclock::{Clock, ClockSource, VClock};

@@ -2,10 +2,11 @@
 //!
 //! [`SimNet`] is a registry of listeners keyed by socket address. A client
 //! [`SimNet::connect`]s to an address and receives a byte-stream
-//! [`Connection`]; the listener's handler runs on a thread of its own with
-//! the other end of the duplex pipe, exactly as a blocking accept-loop
-//! server would. Handler threads are spares reused across connections
-//! (`Spares`). All connections pass through the fault layer
+//! [`Connection`]; the listener's handler runs on a thread with the other
+//! end of the duplex pipe, exactly as a blocking accept-loop server
+//! would: a spare reused across connections (`Spares`) for a handler
+//! listener, or one of its pre-spawned workers for a pooled listener
+//! ([`SimNet::listen_pool`]). All connections pass through the fault layer
 //! ([`FaultConfig`]), and global counters ([`NetStats`]) make fault
 //! behaviour observable.
 
@@ -287,8 +288,6 @@ struct Inner {
     faults: RwLock<FaultConfig>,
     /// The world's virtual clock: timeouts and injected delays are
     /// discrete events, not real sleeps.
-    vclock: Arc<VClock>,
-    /// `vclock` as the [`Clock`] handle [`SimNet::clock`] lends out.
     clock: Clock,
     spares: Arc<Spares>,
     seed: u64,
@@ -315,16 +314,10 @@ impl Drop for Inner {
 }
 
 /// FNV-1a 64-bit, the flow-key hash (stable across processes, unlike
-/// the std hasher).
-use fw_types::fnv::fnv1a as fnv64;
-
-/// splitmix64 finalizer: spreads structured seed material across the
-/// whole word so nearby flows get unrelated RNG streams.
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+/// the std hasher), and the splitmix64 finalizer that spreads structured
+/// seed material across the whole word so nearby flows get unrelated
+/// RNG streams.
+use fw_types::fnv::{fnv1a as fnv64, mix};
 
 /// Handle to the simulated internet. Cheap to clone.
 #[derive(Clone)]
@@ -344,13 +337,11 @@ impl SimNet {
     /// Create a healthy network with a seeded fault RNG, running on
     /// deterministic virtual time (see [`crate::vclock`]).
     pub fn new(seed: u64) -> SimNet {
-        let vclock = VClock::new();
         SimNet {
             inner: Arc::new(Inner {
                 listeners: RwLock::new(HashMap::new()),
                 faults: RwLock::new(FaultConfig::default()),
-                clock: Clock::Virtual(vclock.clone()),
-                vclock,
+                clock: Clock::default(),
                 spares: Arc::default(),
                 seed,
                 flow_seq: Mutex::new(HashMap::new()),
@@ -401,11 +392,11 @@ impl SimNet {
         let workers = workers.max(1);
         let mut queues = Vec::with_capacity(workers);
         for w in 0..workers {
-            let q = AcceptQueue::new(self.inner.vclock.clone());
+            let q = AcceptQueue::new(self.inner.clock.vclock().clone());
             let mut handler = factory(w);
             // Register before spawning so the clock cannot advance in
             // the window where the worker exists but has not parked yet.
-            let registration = self.inner.vclock.register();
+            let registration = self.inner.clock.vclock().register();
             let worker_q = q.clone();
             std::thread::Builder::new()
                 .name(format!("sim-accept-{addr}-{w}"))
@@ -453,9 +444,10 @@ impl SimNet {
         &self.inner.stats
     }
 
-    /// Open a connection to `addr`. The listener's handler runs on a
-    /// handler thread of its own with the server end. Fault draws are keyed by the
-    /// target address; concurrent callers hitting the same address
+    /// Open a connection to `addr`. A handler listener runs its handler
+    /// on a spare thread with the server end; a pooled listener queues
+    /// the server end for one of its workers. Fault draws are keyed by
+    /// the target address; concurrent callers hitting the same address
     /// should prefer [`SimNet::connect_for`] with a distinguishing flow
     /// name.
     pub fn connect(&self, addr: SocketAddr) -> io::Result<Box<dyn Connection>> {
@@ -535,7 +527,7 @@ impl SimNet {
             (20_000 + (port % 40_000)) as u16,
         );
         let (mut client_end, server_end) =
-            pipe_pair_with_clock(client_addr, addr, self.inner.clock.clone());
+            pipe_pair_with_clock(client_addr, addr, &self.inner.clock);
         // A caller with no persistent clock registration (a test main,
         // an example) is invisible to quiescence detection, so the
         // client end leases a registration for the connection's
@@ -543,7 +535,7 @@ impl SimNet {
         // timeout would be instant quiescence and the timeout would
         // fire while the client is still composing its request.
         if !crate::vclock::thread_registered() {
-            client_end.set_lease(self.inner.vclock.register());
+            client_end.set_lease(self.inner.clock.vclock().register());
         }
 
         // Injected hard reset right after establishment.
@@ -571,7 +563,7 @@ impl SimNet {
             Listener::Handler(handler) => self.inner.spares.dispatch(Job {
                 handler,
                 conn: server_conn,
-                registration: self.inner.vclock.register(),
+                registration: self.inner.clock.vclock().register(),
             })?,
             Listener::Pool(pool) => {
                 // Queue the server end for the steered worker, which is
@@ -626,7 +618,7 @@ impl Connection for FaultedConn {
             // virtual clock. A leased endpoint's sleep counts against
             // the lease (see `PipeConn::set_lease`), not a fresh
             // registration.
-            self.net.vclock.sleep_counted(
+            self.net.clock.vclock().sleep_counted(
                 Duration::from_micros(faults.delay_us),
                 self.inner.is_leased(),
             );

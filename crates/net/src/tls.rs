@@ -211,14 +211,20 @@ impl TlsServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conn::pipe_pair;
+    use crate::conn::pipe_pair_with_clock;
+    use crate::vclock::Clock;
 
-    fn pair() -> (Box<dyn Connection>, Box<dyn Connection>) {
-        let (a, b) = pipe_pair(
+    fn pair_on(clock: &Clock) -> (Box<dyn Connection>, Box<dyn Connection>) {
+        let (a, b) = pipe_pair_with_clock(
             "10.0.0.1:50000".parse().unwrap(),
             "203.0.113.1:443".parse().unwrap(),
+            clock,
         );
         (Box::new(a), Box::new(b))
+    }
+
+    fn pair() -> (Box<dyn Connection>, Box<dyn Connection>) {
+        pair_on(&Clock::default())
     }
 
     #[test]
@@ -235,8 +241,13 @@ mod tests {
 
     #[test]
     fn handshake_and_scrambled_exchange() {
-        let (client_raw, server_raw) = pair();
+        let clock = Clock::default();
+        let (client_raw, server_raw) = pair_on(&clock);
+        // Both threads count toward quiescence, so the client's 2 s read
+        // deadline cannot fire while the server is still working.
+        let registration = clock.register();
         let server = std::thread::spawn(move || {
+            let _registered = registration.map(|r| r.activate());
             let (mut conn, sni) = TlsServer::accept(server_raw, "*.on.aws").unwrap();
             assert_eq!(sni, "fn.lambda-url.us-east-1.on.aws");
             let mut buf = [0u8; 32];
@@ -244,6 +255,7 @@ mod tests {
             assert_eq!(&buf[..n], b"GET / HTTP/1.1");
             conn.write_all(b"HTTP/1.1 200 OK").unwrap();
         });
+        let _registered = clock.register().map(|r| r.activate());
         let mut conn = TlsClient::handshake(client_raw, "fn.lambda-url.us-east-1.on.aws").unwrap();
         conn.write_all(b"GET / HTTP/1.1").unwrap();
         conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();

@@ -28,7 +28,7 @@
 //! `LANES` condvars. Resource locks (e.g. a pipe's buffer mutex) are
 //! always acquired *before* the clock lock and the clock never takes
 //! resource locks, so the ordering is acyclic. The two-phase wait
-//! ([`VClock::prepare_wait`] under the resource lock, then
+//! ([`VClock::prepare_wait_chan`] under the resource lock, then
 //! [`VClock::complete_wait`] after releasing it) closes the classic
 //! lost-wakeup window: a notifier cannot observe the changed resource
 //! state without also seeing the registered waiter.
@@ -47,46 +47,16 @@
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// A time source the upper layers (prober, platform, bench binaries)
-/// program against. Implemented by [`WallClock`], [`VClock`] and the
-/// [`Clock`] handle.
+/// program against. Implemented by [`VClock`] and the [`Clock`] handle.
 pub trait ClockSource: Send + Sync {
-    /// Monotonic now, in microseconds.
+    /// Monotonic virtual now, in microseconds.
     fn now_us(&self) -> u64;
-    /// Block the calling thread for `d` (virtual or real).
+    /// Block the calling thread for `d` of virtual time.
     fn sleep(&self, d: Duration);
-    /// `"sim"` or `"wall"` — used as a metric-key component so
-    /// histograms never mix virtual and real microseconds.
-    fn label(&self) -> &'static str;
-    /// Is this a virtual clock?
-    fn is_virtual(&self) -> bool;
-}
-
-/// The real clock: `Instant` since process start, `thread::sleep`.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct WallClock;
-
-fn wall_epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-impl ClockSource for WallClock {
-    fn now_us(&self) -> u64 {
-        wall_epoch().elapsed().as_micros() as u64
-    }
-    fn sleep(&self, d: Duration) {
-        std::thread::sleep(d);
-    }
-    fn label(&self) -> &'static str {
-        "wall"
-    }
-    fn is_virtual(&self) -> bool {
-        false
-    }
 }
 
 /// What a waiter is blocked on.
@@ -245,22 +215,12 @@ impl VClock {
     /// holding the resource lock whose predicate just failed, so no
     /// notification can slip between the predicate check and the wait.
     /// `deadline_us` is absolute virtual time (`None` = wait forever).
-    pub fn prepare_wait(&self, deadline_us: Option<u64>) -> WaitToken {
-        self.prepare_wait_counted(deadline_us, false)
-    }
-
-    /// [`VClock::prepare_wait`] for a thread already accounted for in
-    /// `registered` by a connection lease (`counted = true`), which
-    /// must not auto-register a second time.
-    pub fn prepare_wait_counted(&self, deadline_us: Option<u64>, counted: bool) -> WaitToken {
-        self.prepare_wait_chan(deadline_us, counted, 0)
-    }
-
-    /// [`VClock::prepare_wait_counted`] on a specific wake channel.
-    /// A non-zero `chan` (conventionally the address of the resource
-    /// being waited on) lets [`VClock::notify_chan`] wake only this
-    /// resource's waiters; channel `0` waiters are woken by every
-    /// notification.
+    /// Pass `counted = true` for a thread already accounted for in
+    /// `registered` by a connection lease, which must not auto-register
+    /// a second time. A non-zero `chan` (conventionally the address of
+    /// the resource being waited on) lets [`VClock::notify_chan`] wake
+    /// only this resource's waiters; channel `0` waiters are woken by
+    /// every notification.
     pub fn prepare_wait_chan(
         &self,
         deadline_us: Option<u64>,
@@ -455,14 +415,6 @@ impl ClockSource for VClock {
     fn sleep(&self, d: Duration) {
         self.sleep_counted(d, false);
     }
-
-    fn label(&self) -> &'static str {
-        "sim"
-    }
-
-    fn is_virtual(&self) -> bool {
-        true
-    }
 }
 
 /// A thread's claim on quiescence accounting, created with
@@ -502,69 +454,39 @@ impl Drop for ActiveRegistration {
     }
 }
 
-/// The time source of one simulated world. Cheap to clone; every
-/// component of a world (pipes, SimNet, platform, prober) shares one.
-#[derive(Debug, Clone)]
-pub enum Clock {
-    /// Real time (plain pipes, TCP examples).
-    Wall,
-    /// Deterministic virtual time — the default for simulated worlds.
-    Virtual(Arc<VClock>),
-}
+/// The time source of one simulated world: a handle on its [`VClock`].
+/// Cheap to clone; every component of a world (pipes, SimNet, platform,
+/// prober) shares one.
+#[derive(Debug, Clone, Default)]
+pub struct Clock(Arc<VClock>);
 
 impl Clock {
-    /// A fresh virtual clock at t = 0.
-    pub fn new_virtual() -> Clock {
-        Clock::Virtual(VClock::new())
+    /// The underlying virtual clock.
+    pub fn vclock(&self) -> &Arc<VClock> {
+        &self.0
     }
 
-    /// The underlying virtual clock, if any.
-    pub fn vclock(&self) -> Option<&Arc<VClock>> {
-        match self {
-            Clock::Wall => None,
-            Clock::Virtual(vc) => Some(vc),
-        }
-    }
-
-    /// Pre-spawn thread registration (no-op on the wall clock).
+    /// Pre-spawn thread registration ([`VClock::register`]). Always
+    /// `Some`; callers are written against the `Option`
+    /// (`clock.register().map(|r| r.activate())`).
     pub fn register(&self) -> Option<Registration> {
-        self.vclock().map(VClock::register)
-    }
-}
-
-impl Default for Clock {
-    fn default() -> Clock {
-        Clock::new_virtual()
+        Some(self.0.register())
     }
 }
 
 impl ClockSource for Clock {
     fn now_us(&self) -> u64 {
-        match self {
-            Clock::Wall => WallClock.now_us(),
-            Clock::Virtual(vc) => vc.now_us(),
-        }
+        self.0.now_us()
     }
     fn sleep(&self, d: Duration) {
-        match self {
-            Clock::Wall => WallClock.sleep(d),
-            Clock::Virtual(vc) => vc.sleep(d),
-        }
-    }
-    fn label(&self) -> &'static str {
-        match self {
-            Clock::Wall => "wall",
-            Clock::Virtual(_) => "sim",
-        }
-    }
-    fn is_virtual(&self) -> bool {
-        matches!(self, Clock::Virtual(_))
+        self.0.sleep(d)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn sleep_advances_without_wall_time() {
@@ -611,7 +533,7 @@ mod tests {
         let c2 = clock.clone();
         let waiter = std::thread::spawn(move || {
             let _active = reg.activate();
-            let token = c2.prepare_wait(Some(c2.now_us() + 1_000_000));
+            let token = c2.prepare_wait_chan(Some(c2.now_us() + 1_000_000), false, 0);
             c2.complete_wait(token)
         });
         // Give the waiter a moment to block, then notify. The waiter is
@@ -670,7 +592,7 @@ mod tests {
     #[test]
     fn cond_deadline_fires_at_quiescence() {
         let clock = VClock::new();
-        let token = clock.prepare_wait(Some(clock.now_us() + 250_000));
+        let token = clock.prepare_wait_chan(Some(clock.now_us() + 250_000), false, 0);
         assert_eq!(clock.complete_wait(token), WaitOutcome::TimedOut);
         assert_eq!(clock.now_us(), 250_000);
     }
@@ -679,7 +601,7 @@ mod tests {
     fn expired_deadline_times_out_immediately() {
         let clock = VClock::new();
         clock.sleep(Duration::from_millis(10));
-        let token = clock.prepare_wait(Some(5_000)); // already in the past
+        let token = clock.prepare_wait_chan(Some(5_000), false, 0); // already in the past
         assert_eq!(clock.complete_wait(token), WaitOutcome::TimedOut);
         assert_eq!(clock.now_us(), 10_000, "no extra advance");
     }
@@ -690,17 +612,5 @@ mod tests {
         clock.sleep(Duration::from_millis(5));
         clock.sleep(Duration::from_millis(7));
         assert_eq!(clock.advance_trace(), vec![(5_000, 1), (12_000, 1)]);
-    }
-
-    #[test]
-    fn wall_clock_labels_and_monotonic() {
-        let w = WallClock;
-        assert_eq!(w.label(), "wall");
-        assert!(!w.is_virtual());
-        let a = w.now_us();
-        let b = w.now_us();
-        assert!(b >= a);
-        assert_eq!(Clock::Wall.label(), "wall");
-        assert_eq!(Clock::default().label(), "sim");
     }
 }

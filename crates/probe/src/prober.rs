@@ -251,16 +251,9 @@ impl Prober {
             if fw_obs::enabled() {
                 // Per-provider latency names are dynamic, so the
                 // registry is addressed directly (the macros cache one
-                // handle per call site). The clock source is part of
-                // the key: virtual microseconds are seed-stable, wall
-                // microseconds are not, and the two must never share a
-                // bucket.
+                // handle per call site).
                 fw_obs::registry()
-                    .histogram(&format!(
-                        "fw.probe.latency_us.{}.{}",
-                        clock.label(),
-                        provider_label(fqdn)
-                    ))
+                    .histogram(&format!("fw.probe.latency_us.{}", provider_label(fqdn)))
                     .record(clock.now_us().saturating_sub(started_us));
             }
             match result {

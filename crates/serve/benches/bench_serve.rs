@@ -1,8 +1,8 @@
 //! Microbenchmarks for the serving hot path: one request through the
 //! zero-copy serve loop (cache-hit replay vs a miss that renders its
 //! body, per endpoint class), raw sharded-cache churn under TinyLFU
-//! admission, and a full client↔server round trip over a wall-clock
-//! pipe.
+//! admission, and a full client↔server round trip over a bare
+//! `pipe_pair`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use fw_dns::pdns::PdnsStore;
@@ -174,7 +174,7 @@ fn bench_cache(c: &mut Criterion) {
     g.finish();
 }
 
-/// Full round trip over a wall-clock pipe: fast client renderer and
+/// Full round trip over a bare `pipe_pair`: fast client renderer and
 /// response parser on this thread, the zero-copy `serve_fast` loop on
 /// a server thread. Measures the whole per-request path the load
 /// harness exercises, minus SimNet scheduling.

@@ -29,7 +29,7 @@ use fw_analysis::par::fork;
 use fw_http::fast::{read_response_fast, render_get, Scratch};
 use fw_http::parse::Limits;
 use fw_net::{Connection, SimNet};
-use fw_types::fnv::{fnv1a, stream_seed};
+use fw_types::fnv::{self, fnv1a, mix, stream_seed};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::io;
@@ -180,14 +180,11 @@ struct TapConn {
     mute: bool,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 impl TapConn {
     fn new(inner: Box<dyn Connection>) -> TapConn {
         TapConn {
             inner,
-            digest: FNV_OFFSET,
+            digest: fnv::OFFSET,
             bytes: 0,
             mute: false,
         }
@@ -195,9 +192,7 @@ impl TapConn {
 
     fn fold(&mut self, chunk: &[u8]) {
         if !self.mute {
-            for &b in chunk {
-                self.digest = (self.digest ^ b as u64).wrapping_mul(FNV_PRIME);
-            }
+            self.digest = fnv::update(self.digest, chunk);
         }
         self.bytes += chunk.len() as u64;
     }
@@ -227,13 +222,6 @@ impl Connection for TapConn {
     fn peer_addr(&self) -> SocketAddr {
         self.inner.peer_addr()
     }
-}
-
-/// splitmix64 finalizer — the same spread SimNet uses for flow seeds.
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[derive(Default)]

@@ -1,5 +1,5 @@
 //! Microbenchmarks for the streaming ingest path: one batch frame
-//! through the wire codec over a wall-clock pipe, and one day of
+//! through the wire codec over a bare `pipe_pair`, and one day of
 //! hourly batches folded into a fresh measurement state.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};

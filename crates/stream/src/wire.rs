@@ -295,7 +295,7 @@ mod tests {
         }
     }
 
-    /// A wall-clock pipe: the writing end, and a counting reading end.
+    /// A bare pipe: the writing end, and a counting reading end.
     fn pipe() -> (PipeConn, Counting) {
         let (tx, rx) = pipe_pair("10.0.0.1:1".parse().unwrap(), "10.0.0.2:2".parse().unwrap());
         let rx = Counting {

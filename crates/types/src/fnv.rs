@@ -1,5 +1,6 @@
 //! FNV-1a 64-bit hashing, shared by every subsystem that needs a
-//! stable, dependency-free hash.
+//! stable, dependency-free hash, and the splitmix64 finalizer ([`mix`])
+//! that seeds per-flow RNG streams.
 //!
 //! Four crates used to carry their own copy of this loop (fw-store
 //! shard routing, the fw-dns resolver cache shards, fw-net's simulated
@@ -55,6 +56,17 @@ pub fn fold(h: u64, v: u64) -> u64 {
 #[inline]
 pub fn stream_seed(seed: u64, stream: u64) -> u64 {
     update(update(OFFSET, &seed.to_le_bytes()), &stream.to_le_bytes())
+}
+
+/// The splitmix64 finalizer: a bijective mix that spreads structured
+/// seed material (small integers, xor-combined hashes) across the whole
+/// word. Used where nearby inputs must get unrelated RNG streams
+/// (SimNet's per-flow fault seeds, the serve load harness's clients).
+#[inline]
+pub fn mix(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 /// A [`std::hash::Hasher`] over the FNV-1a loop, for `HashMap`s on hot

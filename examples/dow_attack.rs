@@ -13,7 +13,7 @@ use faaswild::cloud::platform::{CloudPlatform, DeploySpec, PlatformConfig};
 use faaswild::dns::resolver::Resolver;
 use faaswild::http::client::{ClientConfig, HttpClient, SimDialer};
 use faaswild::http::url::Url;
-use faaswild::net::SimNet;
+use faaswild::net::{ClockSource as _, SimNet};
 use faaswild::types::{ProviderId, Rdata, RecordType};
 use parking_lot::RwLock;
 use std::net::{IpAddr, SocketAddr};
@@ -53,7 +53,7 @@ fn main() {
 
     // The attacker only needs the URL (GitHub leak, search engine, §5).
     let client = HttpClient::new(
-        SimDialer::new(net),
+        SimDialer::new(net.clone()),
         ClientConfig {
             read_timeout: Duration::from_secs(2),
             ..ClientConfig::default()
@@ -84,7 +84,7 @@ fn main() {
                 other => panic!("unexpected status {other}"),
             }
             // Keep the environment warm to simulate a steady flood.
-            platform.advance_ms(50);
+            net.clock().sleep(Duration::from_millis(50));
         }
     }
     println!("  open function served {open_200} × 200 (all billed!)");

@@ -8,7 +8,7 @@ use faaswild::dns::resolver::Resolver;
 use faaswild::dns::zone::Zone;
 use faaswild::http::client::{ClientConfig, HttpClient, SimDialer};
 use faaswild::http::url::Url;
-use faaswild::net::{FaultConfig, SimNet};
+use faaswild::net::{ClockSource as _, FaultConfig, SimNet};
 use faaswild::probe::prober::{ProbeConfig, Prober};
 use faaswild::types::{Fqdn, ProviderId, Rdata, RecordType};
 use parking_lot::RwLock;
@@ -166,7 +166,7 @@ fn billing_and_cold_starts_through_http() {
             _ => unreachable!(),
         }
     };
-    let client = HttpClient::new(SimDialer::new(net), ClientConfig::default());
+    let client = HttpClient::new(SimDialer::new(net.clone()), ClientConfig::default());
     let url = Url::for_domain(d.fqdn.as_str(), true);
     for i in 0..4 {
         let resp = client
@@ -175,9 +175,9 @@ fn billing_and_cold_starts_through_http() {
         assert_eq!(resp.status, 200);
         if i == 1 {
             // Expire the warm environment.
-            platform.advance_ms(10_000_000);
+            net.clock().sleep(Duration::from_secs(10_000));
         } else {
-            platform.advance_ms(1_000);
+            net.clock().sleep(Duration::from_secs(1));
         }
     }
     let usage = platform.with_billing(|b| b.usage(&d.fqdn));
