@@ -1,9 +1,9 @@
 //! Figure 3: monthly newly-observed function FQDNs (cumulative total and
 //! per-month additions), with the AWS function-URL launch spike.
 
+use fw_bench::anchors::{self, Source};
 use fw_bench::{header, run_usage, Cli};
-use fw_core::report::{bar_chart, compare, thousands, tsv};
-use fw_types::ProviderId;
+use fw_core::report::{bar_chart, tsv};
 
 fn main() {
     let cli = Cli::parse(0.05);
@@ -28,51 +28,7 @@ fn main() {
         })
         .collect();
     header("Cumulative identified function domains");
-    println!(
-        "{}",
-        compare(
-            "total identified domains (end of window)",
-            &format!("~{}", thousands(fw_bench::paper_scaled(531_089, cli.scale))),
-            &thousands(*cumulative.last().unwrap_or(&0)),
-        )
-    );
-
-    // The §4.1 event check: AWS's spike at the April 2022 launch of
-    // function URLs.
-    if let Some(aws) = series.for_provider(ProviderId::Aws) {
-        let peak_month = aws
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, v)| **v)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        println!(
-            "{}",
-            compare(
-                "AWS new-FQDN peak month (function URL launch)",
-                "2022-04",
-                &series.months[peak_month].label(),
-            )
-        );
-    }
-    // Kingsoft and Tencent appear at their launch months.
-    for (provider, label, paper) in [
-        (
-            ProviderId::Kingsoft,
-            "Kingsoft first observed month",
-            "2022-08",
-        ),
-        (
-            ProviderId::Tencent,
-            "Tencent first observed month",
-            "2023-08",
-        ),
-    ] {
-        if let Some(s) = series.for_provider(provider) {
-            let first = s.iter().position(|v| *v > 0).unwrap_or(0);
-            println!("{}", compare(label, paper, &series.months[first].label()));
-        }
-    }
+    anchors::print("fig3", Source::Usage(&report), cli.scale);
 
     if cli.tsv {
         let rows: Vec<Vec<String>> = series

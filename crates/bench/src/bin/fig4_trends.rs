@@ -1,8 +1,9 @@
 //! Figure 4: invocation trends of cloud functions per provider, with the
 //! annotated market events of §4.1.
 
+use fw_bench::anchors::{self, Source};
 use fw_bench::{header, run_usage, Cli};
-use fw_core::report::{compare, tsv};
+use fw_core::report::tsv;
 use fw_types::ProviderId;
 
 fn main() {
@@ -44,75 +45,12 @@ fn main() {
             .map(|m| if m.month == 1 { "J" } else { "·" })
             .collect::<String>()
     );
-    println!(
-        "          window: {} .. {}",
-        series.months[0], series.months[23]
-    );
+    if let [first, .., last] = &series.months[..] {
+        println!("          window: {first} .. {last}");
+    }
 
     header("§4.1 event checks (paper vs. measured)");
-    // Kingsoft appears Aug 2022; Tencent appears Aug 2023.
-    for (provider, label, paper_month) in [
-        (ProviderId::Kingsoft, "Kingsoft first resolutions", 4usize),
-        (ProviderId::Tencent, "Tencent first resolutions", 16),
-    ] {
-        if let Some(s) = series.for_provider(provider) {
-            let first = s.iter().position(|v| *v > 0).unwrap_or(0);
-            println!(
-                "{}",
-                compare(
-                    label,
-                    &series.months[paper_month].label(),
-                    &series.months[first].label()
-                )
-            );
-        }
-    }
-    // Tencent's January 2024 decline (free-trial quota change).
-    if let Some(s) = series.for_provider(ProviderId::Tencent) {
-        let dec_2023 = s[20] as f64; // Dec 2023
-        let jan_2024 = s[21] as f64;
-        let drop = if dec_2023 > 0.0 {
-            jan_2024 / dec_2023
-        } else {
-            1.0
-        };
-        println!(
-            "{}",
-            compare(
-                "Tencent Jan-2024 volume vs Dec-2023",
-                "sharp decline",
-                &format!("x{drop:.2}")
-            )
-        );
-    }
-    // Google2's post-default growth (Aug 2023).
-    if let Some(s) = series.for_provider(ProviderId::Google2) {
-        let before: u64 = s[12..16].iter().sum();
-        let after: u64 = s[16..20].iter().sum();
-        println!(
-            "{}",
-            compare(
-                "Google2 volume after becoming default (4-mo sums)",
-                "increase",
-                &format!("{before} -> {after}")
-            )
-        );
-    }
-    // Google and Aliyun lead overall volume.
-    let mut totals: Vec<(ProviderId, u64)> = ProviderId::ALL
-        .iter()
-        .filter_map(|p| series.for_provider(*p).map(|s| (*p, s.iter().sum())))
-        .collect();
-    totals.sort_by_key(|&(_, v)| std::cmp::Reverse(v));
-    let leaders: Vec<String> = totals
-        .iter()
-        .take(2)
-        .map(|(p, _)| p.label().to_string())
-        .collect();
-    println!(
-        "{}",
-        compare("volume leaders", "Google, Aliyun", &leaders.join(", "))
-    );
+    anchors::print("fig4", Source::Usage(&report), cli.scale);
 
     if cli.tsv {
         let mut rows = Vec::new();

@@ -1,8 +1,9 @@
 //! Figure 5 + §4.3: distribution of per-function total request counts
 //! (CDF and log10 histogram) and the lifespan/activity-density findings.
 
+use fw_bench::anchors::{self, Source};
 use fw_bench::{header, run_usage, Cli};
-use fw_core::report::{bar_chart, compare, pct};
+use fw_core::report::bar_chart;
 
 fn main() {
     let cli = Cli::parse(0.05);
@@ -18,54 +19,7 @@ fn main() {
     println!("{}", bar_chart(&entries, 56));
 
     header("Figure 5 / §4.3 anchors (paper vs. measured)");
-    println!(
-        "{}",
-        compare(
-            "functions analysed",
-            "410,460 (×scale)",
-            &inv.functions.to_string()
-        )
-    );
-    println!(
-        "{}",
-        compare("invoked < 5 times", "78.14%", &pct(inv.frac_under_5))
-    );
-    println!(
-        "{}",
-        compare("invoked > 100 times", "7.87%", &pct(inv.frac_over_100))
-    );
-    println!(
-        "{}",
-        compare("single-day lifespan", "81.30%", &pct(inv.frac_single_day))
-    );
-    println!(
-        "{}",
-        compare("lifespan < 5 days", "83.94%", &pct(inv.frac_under_5_days))
-    );
-    println!(
-        "{}",
-        compare(
-            "mean lifespan (days)",
-            "21.44",
-            &format!("{:.2}", inv.mean_lifespan_days)
-        )
-    );
-    println!(
-        "{}",
-        compare(
-            "activity density p = 1",
-            "83.01%",
-            &pct(inv.frac_density_one)
-        )
-    );
-    println!(
-        "{}",
-        compare(
-            "active across whole window",
-            "14 functions (×scale)",
-            &inv.full_window_functions.to_string()
-        )
-    );
+    anchors::print("fig5", Source::Usage(&report), cli.scale);
 
     if cli.tsv {
         println!("\nlog10_lo\tlog10_hi\tcount");

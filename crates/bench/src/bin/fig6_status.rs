@@ -4,8 +4,9 @@
 //! `--single-shot` runs the ethics-budget ablation (one request per
 //! function, no HTTP fallback) and reports the reachability difference.
 
+use fw_bench::anchors::{self, Source};
 use fw_bench::{header, run_full, Cli};
-use fw_core::report::{bar_chart, compare, pct};
+use fw_core::report::bar_chart;
 
 fn main() {
     let cli = Cli::parse(0.02);
@@ -21,77 +22,7 @@ fn main() {
     println!("{}", bar_chart(&entries, 56));
 
     header("§4.4 anchors (paper vs. measured)");
-    println!(
-        "{}",
-        compare(
-            "probed functions",
-            "410,460 (×scale)",
-            &s.probed.to_string()
-        )
-    );
-    println!(
-        "{}",
-        compare("unreachable", "2.03%", &pct(s.frac_unreachable()))
-    );
-    println!(
-        "{}",
-        compare(
-            "DNS failures among unreachable (Tencent)",
-            "19.12%",
-            &pct(s.frac_dns_failures_of_unreachable())
-        )
-    );
-    println!(
-        "{}",
-        compare(
-            "HTTPS supported (reachable)",
-            "99.82%",
-            &pct(s.frac_https())
-        )
-    );
-    println!(
-        "{}",
-        compare("status 404", "89.31%", &pct(s.frac_status(404)))
-    );
-    println!(
-        "{}",
-        compare("status 200", "3.14%", &pct(s.frac_status(200)))
-    );
-    println!(
-        "{}",
-        compare("status 502", "2.82%", &pct(s.frac_status(502)))
-    );
-    println!(
-        "{}",
-        compare("status 401", "0.13%", &pct(s.frac_status(401)))
-    );
-    let nonempty = s.ok_with_content as f64 / (s.ok_with_content + s.ok_empty).max(1) as f64;
-    println!(
-        "{}",
-        compare("200s with non-empty body", "96.01%", &pct(nonempty))
-    );
-
-    // AWS's share of 502s (§4.4: 50.56%).
-    let aws_502 = report
-        .probe_records
-        .iter()
-        .filter(|r| r.outcome.status() == Some(502) && r.fqdn.as_str().ends_with("on.aws"))
-        .count() as f64;
-    let all_502 = report
-        .probe_records
-        .iter()
-        .filter(|r| r.outcome.status() == Some(502))
-        .count() as f64;
-    if all_502 > 0.0 {
-        println!(
-            "{}",
-            compare(
-                "AWS share of 502 responses",
-                "50.56%",
-                &pct(aws_502 / all_502)
-            )
-        );
-    }
+    anchors::print("fig6", Source::Full(&report), cli.scale);
 
     if cli.has_flag("--single-shot") {
         println!();

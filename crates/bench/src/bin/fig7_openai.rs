@@ -2,16 +2,16 @@
 //! monthly request volume and newly-appearing resale functions, with the
 //! ChatGPT-release alignment check.
 
+use fw_bench::anchors::{self, Source};
 use fw_bench::{header, run_full, Cli};
-use fw_core::report::{bar_chart, compare, tsv};
-use fw_types::MonthStamp;
+use fw_core::report::{bar_chart, tsv};
 
 fn main() {
     let cli = Cli::parse(0.02);
     let (_w, report) = run_full(&cli);
     let abuse = &report.abuse;
 
-    let months: Vec<MonthStamp> = report.new_fqdns.months.clone();
+    let months = &report.new_fqdns.months;
 
     header("Figure 7 — monthly request volume of OpenAI-key-resale functions");
     let entries: Vec<(String, f64)> = months
@@ -22,63 +22,7 @@ fn main() {
     println!("{}", bar_chart(&entries, 56));
 
     header("Shape checks (paper vs. measured)");
-    let first_active = abuse
-        .openai_monthly_requests
-        .iter()
-        .position(|v| *v > 0)
-        .map(|i| months[i].label())
-        .unwrap_or_else(|| "none".into());
-    println!(
-        "{}",
-        compare(
-            "first resale activity (ChatGPT released 2022-11-30)",
-            "2023-01",
-            &first_active
-        )
-    );
-    let peak = abuse
-        .openai_monthly_requests
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, v)| **v)
-        .map(|(i, _)| months[i].label())
-        .unwrap_or_else(|| "none".into());
-    println!(
-        "{}",
-        compare("peak activity month", "2023-02..2023-05", &peak)
-    );
-    let wave: u64 = abuse.openai_monthly_requests[9..=13].iter().sum();
-    let total: u64 = abuse.openai_monthly_requests.iter().sum();
-    println!(
-        "{}",
-        compare(
-            "share of volume in Jan–May 2023",
-            "\"highly active until May 2023\"",
-            &format!("{:.1}%", 100.0 * wave as f64 / total.max(1) as f64)
-        )
-    );
-    println!(
-        "{}",
-        compare(
-            "total resale requests",
-            "106,315 (×scale)",
-            &total.to_string()
-        )
-    );
-    let resale_functions: u64 = abuse
-        .table3
-        .iter()
-        .find(|r| r.case == "Resale of OpenAI Key")
-        .map(|r| r.functions)
-        .unwrap_or(0);
-    println!(
-        "{}",
-        compare(
-            "resale functions",
-            "243 (×scale)",
-            &resale_functions.to_string()
-        )
-    );
+    anchors::print("fig7", Source::Full(&report), cli.scale);
 
     if cli.tsv {
         let rows: Vec<Vec<String>> = months

@@ -2,10 +2,10 @@
 //! per-category counts and the DoW (Denial-of-Wallet) arithmetic the
 //! finding warns about.
 
-use fw_abuse::sensitive::SensitiveKind;
+use fw_bench::anchors::{self, Source, FINDING5_KINDS};
 use fw_bench::{header, paper_scaled, run_full, Cli};
 use fw_cloud::billing::PriceModel;
-use fw_core::report::{compare, pct, TextTable};
+use fw_core::report::TextTable;
 use fw_workload::calib;
 
 fn main() {
@@ -14,16 +14,8 @@ fn main() {
     let abuse = &report.abuse;
 
     header("Finding 5 — sensitive data in function responses");
-    let rows: [(SensitiveKind, u64); 6] = [
-        (SensitiveKind::Phone, calib::SENSITIVE_PHONE),
-        (SensitiveKind::NationalId, calib::SENSITIVE_NATIONAL_ID),
-        (SensitiveKind::AccessToken, calib::SENSITIVE_TOKEN),
-        (SensitiveKind::ApiKey, calib::SENSITIVE_API_KEY),
-        (SensitiveKind::Password, calib::SENSITIVE_PASSWORD),
-        (SensitiveKind::NetworkId, calib::SENSITIVE_NETWORK_ID),
-    ];
     let mut table = TextTable::new(vec!["Category", "Paper (scaled)", "Measured"]);
-    for (kind, paper) in rows {
+    for (kind, paper) in FINDING5_KINDS {
         table.row(vec![
             kind.label().to_string(),
             paper_scaled(paper, cli.scale).to_string(),
@@ -37,32 +29,7 @@ fn main() {
     ]);
     println!("{}", table.render());
 
-    let tokens_keys = abuse
-        .sensitive
-        .get(&SensitiveKind::AccessToken)
-        .copied()
-        .unwrap_or(0)
-        + abuse
-            .sensitive
-            .get(&SensitiveKind::ApiKey)
-            .copied()
-            .unwrap_or(0);
-    println!(
-        "{}",
-        compare(
-            "tokens+keys share of findings",
-            "60.4%",
-            &pct(tokens_keys as f64 / abuse.sensitive_total.max(1) as f64)
-        )
-    );
-    println!(
-        "{}",
-        compare(
-            "401-protected functions",
-            "0.13%",
-            &pct(report.status.frac_status(401))
-        )
-    );
+    anchors::print("finding5", Source::Full(&report), cli.scale);
 
     header("DoW threat model (§2.3 price model)");
     // An attacker driving 100 rps for a day against a 1 GB / 1 s function.

@@ -6,12 +6,12 @@
 //! right provider. With `--suffix-only`, runs the DESIGN.md ablation
 //! showing the precision gap of naive suffix matching.
 
+use fw_bench::anchors::{self, Source};
 use fw_bench::{header, Cli};
 use fw_cloud::formats::{all_formats, identify};
 use fw_core::identify::suffix_only_ablation;
 use fw_core::report::TextTable;
 use fw_pattern::{Pattern, Sampler, SamplerConfig, XorShiftRng};
-use fw_types::ProviderId;
 
 fn main() {
     let cli = Cli::parse(0.1);
@@ -125,12 +125,6 @@ fn main() {
 
     // Paper-vs-implementation inventory line.
     println!();
-    println!(
-        "providers: {} formats / {} vendors; {} collected, {} actively probed (paper: 10/9, 9, 6)",
-        all_formats().len(),
-        9,
-        ProviderId::collected().count(),
-        ProviderId::actively_probed().count(),
-    );
+    anchors::print("table1", Source::Inventory, cli.scale);
     fw_bench::maybe_dump_metrics();
 }

@@ -70,7 +70,8 @@ fn main() {
         ab.row(vec![
             row.provider.label().to_string(),
             pct(row.top10.0),
-            format!("{:.2}", row.entropy_bits.0),
+            // Entropy is never negative, but one address sums to -0.0.
+            format!("{:.2}", row.entropy_bits.0.abs()),
             row.rdata_cnt.0.to_string(),
         ]);
     }

@@ -5,10 +5,9 @@
 //! `--threshold <f32>` overrides the clustering cut (ablation:
 //! 0.05/0.1/0.2).
 
-use fw_analysis::content::ContentType;
-use fw_bench::{header, live_world, paper_scaled, pipeline_config, Cli};
-use fw_core::pipeline::Pipeline;
-use fw_core::report::{compare, pct, thousands, TextTable};
+use fw_bench::anchors::{self, Source, TABLE3_CASES};
+use fw_bench::{header, paper_scaled, pipeline_config, run_full_with, Cli};
+use fw_core::report::{thousands, TextTable};
 use fw_workload::calib;
 
 fn main() {
@@ -22,65 +21,13 @@ fn main() {
         }
     }
 
-    let w = live_world(&cli);
-    eprintln!(
-        "world ready: {} functions ({} probed); probing + scanning...",
-        w.functions.len(),
-        w.probed_domains().len()
-    );
-    let pipeline = Pipeline::new(w.net.clone(), w.resolver.clone());
-    let report = match cli.snapshot_store() {
-        Some(store) => pipeline.run(&store, &config),
-        None => pipeline.run(&w.pdns, &config),
-    };
+    let (_w, report) = run_full_with(&cli, &config);
     let abuse = &report.abuse;
 
     header("§3.4 — content corpus and clustering");
-    println!(
-        "{}",
-        compare(
-            "200-with-content corpus",
-            &format!("{} (×scale)", thousands(calib::PAPER_CONTENT_RICH)),
-            &abuse.corpus_size.to_string()
-        )
-    );
-    for (ct, paper) in [
-        (ContentType::Json, calib::CONTENT_MIX_JSON),
-        (ContentType::Html, calib::CONTENT_MIX_HTML),
-        (ContentType::Plaintext, calib::CONTENT_MIX_PLAIN),
-        (ContentType::Others, calib::CONTENT_MIX_OTHERS),
-    ] {
-        let measured = abuse.content_mix.get(&ct).copied().unwrap_or(0) as f64
-            / abuse.corpus_size.max(1) as f64;
-        println!(
-            "{}",
-            compare(
-                &format!("content mix {}", ct.label()),
-                &pct(paper),
-                &pct(measured)
-            )
-        );
-    }
-    println!(
-        "{}",
-        compare(
-            "clusters (review workload)",
-            &format!("{} (×scale)", thousands(calib::PAPER_CLUSTERS)),
-            &abuse.clusters.to_string()
-        )
-    );
+    anchors::print("table3.corpus", Source::Full(&report), cli.scale);
 
     header("Table 3 — abused cloud functions (paper scaled → measured)");
-    let paper_rows: [(&str, calib::AbuseCalib); 8] = [
-        ("Hide C2 server", calib::ABUSE_C2),
-        ("Gambling Website", calib::ABUSE_GAMBLING),
-        ("Porn-related Sites", calib::ABUSE_PORN),
-        ("Cheating Tool", calib::ABUSE_CHEAT),
-        ("Redirect to New Domains", calib::ABUSE_REDIRECT),
-        ("Resale of OpenAI Key", calib::ABUSE_OPENAI_RESALE),
-        ("Illegal Service Proxy", calib::ABUSE_ILLEGAL_PROXY),
-        ("Geo-bypass Proxy", calib::ABUSE_GEO_PROXY),
-    ];
     let mut table = TextTable::new(vec![
         "Case",
         "Functions (paper→meas)",
@@ -88,7 +35,7 @@ fn main() {
     ]);
     let mut total_fn = 0u64;
     let mut total_req = 0u64;
-    for (case, pc) in paper_rows {
+    for (case, pc) in TABLE3_CASES {
         let row = abuse.table3.iter().find(|r| r.case == case);
         let (f, r) = row.map(|r| (r.functions, r.requests)).unwrap_or((0, 0));
         total_fn += f;
@@ -117,38 +64,18 @@ fn main() {
         ),
     ]);
     println!("{}", table.render());
-    let abuse_rate = total_fn as f64 / abuse.corpus_size.max(1) as f64;
-    println!(
-        "{}",
-        compare(
-            "abused share of content-rich corpus",
-            "4.89%",
-            &pct(abuse_rate)
-        )
-    );
+    anchors::print("table3.abused", Source::Full(&report), cli.scale);
 
     header("§5.3 — OpenAI resale group structure (contact → functions)");
     for (contact, count) in abuse.openai_groups.iter().take(6) {
         println!("  {contact:<28} {count} functions");
     }
-    println!(
-        "{}",
-        compare(
-            "largest group share",
-            &pct(calib::OPENAI_BIGGEST_GROUP as f64 / calib::ABUSE_OPENAI_RESALE.functions as f64),
-            &pct(
-                abuse.openai_groups.first().map(|(_, c)| *c).unwrap_or(0) as f64
-                    / abuse
-                        .openai_groups
-                        .iter()
-                        .map(|(_, c)| c)
-                        .sum::<usize>()
-                        .max(1) as f64
-            )
-        )
-    );
+    anchors::print("table3.groups", Source::Full(&report), cli.scale);
 
-    header("§5.3 — extracted redirect targets (paper: 3/13 flagged by WebAdvisor)");
+    header(&format!(
+        "§5.3 — extracted redirect targets (paper: {} flagged by WebAdvisor)",
+        anchors::REDIRECTS_FLAGGED
+    ));
     for (target, verdict) in &abuse.redirect_targets {
         println!("  {target:<52} {verdict:?}");
     }
@@ -158,27 +85,9 @@ fn main() {
     print!("{}", fw_core::advice::render(&findings));
 
     header("Finding 10 — defence gap");
-    println!(
-        "{}",
-        compare(
-            "abused functions flagged by threat intel",
-            "4 (0.67%)",
-            &format!(
-                "{} ({})",
-                abuse.ti_flagged,
-                pct(abuse.ti_flagged as f64 / abuse.ti_total_abused.max(1) as f64)
-            )
-        )
-    );
+    anchors::print("table3.intel", Source::Full(&report), cli.scale);
 
     header("Finding 5 — sensitive data (see finding5_sensitive for detail)");
-    println!(
-        "{}",
-        compare(
-            "sensitive items detected",
-            &format!("{} (×scale)", calib::SENSITIVE_TOTAL),
-            &abuse.sensitive_total.to_string()
-        )
-    );
+    anchors::print("table3.sensitive", Source::Full(&report), cli.scale);
     fw_bench::maybe_dump_metrics();
 }

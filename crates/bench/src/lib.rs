@@ -23,6 +23,7 @@
 //! The simulated world always runs on deterministic virtual time
 //! (DESIGN.md §10), so probing figures are byte-identical run to run.
 
+pub mod anchors;
 pub mod fused;
 pub mod gate;
 pub mod regress;
@@ -193,6 +194,11 @@ pub fn run_usage(cli: &Cli) -> (Option<World>, UsageReport) {
 /// virtual clock, probe outcomes are a pure function of the seed, so
 /// stdout is byte-identical run-to-run and live-vs-snapshot.
 pub fn run_full(cli: &Cli) -> (World, FullReport) {
+    run_full_with(cli, &pipeline_config(cli.has_flag("--single-shot")))
+}
+
+/// [`run_full`] with the pipeline configuration given.
+pub fn run_full_with(cli: &Cli, config: &PipelineConfig) -> (World, FullReport) {
     eprintln!(
         "generating world: scale {} seed {} (live deployment, virtual time)...",
         cli.scale, cli.seed
@@ -205,10 +211,9 @@ pub fn run_full(cli: &Cli) -> (World, FullReport) {
         w.pdns.record_count()
     );
     let pipeline = Pipeline::new(w.net.clone(), w.resolver.clone());
-    let config = pipeline_config(cli.has_flag("--single-shot"));
     let report = match cli.snapshot_store() {
-        Some(store) => pipeline.run(&store, &config),
-        None => pipeline.run(&w.pdns, &config),
+        Some(store) => pipeline.run(&store, config),
+        None => pipeline.run(&w.pdns, config),
     };
     (w, report)
 }

@@ -31,8 +31,10 @@
 //! (all ten Table 1 expressions do), compilation peels that suffix off: a
 //! search checks `ends_with` first and runs the engine over the rest only.
 //! A companion [`Sampler`] generates random strings that match a pattern;
-//! the workload generator uses it to mint provider-shaped domains, and the
-//! property tests use it to cross-validate the matcher.
+//! `table1_formats` uses it to mint URLs that validate each Table 1
+//! expression, and the property tests use it to cross-validate the
+//! matcher. (The workload generator mints its domains from templates in
+//! `fw-cloud`'s `platform.rs`.)
 //!
 //! ```
 //! use fw_pattern::Pattern;

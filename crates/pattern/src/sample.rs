@@ -1,12 +1,12 @@
 //! Random sample generation: produce strings that match a pattern.
 //!
-//! The workload generator mints provider-shaped function domains straight
-//! from the Table 1 expressions, and the property tests cross-validate the
-//! matcher (`sample ∈ L(pattern)` must always hold).
+//! `table1_formats` mints function URLs straight from the Table 1
+//! expressions to validate them, and the property tests cross-validate
+//! the matcher (`sample ∈ L(pattern)` must always hold).
 //!
 //! The sampler is deliberately runtime-free: it consumes randomness through
 //! the [`Rng`] trait below so `fw-pattern` does not depend on the `rand`
-//! crate. `fw-workload` adapts its seeded RNG to this trait.
+//! crate; [`XorShiftRng`] is the seeded implementation its callers use.
 
 use crate::ast::{Ast, ClassItem};
 use crate::Pattern;

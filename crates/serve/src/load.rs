@@ -1,8 +1,9 @@
 //! SimNet load harness: millions of keep-alive virtual clients.
 //!
-//! Topology and virtual-time model (DESIGN.md §15): the API runs as a
-//! SimNet listener, so each accepted connection gets a clock-registered
-//! handler thread running the keep-alive serve loop. The harness side
+//! Topology and virtual-time model (DESIGN.md §15): the API runs on a
+//! SimNet `listen_pool` (`ServeApi::serve_pool`), a fixed set of
+//! clock-registered accept workers, each running the keep-alive serve
+//! loop on the connections steered to it. The harness side
 //! is a fixed pool of pre-registered worker threads
 //! (`fw_analysis::par::fork`); client ids are
 //! partitioned round-robin (`id % workers`), and each worker plays its

@@ -1,76 +1,34 @@
-//! Workspace-wide error type.
+//! The error [`crate::Fqdn::parse`] returns.
 //!
-//! Crates that have richer local failure modes define their own error enums
-//! and convert into [`FwError`] at crate boundaries. This keeps the public
-//! pipeline API (`fw-core`) returning a single error type.
+//! It names a rejected domain. Crates with failure modes of their own
+//! define their own error types (`fw_store::StoreError`,
+//! `fw_http::parse::HttpError`, `fw_dns::resolver::ResolveError`, ...).
 
 use std::fmt;
 
-/// Common error type shared across the workspace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FwError {
     /// A domain name failed validation.
     InvalidDomain(String),
-    /// A pattern failed to compile (message from `fw-pattern`).
-    Pattern(String),
-    /// DNS wire-format or resolution failure.
-    Dns(String),
-    /// Simulated-network failure (connection refused, reset, timeout...).
-    Net(String),
-    /// HTTP protocol failure.
-    Http(String),
-    /// Cloud-platform operation failure (unknown function, quota...).
-    Cloud(String),
-    /// Analysis-stage failure (empty corpus, dimension mismatch...).
-    Analysis(String),
-    /// Configuration or parameter error.
-    Config(String),
-    /// Input/output error carried as a message (keeps `Clone`/`Eq`).
-    Io(String),
 }
 
 impl fmt::Display for FwError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FwError::InvalidDomain(d) => write!(f, "invalid domain name: {d:?}"),
-            FwError::Pattern(m) => write!(f, "pattern error: {m}"),
-            FwError::Dns(m) => write!(f, "dns error: {m}"),
-            FwError::Net(m) => write!(f, "network error: {m}"),
-            FwError::Http(m) => write!(f, "http error: {m}"),
-            FwError::Cloud(m) => write!(f, "cloud platform error: {m}"),
-            FwError::Analysis(m) => write!(f, "analysis error: {m}"),
-            FwError::Config(m) => write!(f, "config error: {m}"),
-            FwError::Io(m) => write!(f, "io error: {m}"),
         }
     }
 }
 
 impl std::error::Error for FwError {}
 
-impl From<std::io::Error> for FwError {
-    fn from(e: std::io::Error) -> Self {
-        FwError::Io(e.to_string())
-    }
-}
-
-/// Convenience alias used across the workspace.
-pub type FwResult<T> = Result<T, FwError>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn display_is_informative() {
-        let e = FwError::Dns("nxdomain for example.com".into());
-        assert!(e.to_string().contains("nxdomain"));
-        assert!(e.to_string().starts_with("dns error"));
-    }
-
-    #[test]
-    fn io_error_converts() {
-        let io = std::io::Error::new(std::io::ErrorKind::TimedOut, "deadline");
-        let e: FwError = io.into();
-        assert!(matches!(e, FwError::Io(_)));
+    fn invalid_domain_names_the_input() {
+        let e = FwError::InvalidDomain("a..b".into());
+        assert_eq!(e.to_string(), r#"invalid domain name: "a..b""#);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Shared vocabulary for the `faaswild` workspace: provider identifiers,
 //! calendar timestamps at the granularity passive DNS uses (whole days),
-//! fully-qualified domain names, DNS record types and rdata, and the common
-//! error type.
+//! fully-qualified domain names (and the error their parser returns), DNS
+//! record types and rdata.
 //!
 //! Everything here is deliberately small and dependency-light so that every
 //! other crate in the workspace can share one set of core types without
@@ -20,7 +20,7 @@ pub mod record;
 
 pub use day::{DayStamp, MonthStamp, MEASUREMENT_END, MEASUREMENT_START};
 pub use domain::Fqdn;
-pub use error::{FwError, FwResult};
+pub use error::FwError;
 pub use json::Json;
 pub use provider::ProviderId;
 pub use record::{Rdata, RecordType};

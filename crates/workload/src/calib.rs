@@ -247,7 +247,8 @@ pub const SENSITIVE_TOTAL: u64 = 394;
 /// Measurement window: 24 months, April 2022 – March 2024.
 pub const MONTHS: usize = 24;
 
-/// Month index helpers for the annotated Figure 4 events.
+/// Month index helpers for the annotated Figure 3/4 events.
+pub const MONTH_AWS_FUNCTION_URL: usize = 0; // Apr 2022 (Fig 3 spike)
 pub const MONTH_KINGSOFT_LAUNCH: usize = 4; // Aug 2022
 pub const MONTH_TENCENT_LAUNCH: usize = 16; // Aug 2023
 pub const MONTH_GOOGLE2_DEFAULT: usize = 16; // Aug 2023
@@ -262,7 +263,7 @@ pub fn first_seen_weight(provider: ProviderId, m: usize) -> f64 {
     let base = 1.0 + 0.3 * (m as f64 / (MONTHS - 1) as f64); // mild growth
     match provider {
         ProviderId::Aws => match m {
-            0 => 6.0, // function-URL launch (§4.1)
+            MONTH_AWS_FUNCTION_URL => 6.0, // function-URL launch (§4.1)
             1 => 2.5,
             2 => 1.5,
             _ => base,
