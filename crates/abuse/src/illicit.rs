@@ -11,7 +11,6 @@
 
 use fw_http::types::Response;
 use fw_pattern::Pattern;
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// How a redirect is expressed.
@@ -201,21 +200,6 @@ pub fn extract_contacts(body: &str) -> Vec<Contact> {
     out
 }
 
-/// Group promo findings by shared contact — "repeated use of the same
-/// contact suggests group affiliation" (§5.3).
-pub fn group_by_contact<'a, I>(findings: I) -> HashMap<Contact, Vec<usize>>
-where
-    I: IntoIterator<Item = (usize, &'a PromoFinding)>,
-{
-    let mut groups: HashMap<Contact, Vec<usize>> = HashMap::new();
-    for (idx, f) in findings {
-        for c in &f.contacts {
-            groups.entry(c.clone()).or_default().push(idx);
-        }
-    }
-    groups
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,24 +306,5 @@ mod tests {
         assert!(contacts.contains(&Contact::WeChat("seller_abc".into())));
         assert!(contacts.contains(&Contact::Qq("88877766".into())));
         assert!(contacts.contains(&Contact::Email("seller@example.com".into())));
-    }
-
-    #[test]
-    fn grouping_by_shared_contact() {
-        let p1 = PromoFinding {
-            sells_accounts: false,
-            contacts: vec![Contact::WeChat("groupA".into())],
-        };
-        let p2 = PromoFinding {
-            sells_accounts: false,
-            contacts: vec![Contact::WeChat("groupA".into())],
-        };
-        let p3 = PromoFinding {
-            sells_accounts: true,
-            contacts: vec![Contact::Qq("555555".into())],
-        };
-        let groups = group_by_contact(vec![(0, &p1), (1, &p2), (2, &p3)]);
-        assert_eq!(groups[&Contact::WeChat("groupA".into())], vec![0, 1]);
-        assert_eq!(groups[&Contact::Qq("555555".into())], vec![2]);
     }
 }

@@ -102,19 +102,6 @@ pub fn classify_keywords(body: &str) -> Option<WebAbuseKind> {
     None
 }
 
-/// Campaign key for a gambling page: the `google-site-verification`
-/// content attribute, when present — §5.2 observes campaign-consistent
-/// markers across the 194 sites.
-pub fn campaign_marker(body: &str) -> Option<String> {
-    let lower = body.to_ascii_lowercase();
-    let at = lower.find("google-site-verification")?;
-    let rest = &body[at..];
-    let content_at = rest.to_ascii_lowercase().find("content=\"")?;
-    let val = &rest[content_at + 9..];
-    let end = val.find('"')?;
-    Some(val[..end].to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,10 +120,6 @@ mod tests {
         let f = page_features(GAMBLING_PAGE);
         assert!(f.has_site_verification);
         assert!(f.stuffing_score >= 4, "stuffing = {}", f.stuffing_score);
-        assert_eq!(
-            campaign_marker(GAMBLING_PAGE).as_deref(),
-            Some("gsv-campaign-0042")
-        );
     }
 
     #[test]
@@ -165,11 +148,6 @@ mod tests {
         ] {
             assert_eq!(classify_keywords(page), None, "{page}");
         }
-    }
-
-    #[test]
-    fn campaign_marker_absent_on_benign() {
-        assert_eq!(campaign_marker("<html><body>hi</body></html>"), None);
     }
 
     #[test]

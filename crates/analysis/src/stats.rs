@@ -4,7 +4,9 @@
 //!   distribution),
 //! * top-k concentration shares (Table 2's "Top10" columns),
 //! * Shannon entropy (the DESIGN.md ablation comparing top-10 share with
-//!   an entropy-based concentration metric).
+//!   an entropy-based concentration metric),
+//! * nearest-rank percentiles (the stream and serve gates' latency
+//!   metrics).
 
 /// Empirical CDF points `(value, fraction ≤ value)` over sorted data.
 pub fn cdf_points(values: &[f64]) -> Vec<(f64, f64)> {
@@ -26,14 +28,6 @@ pub fn cdf_points(values: &[f64]) -> Vec<(f64, f64)> {
         i = j;
     }
     out
-}
-
-/// Fraction of values ≤ x (empirical CDF evaluated at x).
-pub fn cdf_at(values: &[f64], x: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.iter().filter(|v| **v <= x).count() as f64 / values.len() as f64
 }
 
 /// One histogram bin.
@@ -117,16 +111,15 @@ pub fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// p-th percentile (0–100) by nearest-rank on sorted copies.
-pub fn percentile(values: &[f64], p: f64) -> f64 {
-    assert!((0.0..=100.0).contains(&p));
-    if values.is_empty() {
-        return 0.0;
+/// p-th percentile (0–100) of an ascending-sorted sample by nearest
+/// rank: the value at rank `ceil(p / 100 · n)`, clamped to `1..=n`.
+/// NaN for an empty sample.
+pub fn percentile<T: Copy + Into<f64>>(sorted: &[T], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return f64::NAN;
     }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-    let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
-    sorted[rank]
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1].into()
 }
 
 #[cfg(test)]
@@ -138,9 +131,6 @@ mod tests {
         let vals = [1.0, 2.0, 2.0, 4.0];
         let pts = cdf_points(&vals);
         assert_eq!(pts, vec![(1.0, 0.25), (2.0, 0.75), (4.0, 1.0)]);
-        assert_eq!(cdf_at(&vals, 2.0), 0.75);
-        assert_eq!(cdf_at(&vals, 0.5), 0.0);
-        assert_eq!(cdf_at(&vals, 100.0), 1.0);
     }
 
     #[test]
@@ -185,6 +175,11 @@ mod tests {
         assert_eq!(percentile(&vals, 50.0), 3.0);
         assert_eq!(percentile(&vals, 0.0), 1.0);
         assert_eq!(percentile(&vals, 100.0), 5.0);
+        // Ceil rank: the 99th of 10 is the 10th, the 50th the 5th.
+        let lat: Vec<u32> = (1..=10).collect();
+        assert_eq!(percentile(&lat, 99.0), 10.0);
+        assert_eq!(percentile(&lat, 50.0), 5.0);
+        assert!(percentile::<u32>(&[], 50.0).is_nan());
         assert_eq!(mean(&vals), 3.0);
         assert_eq!(mean(&[]), 0.0);
     }

@@ -2,7 +2,7 @@
 
 use fw_analysis::cluster::{cluster_corpus, ClusterParams};
 use fw_analysis::content::ContentType;
-use fw_analysis::stats::{cdf_at, entropy_bits, log10_histogram, top_k_share};
+use fw_analysis::stats::{cdf_points, entropy_bits, log10_histogram, percentile, top_k_share};
 use fw_analysis::text::{cosine_distance, TfIdf};
 use proptest::prelude::*;
 
@@ -74,15 +74,21 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// Stats helpers: CDF is monotone, top-k share bounded and monotone
-    /// in k, entropy non-negative, histogram conserves mass.
+    /// Stats helpers: CDF is monotone and ends at 1, percentiles are
+    /// monotone in p, top-k share bounded and monotone in k, entropy
+    /// non-negative, histogram conserves mass.
     #[test]
     fn stats_invariants(values in proptest::collection::vec(1u64..100_000, 1..50)) {
         let floats: Vec<f64> = values.iter().map(|v| *v as f64).collect();
-        // CDF monotone in x.
-        let lo = cdf_at(&floats, 10.0);
-        let hi = cdf_at(&floats, 10_000.0);
-        prop_assert!(lo <= hi);
+        // CDF strictly increasing in value and fraction, ending at 1.
+        let pts = cdf_points(&floats);
+        prop_assert!(pts.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 < w[1].1));
+        prop_assert_eq!(pts.last().map(|p| p.1), Some(1.0));
+        // Percentiles monotone in p, within the sample's range.
+        let mut sorted = floats.clone();
+        sorted.sort_by(f64::total_cmp);
+        let (p50, p99) = (percentile(&sorted, 50.0), percentile(&sorted, 99.0));
+        prop_assert!(sorted[0] <= p50 && p50 <= p99 && p99 <= sorted[sorted.len() - 1]);
         // top-k share.
         let t1 = top_k_share(&values, 1);
         let t10 = top_k_share(&values, 10);

@@ -42,6 +42,7 @@
 //! pure function of (clients, seed, world scale): CI diffs it between
 //! runs at different worker counts.
 
+use fw_analysis::stats::percentile;
 use fw_bench::gate::{die, num, obj, opt, peak_rss_kb, Args, Better, Metric, Report, Stages};
 use fw_serve::{CacheConfig, Endpoint, LoadConfig, LoadPlan, LoadReport, ServeApi, ServeState};
 use fw_types::Json;
@@ -144,7 +145,6 @@ fn main() {
             workers: load_workers,
             seed,
             window: Duration::from_secs(WINDOW_S),
-            ..LoadConfig::default()
         };
         let report = fw_serve::load::run_load(&net, addr, &config, &plan);
         let cache = api.cache_stats();
@@ -154,8 +154,8 @@ fn main() {
     // 3. The main load run.
     let (report, cache) = stages.run("serve", || run_at(serve_workers, workers));
     let serve_ms = stages.last_ms();
-    let p50_us = report.latency_percentile_us(50.0);
-    let p99_us = report.latency_percentile_us(99.0);
+    let p50_us = percentile(&report.latencies_us, 50.0);
+    let p99_us = percentile(&report.latencies_us, 99.0);
     let qps = report.achieved_qps_wall();
     let hit_rate = cache.hit_rate();
     eprintln!(
@@ -182,7 +182,10 @@ fn main() {
         let qps_at = stages.run("sweep", || {
             SWEEP_WORKERS.map(|sw| {
                 let (r, c) = run_at(sw, sw);
-                let (p50, p99) = (r.latency_percentile_us(50.0), r.latency_percentile_us(99.0));
+                let (p50, p99) = (
+                    percentile(&r.latencies_us, 50.0),
+                    percentile(&r.latencies_us, 99.0),
+                );
                 eprintln!(
                     "[sweep] {sw} workers: {:.0} qps, p50 {p50:.0} us, p99 {p99:.0} us, hit {:.3}, digest {:016x}",
                     r.achieved_qps_wall(),

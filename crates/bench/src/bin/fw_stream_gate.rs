@@ -36,6 +36,7 @@
 //! time, so fully deterministic for a given scale/seed): a change that
 //! delays flagging fails `bench_regress` like a wall-time slowdown.
 
+use fw_analysis::stats::percentile;
 use fw_bench::gate::{die, num, obj, opt, peak_rss_kb, Args, Better, Metric, Report, Stages};
 use fw_stream::{
     check_equivalence, collect_rows, day_batches, replay_in_memory, Detection, StreamConfig, DAY_US,
@@ -43,15 +44,6 @@ use fw_stream::{
 use fw_types::{Fqdn, Json};
 use fw_workload::{AbuseCase, World, WorldConfig};
 use std::collections::HashMap;
-
-/// Percentile over a sorted slice (nearest-rank).
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
 
 /// Detection-latency stats for one abuse family.
 struct FamilyStats {

@@ -4,11 +4,12 @@
 //! published numbers are used verbatim (1M free requests and 400k GB-s per
 //! month; $0.20 per million requests; $0.0000166667 per GB-s); other
 //! providers get approximations in the same shape. The DoW threat from
-//! Finding 5 is "unauthorized access drives unexpected charges" — the
-//! ledger makes that computable.
+//! Finding 5 is "unauthorized access drives unexpected charges": the
+//! model prices a usage total or a sustained request rate. The platform
+//! meters nothing itself; a caller counts what it sent
+//! (`examples/dow_attack.rs` prices its own flood).
 
-use fw_types::{Fqdn, ProviderId};
-use std::collections::HashMap;
+use fw_types::ProviderId;
 
 /// Pricing for one provider.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,45 +115,9 @@ pub struct Invoice {
     pub within_free_tier: bool,
 }
 
-/// Per-function usage ledger maintained by the platform.
-#[derive(Debug, Default)]
-pub struct BillingLedger {
-    usage: HashMap<Fqdn, UsageMeter>,
-}
-
-impl BillingLedger {
-    pub fn new() -> BillingLedger {
-        BillingLedger::default()
-    }
-
-    /// Meter one invocation.
-    pub fn record(&mut self, fqdn: &Fqdn, memory_mb: u32, exec_ms: u64) {
-        let meter = self.usage.entry(fqdn.clone()).or_default();
-        meter.invocations += 1;
-        meter.gb_seconds += (memory_mb as f64 / 1024.0) * (exec_ms as f64 / 1000.0);
-    }
-
-    pub fn usage(&self, fqdn: &Fqdn) -> UsageMeter {
-        self.usage.get(fqdn).copied().unwrap_or_default()
-    }
-
-    /// Total invocations across all functions.
-    pub fn total_invocations(&self) -> u64 {
-        self.usage.values().map(|u| u.invocations).sum()
-    }
-
-    pub fn function_count(&self) -> usize {
-        self.usage.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fq(s: &str) -> Fqdn {
-        Fqdn::parse(s).unwrap()
-    }
 
     #[test]
     fn aws_free_tier_covers_small_usage() {
@@ -176,19 +141,6 @@ mod tests {
         assert!(!bill.within_free_tier);
         assert!((bill.request_cost_usd - 0.40).abs() < 1e-9);
         assert!((bill.compute_cost_usd - 600_000.0 * 0.000_016_666_7).abs() < 1e-6);
-    }
-
-    #[test]
-    fn ledger_accumulates_gb_seconds() {
-        let mut ledger = BillingLedger::new();
-        let f = fq("x.lambda-url.us-east-1.on.aws");
-        // 512 MB × 2000 ms = 1 GB-s per invocation.
-        ledger.record(&f, 512, 2000);
-        ledger.record(&f, 512, 2000);
-        let usage = ledger.usage(&f);
-        assert_eq!(usage.invocations, 2);
-        assert!((usage.gb_seconds - 2.0).abs() < 1e-9);
-        assert_eq!(ledger.total_invocations(), 2);
     }
 
     #[test]

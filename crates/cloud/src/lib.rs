@@ -18,11 +18,13 @@
 //!   sites, redirect services, OpenAI key resale promos, illegal-service
 //!   and geo-bypass proxies) plus sensitive-data leakers.
 //! * [`platform`] — deployment, DNS zone wiring, ingress HTTP(S) listeners
-//!   with Host-header routing, invocation lifecycle with a cold/warm-start
-//!   model, function deletion semantics.
+//!   with Host-header routing, per-function invocation counters (they
+//!   seed each response and rotate egress IPs), function deletion
+//!   semantics. It meters no billing and models no cold starts: no
+//!   probe can observe either.
 //! * [`billing`] — the §2.3 price model: per-invocation plus GB-second
-//!   metering with free tiers (the substrate for Denial-of-Wallet
-//!   analysis).
+//!   pricing with free tiers, applied to usage a caller counted (the
+//!   arithmetic for Denial-of-Wallet analysis).
 
 pub mod behavior;
 pub mod billing;
@@ -31,7 +33,7 @@ pub mod platform;
 pub mod provider;
 
 pub use behavior::{Behavior, BehaviorContext};
-pub use billing::{BillingLedger, PriceModel};
+pub use billing::PriceModel;
 pub use formats::{UrlFormat, UrlParts};
 pub use platform::{CloudPlatform, DeployError, DeploySpec, Deployed, PlatformConfig};
 pub use provider::{IngressArch, ProviderSpec};

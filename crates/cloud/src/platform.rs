@@ -9,21 +9,22 @@
 //!    §4.2),
 //! 3. ensures HTTP (:80) and simulated-TLS (:443) listeners exist on the
 //!    ingress nodes, routing by `Host` header,
-//! 4. registers the function's behaviour, billing meter and cold-start
-//!    state.
+//! 4. registers the function's behaviour and its invocation counter,
+//!    which seeds each response's RNG and rotates its egress IP.
 //!
 //! Deletion honours §4.4: records are withdrawn, and only Tencent's
 //! wildcard-less zone turns deleted names into NXDOMAIN; everywhere else
 //! wildcard DNS keeps resolving to an ingress node that answers 404 (403
 //! on AWS).
 //!
-//! Time is the world's virtual clock (the [`SimNet`]'s): cold/warm-start
-//! accounting and hang sleeps read the same clock that times out the
-//! probes, so a function idle past its keep-alive window starts cold
-//! again and the whole lifecycle is deterministic and testable.
+//! The platform keeps only what a client can observe: status codes,
+//! headers and bodies. It meters no billing and models no cold or warm
+//! execution environments; §2.3's price model lives in
+//! [`crate::billing`] as pure arithmetic. A hanging function sleeps on
+//! the world's virtual clock (the [`SimNet`]'s), the same clock that
+//! times out the probes, so a hang is deterministic and testable.
 
 use crate::behavior::{Behavior, BehaviorContext, Outcome};
-use crate::billing::BillingLedger;
 use crate::formats::{format_for, UrlParts};
 use crate::provider::{spec, IngressArch, ProviderSpec};
 use fw_dns::resolver::Resolver;
@@ -43,14 +44,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Idle window within which an execution environment stays warm.
-const WARM_KEEPALIVE_MS: u64 = 600_000;
-/// Simulated cold-start initialization latency (metered, not slept).
-const COLD_START_MS: u64 = 450;
-/// Default memory size of a function.
-const DEFAULT_MEMORY_MB: u32 = 128;
-/// Default execution duration per invocation (metered).
-const DEFAULT_EXEC_MS: u64 = 20;
 /// Egress IPs available per provider-region.
 const EGRESS_POOL_SIZE: u8 = 8;
 /// DNS record TTL published for function names.
@@ -88,8 +81,6 @@ pub struct DeploySpec {
     pub fname: Option<String>,
     /// Account id (Tencent's `[UserID]`); `None` generates one.
     pub account_id: Option<u64>,
-    pub memory_mb: Option<u32>,
-    pub exec_ms: Option<u64>,
     /// Entropy for the deployment's random draws (domain minting, region
     /// pick, behaviour seed). `None` draws from the platform RNG —
     /// convenient, but then the minted domain depends on global
@@ -108,8 +99,6 @@ impl DeploySpec {
             auth_protected: false,
             fname: None,
             account_id: None,
-            memory_mb: None,
-            exec_ms: None,
             entropy: None,
         }
     }
@@ -170,13 +159,10 @@ struct FunctionEntry {
     region_idx: usize,
     behavior: Behavior,
     auth_protected: bool,
-    memory_mb: u32,
-    exec_ms: u64,
     seed: u64,
     deleted: AtomicBool,
+    /// Seeds each response's RNG and rotates the egress IP.
     invocations: AtomicU64,
-    /// Execution environments: last-used virtual ms on the world clock.
-    envs: Mutex<Vec<u64>>,
 }
 
 struct RegionIngress {
@@ -191,27 +177,14 @@ struct ProviderState {
     regions: HashMap<String, RegionIngress>,
 }
 
-/// Lifecycle counters.
-#[derive(Debug, Default)]
-pub struct PlatformStats {
-    pub invocations: AtomicU64,
-    pub cold_starts: AtomicU64,
-    pub warm_starts: AtomicU64,
-    pub unknown_host: AtomicU64,
-    pub deleted_hits: AtomicU64,
-}
-
 struct PlatformInner {
     config: PlatformConfig,
     functions: RwLock<HashMap<Fqdn, Arc<FunctionEntry>>>,
     providers: RwLock<HashMap<ProviderId, Arc<ProviderState>>>,
-    billing: Mutex<BillingLedger>,
     rng: Mutex<SmallRng>,
-    stats: PlatformStats,
-    /// The world's time source (shared with [`SimNet`]): invocations
-    /// read warm/cold idle time from it, and a hanging function sleeps
-    /// on it, so a hang is a scheduled event rather than a real
-    /// `thread::sleep`.
+    /// The world's time source (shared with [`SimNet`]): a hanging
+    /// function sleeps on it, so a hang is a scheduled event rather
+    /// than a real `thread::sleep`.
     net_clock: Clock,
 }
 
@@ -242,8 +215,6 @@ impl CloudPlatform {
                 config,
                 functions: RwLock::new(HashMap::new()),
                 providers: RwLock::new(HashMap::new()),
-                billing: Mutex::new(BillingLedger::new()),
-                stats: PlatformStats::default(),
                 net_clock,
             }),
         }
@@ -254,11 +225,6 @@ impl CloudPlatform {
         self.resolver.clone()
     }
 
-    /// Lifecycle counters.
-    pub fn stats(&self) -> &PlatformStats {
-        &self.inner.stats
-    }
-
     /// Number of invocations a function has served.
     pub fn invocation_count(&self, fqdn: &Fqdn) -> u64 {
         self.inner
@@ -267,11 +233,6 @@ impl CloudPlatform {
             .get(fqdn)
             .map(|f| f.invocations.load(Ordering::Relaxed))
             .unwrap_or(0)
-    }
-
-    /// Run a closure over the billing ledger.
-    pub fn with_billing<T>(&self, f: impl FnOnce(&BillingLedger) -> T) -> T {
-        f(&self.inner.billing.lock())
     }
 
     /// Deploy a function.
@@ -328,12 +289,9 @@ impl CloudPlatform {
             region_idx,
             behavior: spec_req.behavior,
             auth_protected: spec_req.auth_protected,
-            memory_mb: spec_req.memory_mb.unwrap_or(DEFAULT_MEMORY_MB),
-            exec_ms: spec_req.exec_ms.unwrap_or(DEFAULT_EXEC_MS),
             seed,
             deleted: AtomicBool::new(false),
             invocations: AtomicU64::new(0),
-            envs: Mutex::new(Vec::new()),
         });
         self.inner.functions.write().insert(fqdn.clone(), entry);
 
@@ -594,11 +552,9 @@ impl PlatformInner {
         };
         let entry = self.functions.read().get(&host).cloned();
         let Some(entry) = entry else {
-            self.stats.unknown_host.fetch_add(1, Ordering::Relaxed);
             return provider_404(provider);
         };
         if entry.deleted.load(Ordering::Relaxed) {
-            self.stats.deleted_hits.fetch_add(1, Ordering::Relaxed);
             let status = spec(provider).deleted_status;
             return Response::json(
                 status,
@@ -614,28 +570,6 @@ impl PlatformInner {
             }
         }
 
-        // Cold/warm environment accounting on the world clock.
-        let now = self.net_clock.now_us() / 1_000;
-        let cold = {
-            let mut envs = entry.envs.lock();
-            envs.retain(|last| now.saturating_sub(*last) <= WARM_KEEPALIVE_MS);
-            match envs.iter_mut().min_by_key(|l| **l) {
-                Some(slot) => {
-                    *slot = now;
-                    false
-                }
-                None => {
-                    envs.push(now);
-                    true
-                }
-            }
-        };
-        self.stats.invocations.fetch_add(1, Ordering::Relaxed);
-        if cold {
-            self.stats.cold_starts.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.stats.warm_starts.fetch_add(1, Ordering::Relaxed);
-        }
         let inv_no = entry.invocations.fetch_add(1, Ordering::Relaxed);
 
         // Egress IP allocation: rotate through the provider-region pool.
@@ -654,10 +588,6 @@ impl PlatformInner {
             egress_ip,
             fqdn: entry.fqdn.to_string(),
         };
-        let exec_ms = entry.exec_ms + if cold { COLD_START_MS } else { 0 };
-        self.billing
-            .lock()
-            .record(&entry.fqdn, entry.memory_mb, exec_ms);
 
         match entry.behavior.respond(req, &mut ctx) {
             Outcome::Respond(resp) => resp,
@@ -961,36 +891,6 @@ mod tests {
             .unwrap();
         let resp = fetch(&net, &resolver, &d.fqdn, false);
         assert_eq!(resp.status, 200);
-    }
-
-    #[test]
-    fn cold_then_warm_starts() {
-        let (platform, net, resolver) = make_platform();
-        let d = platform
-            .deploy(DeploySpec::new(ProviderId::Aws, Behavior::EmptyOk))
-            .unwrap();
-        fetch(&net, &resolver, &d.fqdn, true);
-        fetch(&net, &resolver, &d.fqdn, true);
-        assert_eq!(platform.stats().cold_starts.load(Ordering::Relaxed), 1);
-        assert_eq!(platform.stats().warm_starts.load(Ordering::Relaxed), 1);
-        // Long idle on the world clock → environment expires → cold again.
-        net.clock().sleep(Duration::from_secs(2_000));
-        fetch(&net, &resolver, &d.fqdn, true);
-        assert_eq!(platform.stats().cold_starts.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn billing_meters_invocations() {
-        let (platform, net, resolver) = make_platform();
-        let d = platform
-            .deploy(DeploySpec::new(ProviderId::Aws, Behavior::EmptyOk))
-            .unwrap();
-        for _ in 0..3 {
-            fetch(&net, &resolver, &d.fqdn, true);
-        }
-        let usage = platform.with_billing(|b| b.usage(&d.fqdn));
-        assert_eq!(usage.invocations, 3);
-        assert!(usage.gb_seconds > 0.0);
     }
 
     #[test]

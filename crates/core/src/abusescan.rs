@@ -27,7 +27,7 @@ use fw_http::types::Response;
 use fw_net::SimNet;
 use fw_probe::c2probe::C2Scanner;
 use fw_probe::prober::{ProbeOutcome, ProbeRecord};
-use fw_types::{Fqdn, MEASUREMENT_END, MEASUREMENT_START};
+use fw_types::{window_month_index, Fqdn};
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -336,14 +336,14 @@ pub fn abuse_scan<B: PdnsBackend + ?Sized>(
         if !resale_fqdns.contains(fqdn) {
             return;
         }
-        if let Some(idx) = month_index_of(pdate) {
+        if let Some(idx) = window_month_index(pdate) {
             openai_monthly_requests[idx] += cnt;
         }
     });
     let mut openai_monthly_new = vec![0u64; 24];
     for f in &identification.functions {
         if resale_fqdns.contains(&f.fqdn) {
-            if let Some(idx) = month_index_of(f.agg.first_seen_all) {
+            if let Some(idx) = window_month_index(f.agg.first_seen_all) {
                 openai_monthly_new[idx] += 1;
             }
         }
@@ -432,16 +432,6 @@ fn metric_suffix(label: &str) -> String {
             }
         })
         .collect()
-}
-
-fn month_index_of(day: fw_types::DayStamp) -> Option<usize> {
-    let start = MEASUREMENT_START.month();
-    let m = day.month();
-    if day < MEASUREMENT_START || day > MEASUREMENT_END {
-        return None;
-    }
-    let idx = (m.year - start.year) * 12 + (m.month as i32 - start.month as i32);
-    (0..24).contains(&idx).then_some(idx as usize)
 }
 
 #[cfg(test)]

@@ -13,7 +13,8 @@ use fw_analysis::stats;
 use fw_dns::pdns::PdnsBackend;
 use fw_types::fnv::FnvBuildHasher;
 use fw_types::{
-    DayStamp, MonthStamp, ProviderId, Rdata, RecordType, MEASUREMENT_END, MEASUREMENT_START,
+    window_month_index, window_months, DayStamp, MonthStamp, ProviderId, Rdata, RecordType,
+    MEASUREMENT_END, MEASUREMENT_START,
 };
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -90,24 +91,6 @@ impl MonthlySeries {
     }
 }
 
-fn month_index_of(day: fw_types::DayStamp) -> Option<usize> {
-    let start = MEASUREMENT_START.month();
-    let m = day.month();
-    let idx = (m.year - start.year) * 12 + (m.month as i32 - start.month as i32);
-    if idx < 0 {
-        return None;
-    }
-    let idx = idx as usize;
-    (idx < 24).then_some(idx)
-}
-
-fn window_months() -> Vec<MonthStamp> {
-    MEASUREMENT_START
-        .month()
-        .range_inclusive(MEASUREMENT_END.month())
-        .collect()
-}
-
 /// Incremental usage accumulator (DESIGN.md §14): per-provider monthly
 /// request sums (Figure 4) and per-provider/rtype rdata distributions
 /// (Table 2), folded in one row at a time.
@@ -172,7 +155,7 @@ impl UsageState {
         cnt: u64,
     ) {
         if self.track_monthly {
-            if let Some(idx) = month_index_of(day) {
+            if let Some(idx) = window_month_index(day) {
                 self.monthly
                     .entry(provider)
                     .or_insert_with(|| vec![0; self.n_months])[idx] += cnt;
@@ -318,7 +301,7 @@ pub fn monthly_new_fqdns(report: &IdentificationReport) -> MonthlySeries {
     let months = window_months();
     let mut per_provider: HashMap<ProviderId, Vec<u64>> = HashMap::new();
     for f in &report.functions {
-        if let Some(idx) = month_index_of(f.agg.first_seen_all) {
+        if let Some(idx) = window_month_index(f.agg.first_seen_all) {
             per_provider
                 .entry(f.provider)
                 .or_insert_with(|| vec![0; months.len()])[idx] += 1;

@@ -81,7 +81,6 @@ pub struct ResolverStats {
     pub queries: u64,
     pub cache_hits: u64,
     pub nxdomain: u64,
-    pub servfail: u64,
 }
 
 /// Internal atomic counters, snapshot as [`ResolverStats`].
@@ -90,7 +89,6 @@ struct AtomicStats {
     queries: AtomicU64,
     cache_hits: AtomicU64,
     nxdomain: AtomicU64,
-    servfail: AtomicU64,
 }
 
 /// Number of cache shards. Keys are spread by an FNV-1a hash, so 16
@@ -183,7 +181,6 @@ impl Resolver {
             queries: self.stats.queries.load(Ordering::Relaxed),
             cache_hits: self.stats.cache_hits.load(Ordering::Relaxed),
             nxdomain: self.stats.nxdomain.load(Ordering::Relaxed),
-            servfail: self.stats.servfail.load(Ordering::Relaxed),
         }
     }
 

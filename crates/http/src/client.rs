@@ -21,13 +21,15 @@ use std::net::SocketAddr;
 use std::sync::Mutex;
 use std::time::Duration;
 
+/// `User-Agent` of every probe: it names the research probe (§3.3).
+const USER_AGENT: &str = "faaswild-probe/0.1 (research; opt-out: see probe host)";
+
 /// Client configuration. The 60-second default timeout follows the paper
 /// (§3.3, "a uniform timeout of 60 seconds was applied").
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     pub read_timeout: Duration,
     pub limits: Limits,
-    pub user_agent: String,
 }
 
 impl Default for ClientConfig {
@@ -35,7 +37,6 @@ impl Default for ClientConfig {
         ClientConfig {
             read_timeout: Duration::from_secs(60),
             limits: Limits::default(),
-            user_agent: "faaswild-probe/0.1 (research; opt-out: see probe host)".to_string(),
         }
     }
 }
@@ -367,8 +368,7 @@ impl<D: Dialer> HttpClient<D> {
     /// probe shape: `User-Agent` identifies the research probe.
     pub fn get_url(&self, addr: SocketAddr, url: &Url) -> Result<Response, FetchError> {
         let mut req = Request::get(&url.target(), &url.host);
-        req.headers
-            .insert("User-Agent", self.config.user_agent.clone());
+        req.headers.insert("User-Agent", USER_AGENT);
         req.headers.insert("Accept", "*/*");
         req.headers.insert("Connection", "close");
         self.send(

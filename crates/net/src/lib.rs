@@ -34,6 +34,6 @@ pub mod vclock;
 
 pub use conn::{pipe_pair, Connection, PipeConn};
 pub use fault::FaultConfig;
-pub use sim::{NetStats, SimNet};
+pub use sim::SimNet;
 pub use tls::{TlsClient, TlsError, TlsServer};
 pub use vclock::{Clock, ClockSource, VClock};

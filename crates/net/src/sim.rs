@@ -6,9 +6,10 @@
 //! end of the duplex pipe, exactly as a blocking accept-loop server
 //! would: a spare reused across connections (`Spares`) for a handler
 //! listener, or one of its pre-spawned workers for a pooled listener
-//! ([`SimNet::listen_pool`]). All connections pass through the fault layer
-//! ([`FaultConfig`]), and global counters ([`NetStats`]) make fault
-//! behaviour observable.
+//! ([`SimNet::listen_pool`]). All connections pass through the fault layer,
+//! whose plan ([`FaultConfig`]) is fixed when the world is built
+//! ([`SimNet::with_faults`]); the `fw.net.*` counters of fw-obs make
+//! fault behaviour observable.
 
 use crate::conn::{pipe_pair_with_clock, Connection, PipeConn};
 use crate::fault::{chunk_fate, ChunkFate, FaultConfig};
@@ -272,20 +273,10 @@ impl Spares {
     }
 }
 
-/// Global network counters.
-#[derive(Debug, Default)]
-pub struct NetStats {
-    pub connections: AtomicU64,
-    pub refused: AtomicU64,
-    pub resets_injected: AtomicU64,
-    pub bytes_sent: AtomicU64,
-    pub chunks_dropped: AtomicU64,
-    pub chunks_corrupted: AtomicU64,
-}
-
 struct Inner {
     listeners: RwLock<HashMap<SocketAddr, Listener>>,
-    faults: RwLock<FaultConfig>,
+    /// The world's fault plan, fixed at construction.
+    faults: FaultConfig,
     /// The world's virtual clock: timeouts and injected delays are
     /// discrete events, not real sleeps.
     clock: Clock,
@@ -295,7 +286,6 @@ struct Inner {
     /// `(seed, flow, ordinal)` so outcomes do not depend on how
     /// concurrent flows interleave (see [`SimNet::connect_for`]).
     flow_seq: Mutex<HashMap<u64, u64>>,
-    stats: NetStats,
     next_client_port: AtomicU64,
 }
 
@@ -337,15 +327,22 @@ impl SimNet {
     /// Create a healthy network with a seeded fault RNG, running on
     /// deterministic virtual time (see [`crate::vclock`]).
     pub fn new(seed: u64) -> SimNet {
+        SimNet::with_faults(seed, FaultConfig::default())
+    }
+
+    /// Create a network whose every connection passes through the fault
+    /// plan `faults`, fixed for the world's life. Panics if a
+    /// probability lies outside `[0, 1]`.
+    pub fn with_faults(seed: u64, faults: FaultConfig) -> SimNet {
+        faults.validate().expect("invalid fault config");
         SimNet {
             inner: Arc::new(Inner {
                 listeners: RwLock::new(HashMap::new()),
-                faults: RwLock::new(FaultConfig::default()),
+                faults,
                 clock: Clock::default(),
                 spares: Arc::default(),
                 seed,
                 flow_seq: Mutex::new(HashMap::new()),
-                stats: NetStats::default(),
                 next_client_port: AtomicU64::new(40_000),
             }),
         }
@@ -433,17 +430,6 @@ impl SimNet {
         }
     }
 
-    /// Replace the fault configuration.
-    pub fn set_faults(&self, config: FaultConfig) {
-        config.validate().expect("invalid fault config");
-        *self.inner.faults.write() = config;
-    }
-
-    /// Network counters.
-    pub fn stats(&self) -> &NetStats {
-        &self.inner.stats
-    }
-
     /// Open a connection to `addr`. A handler listener runs its handler
     /// on a spare thread with the server end; a pooled listener queues
     /// the server end for one of its workers. Fault draws are keyed by
@@ -500,10 +486,9 @@ impl SimNet {
         conn_seed: u64,
         steer: u64,
     ) -> io::Result<Box<dyn Connection>> {
-        let faults = *self.inner.faults.read();
+        let faults = &self.inner.faults;
         let mut rng = SmallRng::seed_from_u64(conn_seed);
         if faults.refuse_chance > 0.0 && rng.gen_bool(faults.refuse_chance) {
-            self.inner.stats.refused.fetch_add(1, Ordering::Relaxed);
             fw_obs::counter_inc!("fw.net.refused");
             return Err(io::Error::new(
                 io::ErrorKind::ConnectionRefused,
@@ -513,7 +498,6 @@ impl SimNet {
         let listener = match self.inner.listeners.read().get(&addr) {
             Some(l) => l.clone(),
             None => {
-                self.inner.stats.refused.fetch_add(1, Ordering::Relaxed);
                 fw_obs::counter_inc!("fw.net.refused");
                 return Err(io::Error::new(
                     io::ErrorKind::ConnectionRefused,
@@ -541,14 +525,9 @@ impl SimNet {
         // Injected hard reset right after establishment.
         if faults.reset_chance > 0.0 && rng.gen_bool(faults.reset_chance) {
             client_end.inject_reset();
-            self.inner
-                .stats
-                .resets_injected
-                .fetch_add(1, Ordering::Relaxed);
             fw_obs::counter_inc!("fw.net.resets_injected");
         }
 
-        self.inner.stats.connections.fetch_add(1, Ordering::Relaxed);
         fw_obs::counter_inc!("fw.net.connections");
         // Each end draws chunk fates from its own stream of the
         // connection seed, so server-thread scheduling cannot reorder
@@ -606,13 +585,9 @@ impl std::fmt::Debug for FaultedConn {
 
 impl Connection for FaultedConn {
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
-        let faults = *self.net.faults.read();
-        self.net
-            .stats
-            .bytes_sent
-            .fetch_add(buf.len() as u64, Ordering::Relaxed);
+        let faults = &self.net.faults;
         fw_obs::counter_add!("fw.net.bytes_sent", buf.len() as u64);
-        let fate = chunk_fate(&faults, buf.len(), &mut self.rng);
+        let fate = chunk_fate(faults, buf.len(), &mut self.rng);
         if faults.delay_us > 0 {
             // Injected latency is a scheduled event on this world's
             // virtual clock. A leased endpoint's sleep counts against
@@ -626,18 +601,10 @@ impl Connection for FaultedConn {
         match fate {
             ChunkFate::Deliver => self.inner.write_all(buf),
             ChunkFate::Drop => {
-                self.net
-                    .stats
-                    .chunks_dropped
-                    .fetch_add(1, Ordering::Relaxed);
                 fw_obs::counter_inc!("fw.net.chunks_dropped");
                 Ok(()) // silently vanishes: the peer will time out
             }
             ChunkFate::Corrupt(off) => {
-                self.net
-                    .stats
-                    .chunks_corrupted
-                    .fetch_add(1, Ordering::Relaxed);
                 fw_obs::counter_inc!("fw.net.chunks_corrupted");
                 let mut copy = buf.to_vec();
                 copy[off] ^= 0x20;
@@ -705,7 +672,6 @@ mod tests {
         let net = SimNet::new(1);
         let err = net.connect(addr(9, 80)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
-        assert_eq!(net.stats().refused.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -719,12 +685,14 @@ mod tests {
 
     #[test]
     fn injected_refusals_respect_probability() {
-        let net = SimNet::new(42);
+        let net = SimNet::with_faults(
+            42,
+            FaultConfig {
+                refuse_chance: 1.0,
+                ..FaultConfig::default()
+            },
+        );
         net.listen(addr(1, 80), echo_handler());
-        net.set_faults(FaultConfig {
-            refuse_chance: 1.0,
-            ..FaultConfig::default()
-        });
         for _ in 0..10 {
             assert!(net.connect(addr(1, 80)).is_err());
         }
@@ -732,12 +700,14 @@ mod tests {
 
     #[test]
     fn injected_reset_surfaces_as_connection_reset() {
-        let net = SimNet::new(7);
+        let net = SimNet::with_faults(
+            7,
+            FaultConfig {
+                reset_chance: 1.0,
+                ..FaultConfig::default()
+            },
+        );
         net.listen(addr(1, 80), echo_handler());
-        net.set_faults(FaultConfig {
-            reset_chance: 1.0,
-            ..FaultConfig::default()
-        });
         let mut conn = net.connect(addr(1, 80)).unwrap();
         conn.set_read_timeout(Some(Duration::from_millis(200)))
             .unwrap();
@@ -751,12 +721,14 @@ mod tests {
 
     #[test]
     fn dropped_chunks_cause_peer_timeout() {
-        let net = SimNet::new(5);
+        let net = SimNet::with_faults(
+            5,
+            FaultConfig {
+                drop_chance: 1.0,
+                ..FaultConfig::default()
+            },
+        );
         net.listen(addr(1, 80), echo_handler());
-        net.set_faults(FaultConfig {
-            drop_chance: 1.0,
-            ..FaultConfig::default()
-        });
         let mut conn = net.connect(addr(1, 80)).unwrap();
         conn.write_all(b"lost").unwrap(); // vanishes
         conn.set_read_timeout(Some(Duration::from_millis(50)))
@@ -766,28 +738,36 @@ mod tests {
             conn.read(&mut buf).unwrap_err().kind(),
             io::ErrorKind::TimedOut
         );
-        assert!(net.stats().chunks_dropped.load(Ordering::Relaxed) >= 1);
     }
 
     #[test]
     fn corruption_flips_exactly_one_byte() {
-        let net = SimNet::new(9);
-        net.listen(addr(1, 80), echo_handler());
-        net.set_faults(FaultConfig {
-            corrupt_chance: 1.0,
-            ..FaultConfig::default()
+        let net = SimNet::with_faults(
+            9,
+            FaultConfig {
+                corrupt_chance: 1.0,
+                ..FaultConfig::default()
+            },
+        );
+        // Both directions pass the fault layer, so the handler reports
+        // how many bytes of the request it read differ from `aaaa`, then
+        // answers with fresh bytes.
+        let (report, diffs) = std::sync::mpsc::channel();
+        net.listen_fn(addr(1, 80), move |mut conn| {
+            let mut req = [0u8; 4];
+            if conn.read_exact(&mut req).is_ok() {
+                let _ = report.send(req.iter().filter(|b| **b != b'a').count());
+                let _ = conn.write_all(b"bbbb");
+            }
         });
         let mut conn = net.connect(addr(1, 80)).unwrap();
         conn.write_all(b"aaaa").unwrap();
         conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-        let mut buf = [0u8; 4];
-        conn.read_exact(&mut buf).unwrap();
-        // The echo server ALSO corrupts its reply (both directions pass the
-        // fault layer), so 0, 1 or 2 bytes differ (two flips at the same
-        // offset cancel out). The counters prove both flips happened.
-        let diff = buf.iter().filter(|b| **b != b'a').count();
-        assert!(diff <= 2, "diff = {diff}, buf = {buf:?}");
-        assert!(net.stats().chunks_corrupted.load(Ordering::Relaxed) >= 2);
+        let mut reply = [0u8; 4];
+        conn.read_exact(&mut reply).unwrap();
+        assert_eq!(diffs.recv().unwrap(), 1, "request: one byte flipped");
+        let flipped = reply.iter().filter(|b| **b != b'b').count();
+        assert_eq!(flipped, 1, "reply: one byte flipped, got {reply:?}");
     }
 
     #[test]
@@ -810,7 +790,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(net.stats().connections.load(Ordering::Relaxed), 32);
     }
 
     #[test]

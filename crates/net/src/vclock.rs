@@ -44,6 +44,7 @@
 //!   released waiter is actually parked on it; a waiter marked before
 //!   it parks sees its new state under the mutex and never waits.
 
+use fw_types::fnv;
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -115,9 +116,12 @@ struct VState {
     /// Waiters currently in `Blocked`.
     blocked: usize,
     waiters: HashMap<u64, Waiter>,
-    /// `(new now, waiters fired)` per advance — the deterministic event
-    /// trace the proptests compare across runs.
-    trace: Vec<(u64, u32)>,
+    /// Advances since creation.
+    advances: u64,
+    /// FNV-1a over each advance's `(new now: u64, waiters fired: u32)`,
+    /// little-endian: the deterministic event record the proptests
+    /// compare across runs.
+    advance_fnv: u64,
 }
 
 thread_local! {
@@ -159,7 +163,10 @@ pub struct VClock {
 impl Default for VClock {
     fn default() -> VClock {
         VClock {
-            state: Mutex::default(),
+            state: Mutex::new(VState {
+                advance_fnv: fnv::OFFSET,
+                ..VState::default()
+            }),
             lanes: std::array::from_fn(|_| Condvar::new()),
         }
     }
@@ -205,10 +212,12 @@ impl VClock {
         }
     }
 
-    /// The deterministic advance trace: `(virtual now, timers fired)`
-    /// per advance since creation.
-    pub fn advance_trace(&self) -> Vec<(u64, u32)> {
-        self.state.lock().trace.clone()
+    /// The deterministic advance record since creation: the number of
+    /// advances and the FNV-1a digest of their `(virtual now, timers
+    /// fired)` pairs.
+    pub fn advance_digest(&self) -> (u64, u64) {
+        let st = self.state.lock();
+        (st.advances, st.advance_fnv)
     }
 
     /// Phase 1 of a condition wait: register the waiter while still
@@ -384,7 +393,11 @@ impl VClock {
                 lanes.release(w);
             }
         }
-        st.trace.push((min_dl, fired));
+        st.advances += 1;
+        st.advance_fnv = fnv::update(
+            fnv::update(st.advance_fnv, &min_dl.to_le_bytes()),
+            &fired.to_le_bytes(),
+        );
         lanes
     }
 
@@ -611,6 +624,11 @@ mod tests {
         let clock = VClock::new();
         clock.sleep(Duration::from_millis(5));
         clock.sleep(Duration::from_millis(7));
-        assert_eq!(clock.advance_trace(), vec![(5_000, 1), (12_000, 1)]);
+        let mut bytes = Vec::new();
+        for (now, fired) in [(5_000u64, 1u32), (12_000, 1)] {
+            bytes.extend_from_slice(&now.to_le_bytes());
+            bytes.extend_from_slice(&fired.to_le_bytes());
+        }
+        assert_eq!(clock.advance_digest(), (2, fnv::fnv1a(&bytes)));
     }
 }

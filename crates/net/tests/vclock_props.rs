@@ -1,10 +1,10 @@
 //! Determinism properties of the virtual clock (DESIGN.md §10).
 //!
-//! The ISSUE-3 acceptance properties: for *any* generated workload of
-//! concurrent sleep chains, (a) two runs produce the identical advance
-//! trace — virtual time is a pure function of the workload, not of
-//! host scheduling — and (b) total virtual elapsed time equals the
-//! longest chain (parallel waits overlap, they don't serialize).
+//! For *any* generated workload of concurrent sleep chains, (a) two
+//! runs produce the identical advance record (count and digest) —
+//! virtual time is a pure function of the workload, not of host
+//! scheduling — and (b) total virtual elapsed time equals the longest
+//! chain (parallel waits overlap, they don't serialize).
 
 use fw_net::{ClockSource as _, Connection, SimNet, VClock};
 use proptest::prelude::*;
@@ -17,9 +17,9 @@ use std::time::{Duration, Instant};
 const CLIENT_TIMEOUT_US: u64 = 300_000;
 
 /// Run one workload: chain `i` sleeps each of its durations (µs) in
-/// order on its own registered thread. Returns the advance trace and
-/// the final virtual now.
-fn run_chains(chains: &[Vec<u64>]) -> (Vec<(u64, u32)>, u64) {
+/// order on its own registered thread. Returns the advance record
+/// (count, digest) and the final virtual now.
+fn run_chains(chains: &[Vec<u64>]) -> ((u64, u64), u64) {
     let clock = VClock::new();
     // All registrations exist before any thread spawns, so no thread
     // can reach quiescence alone and race ahead.
@@ -41,7 +41,7 @@ fn run_chains(chains: &[Vec<u64>]) -> (Vec<(u64, u32)>, u64) {
     for h in handles {
         h.join().unwrap();
     }
-    (clock.advance_trace(), clock.now_us())
+    (clock.advance_digest(), clock.now_us())
 }
 
 fn chain() -> impl Strategy<Value = Vec<u64>> {
@@ -95,9 +95,9 @@ fn answer(clock: &fw_net::Clock, mut conn: Box<dyn Connection>) {
 /// Run one SimNet workload: client `i` is a registered thread that
 /// opens one connection per entry of `clients[i]`, in order, to one of
 /// two handler listeners. The request names the reply mode; the server
-/// answers accordingly. Returns the advance trace, the final virtual
-/// now and every client's outcomes.
-fn run_simnet(clients: &[Vec<Reply>]) -> (Vec<(u64, u32)>, u64, Outcomes) {
+/// answers accordingly. Returns the advance record (count, digest), the
+/// final virtual now and every client's outcomes.
+fn run_simnet(clients: &[Vec<Reply>]) -> ((u64, u64), u64, Outcomes) {
     let net = SimNet::new(99);
     let addrs =
         [80u16, 443].map(|port| SocketAddr::new(IpAddr::V4(Ipv4Addr::new(203, 0, 113, 7)), port));
@@ -153,7 +153,7 @@ fn run_simnet(clients: &[Vec<Reply>]) -> (Vec<(u64, u32)>, u64, Outcomes) {
     let outcomes = handles.into_iter().map(|h| h.join().unwrap()).collect();
     // A handler may still owe a late reply to a client that gave up.
     // Once every handler has returned no deadline is pending, so the
-    // trace and the clock are final.
+    // advance record and the clock are final.
     let connections: usize = clients.iter().map(Vec::len).sum();
     let give_up = Instant::now() + Duration::from_secs(10);
     while answered.load(Ordering::SeqCst) < connections {
@@ -161,13 +161,13 @@ fn run_simnet(clients: &[Vec<Reply>]) -> (Vec<(u64, u32)>, u64, Outcomes) {
         std::thread::yield_now();
     }
     let vclock = net.clock().vclock();
-    (vclock.advance_trace(), net.clock().now_us(), outcomes)
+    (vclock.advance_digest(), net.clock().now_us(), outcomes)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Same workload, two runs: byte-identical advance traces.
+    /// Same workload, two runs: identical advance records.
     #[test]
     fn trace_is_identical_across_runs(chains in proptest::collection::vec(chain(), 1..5)) {
         let (trace_a, now_a) = run_chains(&chains);
@@ -177,7 +177,7 @@ proptest! {
     }
 
     /// Registered clients against handler listeners that echo, reply
-    /// late or never reply: two runs give the same advance trace, the
+    /// late or never reply: two runs give the same advance record, the
     /// same final virtual time and the same per-client outcomes, and
     /// each outcome is the one its reply mode dictates.
     #[test]

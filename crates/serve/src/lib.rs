@@ -30,5 +30,5 @@ pub mod state;
 
 pub use api::{Endpoint, ServeApi};
 pub use cache::{CacheConfig, CacheStats, ShardedCache};
-pub use load::{LoadConfig, LoadPlan, LoadReport, MixWeights};
+pub use load::{LoadConfig, LoadPlan, LoadReport};
 pub use state::ServeState;

@@ -41,44 +41,10 @@ use std::time::{Duration, Instant};
 /// Host header every client sends.
 const HOST: &str = "api.faaswild.sim";
 
-/// Request mix weights (relative, not normalized).
-#[derive(Debug, Clone, Copy)]
-pub struct MixWeights {
-    pub verdict: u32,
-    pub usage: u32,
-    pub abuse: u32,
-    pub candidates: u32,
-    pub figures: u32,
-    pub status: u32,
-    /// Lookups for fqdns nobody ever observed (the 404 path).
-    pub unknown: u32,
-}
-
-impl Default for MixWeights {
-    fn default() -> Self {
-        MixWeights {
-            verdict: 50,
-            usage: 20,
-            abuse: 10,
-            candidates: 5,
-            figures: 5,
-            status: 2,
-            unknown: 8,
-        }
-    }
-}
-
-impl MixWeights {
-    fn total(&self) -> u32 {
-        self.verdict
-            + self.usage
-            + self.abuse
-            + self.candidates
-            + self.figures
-            + self.status
-            + self.unknown
-    }
-}
+/// Request mix: relative weights of verdict, usage, abuse, candidates,
+/// figures and status requests, then of lookups for fqdns nobody ever
+/// observed (the 404 path), in the order [`gen_target`] draws them.
+const MIX: [u32; 7] = [50, 20, 10, 5, 5, 2, 8];
 
 /// Harness knobs.
 #[derive(Debug, Clone)]
@@ -92,7 +58,6 @@ pub struct LoadConfig {
     pub seed: u64,
     /// Virtual window client arrivals spread over.
     pub window: Duration,
-    pub mix: MixWeights,
 }
 
 impl Default for LoadConfig {
@@ -103,7 +68,6 @@ impl Default for LoadConfig {
             workers: 8,
             seed: 42,
             window: Duration::from_secs(3600),
-            mix: MixWeights::default(),
         }
     }
 }
@@ -138,15 +102,6 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Nearest-rank percentile over the sorted latencies, in µs.
-    pub fn latency_percentile_us(&self, p: f64) -> f64 {
-        if self.latencies_us.is_empty() {
-            return f64::NAN;
-        }
-        let rank = ((p / 100.0) * self.latencies_us.len() as f64).ceil() as usize;
-        self.latencies_us[rank.clamp(1, self.latencies_us.len()) - 1] as f64
-    }
-
     /// Achieved throughput: requests over the *wall* time the run took.
     /// This is the figure that measures real server cost.
     pub fn achieved_qps_wall(&self) -> f64 {
@@ -242,7 +197,7 @@ struct WorkerAcc {
 /// of fqdns takes most traffic (cubing the uniform draw sends ~22% of
 /// lookups to the top 1%). The RNG draw sequence is identical to the
 /// historical allocating version, so seeds keep their digests.
-fn gen_target(rng: &mut SmallRng, plan: &LoadPlan, mix: &MixWeights, out: &mut String) -> usize {
+fn gen_target(rng: &mut SmallRng, plan: &LoadPlan, out: &mut String) -> usize {
     out.clear();
     let pick_fqdn = |rng: &mut SmallRng| -> &str {
         let n = plan.function_fqdns.len();
@@ -252,45 +207,49 @@ fn gen_target(rng: &mut SmallRng, plan: &LoadPlan, mix: &MixWeights, out: &mut S
         let r = rng.gen::<f64>();
         &plan.function_fqdns[((r * r * r) * n as f64) as usize % n]
     };
-    let mut w = rng.gen_range(0..mix.total());
-    if w < mix.verdict {
-        let _ = write!(out, "/v1/verdict/{}", pick_fqdn(rng));
-        return 1;
+    let mut w = rng.gen_range(0..MIX.iter().sum::<u32>());
+    let mut slot = 0;
+    while w >= MIX[slot] {
+        w -= MIX[slot];
+        slot += 1;
     }
-    w -= mix.verdict;
-    if w < mix.usage {
-        let _ = write!(out, "/v1/usage/{}", pick_fqdn(rng));
-        return 2;
+    match slot {
+        0 => {
+            let _ = write!(out, "/v1/verdict/{}", pick_fqdn(rng));
+            1
+        }
+        1 => {
+            let _ = write!(out, "/v1/usage/{}", pick_fqdn(rng));
+            2
+        }
+        2 => {
+            let _ = write!(out, "/v1/abuse/{}", pick_fqdn(rng));
+            3
+        }
+        3 => {
+            let offset = rng.gen_range(0u32..8) * 20;
+            let _ = write!(out, "/v1/candidates?offset={offset}&limit=20");
+            4
+        }
+        4 => {
+            let name = ["monthly_new", "monthly_requests", "ingress", "invocation"]
+                [rng.gen_range(0usize..4)];
+            let _ = write!(out, "/v1/figures/{name}");
+            5
+        }
+        5 => {
+            out.push_str("/v1/status");
+            0
+        }
+        _ => {
+            let _ = write!(
+                out,
+                "/v1/verdict/miss-{}.not-observed.example",
+                rng.gen_range(0u32..10_000)
+            );
+            6
+        }
     }
-    w -= mix.usage;
-    if w < mix.abuse {
-        let _ = write!(out, "/v1/abuse/{}", pick_fqdn(rng));
-        return 3;
-    }
-    w -= mix.abuse;
-    if w < mix.candidates {
-        let offset = rng.gen_range(0u32..8) * 20;
-        let _ = write!(out, "/v1/candidates?offset={offset}&limit=20");
-        return 4;
-    }
-    w -= mix.candidates;
-    if w < mix.figures {
-        let name =
-            ["monthly_new", "monthly_requests", "ingress", "invocation"][rng.gen_range(0usize..4)];
-        let _ = write!(out, "/v1/figures/{name}");
-        return 5;
-    }
-    w -= mix.figures;
-    if w < mix.status {
-        out.push_str("/v1/status");
-        return 0;
-    }
-    let _ = write!(
-        out,
-        "/v1/verdict/miss-{}.not-observed.example",
-        rng.gen_range(0u32..10_000)
-    );
-    6
 }
 
 /// Per-worker reusable buffers: one response-parse scratch, one target
@@ -342,7 +301,7 @@ fn run_client(
     let limits = Limits::default();
     let burst = rng.gen_range(1..=config.max_requests_per_client.max(1));
     for _ in 0..burst {
-        let ep = gen_target(&mut rng, plan, &config.mix, &mut scratch.target);
+        let ep = gen_target(&mut rng, plan, &mut scratch.target);
         // The rendered request is byte-identical to
         // `write_request(&Request::get(target, HOST))`.
         scratch.wire.clear();

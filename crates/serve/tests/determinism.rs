@@ -27,7 +27,6 @@ fn run(workers: usize) -> fw_serve::LoadReport {
         workers,
         seed: SEED,
         window: Duration::from_secs(600),
-        ..LoadConfig::default()
     };
     fw_serve::load::run_load(&net, addr, &config, &plan)
 }

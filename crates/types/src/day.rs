@@ -28,6 +28,24 @@ pub const MEASUREMENT_START: DayStamp = DayStamp(19083); // 2022-04-01
 /// Last day of the paper's measurement window (March 2024).
 pub const MEASUREMENT_END: DayStamp = DayStamp(19813); // 2024-03-31
 
+/// Index of `day`'s month in the measurement window (April 2022 is 0,
+/// March 2024 is 23), or `None` outside the window.
+pub fn window_month_index(day: DayStamp) -> Option<usize> {
+    if day < MEASUREMENT_START || day > MEASUREMENT_END {
+        return None;
+    }
+    let (start, m) = (MEASUREMENT_START.month(), day.month());
+    Some(((m.year - start.year) * 12 + m.month as i32 - start.month as i32) as usize)
+}
+
+/// The 24 months of the measurement window, in order.
+pub fn window_months() -> Vec<MonthStamp> {
+    MEASUREMENT_START
+        .month()
+        .range_inclusive(MEASUREMENT_END.month())
+        .collect()
+}
+
 impl DayStamp {
     /// Build a stamp from a civil date. Panics on out-of-range months/days
     /// (callers construct dates from literals or validated input).
@@ -219,13 +237,18 @@ mod tests {
 
     #[test]
     fn month_range_covers_measurement_window() {
-        let months: Vec<_> = MEASUREMENT_START
-            .month()
-            .range_inclusive(MEASUREMENT_END.month())
-            .collect();
+        let months = window_months();
         assert_eq!(months.len(), 24);
         assert_eq!(months[0], MonthStamp::new(2022, 4));
         assert_eq!(months[23], MonthStamp::new(2024, 3));
+        // Every window day indexes its own month; the days either side
+        // of the window index none.
+        for off in 0..=(MEASUREMENT_END - MEASUREMENT_START) {
+            let d = MEASUREMENT_START + off;
+            assert_eq!(months[window_month_index(d).unwrap()], d.month());
+        }
+        assert_eq!(window_month_index(MEASUREMENT_START - 1), None);
+        assert_eq!(window_month_index(MEASUREMENT_END + 1), None);
     }
 
     #[test]

@@ -18,7 +18,9 @@ pub mod memmem;
 pub mod provider;
 pub mod record;
 
-pub use day::{DayStamp, MonthStamp, MEASUREMENT_END, MEASUREMENT_START};
+pub use day::{
+    window_month_index, window_months, DayStamp, MonthStamp, MEASUREMENT_END, MEASUREMENT_START,
+};
 pub use domain::Fqdn;
 pub use error::FwError;
 pub use json::Json;

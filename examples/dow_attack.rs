@@ -1,24 +1,29 @@
 //! Denial-of-Wallet: Finding 5 warns that unauthenticated function URLs
 //! let anyone drive up the owner's bill. This example deploys an open
 //! function and an IAM-protected one, floods both through the real HTTP
-//! path, and prices the result with the §2.3 billing model.
+//! path, and prices the 200s it counted with the §2.3 price model.
 //!
 //! ```sh
 //! cargo run --release --example dow_attack
 //! ```
 
 use faaswild::cloud::behavior::Behavior;
-use faaswild::cloud::billing::PriceModel;
+use faaswild::cloud::billing::{PriceModel, UsageMeter};
 use faaswild::cloud::platform::{CloudPlatform, DeploySpec, PlatformConfig};
 use faaswild::dns::resolver::Resolver;
 use faaswild::http::client::{ClientConfig, HttpClient, SimDialer};
 use faaswild::http::url::Url;
-use faaswild::net::{ClockSource as _, SimNet};
+use faaswild::net::SimNet;
 use faaswild::types::{ProviderId, Rdata, RecordType};
 use parking_lot::RwLock;
 use std::net::{IpAddr, SocketAddr};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Memory size of the open function: a beefy one.
+const MEMORY_MB: u32 = 1024;
+/// Billed execution time of one invocation.
+const EXEC_MS: u64 = 800;
 
 fn main() {
     let net = SimNet::new(1337);
@@ -26,27 +31,16 @@ fn main() {
     let platform = CloudPlatform::new(net.clone(), resolver.clone(), PlatformConfig::default());
 
     // A beefy, open function (the risky default §6 criticizes)...
-    let mut open_spec = DeploySpec::new(
+    let open_spec = DeploySpec::new(
         ProviderId::Aws,
         Behavior::JsonApi {
             service: "image-renderer".into(),
         },
     );
-    open_spec.memory_mb = Some(1024);
-    open_spec.exec_ms = Some(800);
-    let open = platform.deploy(open_spec).unwrap();
+    let open = platform.deploy(open_spec.clone()).unwrap();
 
     // ...and its IAM-protected twin.
-    let mut locked_spec = DeploySpec::new(
-        ProviderId::Aws,
-        Behavior::JsonApi {
-            service: "image-renderer".into(),
-        },
-    )
-    .with_auth();
-    locked_spec.memory_mb = Some(1024);
-    locked_spec.exec_ms = Some(800);
-    let locked = platform.deploy(locked_spec).unwrap();
+    let locked = platform.deploy(open_spec.with_auth()).unwrap();
 
     println!("open function:      https://{}/", open.fqdn);
     println!("protected function: https://{}/", locked.fqdn);
@@ -83,8 +77,6 @@ fn main() {
                 401 => locked_401 += 1,
                 other => panic!("unexpected status {other}"),
             }
-            // Keep the environment warm to simulate a steady flood.
-            net.clock().sleep(Duration::from_millis(50));
         }
     }
     println!("  open function served {open_200} × 200 (all billed!)");
@@ -92,7 +84,10 @@ fn main() {
 
     // Price what just happened, then extrapolate the §2.3 numbers.
     let model = PriceModel::for_provider(ProviderId::Aws);
-    let open_usage = platform.with_billing(|b| b.usage(&open.fqdn));
+    let open_usage = UsageMeter {
+        invocations: open_200,
+        gb_seconds: open_200 as f64 * (f64::from(MEMORY_MB) / 1024.0) * (EXEC_MS as f64 / 1000.0),
+    };
     println!(
         "\nmetered usage on the open function: {} invocations, {:.1} GB-s",
         open_usage.invocations, open_usage.gb_seconds
@@ -105,7 +100,7 @@ fn main() {
 
     println!("\nextrapolation (paper §2.3 price model, AWS published rates):");
     for (rps, hours) in [(10.0, 24.0), (100.0, 24.0), (1000.0, 24.0 * 7.0)] {
-        let bill = model.dow_cost(rps, hours * 3600.0, 1024, 800);
+        let bill = model.dow_cost(rps, hours * 3600.0, MEMORY_MB, EXEC_MS);
         println!(
             "  {rps:>6.0} req/s for {hours:>4.0} h → {:>12} invocations, bill ${:>10.2}",
             bill.invocations, bill.total_usd
@@ -115,13 +110,5 @@ fn main() {
         "\nDenial of Wallet: the victim pays for every request an attacker sends; \
          IAM on the URL (the default the paper urges in §6) turns the same flood \
          into unbilled 401s."
-    );
-
-    // Cold/warm accounting, §2.3's execution model.
-    let stats = platform.stats();
-    println!(
-        "\ncold starts {} / warm starts {} (cold adds init latency and billable time)",
-        stats.cold_starts.load(std::sync::atomic::Ordering::Relaxed),
-        stats.warm_starts.load(std::sync::atomic::Ordering::Relaxed)
     );
 }

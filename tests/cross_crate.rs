@@ -8,7 +8,7 @@ use faaswild::dns::resolver::Resolver;
 use faaswild::dns::zone::Zone;
 use faaswild::http::client::{ClientConfig, HttpClient, SimDialer};
 use faaswild::http::url::Url;
-use faaswild::net::{ClockSource as _, FaultConfig, SimNet};
+use faaswild::net::{FaultConfig, SimNet};
 use faaswild::probe::prober::{ProbeConfig, Prober};
 use faaswild::types::{Fqdn, ProviderId, Rdata, RecordType};
 use parking_lot::RwLock;
@@ -17,7 +17,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn world() -> (CloudPlatform, SimNet, Arc<RwLock<Resolver>>, SharedPdns) {
-    let net = SimNet::new(3);
+    world_with(FaultConfig::default())
+}
+
+/// A world whose network runs the fault plan `faults`.
+fn world_with(faults: FaultConfig) -> (CloudPlatform, SimNet, Arc<RwLock<Resolver>>, SharedPdns) {
+    let net = SimNet::with_faults(3, faults);
     let resolver = Arc::new(RwLock::new(Resolver::new()));
     let pdns = SharedPdns::new();
     resolver.write().set_sensor(Arc::new(pdns.clone()));
@@ -105,7 +110,15 @@ fn custom_domains_identify_alike_whatever_their_backend() {
 /// ethics budget holds.
 #[test]
 fn prober_survives_adverse_network() {
-    let (platform, net, resolver, _pdns) = world();
+    // Deploying opens no connection, so the faults may rule from the
+    // start.
+    let (platform, net, resolver, _pdns) = world_with(FaultConfig {
+        drop_chance: 0.3,
+        corrupt_chance: 0.2,
+        reset_chance: 0.1,
+        refuse_chance: 0.1,
+        delay_us: 10,
+    });
     let mut domains = Vec::new();
     for i in 0..12 {
         let d = platform
@@ -118,13 +131,6 @@ fn prober_survives_adverse_network() {
             .unwrap();
         domains.push(d.fqdn);
     }
-    net.set_faults(FaultConfig {
-        drop_chance: 0.3,
-        corrupt_chance: 0.2,
-        reset_chance: 0.1,
-        refuse_chance: 0.1,
-        delay_us: 10,
-    });
     let prober = Prober::new(
         net,
         resolver,
@@ -142,58 +148,6 @@ fn prober_survives_adverse_network() {
     // With 30% chunk drops some probes fail; the run itself is total.
     let reachable = records.iter().filter(|r| r.outcome.is_reachable()).count();
     assert!(reachable <= 12);
-}
-
-/// Billing and cold starts metered through the real HTTP path, including
-/// the keep-alive idle-expiry boundary.
-#[test]
-fn billing_and_cold_starts_through_http() {
-    let (platform, net, resolver, _pdns) = world();
-    let mut spec = DeploySpec::new(
-        ProviderId::Tencent,
-        Behavior::JsonApi {
-            service: "billed".into(),
-        },
-    );
-    spec.memory_mb = Some(512);
-    spec.exec_ms = Some(2_000); // 1 GB-s per warm invocation
-    let d = platform.deploy(spec).unwrap();
-
-    let ip = {
-        let res = resolver.read().resolve(&d.fqdn, RecordType::A, 0).unwrap();
-        match res.addresses()[0] {
-            Rdata::V4(ip) => ip,
-            _ => unreachable!(),
-        }
-    };
-    let client = HttpClient::new(SimDialer::new(net.clone()), ClientConfig::default());
-    let url = Url::for_domain(d.fqdn.as_str(), true);
-    for i in 0..4 {
-        let resp = client
-            .get_url(SocketAddr::new(IpAddr::V4(ip), 443), &url)
-            .unwrap();
-        assert_eq!(resp.status, 200);
-        if i == 1 {
-            // Expire the warm environment.
-            net.clock().sleep(Duration::from_secs(10_000));
-        } else {
-            net.clock().sleep(Duration::from_secs(1));
-        }
-    }
-    let usage = platform.with_billing(|b| b.usage(&d.fqdn));
-    assert_eq!(usage.invocations, 4);
-    // Two cold starts (first invocation + after expiry) add cold-start
-    // execution time on top of 4 × 1 GB-s.
-    assert!(usage.gb_seconds > 4.0, "gb_seconds = {}", usage.gb_seconds);
-    let stats = platform.stats();
-    assert_eq!(
-        stats.cold_starts.load(std::sync::atomic::Ordering::Relaxed),
-        2
-    );
-    assert_eq!(
-        stats.warm_starts.load(std::sync::atomic::Ordering::Relaxed),
-        2
-    );
 }
 
 /// Anycast vs. regional ingress: Google resolves identically everywhere,
