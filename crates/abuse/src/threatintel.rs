@@ -45,22 +45,15 @@ impl ThreatIntel {
     pub fn flagged_among<'a, I: IntoIterator<Item = &'a Fqdn>>(&self, domains: I) -> usize {
         domains.into_iter().filter(|d| self.is_flagged(d)).count()
     }
-
-    pub fn flagged_count(&self) -> usize {
-        self.flagged.len()
-    }
 }
 
 /// URL-reputation oracle — the McAfee-WebAdvisor role from §5.3: the
 /// paper submitted extracted redirect targets and found three flagged as
 /// potentially malicious. Reputation services key on lexical and
 /// registration signals; this oracle encodes the lexical part (shady
-/// TLDs, random-subdomain wildcards, known-brand lookalikes) and accepts
-/// explicit blacklist entries.
+/// TLDs, random-subdomain wildcards, known-brand lookalikes).
 #[derive(Debug, Default)]
-pub struct UrlReputation {
-    blacklist: HashSet<String>,
-}
+pub struct UrlReputation;
 
 /// Verdict for one URL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -75,12 +68,7 @@ pub enum UrlVerdict {
 
 impl UrlReputation {
     pub fn new() -> UrlReputation {
-        UrlReputation::default()
-    }
-
-    /// Blacklist a specific host.
-    pub fn blacklist_host(&mut self, host: &str) {
-        self.blacklist.insert(host.to_ascii_lowercase());
+        UrlReputation
     }
 
     /// Assess one URL (or `*.suffix` wildcard from random-splicing
@@ -103,9 +91,6 @@ impl UrlReputation {
         ];
         if WELL_KNOWN.contains(&host) {
             return UrlVerdict::WellKnown;
-        }
-        if self.blacklist.contains(host) {
-            return UrlVerdict::Flagged;
         }
         // Lexical heuristics reputation feeds actually use.
         let shady_tld = [".xyz", ".top", ".icu", ".cyou", ".rest"]
@@ -135,15 +120,14 @@ mod tests {
             .map(|i| fq(&format!("130000000{i}-abcdefghi{i}-gz.scf.tencentcs.com")))
             .collect();
         let ti = ThreatIntel::with_paper_coverage(&c2);
-        assert_eq!(ti.flagged_count(), PAPER_FLAGGED_C2);
-        assert_eq!(ti.flagged_among(c2.iter()), 4);
+        assert_eq!(ti.flagged_among(c2.iter()), PAPER_FLAGGED_C2);
     }
 
     #[test]
     fn fewer_c2_than_coverage_flags_all() {
         let c2 = vec![fq("a.on.aws"), fq("b.on.aws")];
         let ti = ThreatIntel::with_paper_coverage(&c2);
-        assert_eq!(ti.flagged_count(), 2);
+        assert_eq!(ti.flagged_among(c2.iter()), 2);
     }
 
     #[test]
@@ -155,18 +139,12 @@ mod tests {
 
     #[test]
     fn url_reputation_verdicts() {
-        let mut rep = UrlReputation::new();
-        rep.blacklist_host("dlcy.zeldalink.top");
+        let rep = UrlReputation::new();
         // Well-known destinations (the §5.3 exclusions).
         assert_eq!(rep.assess("https://www.sogou.com/"), UrlVerdict::WellKnown);
         assert_eq!(
             rep.assess("https://www.bilibili.com/"),
             UrlVerdict::WellKnown
-        );
-        // Explicit blacklist.
-        assert_eq!(
-            rep.assess("http://dlcy.zeldalink.top/wlxcList.html"),
-            UrlVerdict::Flagged
         );
         // Lexical: random-splice wildcard on a shady TLD (Table 4).
         assert_eq!(rep.assess("*.yerbsdga.xyz"), UrlVerdict::Flagged);

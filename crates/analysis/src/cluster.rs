@@ -58,30 +58,12 @@ impl Clustering {
         }
         map
     }
-
-    /// A representative (first member) per cluster, for manual review —
-    /// the paper's experts reviewed cluster exemplars.
-    pub fn exemplars(&self) -> Vec<(u32, usize)> {
-        let mut seen: HashMap<u32, usize> = HashMap::new();
-        for (i, c) in self.assignment.iter().enumerate() {
-            seen.entry(*c).or_insert(i);
-        }
-        let mut out: Vec<(u32, usize)> = seen.into_iter().collect();
-        out.sort_unstable();
-        out
-    }
 }
 
 /// Cluster a corpus of raw documents (dedup → vectorize → cluster),
-/// vectorizing serially.
-pub fn cluster_corpus<S: AsRef<str> + Sync>(docs: &[S], params: &ClusterParams) -> Clustering {
-    cluster_corpus_par(docs, params, 1)
-}
-
-/// [`cluster_corpus`] with TF-IDF vectorization fanned out over
-/// `workers` threads (`crate::par::par_map`) — output is
-/// identical at any worker count; dedup and the clustering proper stay
-/// serial.
+/// with TF-IDF vectorization fanned out over `workers` threads
+/// (`crate::par::par_map`) — output is identical at any worker count;
+/// dedup and the clustering proper stay serial.
 pub fn cluster_corpus_par<S: AsRef<str> + Sync>(
     docs: &[S],
     params: &ClusterParams,
@@ -284,14 +266,14 @@ mod tests {
 
     #[test]
     fn empty_corpus() {
-        let c = cluster_corpus::<&str>(&[], &ClusterParams::default());
+        let c = cluster_corpus_par::<&str>(&[], &ClusterParams::default(), 1);
         assert_eq!(c.cluster_count, 0);
     }
 
     #[test]
     fn identical_docs_form_one_cluster() {
         let docs = ["same page body", "same page body", "same page body"];
-        let c = cluster_corpus(&docs, &ClusterParams::default());
+        let c = cluster_corpus_par(&docs, &ClusterParams::default(), 1);
         assert_eq!(c.cluster_count, 1);
         assert!(c.assignment.iter().all(|&a| a == c.assignment[0]));
     }
@@ -305,7 +287,7 @@ mod tests {
             "openai api key for sale contact telegram cheap bulk discount resale",
             "completely unrelated log output from a boring microservice here",
         ];
-        let c = cluster_corpus(&docs, &params(0.35));
+        let c = cluster_corpus_par(&docs, &params(0.35), 1);
         assert!(c.exact);
         assert_eq!(c.assignment[0], c.assignment[1], "gambling pair merges");
         assert_eq!(c.assignment[2], c.assignment[3], "openai pair merges");
@@ -318,14 +300,14 @@ mod tests {
     #[test]
     fn threshold_zero_keeps_everything_apart() {
         let docs = ["aa bb cc", "aa bb dd", "aa bb ee"];
-        let c = cluster_corpus(&docs, &params(0.0));
+        let c = cluster_corpus_par(&docs, &params(0.0), 1);
         assert_eq!(c.cluster_count, 3);
     }
 
     #[test]
     fn threshold_one_merges_everything_sharing_terms() {
         let docs = ["shared word one", "shared word two", "shared word three"];
-        let c = cluster_corpus(&docs, &params(1.0));
+        let c = cluster_corpus_par(&docs, &params(1.0), 1);
         assert_eq!(c.cluster_count, 1);
     }
 
@@ -334,23 +316,16 @@ mod tests {
         let docs: Vec<String> = (0..30)
             .map(|i| format!("doc number {i} unique terms {i}"))
             .collect();
-        let c = cluster_corpus(
+        let c = cluster_corpus_par(
             &docs,
             &ClusterParams {
                 distance_threshold: 0.1,
                 exact_limit: 10,
             },
+            1,
         );
         assert!(!c.exact);
         assert_eq!(c.assignment.len(), 30);
-    }
-
-    #[test]
-    fn exemplars_one_per_cluster() {
-        let docs = ["aaa bbb", "aaa bbb", "ccc ddd"];
-        let c = cluster_corpus(&docs, &ClusterParams::default());
-        let ex = c.exemplars();
-        assert_eq!(ex.len(), c.cluster_count);
     }
 
     #[test]
@@ -365,13 +340,14 @@ mod tests {
                 ));
             }
         }
-        let exact = cluster_corpus(&docs, &params(0.45));
-        let leader = cluster_corpus(
+        let exact = cluster_corpus_par(&docs, &params(0.45), 1);
+        let leader = cluster_corpus_par(
             &docs,
             &ClusterParams {
                 distance_threshold: 0.45,
                 exact_limit: 1,
             },
+            1,
         );
         assert_eq!(exact.cluster_count, 3);
         assert_eq!(leader.cluster_count, 3);
@@ -388,7 +364,7 @@ mod tests {
             .collect();
         let mut docs = pages;
         docs.push("totally different corporate landing page about cloud storage".into());
-        let c = cluster_corpus(&docs, &ClusterParams::default());
+        let c = cluster_corpus_par(&docs, &ClusterParams::default(), 1);
         // All campaign pages in one cluster, outlier alone.
         assert_eq!(c.cluster_count, 2);
         assert_eq!(c.assignment[0], c.assignment[7]);

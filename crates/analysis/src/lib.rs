@@ -23,7 +23,7 @@ pub mod par;
 pub mod stats;
 pub mod text;
 
-pub use cluster::{cluster_corpus, cluster_corpus_par, ClusterParams, Clustering};
+pub use cluster::{cluster_corpus_par, ClusterParams, Clustering};
 pub use content::ContentType;
 pub use par::{fork, par_map};
 pub use stats::{cdf_points, log10_histogram, top_k_share};

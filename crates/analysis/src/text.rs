@@ -30,10 +30,6 @@ impl SparseVec {
         self.entries.is_empty()
     }
 
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Sparse dot product.
     pub fn dot(&self, other: &SparseVec) -> f32 {
         let (mut i, mut j) = (0, 0);
@@ -151,13 +147,6 @@ impl TfIdf {
         SparseVec::from_pairs(pairs)
     }
 
-    /// Fit and transform the whole corpus.
-    pub fn fit_transform<S: AsRef<str>>(corpus: &[S]) -> (TfIdf, Vec<SparseVec>) {
-        let model = TfIdf::fit(corpus);
-        let vecs = corpus.iter().map(|d| model.transform(d.as_ref())).collect();
-        (model, vecs)
-    }
-
     /// Fit and transform with the per-document vectorization fanned out
     /// over `workers` threads.
     ///
@@ -166,8 +155,8 @@ impl TfIdf {
     /// transform stage is a pure per-document function of the fitted
     /// model (and `SparseVec::from_pairs` sorts by term index before
     /// normalizing, so each vector's float operations run in a fixed
-    /// order) — `par_map` therefore returns bit-identical vectors to the
-    /// serial loop at any worker count.
+    /// order) — `par_map` therefore returns bit-identical vectors at
+    /// any worker count.
     pub fn fit_transform_par<S: AsRef<str> + Sync>(
         corpus: &[S],
         workers: usize,
@@ -205,14 +194,14 @@ mod tests {
     #[test]
     fn identical_docs_have_zero_distance() {
         let corpus = ["the gambling slot site", "the gambling slot site"];
-        let (_, vecs) = TfIdf::fit_transform(&corpus);
+        let (_, vecs) = TfIdf::fit_transform_par(&corpus, 1);
         assert!(cosine_distance(&vecs[0], &vecs[1]) < 1e-6);
     }
 
     #[test]
     fn disjoint_docs_have_distance_one() {
         let corpus = ["alpha beta gamma", "delta epsilon zeta"];
-        let (_, vecs) = TfIdf::fit_transform(&corpus);
+        let (_, vecs) = TfIdf::fit_transform_par(&corpus, 1);
         assert!((cosine_distance(&vecs[0], &vecs[1]) - 1.0).abs() < 1e-6);
     }
 
@@ -223,7 +212,7 @@ mod tests {
             "online slot betting casino jackpot deposit bonus",
             "openai api key resale contact wechat",
         ];
-        let (_, vecs) = TfIdf::fit_transform(&corpus);
+        let (_, vecs) = TfIdf::fit_transform_par(&corpus, 1);
         let near = cosine_distance(&vecs[0], &vecs[1]);
         let far = cosine_distance(&vecs[0], &vecs[2]);
         assert!(near < 0.3, "near = {near}");
@@ -238,7 +227,7 @@ mod tests {
         let model = TfIdf::fit(&corpus);
         let v = model.transform("common rare");
         // The vector has two entries; the rare term must dominate.
-        assert_eq!(v.nnz(), 2);
+        assert_eq!(v.entries.len(), 2);
         let rare_idx = model.vocab["rare"];
         let common_idx = model.vocab["common"];
         let weight = |idx: u32| {
@@ -260,7 +249,7 @@ mod tests {
 
     #[test]
     fn vectors_are_unit_norm() {
-        let (_, vecs) = TfIdf::fit_transform(&["a few words here", "other words there"]);
+        let (_, vecs) = TfIdf::fit_transform_par(&["a few words here", "other words there"], 1);
         for v in &vecs {
             let norm: f32 = v.entries.iter().map(|(_, w)| w * w).sum();
             assert!((norm - 1.0).abs() < 1e-5, "norm² = {norm}");

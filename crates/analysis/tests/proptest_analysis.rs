@@ -1,6 +1,6 @@
 //! Property tests for the analysis layer.
 
-use fw_analysis::cluster::{cluster_corpus, ClusterParams};
+use fw_analysis::cluster::{cluster_corpus_par, ClusterParams};
 use fw_analysis::content::ContentType;
 use fw_analysis::stats::{cdf_points, entropy_bits, log10_histogram, percentile, top_k_share};
 use fw_analysis::text::{cosine_distance, TfIdf};
@@ -15,7 +15,7 @@ proptest! {
     /// self-distance (for non-empty vectors).
     #[test]
     fn cosine_distance_properties(docs in arb_docs()) {
-        let (_, vecs) = TfIdf::fit_transform(&docs);
+        let (_, vecs) = TfIdf::fit_transform_par(&docs, 1);
         for a in &vecs {
             for b in &vecs {
                 let d_ab = cosine_distance(a, b);
@@ -34,9 +34,10 @@ proptest! {
     #[test]
     fn cluster_count_monotone_in_threshold(docs in arb_docs()) {
         let count_at = |t: f32| {
-            cluster_corpus(
+            cluster_corpus_par(
                 &docs,
                 &ClusterParams { distance_threshold: t, exact_limit: 4_000 },
+                1,
             )
             .cluster_count
         };
@@ -53,7 +54,7 @@ proptest! {
     /// identical documents always share a cluster.
     #[test]
     fn clustering_assignment_invariants(docs in arb_docs()) {
-        let c = cluster_corpus(&docs, &ClusterParams::default());
+        let c = cluster_corpus_par(&docs, &ClusterParams::default(), 1);
         prop_assert_eq!(c.assignment.len(), docs.len());
         let max_id = c.assignment.iter().max().copied().unwrap_or(0);
         prop_assert_eq!(c.cluster_count, (max_id as usize) + 1);

@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fw_abuse::sensitive::SensitiveScanner;
-use fw_analysis::cluster::{cluster_corpus, ClusterParams};
+use fw_analysis::cluster::{cluster_corpus_par, ClusterParams};
 use fw_analysis::text::TfIdf;
 
 /// A synthetic response corpus: campaigns of near-duplicates plus noise.
@@ -25,7 +25,7 @@ fn bench_tfidf(c: &mut Criterion) {
     let docs = corpus(500);
     c.bench_function("analysis/tfidf_fit_transform_500", |b| {
         b.iter(|| {
-            let (_, vecs) = TfIdf::fit_transform(black_box(&docs));
+            let (_, vecs) = TfIdf::fit_transform_par(black_box(&docs), 1);
             black_box(vecs.len())
         })
     });
@@ -51,7 +51,7 @@ fn bench_clustering(c: &mut Criterion) {
     ] {
         c.bench_function(&format!("analysis/{name}"), |b| {
             b.iter(|| {
-                let clustering = cluster_corpus(black_box(&docs), &params);
+                let clustering = cluster_corpus_par(black_box(&docs), &params, 1);
                 black_box(clustering.cluster_count)
             })
         });
@@ -64,7 +64,7 @@ fn bench_clustering(c: &mut Criterion) {
         };
         c.bench_function(&format!("analysis/cluster_threshold_{threshold}"), |b| {
             b.iter(|| {
-                let clustering = cluster_corpus(black_box(&docs), &params);
+                let clustering = cluster_corpus_par(black_box(&docs), &params, 1);
                 black_box(clustering.cluster_count)
             })
         });

@@ -127,11 +127,10 @@ pub fn run_fused(
         dir,
         StoreConfig {
             shards: opts.shards,
-            // No threshold flushes: seal rewrites every shard from its
-            // in-memory table as one terminal segment, so mid-ingest
-            // segments would be encoded, written, and then deleted
-            // without ever being read. Flushing doesn't evict the
-            // table, so skipping it costs no memory either.
+            // No threshold writes: seal writes every shard's whole
+            // table once, so a mid-ingest write would encode a segment
+            // only for the seal to replace it unread. A write doesn't
+            // evict the table, so skipping it costs no memory either.
             flush_rows: 0,
         },
     )?;

@@ -236,10 +236,6 @@ impl Response {
         String::from_utf8_lossy(&self.body).to_string()
     }
 
-    pub fn is_success(&self) -> bool {
-        (200..300).contains(&self.status)
-    }
-
     pub fn is_redirect(&self) -> bool {
         (300..400).contains(&self.status)
     }
@@ -291,7 +287,7 @@ mod tests {
     #[test]
     fn response_constructors() {
         let r = Response::json(200, r#"{"ok":true}"#);
-        assert!(r.is_success());
+        assert_eq!(r.status, 200);
         assert_eq!(r.reason, "OK");
         assert_eq!(r.headers.get("content-type"), Some("application/json"));
 

@@ -421,15 +421,6 @@ impl SimNet {
         }
     }
 
-    /// Remove a listener; future connects are refused. A pooled
-    /// listener's workers drain their queues and exit.
-    pub fn unlisten(&self, addr: &SocketAddr) {
-        let prev = self.inner.listeners.write().remove(addr);
-        if let Some(Listener::Pool(pool)) = prev {
-            pool.close();
-        }
-    }
-
     /// Open a connection to `addr`. A handler listener runs its handler
     /// on a spare thread with the server end; a pooled listener queues
     /// the server end for one of its workers. Fault draws are keyed by
@@ -675,15 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn unlisten_refuses_future_connects() {
-        let net = SimNet::new(1);
-        net.listen(addr(1, 80), echo_handler());
-        assert!(net.connect(addr(1, 80)).is_ok());
-        net.unlisten(&addr(1, 80));
-        assert!(net.connect(addr(1, 80)).is_err());
-    }
-
-    #[test]
     fn injected_refusals_respect_probability() {
         let net = SimNet::with_faults(
             42,
@@ -882,19 +864,37 @@ mod tests {
         );
     }
 
+    /// A pooled listener's workers drain their queues and exit, dropping
+    /// their handlers, once the listener is replaced or the world is
+    /// dropped.
     #[test]
-    fn unlisten_shuts_down_pool_and_refuses() {
-        let net = SimNet::new(23);
-        net.listen_pool(addr(3, 80), 2, |_w| {
-            move |mut conn: Box<dyn Connection>| {
-                let mut buf = [0u8; 8];
-                let _ = conn.read(&mut buf);
-                let _ = conn.write_all(b"ok");
+    fn replaced_or_dropped_pool_shuts_down() {
+        for drop_world in [false, true] {
+            let net = SimNet::new(23);
+            let (alive, exited) = std::sync::mpsc::channel::<()>();
+            net.listen_pool(addr(3, 80), 2, |_w| {
+                let alive = alive.clone();
+                move |mut conn: Box<dyn Connection>| {
+                    let _ = &alive;
+                    let mut buf = [0u8; 8];
+                    let _ = conn.read(&mut buf);
+                    let _ = conn.write_all(b"ok");
+                }
+            });
+            drop(alive);
+            assert!(net.connect_flow_id(addr(3, 80), 1).is_ok());
+            if drop_world {
+                drop(net);
+            } else {
+                net.listen(addr(3, 80), echo_handler());
+                assert!(net.connect_flow_id(addr(3, 80), 2).is_ok());
             }
-        });
-        assert!(net.connect_flow_id(addr(3, 80), 1).is_ok());
-        net.unlisten(&addr(3, 80));
-        assert!(net.connect_flow_id(addr(3, 80), 2).is_err());
+            assert_eq!(
+                exited.recv_timeout(Duration::from_secs(10)),
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected),
+                "pool workers exited (drop_world={drop_world})"
+            );
+        }
     }
 
     #[test]

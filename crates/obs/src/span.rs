@@ -26,8 +26,9 @@ pub struct Span {
     start: Instant,
     /// The registry's timer for this name; `None` while metrics are off.
     timer: Option<Arc<Histogram>>,
-    /// Companion trace span (inert unless event tracing is on).
-    trace: TraceSpan,
+    /// Companion trace span, held for its drop (inert unless event
+    /// tracing is on).
+    _trace: TraceSpan,
 }
 
 /// Open a timed stage span called `name`. Bind the guard:
@@ -43,7 +44,7 @@ pub fn span(name: &str) -> Span {
     Span {
         start: Instant::now(),
         timer,
-        trace: crate::trace::trace_span(name),
+        _trace: crate::trace::trace_span(name),
     }
 }
 
@@ -51,12 +52,6 @@ impl Span {
     /// Time since the span opened, whichever gates are on.
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()
-    }
-
-    /// Trace span id for cross-thread parent links (0 when tracing is
-    /// off).
-    pub fn trace_id(&self) -> u64 {
-        self.trace.id()
     }
 }
 

@@ -51,11 +51,6 @@ impl C2Scanner {
         self
     }
 
-    /// Number of signatures loaded.
-    pub fn signature_count(&self) -> usize {
-        self.fingerprints.len()
-    }
-
     /// Scan one domain with every signature; first hit wins.
     ///
     /// The corpus is rendered once per domain and flown at each port as
@@ -188,7 +183,7 @@ mod tests {
             .fqdn;
 
         let scanner = C2Scanner::new(net, resolver).with_timeout(Duration::from_millis(500));
-        assert_eq!(scanner.signature_count(), 26);
+        assert_eq!(corpus().len(), 26);
         let hits = scanner.scan_parallel(&[relay0.clone(), benign.clone(), relay1.clone()], 8);
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].fqdn, relay0);

@@ -1,9 +1,9 @@
 //! # fw-store
 //!
-//! Persistent, sharded, append-only storage engine for PDNS
-//! daily-aggregate rows — the ingest-once / query-many substrate that
-//! lets figure binaries replay a snapshot instead of regenerating a
-//! synthetic world (DESIGN.md §9).
+//! Persistent, sharded storage engine for PDNS daily-aggregate rows —
+//! the ingest-once / query-many substrate that lets figure binaries
+//! replay a snapshot instead of regenerating a synthetic world
+//! (DESIGN.md §9).
 //!
 //! Three layers:
 //!
@@ -12,11 +12,13 @@
 //!   segment fqdn dictionary and a footer index (see `segment.rs` for
 //!   the byte layout).
 //! * [`DiskStore`] — N hash-sharded, lock-striped in-memory tables, each
-//!   journaled to its own segment directory; `flush` persists unflushed
-//!   deltas as sorted segments, `seal` rewrites each shard's table as
-//!   one. Reopening replays segments and reproduces identical
+//!   with one segment file on disk. `seal`, the one write (also taken
+//!   automatically at the `flush_rows` threshold), encodes a shard's
+//!   whole table into a temp file and renames it over the shard's
+//!   segment, so a crash leaves the old segment or the new one.
+//!   Reopening reads each segment back and reproduces identical
 //!   [`fw_dns::pdns::FqdnAggregate`]s; [`scan_shard_visit`] streams a
-//!   sealed shard without building the table at all.
+//!   shard without building the table at all.
 //! * [`fw_dns::pdns::PdnsBackend`] — the storage trait the measurement
 //!   pipeline consumes; `DiskStore` and the in-memory `PdnsStore` are
 //!   interchangeable behind it.
@@ -44,8 +46,8 @@ use std::path::PathBuf;
 pub struct StoreConfig {
     /// Number of hash shards (lock stripes / segment directories).
     pub shards: usize,
-    /// Auto-flush a shard once this many rows hold unflushed deltas
-    /// (0 disables auto-flush; `flush`/`seal` remain explicit).
+    /// Seal a shard again once it holds this many observations since
+    /// its last write (0 disables the threshold; `seal` stays explicit).
     pub flush_rows: usize,
 }
 
@@ -113,7 +115,7 @@ mod tests {
     use fw_dns::pdns::{PdnsBackend, PdnsStore};
     use fw_types::{DayStamp, Fqdn, Rdata, MEASUREMENT_START};
     use std::net::Ipv4Addr;
-    use std::path::Path;
+    use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn fq(s: &str) -> Fqdn {
@@ -161,8 +163,30 @@ mod tests {
         }
     }
 
+    /// The store's segment files. Each must be its shard's one
+    /// `seg-00000001.fws` (no temp file either), so the count is the
+    /// number of shards written.
+    fn segment_files(dir: &Path) -> Vec<PathBuf> {
+        let mut out = Vec::new();
+        for shard in std::fs::read_dir(dir).unwrap() {
+            let shard = shard.unwrap().path();
+            if !shard.is_dir() {
+                continue;
+            }
+            for f in std::fs::read_dir(&shard).unwrap() {
+                let f = f.unwrap().path();
+                let name = f.file_name().unwrap().to_string_lossy().into_owned();
+                if name.ends_with(".fws") {
+                    assert_eq!(name, "seg-00000001.fws", "in {}", shard.display());
+                    out.push(f);
+                }
+            }
+        }
+        out
+    }
+
     #[test]
-    fn create_flush_reopen_preserves_aggregates() {
+    fn create_seal_reopen_preserves_aggregates() {
         let tmp = TempDir::new("roundtrip");
         let store = DiskStore::create(tmp.path(), small_config()).unwrap();
         store.observe_count(&fq("a.on.aws"), &v4(100, 1), day(0), 5);
@@ -177,7 +201,7 @@ mod tests {
         assert_eq!(store.fqdn_count(), 2);
         assert_eq!(store.record_count(), 3);
         let before = store.all_aggregates();
-        store.flush().unwrap();
+        store.seal().unwrap();
         drop(store);
 
         let reopened = DiskStore::open_read_only(tmp.path()).unwrap();
@@ -190,22 +214,23 @@ mod tests {
     }
 
     #[test]
-    fn deltas_after_flush_accumulate_across_segments() {
+    fn writes_after_seal_merge_into_one_segment() {
         let tmp = TempDir::new("deltas");
         let store = DiskStore::create(tmp.path(), small_config()).unwrap();
         store.observe_count(&fq("x.on.aws"), &v4(1, 1), day(0), 10);
-        store.flush().unwrap();
-        // Same key again after the flush: lands in a second segment.
+        store.seal().unwrap();
+        // Same key again after the seal: the next seal rewrites the
+        // shard's one segment with the merged count.
         store.observe_count(&fq("x.on.aws"), &v4(1, 1), day(0), 7);
         store.observe_count(&fq("x.on.aws"), &v4(1, 2), day(1), 1);
-        store.flush().unwrap();
+        store.seal().unwrap();
         drop(store);
+        assert_eq!(segment_files(tmp.path()).len(), 1);
 
         let reopened = DiskStore::open(tmp.path()).unwrap();
         let agg = reopened.aggregate(&fq("x.on.aws")).unwrap();
         assert_eq!(agg.total_request_cnt, 18);
         assert_eq!(reopened.record_count(), 2);
-        // The duplicate key merged on replay: counts summed across segments.
         let dist: u64 = agg
             .rdata_dist
             .iter()
@@ -216,7 +241,7 @@ mod tests {
     }
 
     #[test]
-    fn seal_folds_segments_and_preserves_content() {
+    fn repeated_seals_keep_one_segment_and_content() {
         let tmp = TempDir::new("seal");
         let store = DiskStore::create(
             tmp.path(),
@@ -230,11 +255,11 @@ mod tests {
             for i in 0..20u8 {
                 store.observe_count(&fq(&format!("f{i}.on.aws")), &v4(2, i), day(round), 1);
             }
-            store.flush().unwrap();
+            store.seal().unwrap();
+            assert_eq!(segment_files(tmp.path()).len(), 2, "one segment per shard");
         }
-        assert!(store.segment_count() >= 5);
-        // Pending rows on top of the flushed segments: some merge into
-        // flushed keys, some are new keys.
+        // Unwritten rows on top of the segments: some merge into written
+        // keys, some are new keys.
         for i in 0..20u8 {
             store.observe_count(&fq(&format!("f{i}.on.aws")), &v4(2, i), day(0), 2);
             store.observe_count(&fq(&format!("g{i}.on.aws")), &v4(4, i), day(9), 1);
@@ -242,17 +267,16 @@ mod tests {
         let before = store.all_aggregates();
         let rows = store.record_count();
         store.seal().unwrap();
-        assert_eq!(store.segment_count(), 2, "one segment per shard");
+        assert_eq!(segment_files(tmp.path()).len(), 2, "one segment per shard");
         assert_eq!(store.all_aggregates(), before);
         drop(store);
         let reopened = DiskStore::open(tmp.path()).unwrap();
-        assert_eq!(reopened.segment_count(), 2);
         assert_eq!(reopened.record_count(), rows);
         assert_eq!(reopened.all_aggregates(), before);
     }
 
     #[test]
-    fn auto_flush_kicks_in() {
+    fn threshold_write_kicks_in() {
         let tmp = TempDir::new("autoflush");
         let store = DiskStore::create(
             tmp.path(),
@@ -262,17 +286,47 @@ mod tests {
             },
         )
         .unwrap();
+        let hot = fq("hot.on.aws");
         for i in 0..25i64 {
-            store.observe_count(&fq("hot.on.aws"), &v4(3, 1), day(i), 1);
+            store.observe_count(&hot, &v4(3, 1), day(i), 1);
         }
-        assert!(store.segment_count() >= 2, "auto-flush wrote segments");
-        store.flush().unwrap();
+        // Threshold writes at the 10th and 20th observations; the last
+        // five wait for the seal.
+        assert_eq!(store.shard_stats(0).flushes, 2);
+        let on_disk = DiskStore::open_read_only(tmp.path()).unwrap();
+        assert_eq!(on_disk.aggregate(&hot).unwrap().days_count, 20);
+        store.seal().unwrap();
+        assert_eq!(segment_files(tmp.path()).len(), 1);
         drop(store);
         let reopened = DiskStore::open(tmp.path()).unwrap();
-        assert_eq!(
-            reopened.aggregate(&fq("hot.on.aws")).unwrap().days_count,
-            25
-        );
+        assert_eq!(reopened.aggregate(&hot).unwrap().days_count, 25);
+    }
+
+    /// A failed write, explicit or at the threshold, is reported by the
+    /// next seal, and the seal after that writes every row.
+    #[test]
+    fn failed_write_is_reported_then_retried() {
+        for flush_rows in [0, 1] {
+            let tmp = TempDir::new("retry");
+            let config = StoreConfig {
+                shards: 1,
+                flush_rows,
+            };
+            let store = DiskStore::create(tmp.path(), config).unwrap();
+            // A vanished shard directory makes every write fail.
+            let shard = tmp.path().join("shard-000");
+            std::fs::remove_dir_all(&shard).unwrap();
+            store.observe_count(&fq("a.on.aws"), &v4(7, 7), day(0), 5);
+            store.observe_count(&fq("a.on.aws"), &v4(7, 7), day(1), 2);
+            assert!(matches!(store.seal(), Err(StoreError::Io(_))));
+            std::fs::create_dir_all(&shard).unwrap();
+            store.seal().unwrap();
+            assert_eq!(segment_files(tmp.path()).len(), 1);
+            drop(store);
+            let reopened = DiskStore::open_read_only(tmp.path()).unwrap();
+            let agg = reopened.aggregate(&fq("a.on.aws")).unwrap();
+            assert_eq!(agg.total_request_cnt, 7, "flush_rows={flush_rows}");
+        }
     }
 
     #[test]
@@ -293,7 +347,7 @@ mod tests {
             mem.observe_count(&f, &r, d, cnt);
             store.observe_count(&f, &r, d, cnt);
         }
-        store.flush().unwrap();
+        store.seal().unwrap();
         assert_eq!(store.fqdn_count(), mem.fqdn_count());
         assert_eq!(store.all_aggregates(), mem.all_aggregates());
         drop(store);
@@ -317,26 +371,16 @@ mod tests {
         let tmp = TempDir::new("corrupt");
         let store = DiskStore::create(tmp.path(), small_config()).unwrap();
         store.observe_count(&fq("c.on.aws"), &v4(5, 5), day(0), 3);
-        store.flush().unwrap();
+        store.seal().unwrap();
         drop(store);
         // Flip one byte in the middle of the (only) segment file.
-        let mut seg_path = None;
-        for shard in std::fs::read_dir(tmp.path()).unwrap() {
-            let shard = shard.unwrap().path();
-            if shard.is_dir() {
-                for f in std::fs::read_dir(&shard).unwrap() {
-                    let f = f.unwrap().path();
-                    if f.extension().is_some_and(|e| e == "fws") {
-                        seg_path = Some(f);
-                    }
-                }
-            }
-        }
-        let seg_path = seg_path.expect("segment written");
-        let mut bytes = std::fs::read(&seg_path).unwrap();
+        let [seg_path] = &segment_files(tmp.path())[..] else {
+            panic!("one segment written");
+        };
+        let mut bytes = std::fs::read(seg_path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
-        std::fs::write(&seg_path, &bytes).unwrap();
+        std::fs::write(seg_path, &bytes).unwrap();
         match DiskStore::open(tmp.path()) {
             Err(StoreError::Corrupt(msg)) => {
                 assert!(msg.contains("CRC") || msg.contains("corrupt") || !msg.is_empty())
@@ -359,7 +403,7 @@ mod tests {
         let tmp = TempDir::new("readonly");
         let store = DiskStore::create(tmp.path(), small_config()).unwrap();
         store.observe_count(&fq("r.on.aws"), &v4(9, 9), day(0), 1);
-        store.flush().unwrap();
+        store.seal().unwrap();
         drop(store);
         let ro = DiskStore::open_read_only(tmp.path()).unwrap();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -395,7 +439,8 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        store.flush().unwrap();
+        store.seal().unwrap();
+        assert_eq!(segment_files(tmp.path()).len(), 8);
         assert_eq!(store.fqdn_count(), 200);
         let total: u64 = store
             .all_aggregates()

@@ -1,7 +1,8 @@
 //! Read-only memory mapping for segment files.
 //!
-//! Segment files are immutable once the tmp-file + rename in
-//! `write_segment` completes, so the scan path can map them instead of
+//! A segment file is never modified in place: a write renames a new
+//! file over it (`write_atomic`), and a live mapping keeps the old
+//! file's pages. So the scan path can map segments instead of
 //! copying them through a read buffer: page-cache-hot scans skip the
 //! copy entirely and cold scans fault pages in on demand. CRC framing
 //! is still verified over the mapped bytes — bit rot is rejected on

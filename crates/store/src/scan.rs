@@ -1,7 +1,7 @@
 //! Streaming columnar scan: segment bytes → rows and per-fqdn
 //! aggregates.
 //!
-//! `DiskStore::open` replays every segment into per-shard hash tables
+//! `DiskStore::open` reads every shard's segment into a hash table
 //! before anything can be queried — the right trade when the store will
 //! be queried repeatedly, but pure overhead for the fused pipeline's
 //! analysis, which needs each row once and exactly one [`FqdnAggregate`]
@@ -10,16 +10,9 @@
 //! `(fqdn, pdate, rdata)`, so each fqdn is one contiguous run, the day
 //! count is a run-length count over `pdate`, and no intermediate
 //! `SegRow` vector, hash table, or `PdnsRecord` is ever materialized.
-//!
-//! The scan requires one segment per shard — what `seal` and
-//! `seal_shard` leave behind, and what every writer of a scanned store
-//! (the fused pipeline, `fw_snapshot`) does before reading it. A
-//! multi-segment shard (an unsealed store) is rejected as corrupt: its
-//! rows would need a merge across segments that this decoder does not
-//! do.
 
 use crate::segment::{next_row, parse_segment};
-use crate::store::shard_segment_paths;
+use crate::store::shard_segment;
 use crate::StoreError;
 use fw_dns::pdns::FqdnAggregate;
 use fw_types::{DayStamp, Fqdn, Rdata};
@@ -128,9 +121,9 @@ fn scan_segment_into(
 /// reuse the verdict for every row and the trailing aggregate. This is
 /// the per-shard feed for the fused pipeline, where identify and usage
 /// consume a shard as soon as it seals. The shard's one segment decodes
-/// straight out of a read-only mmap; an unsealed shard (more than one
-/// segment) is a [`StoreError::Corrupt`] naming the shard and its
-/// segment count.
+/// straight out of a read-only mmap; a shard never written streams
+/// nothing, and any other segment file in its directory is a
+/// [`StoreError::Corrupt`] naming that file.
 pub fn scan_shard_visit(
     dir: &Path,
     shard: usize,
@@ -138,25 +131,15 @@ pub fn scan_shard_visit(
     on_row: Option<&mut RowVisitor<'_>>,
 ) -> Result<(), StoreError> {
     let _trace = fw_obs::trace_span_arg("store/scan_shard", shard as u64);
-    let paths = shard_segment_paths(dir, shard)?;
-    match paths.as_slice() {
-        [] => Ok(()),
-        [single] => {
-            let bytes = crate::mmap::map_file(single)?;
-            fw_obs::counter_inc!("fw.store.scan.segments_streamed");
-            scan_segment_into(&bytes, on_agg, on_row).map_err(|e| match e {
-                StoreError::Corrupt(msg) => {
-                    StoreError::Corrupt(format!("{}: {msg}", single.display()))
-                }
-                other => other,
-            })
-        }
-        many => Err(StoreError::Corrupt(format!(
-            "{}: shard {shard} has {} segments; seal the store before scanning it",
-            dir.display(),
-            many.len()
-        ))),
-    }
+    let Some(path) = shard_segment(dir, shard)? else {
+        return Ok(());
+    };
+    let bytes = crate::mmap::map_file(&path)?;
+    fw_obs::counter_inc!("fw.store.scan.segments_streamed");
+    scan_segment_into(&bytes, on_agg, on_row).map_err(|e| match e {
+        StoreError::Corrupt(msg) => StoreError::Corrupt(format!("{}: {msg}", path.display())),
+        other => other,
+    })
 }
 
 #[cfg(test)]
@@ -230,7 +213,7 @@ mod tests {
     }
 
     #[test]
-    fn unsealed_shards_are_rejected_until_sealed() {
+    fn second_segment_file_is_refused_by_open_and_scan() {
         let tmp = TempDir::new("multiseg");
         let store = DiskStore::create(
             &tmp.0,
@@ -240,31 +223,27 @@ mod tests {
             },
         )
         .unwrap();
-        // Two flushes → two segments per touched shard: counts for the
-        // same (fqdn, pdate, rdata) key split across segments.
-        let d0 = fw_types::MEASUREMENT_START;
-        for round in 0..2 {
-            for i in 0..10u8 {
-                let f = fq(&format!("fn{i}.fcapp.run"));
-                store.observe_count(&f, &Rdata::V4(Ipv4Addr::new(198, 51, 100, i)), d0, 2);
-                store.observe_count(
-                    &f,
-                    &Rdata::V4(Ipv4Addr::new(198, 51, 100, i)),
-                    d0 + i64::from(round),
-                    1,
-                );
-            }
-            store.flush().unwrap();
-        }
-        assert_eq!(store.segment_count(), 4);
-        match scan_shard(&tmp.0, 0) {
-            Err(StoreError::Corrupt(msg)) => {
-                assert!(msg.contains("shard 0 has 2 segments"), "{msg}")
+        fill(&store);
+        store.seal().unwrap();
+        drop(store);
+        // A second file beside the shard's segment (a multi-segment
+        // writer's delta, say): summing it would double-count, so
+        // neither read path touches the shard.
+        let shard_dir = tmp.0.join("shard-000");
+        let stray = shard_dir.join("seg-00000002.fws");
+        std::fs::copy(shard_dir.join("seg-00000001.fws"), &stray).unwrap();
+        let names_stray = |e: StoreError| match e {
+            StoreError::Corrupt(msg) => {
+                assert!(msg.contains(&stray.display().to_string()), "{msg}")
             }
             other => panic!("expected Corrupt, got {other:?}"),
-        }
-        store.seal().unwrap();
-        assert_eq!(store.segment_count(), 2);
+        };
+        names_stray(scan_shard(&tmp.0, 0).unwrap_err());
+        let open_err = DiskStore::open_read_only(&tmp.0).err();
+        names_stray(open_err.expect("open refuses"));
+        assert!(scan_shard(&tmp.0, 1).is_ok(), "other shards still scan");
+        std::fs::remove_file(&stray).unwrap();
+        let store = DiskStore::open_read_only(&tmp.0).unwrap();
         assert_eq!(scan_all(&tmp.0).unwrap(), store.all_aggregates());
     }
 
@@ -342,20 +321,21 @@ mod tests {
         // mmap-backed scan must reject every poisoned shard via CRC.
         let mut flipped = 0;
         for shard in 0..StoreConfig::default().shards {
-            for path in shard_segment_paths(&tmp.0, shard).unwrap() {
-                let mut bytes = std::fs::read(&path).unwrap();
-                if bytes.len() < 64 {
-                    continue;
-                }
-                let mid = bytes.len() / 2;
-                bytes[mid] ^= 0x40;
-                std::fs::write(&path, &bytes).unwrap();
-                flipped += 1;
-                let err = scan_shard(&tmp.0, shard);
-                assert!(err.is_err(), "bit rot in {} must not scan", path.display());
-                bytes[mid] ^= 0x40;
-                std::fs::write(&path, &bytes).unwrap();
+            let Some(path) = shard_segment(&tmp.0, shard).unwrap() else {
+                continue;
+            };
+            let mut bytes = std::fs::read(&path).unwrap();
+            if bytes.len() < 64 {
+                continue;
             }
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x40;
+            std::fs::write(&path, &bytes).unwrap();
+            flipped += 1;
+            let err = scan_shard(&tmp.0, shard);
+            assert!(err.is_err(), "bit rot in {} must not scan", path.display());
+            bytes[mid] ^= 0x40;
+            std::fs::write(&path, &bytes).unwrap();
         }
         assert!(flipped > 0, "test must have poisoned at least one segment");
         assert!(scan_all(&tmp.0).is_ok());
@@ -365,7 +345,7 @@ mod tests {
     fn empty_store_streams_empty() {
         let tmp = TempDir::new("empty");
         let store = DiskStore::create(&tmp.0, StoreConfig::default()).unwrap();
-        store.flush().unwrap();
+        store.seal().unwrap();
         drop(store);
         assert!(scan_all(&tmp.0).unwrap().is_empty());
     }

@@ -87,24 +87,11 @@ impl SegmentBuilder {
         SegmentBuilder::default()
     }
 
-    /// Builder with pre-sized tables. Flush paths know exactly how many
-    /// dirty fqdns and pending rows they are about to push; sizing the
-    /// dictionary maps and the row vector up front keeps a large flush
-    /// from paying a rehash/regrow cascade at its tail.
-    pub fn with_capacity(fqdns: usize, rows: usize) -> SegmentBuilder {
-        SegmentBuilder {
-            fqdns: Vec::with_capacity(fqdns),
-            fqdn_idx: HashMap::with_capacity_and_hasher(fqdns, FnvBuildHasher::default()),
-            rdatas: Vec::new(),
-            rdata_idx: HashMap::default(),
-            rows: Vec::with_capacity(rows),
-            last_fqdn: None,
-        }
-    }
-
-    /// [`with_capacity`](Self::with_capacity) for callers feeding only
-    /// [`push_fqdn_rows`](Self::push_fqdn_rows): the fqdn dedupe map is
-    /// never consulted, so it stays unallocated.
+    /// Builder pre-sized for `fqdns` distinct fqdns and `rows` rows, for
+    /// callers feeding only [`push_fqdn_rows`](Self::push_fqdn_rows):
+    /// sizing the dictionary and row vector up front keeps a large seal
+    /// from paying a regrow cascade at its tail, and the fqdn dedupe map
+    /// is never consulted, so it stays unallocated.
     pub fn for_distinct_fqdns(fqdns: usize, rows: usize) -> SegmentBuilder {
         SegmentBuilder {
             fqdns: Vec::with_capacity(fqdns),

@@ -5,21 +5,21 @@
 //! ```text
 //! <dir>/superblock.fws          versioned superblock (magic, shard count, CRC)
 //! <dir>/shard-000/seg-00000001.fws
-//! <dir>/shard-000/seg-00000002.fws
-//! <dir>/shard-001/...
+//! <dir>/shard-001/seg-00000001.fws
+//! <dir>/shard-002/...
 //! ```
 //!
 //! Ingestion is lock-striped: an fqdn hashes (FNV-1a, stable across
 //! processes) to one of N shards, each behind its own mutex, so
 //! concurrent sensors contend only when they touch the same shard.
-//! Each shard keeps a merged in-memory table (the query view) plus
-//! per-row flush watermarks; `flush` writes the unflushed deltas as one
-//! immutable sorted segment. Reopening a store replays all segments,
-//! summing duplicate `(fqdn, rdata, pdate)` keys, which makes segments
-//! append-only and crash-tolerant: a half-written segment fails its CRC
-//! and is reported, never silently merged. `seal` rewrites each shard's
-//! whole table as a single segment and deletes the rest — the shape
-//! the streaming scan reads.
+//! Each shard keeps a merged in-memory table (the query view) and at
+//! most one segment file on disk. Every write — `seal`, or the
+//! automatic one at the `flush_rows` threshold — encodes the shard's
+//! whole table into a temp file, syncs it, and renames it over the
+//! shard's segment. A crash therefore leaves the old segment or the new
+//! one, never a torn file and never two files to sum; a shard directory
+//! holding any other segment file is refused as corrupt. Reopening a
+//! store reads each shard's one segment back into its table.
 
 use crate::segment::{read_segment, SegmentBuilder};
 use crate::{StoreConfig, StoreError};
@@ -36,14 +36,14 @@ use std::time::Instant;
 const SUPER_MAGIC: &[u8; 8] = b"FWSUPER\x01";
 const SUPER_VERSION: u32 = 1;
 const SUPERBLOCK: &str = "superblock.fws";
+/// The one segment file in each shard directory.
+const SEGMENT: &str = "seg-00000001.fws";
 
 #[derive(Debug, Clone, Copy)]
 struct Row {
     pdate: i64,
     rdata: u32,
     cnt: u64,
-    /// How much of `cnt` is already durable in some segment.
-    flushed: u64,
 }
 
 #[derive(Debug, Default)]
@@ -53,7 +53,6 @@ struct Entry {
     rows: Vec<Row>,
     /// `(pdate, rdata_idx) → position in rows`: exact-key merge.
     row_idx: HashMap<(i64, u32), u32, FnvBuildHasher>,
-    dirty: bool,
 }
 
 impl Entry {
@@ -67,10 +66,9 @@ impl Entry {
         i
     }
 
-    /// Rebuild `row_idx` from `rows`. Segment replay skips building the
-    /// merge index for fqdns loaded from a single segment (the common
-    /// case after a seal); anything that merges into an existing entry
-    /// calls this first.
+    /// Rebuild `row_idx` from `rows`. Loading a segment skips building
+    /// the merge index (its keys are unique); an observe that merges
+    /// into an existing entry calls this first.
     fn ensure_row_idx(&mut self) {
         if self.row_idx.is_empty() && !self.rows.is_empty() {
             self.row_idx = self
@@ -93,29 +91,38 @@ struct Shard {
     table: HashMap<Fqdn, Entry, FnvBuildHasher>,
     /// Distinct `(fqdn, rdata, pdate)` keys.
     rows: usize,
-    /// Rows with an unflushed delta.
+    /// Observations since the last write.
     pending: usize,
-    /// Fqdns with unflushed deltas (each appears once: guarded by
-    /// `Entry::dirty`).
-    dirty: Vec<Fqdn>,
-    next_seg: u64,
-    segments: Vec<PathBuf>,
-    /// Lifetime flush count (segments written by `flush`).
+    /// Lifetime write count through this handle.
     flushes: u64,
-    /// Wall nanoseconds spent inside `flush`.
+    /// Wall nanoseconds spent writing.
     flush_ns: u64,
-    /// Duration of every individual flush, for tail-latency (p99)
+    /// Duration of every individual write, for tail-latency (p99)
     /// accounting in the gate report.
     flush_samples_ns: Vec<u64>,
-    /// Segment bytes written by this shard (flush + seal).
+    /// Segment bytes written by this shard.
     bytes_written: u64,
 }
 
 impl Shard {
+    fn new(idx: usize, dir: PathBuf) -> Shard {
+        Shard {
+            idx,
+            dir,
+            table: HashMap::default(),
+            rows: 0,
+            pending: 0,
+            flushes: 0,
+            flush_ns: 0,
+            flush_samples_ns: Vec::new(),
+            bytes_written: 0,
+        }
+    }
+
     /// Merge a batch of rows sharing one fqdn into the table on the
-    /// exact `(pdate, rdata)` key: the table lookup and dirty
-    /// bookkeeping are paid once per batch instead of once per row.
-    /// Zero counts are skipped. Returns the number of rows observed.
+    /// exact `(pdate, rdata)` key: the table lookup is paid once per
+    /// batch instead of once per row. Zero counts are skipped. Returns
+    /// the number of rows observed.
     fn observe_rows<'r>(
         &mut self,
         fqdn: &Fqdn,
@@ -123,8 +130,6 @@ impl Shard {
     ) -> u64 {
         let mut observed = 0u64;
         let mut new_rows = 0usize;
-        let mut newly_pending = 0usize;
-        let mut any = false;
         if !self.table.contains_key(fqdn) {
             self.table.insert(fqdn.clone(), Entry::default());
         }
@@ -134,153 +139,85 @@ impl Shard {
             if count == 0 {
                 continue;
             }
-            any = true;
             observed += 1;
             let idx = entry.intern(rdata);
             let key = (day.0, idx);
-            let was_clean;
             match entry.row_idx.get(&key) {
-                Some(&pos) => {
-                    let row = &mut entry.rows[pos as usize];
-                    was_clean = row.cnt == row.flushed;
-                    row.cnt += count;
-                }
+                Some(&pos) => entry.rows[pos as usize].cnt += count,
                 None => {
                     entry.row_idx.insert(key, entry.rows.len() as u32);
                     entry.rows.push(Row {
                         pdate: day.0,
                         rdata: idx,
                         cnt: count,
-                        flushed: 0,
                     });
                     new_rows += 1;
-                    was_clean = true;
                 }
             }
-            if was_clean {
-                newly_pending += 1;
-            }
-        }
-        if any && !entry.dirty {
-            entry.dirty = true;
-            self.dirty.push(fqdn.clone());
         }
         self.rows += new_rows;
-        self.pending += newly_pending;
+        self.pending += observed as usize;
         observed
     }
 
-    /// Write unflushed deltas as one segment. Returns bytes written.
-    fn flush(&mut self) -> Result<u64, StoreError> {
-        if self.pending == 0 {
-            self.dirty.clear();
-            return Ok(0);
-        }
-        let start = Instant::now();
-        let _trace = fw_obs::trace_span_arg("store/flush", self.idx as u64);
-        // `dirty`/`pending` bound the dictionary and row counts exactly,
-        // so the builder never regrows mid-flush — this was the shard
-        // flush tail-latency outlier at scale 1.0.
-        let mut builder = SegmentBuilder::with_capacity(self.dirty.len(), self.pending);
-        for fqdn in self.dirty.drain(..) {
-            let entry = self.table.get_mut(&fqdn).expect("dirty fqdn in table");
-            entry.dirty = false;
-            for row in &mut entry.rows {
-                if row.cnt > row.flushed {
-                    builder.push(
-                        &fqdn,
-                        &entry.rdatas[row.rdata as usize],
-                        DayStamp(row.pdate),
-                        row.cnt - row.flushed,
-                    );
-                    row.flushed = row.cnt;
-                }
-            }
-        }
-        self.pending = 0;
-        let Some(bytes) = builder.finish() else {
-            return Ok(0);
-        };
-        let path = self.write_segment(&bytes)?;
-        self.segments.push(path);
-        self.flushes += 1;
-        let elapsed_ns = start.elapsed().as_nanos() as u64;
-        self.flush_ns += elapsed_ns;
-        self.flush_samples_ns.push(elapsed_ns);
-        self.bytes_written += bytes.len() as u64;
-        fw_obs::counter_inc!("fw.store.segments_written");
-        fw_obs::counter_add!("fw.store.bytes_written", bytes.len() as u64);
-        fw_obs::histogram_record!("fw.store.flush_us", start.elapsed().as_micros() as u64);
-        Ok(bytes.len() as u64)
-    }
-
-    /// Terminal write for an ingest-then-scan pipeline: encode the whole
-    /// in-memory table — flushed rows and pending deltas alike — as one
-    /// segment and drop the incremental segments.
+    /// The store's one write: encode the whole in-memory table as one
+    /// sorted segment and [`write_atomic`] it over the shard's segment
+    /// file. A no-op when nothing was observed since the last write; a
+    /// failed write leaves the observations pending, so the next seal
+    /// retries it.
     fn seal(&mut self) -> Result<(), StoreError> {
-        if self.pending == 0 && self.segments.len() < 2 {
-            self.dirty.clear();
+        if self.pending == 0 {
             return Ok(());
         }
         let start = Instant::now();
         let _trace = fw_obs::trace_span_arg("store/seal", self.idx as u64);
-        let had_pending = self.pending > 0;
         let mut builder = SegmentBuilder::for_distinct_fqdns(self.table.len(), self.rows);
-        for (fqdn, entry) in &mut self.table {
-            entry.dirty = false;
+        for (fqdn, entry) in &self.table {
             let rdatas = &entry.rdatas;
             // Table keys are distinct, so the map-free per-fqdn push
             // applies (one dictionary clone per fqdn, no dedupe hashes).
             builder.push_fqdn_rows(
                 fqdn,
-                entry.rows.iter_mut().map(|row| {
-                    row.flushed = row.cnt;
-                    (&rdatas[row.rdata as usize], DayStamp(row.pdate), row.cnt)
-                }),
+                entry
+                    .rows
+                    .iter()
+                    .map(|row| (&rdatas[row.rdata as usize], DayStamp(row.pdate), row.cnt)),
             );
         }
-        self.dirty.clear();
-        self.pending = 0;
         let Some(bytes) = builder.finish() else {
             return Ok(());
         };
-        let path = self.write_segment(&bytes)?;
-        for old in std::mem::take(&mut self.segments) {
-            std::fs::remove_file(&old)?;
-        }
-        self.segments.push(path);
+        write_atomic(&self.dir.join(SEGMENT), &bytes)?;
+        self.pending = 0;
+        let elapsed_ns = start.elapsed().as_nanos() as u64;
+        self.flushes += 1;
+        self.flush_ns += elapsed_ns;
+        self.flush_samples_ns.push(elapsed_ns);
         self.bytes_written += bytes.len() as u64;
-        // The seal write retires the pending deltas, so it counts as a
-        // flush in the ingest stats (tail-latency accounting included).
-        if had_pending {
-            let elapsed_ns = start.elapsed().as_nanos() as u64;
-            self.flushes += 1;
-            self.flush_ns += elapsed_ns;
-            self.flush_samples_ns.push(elapsed_ns);
-            fw_obs::histogram_record!("fw.store.flush_us", start.elapsed().as_micros() as u64);
-        }
+        fw_obs::histogram_record!("fw.store.flush_us", elapsed_ns / 1_000);
         fw_obs::counter_inc!("fw.store.segments_written");
         fw_obs::counter_add!("fw.store.bytes_written", bytes.len() as u64);
         Ok(())
     }
-
-    /// Durably write `bytes` as the next segment (tmp file + rename).
-    fn write_segment(&mut self, bytes: &[u8]) -> Result<PathBuf, StoreError> {
-        let name = format!("seg-{:08}.fws", self.next_seg);
-        self.next_seg += 1;
-        let tmp = self.dir.join(format!(".tmp-{name}"));
-        let path = self.dir.join(name);
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)?;
-        Ok(path)
-    }
 }
 
-/// Persistent, sharded, append-only PDNS store.
+/// Durably replace `path` with `bytes`: write `.tmp-<name>` beside it,
+/// sync it, and rename it over `path`. A crash leaves the old file or
+/// the new one whole, and the next write truncates a stale temp file.
+/// The superblock and every segment are written this way.
+fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    let name = path.file_name().expect("a store file name");
+    let tmp = path.with_file_name(format!(".tmp-{}", name.to_string_lossy()));
+    let mut f = std::fs::File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    drop(f);
+    std::fs::rename(&tmp, path)?;
+    Ok(())
+}
+
+/// Persistent, sharded PDNS store: one in-memory table and one segment
+/// file per shard.
 ///
 /// Implements [`PdnsBackend`], so the whole measurement pipeline runs
 /// against it exactly as against the in-memory [`fw_dns::pdns::PdnsStore`].
@@ -289,8 +226,8 @@ pub struct DiskStore {
     shards: Vec<Mutex<Shard>>,
     flush_rows: usize,
     read_only: bool,
-    /// First error from an auto-flush inside `observe_count` (which has
-    /// no error channel); surfaced by the next explicit `flush`.
+    /// First error from a threshold write inside `observe_count` (which
+    /// has no error channel); surfaced by the next `seal`/`seal_shard`.
     deferred_err: Mutex<Option<StoreError>>,
 }
 
@@ -308,26 +245,13 @@ impl DiskStore {
         superblock.extend_from_slice(&(shard_count as u32).to_le_bytes());
         superblock.extend_from_slice(&0u32.to_le_bytes()); // flags
         superblock.extend_from_slice(&crate::crc32(&superblock).to_le_bytes());
-        std::fs::write(dir.join(SUPERBLOCK), &superblock)?;
+        write_atomic(&dir.join(SUPERBLOCK), &superblock)?;
 
         let mut shards = Vec::with_capacity(shard_count);
         for i in 0..shard_count {
             let shard_dir = dir.join(format!("shard-{i:03}"));
             std::fs::create_dir_all(&shard_dir)?;
-            shards.push(Mutex::new(Shard {
-                idx: i,
-                dir: shard_dir,
-                table: HashMap::default(),
-                rows: 0,
-                pending: 0,
-                dirty: Vec::new(),
-                next_seg: 1,
-                segments: Vec::new(),
-                flushes: 0,
-                flush_ns: 0,
-                flush_samples_ns: Vec::new(),
-                bytes_written: 0,
-            }));
+            shards.push(Mutex::new(Shard::new(i, shard_dir)));
         }
         Ok(DiskStore {
             dir: dir.to_path_buf(),
@@ -338,7 +262,7 @@ impl DiskStore {
         })
     }
 
-    /// Open an existing store for appending.
+    /// Open an existing store for further writes.
     pub fn open(dir: &Path) -> Result<DiskStore, StoreError> {
         Self::open_inner(dir, false)
     }
@@ -353,7 +277,7 @@ impl DiskStore {
         let _span = fw_obs::span("store/open");
         let shard_count = read_superblock(dir)?;
 
-        // Shards are independent on disk, so replay them concurrently —
+        // Shards are independent on disk, so load them concurrently —
         // on a multi-core host this takes open from O(total rows) to
         // O(largest shard).
         let shards = fork(shard_count, "", None, |i| {
@@ -371,92 +295,30 @@ impl DiskStore {
         })
     }
 
-    /// Replay one shard directory's segments into an in-memory table.
+    /// Read one shard's segment back into an in-memory table.
     fn load_shard(dir: &Path, i: usize) -> Result<Shard, StoreError> {
-        let shard_dir = dir.join(format!("shard-{i:03}"));
-        let seg_paths = shard_segment_paths(dir, i)?;
-        let next_seg = seg_paths
-            .iter()
-            .filter_map(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .and_then(|n| n[4..n.len() - 4].parse::<u64>().ok())
-            })
-            .max()
-            .unwrap_or(0)
-            + 1;
-
-        let mut shard = Shard {
-            idx: i,
-            dir: shard_dir,
-            table: HashMap::default(),
-            rows: 0,
-            pending: 0,
-            dirty: Vec::new(),
-            next_seg,
-            segments: seg_paths.clone(),
-            flushes: 0,
-            flush_ns: 0,
-            flush_samples_ns: Vec::new(),
-            bytes_written: 0,
+        let mut shard = Shard::new(i, dir.join(format!("shard-{i:03}")));
+        let Some(path) = shard_segment(dir, i)? else {
+            return Ok(shard);
         };
-        for path in &seg_paths {
-            let seg = read_segment(path)?;
-            // Segment rows are sorted, so each fqdn forms one contiguous
-            // run: resolve the table entry once per run, not per row.
-            let rows = &seg.rows;
-            let mut r = 0;
-            while r < rows.len() {
-                let fqdn_idx = rows[r].fqdn;
-                let mut end = r + 1;
-                while end < rows.len() && rows[end].fqdn == fqdn_idx {
-                    end += 1;
-                }
-                let fqdn = &seg.fqdns[fqdn_idx as usize];
-                let entry = shard.table.entry(fqdn.clone()).or_default();
-                if entry.rows.is_empty() {
-                    // First segment touching this fqdn. A builder-written
-                    // run carries unique (pdate, rdata) keys, so append
-                    // without maintaining the merge index; it is rebuilt
-                    // on demand if another segment (or a later observe)
-                    // touches this entry.
-                    entry.rows.reserve(end - r);
-                    for row in &rows[r..end] {
-                        let idx = entry.intern(&seg.rdatas[row.rdata as usize]);
-                        entry.rows.push(Row {
-                            pdate: row.pdate.0,
-                            rdata: idx,
-                            cnt: row.cnt,
-                            flushed: row.cnt,
-                        });
-                    }
-                    shard.rows += end - r;
-                } else {
-                    entry.ensure_row_idx();
-                    for row in &rows[r..end] {
-                        let idx = entry.intern(&seg.rdatas[row.rdata as usize]);
-                        let key = (row.pdate.0, idx);
-                        match entry.row_idx.get(&key) {
-                            Some(&pos) => {
-                                let q = &mut entry.rows[pos as usize];
-                                q.cnt += row.cnt;
-                                q.flushed += row.cnt;
-                            }
-                            None => {
-                                entry.row_idx.insert(key, entry.rows.len() as u32);
-                                entry.rows.push(Row {
-                                    pdate: row.pdate.0,
-                                    rdata: idx,
-                                    cnt: row.cnt,
-                                    flushed: row.cnt,
-                                });
-                                shard.rows += 1;
-                            }
-                        }
-                    }
-                }
-                r = end;
+        let seg = read_segment(&path)?;
+        // Segment rows are sorted with unique keys, so each fqdn is one
+        // contiguous run: resolve the table entry once per run and
+        // append without the merge index (an observe that touches the
+        // entry later rebuilds it).
+        for run in seg.rows.chunk_by(|a, b| a.fqdn == b.fqdn) {
+            let fqdn = &seg.fqdns[run[0].fqdn as usize];
+            let entry = shard.table.entry(fqdn.clone()).or_default();
+            entry.rows.reserve(run.len());
+            for row in run {
+                let idx = entry.intern(&seg.rdatas[row.rdata as usize]);
+                entry.rows.push(Row {
+                    pdate: row.pdate.0,
+                    rdata: idx,
+                    cnt: row.cnt,
+                });
             }
+            shard.rows += run.len();
         }
         Ok(shard)
     }
@@ -468,11 +330,6 @@ impl DiskStore {
 
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Total on-disk segment files across shards.
-    pub fn segment_count(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().segments.len()).sum()
     }
 
     fn shard_of(&self, fqdn: &Fqdn) -> MutexGuard<'_, Shard> {
@@ -489,9 +346,10 @@ impl DiskStore {
     }
 
     /// Record a batch of observations sharing one fqdn under a single
-    /// shard lock. The flush-threshold check runs once per batch, which
-    /// can only shift *where* a flush-mode store cuts its segments,
-    /// never the merged row content.
+    /// shard lock. Once a shard holds `flush_rows` observations since
+    /// its last write, it is sealed again; the check runs once per
+    /// batch, which can only shift *when* that write happens, never
+    /// the merged row content.
     pub fn observe_rows<'r>(
         &self,
         fqdn: &Fqdn,
@@ -508,34 +366,22 @@ impl DiskStore {
         let mut shard = self.shard_of(fqdn);
         let observed = shard.observe_rows(fqdn, rows);
         fw_obs::counter_add!("fw.store.ingest.rows", observed);
-        if self.flush_rows > 0 && shard.pending >= self.flush_rows {
-            if let Err(e) = shard.flush() {
+        // After a failed write the rows stay pending; the next `seal`
+        // reports the error and retries, not every later batch.
+        if self.flush_rows > 0
+            && shard.pending >= self.flush_rows
+            && self.deferred_err.lock().is_none()
+        {
+            if let Err(e) = shard.seal() {
                 self.deferred_err.lock().get_or_insert(e);
             }
         }
     }
 
-    /// Flush all unflushed deltas to segments. Also surfaces any error an
-    /// earlier auto-flush hit inside `observe_count`.
-    pub fn flush(&self) -> Result<u64, StoreError> {
-        if let Some(e) = self.deferred_err.lock().take() {
-            return Err(e);
-        }
-        if self.read_only {
-            return Ok(0);
-        }
-        let _span = fw_obs::span("store/flush");
-        // Shards flush to independent files: do them concurrently.
-        fork(self.shards.len(), "", None, |i| {
-            self.shards[i].lock().flush()
-        })
-        .into_iter()
-        .sum()
-    }
-
-    /// [`seal_shard`](Self::seal_shard) every shard concurrently, as
-    /// `flush` does: afterwards each shard is one sorted segment holding
-    /// its whole table, which is what the streaming scan reads.
+    /// [`seal_shard`](Self::seal_shard) every shard concurrently (shards
+    /// write independent files): afterwards each shard's segment holds
+    /// its whole table, which is what reopening and the streaming scan
+    /// read.
     pub fn seal(&self) -> Result<(), StoreError> {
         let _span = fw_obs::span("store/seal");
         fork(self.shards.len(), "", None, |shard| self.seal_shard(shard))
@@ -543,11 +389,12 @@ impl DiskStore {
             .collect()
     }
 
-    /// Seal one shard, leaving it a single sorted segment ready for the
-    /// streaming scan. The per-shard half of [`seal`](Self::seal): the
-    /// fused pipeline seals shards individually so identify/usage can
-    /// consume a sealed shard while later shards are still sealing.
-    /// Also surfaces any deferred auto-flush error.
+    /// Seal one shard: rewrite its segment from the whole table, unless
+    /// nothing was observed since its last write. The per-shard half of
+    /// [`seal`](Self::seal): the fused pipeline seals shards individually
+    /// so identify/usage can consume a sealed shard while later shards
+    /// are still sealing. Also surfaces any deferred threshold-write
+    /// error.
     pub fn seal_shard(&self, shard: usize) -> Result<(), StoreError> {
         if let Some(e) = self.deferred_err.lock().take() {
             return Err(e);
@@ -559,8 +406,8 @@ impl DiskStore {
         self.shards[shard].lock().seal()
     }
 
-    /// Drop one shard's in-memory table, keeping its on-disk segments
-    /// and flush accounting. After release, table reads (aggregates,
+    /// Drop one shard's in-memory table, keeping its on-disk segment
+    /// and write accounting. After release, table reads (aggregates,
     /// `for_each_*`) see the shard as empty — only ingest-then-scan
     /// pipelines that re-read sealed shards from disk should call this;
     /// they do it to bound peak RSS to roughly one shard instead of the
@@ -569,10 +416,9 @@ impl DiskStore {
         let mut s = self.shards[shard].lock();
         assert_eq!(
             s.pending, 0,
-            "release_shard_table on a shard with unflushed rows"
+            "release_shard_table on a shard with unwritten rows"
         );
         s.table = HashMap::default();
-        s.dirty = Vec::new();
         s.rows = 0;
     }
 
@@ -606,7 +452,7 @@ fn stats_of(s: &Shard) -> ShardIngestStats {
         flush_ns: s.flush_ns,
         flush_p99_ns,
         bytes_written: s.bytes_written,
-        segments: s.segments.len(),
+        segments: usize::from(s.dir.join(SEGMENT).is_file()),
     }
 }
 
@@ -620,22 +466,21 @@ pub struct ShardIngestStats {
     pub fqdns: usize,
     /// Distinct `(fqdn, rdata, pdate)` rows.
     pub rows: usize,
-    /// Segments written by `flush` through this handle.
+    /// Segment writes (`seal` or threshold) through this handle.
     pub flushes: u64,
-    /// Wall nanoseconds spent in `flush` through this handle.
+    /// Wall nanoseconds spent in those writes.
     pub flush_ns: u64,
-    /// p99 of individual flush durations through this handle (0 if the
-    /// shard never flushed).
+    /// p99 of individual write durations through this handle (0 if the
+    /// shard was never written).
     pub flush_p99_ns: u64,
-    /// Segment bytes written (flush + seal) through this handle.
+    /// Segment bytes written through this handle.
     pub bytes_written: u64,
-    /// Segment files currently on disk.
+    /// Segment files on disk: 1 once the shard was written, else 0.
     pub segments: usize,
 }
 
 /// Read and verify a store directory's superblock; returns the shard
-/// count. Shared by `DiskStore::open` and the streaming snapshot scan,
-/// which reads segments without building shard tables.
+/// count.
 pub(crate) fn read_superblock(dir: &Path) -> Result<usize, StoreError> {
     let superblock = std::fs::read(dir.join(SUPERBLOCK))?;
     if superblock.len() != 24 || &superblock[..8] != SUPER_MAGIC {
@@ -668,22 +513,30 @@ pub(crate) fn read_superblock(dir: &Path) -> Result<usize, StoreError> {
     Ok(shard_count)
 }
 
-/// List one shard directory's segment files in replay order. Shared by
-/// `DiskStore::load_shard` and the streaming snapshot scan.
-pub(crate) fn shard_segment_paths(dir: &Path, shard: usize) -> Result<Vec<PathBuf>, StoreError> {
+/// Shard `shard`'s segment file, or `None` if the shard was never
+/// written. Any other `seg-*.fws` file in the shard directory (a store
+/// from a multi-segment writer, or a stray copy) is
+/// [`StoreError::Corrupt`] naming that file, so such a shard is
+/// refused, never half-read. Shared by `DiskStore::load_shard` and the
+/// streaming scan.
+pub(crate) fn shard_segment(dir: &Path, shard: usize) -> Result<Option<PathBuf>, StoreError> {
     let shard_dir = dir.join(format!("shard-{shard:03}"));
-    let mut seg_paths: Vec<PathBuf> = Vec::new();
+    let mut found = None;
     if shard_dir.is_dir() {
         for entry in std::fs::read_dir(&shard_dir)? {
             let path = entry?.path();
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name.starts_with("seg-") && name.ends_with(".fws") {
-                seg_paths.push(path);
+            if name == SEGMENT {
+                found = Some(path);
+            } else if name.starts_with("seg-") && name.ends_with(".fws") {
+                return Err(StoreError::Corrupt(format!(
+                    "{}: unexpected segment file; a shard holds only {SEGMENT}",
+                    path.display()
+                )));
             }
         }
     }
-    seg_paths.sort();
-    Ok(seg_paths)
+    Ok(found)
 }
 
 /// Aggregate one in-memory entry (shared by the point lookup and the

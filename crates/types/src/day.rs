@@ -118,11 +118,6 @@ impl MonthStamp {
         DayStamp::from_ymd(self.year, self.month, 1)
     }
 
-    /// Last day of this month.
-    pub fn last_day(self) -> DayStamp {
-        self.next().first_day() - 1
-    }
-
     /// Number of days in this month.
     pub fn len_days(self) -> i64 {
         self.next().first_day() - self.first_day()
@@ -232,7 +227,7 @@ mod tests {
         assert_eq!(m.len_days(), 31);
         assert_eq!(MonthStamp::new(2024, 2).len_days(), 29);
         assert_eq!(MonthStamp::new(2023, 2).len_days(), 28);
-        assert_eq!(m.last_day().ymd(), (2022, 12, 31));
+        assert_eq!((m.next().first_day() - 1).ymd(), (2022, 12, 31));
     }
 
     #[test]

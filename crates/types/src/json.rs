@@ -82,13 +82,6 @@ impl Json {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(a) => Some(a),
@@ -543,7 +536,7 @@ mod tests {
         assert_eq!(a[0].as_u64(), Some(1));
         assert_eq!(a[1].as_f64(), Some(2.5));
         assert_eq!(a[2].as_f64(), Some(-300.0));
-        assert_eq!(a[3].as_bool(), Some(true));
+        assert_eq!(a[3], Json::Bool(true));
         assert_eq!(a[5], Json::Null);
         assert_eq!(a[6].as_str(), Some("x\nA😀"));
         assert!(v.get("b").and_then(Json::as_obj).unwrap().is_empty());

@@ -1600,7 +1600,7 @@ mod tests {
         let staged = World::generate(config.clone());
         let store = DiskStore::create(&dir.0, fw_store::StoreConfig::default()).unwrap();
         let fused = World::generate_into(config, &store);
-        store.flush().unwrap();
+        store.seal().unwrap();
 
         assert_eq!(staged.functions.len(), fused.functions.len());
         for (a, b) in staged.functions.iter().zip(&fused.functions) {

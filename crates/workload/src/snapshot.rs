@@ -111,7 +111,7 @@ pub fn write_snapshot(config: WorldConfig, dir: &Path) -> Result<SnapshotStats, 
         dir,
         StoreConfig {
             // `seal` writes each shard's whole table once; threshold
-            // flushes would only write segments for it to delete.
+            // writes would only encode segments for it to replace.
             flush_rows: 0,
             ..StoreConfig::default()
         },
