@@ -1,7 +1,7 @@
 //! The workspace's one fork-join worker pool.
 //!
 //! Every fan-out outside SimNet's own listeners goes through [`fork`]
-//! or the map built on it, [`par_map`]: the §3.2/§4 PDNS sweeps, the
+//! or the map built on it, [`par_map`]: the §3.2/§4 batch fold, the
 //! store's shard pools, the §3.3 prober, the §5 C2 scan, the fused
 //! pipeline's seal/analyze workers, the serve load harness and the
 //! stream replay's feeder. The CI

@@ -1,39 +1,42 @@
 //! The fused streaming pipeline (DESIGN.md §16).
 //!
-//! The in-memory batch pipeline (`World::generate` → identify → usage
-//! sweeps) materializes the whole PDNS row set before analyzing it.
-//! This module runs the same work as two overlapped phases over the
-//! on-disk store:
+//! The in-memory batch pipeline (`World::generate`, then the batch fold
+//! over the `PdnsStore`) materializes the whole PDNS row set before
+//! analyzing it. This module runs the same work as two overlapped
+//! phases over the on-disk store:
 //!
 //! 1. **generate_ingest** — [`World::generate_into`] streams every
 //!    sampled row straight into the [`DiskStore`] as generation runs,
 //!    so the 1.8 GB in-memory `PdnsStore` never exists and the ingest
 //!    wall is hidden inside the generate wall.
 //! 2. **seal_analyze** — shard workers seal each store shard (its whole
-//!    table as one segment) and immediately stream that sorted segment
-//!    back through the mmap scan: rows feed a per-worker
-//!    [`UsageState`] and the commutative `rows_fnv` content hash,
-//!    per-fqdn aggregates feed the shared [`IdentifyEngine`] with the
-//!    classification verdict computed exactly once at the scan site.
-//!    Shard `k+workers` is being sealed while shard `k` is being
-//!    analyzed, so neither phase waits for the other to finish.
+//!    table as one segment), release its table, and stream that sorted
+//!    segment back through the mmap scan into fw-core's
+//!    [`BatchFold`]: each fqdn is classified once, its rows go to the
+//!    fold's usage state if it is identified (and, under `--sample`, in
+//!    the sample), and its aggregate goes to the shared
+//!    [`IdentifyEngine`]. The scan driver keeps only the commutative
+//!    `rows_fnv` content hash of its own. Shard `k+workers` is being
+//!    sealed while shard `k` is being analyzed, so neither phase waits
+//!    for the other to finish.
 //!
 //! The output is provably identical to the batch pipeline's: the row
 //! multiset landing in the store is the same (the generator's RNG
-//! streams never see the sink), every accumulator downstream of the
-//! scan is commutative and order-insensitive, and both finish through
-//! the same report materializers. `tests/fused_equivalence.rs` compares
-//! `rows_fnv` and [`figures_digest`] against the batch path and pins
-//! them to golden values; CI checks `pipeline_gate`'s identity line
-//! against the committed baseline.
+//! streams never see the sink), both feed the same fold, whose every
+//! accumulator is commutative and order-insensitive, and both finish
+//! through [`finish`]. `tests/fused_equivalence.rs` compares `rows_fnv`
+//! and [`figures_digest`] against the batch path and pins them to
+//! golden values; CI checks `pipeline_gate`'s identity lines against
+//! pinned values.
 
 use crate::gate::peak_rss_kb;
 use fw_analysis::par::fork;
-use fw_core::identify::{classify_fqdn, IdentificationReport, IdentifyEngine};
-use fw_core::usage::{usage_sampled, IngressRow, MonthlySeries, SampledUsage, UsageState};
-use fw_dns::pdns::{FqdnAggregate, PdnsBackend as _};
+use fw_core::fold::{finish, BatchFold, SampledUsage};
+use fw_core::identify::{IdentificationReport, IdentifyEngine};
+use fw_core::usage::{IngressRow, MonthlySeries, UsageState};
+use fw_dns::pdns::PdnsBackend as _;
 use fw_store::{scan_shard_visit, DiskStore, ShardIngestStats, StoreConfig, StoreError};
-use fw_types::{Fqdn, ProviderId};
+use fw_types::ProviderId;
 use fw_workload::{row_key_hash, FusedWorld, World, WorldConfig};
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -48,10 +51,10 @@ pub struct FusedOptions {
     pub shards: usize,
     /// Seal/analyze worker threads (clamped to the shard count).
     pub workers: usize,
-    /// Approximate-usage sampling rate (`--sample`); `None` runs the
-    /// exact in-scan usage accumulation. Sampling keeps the shard
-    /// tables resident (the sampled sweep reads them back), so it
-    /// trades the fused pipeline's RSS win for sweep speed.
+    /// Approximate-usage sampling rate (`--sample`); `None` routes
+    /// every identified function's rows. A sampled run routes only the
+    /// sampled functions' rows, in the same scan, and releases every
+    /// sealed shard table like the exact run.
     pub sample: Option<f64>,
 }
 
@@ -63,7 +66,7 @@ pub struct FusedRun {
     pub monthly: MonthlySeries,
     pub ingress: Vec<IngressRow>,
     /// Present iff `sample` was set; `monthly`/`ingress` then hold the
-    /// scaled estimates from this sweep.
+    /// sampled estimates.
     pub sampled: Option<SampledUsage>,
     /// Distinct `(fqdn, rdata, pdate)` keys in the store.
     pub rows: usize,
@@ -91,27 +94,9 @@ pub struct FusedRun {
     pub ingest_wall_ms: f64,
 }
 
-/// Classification verdict for one fqdn: `None` if it matched no
-/// provider pattern, else the provider and optional region.
-type Verdict = Option<(ProviderId, Option<String>)>;
-
 /// One worker's share of the sealed-shard sweep: the rows-fnv partial,
-/// its usage accumulator, and per-shard ingest/seal stats.
+/// its usage state, and per-shard ingest/seal stats.
 type WorkerPart = Result<(u64, UsageState, Vec<ShardIngestStats>), StoreError>;
-
-/// Mutable state shared by the row visitor and the aggregate visitor
-/// of one shard scan (same thread, strictly alternating borrows).
-struct ScanAcc {
-    /// Current fqdn run and its classification verdict. The scan emits
-    /// each fqdn's rows consecutively with the aggregate after the
-    /// last row, so one cached verdict serves every row *and* the
-    /// aggregate of a run.
-    cur: Option<(Fqdn, Verdict)>,
-    rows_fnv: u64,
-    track_usage: bool,
-    usage: UsageState,
-    batch: Vec<(FqdnAggregate, Verdict)>,
-}
 
 /// Run the fused pipeline: generate `config`'s world straight into a
 /// fresh store at `dir`, then seal and analyze its shards with
@@ -147,66 +132,34 @@ pub fn run_fused(
     let seal_start = Instant::now();
     let shard_count = store.shard_count();
     let workers = opts.workers.clamp(1, shard_count);
-    let track_usage = opts.sample.is_none();
     let engine = Mutex::new(IdentifyEngine::batch(1));
     let last_seal_ns = AtomicU64::new(0);
 
     let parts: Vec<WorkerPart> = fork(workers, "fused/seal_analyze", None, |w| {
         let mut worker_fnv = 0u64;
-        let mut worker_usage = UsageState::new();
+        let fold = RefCell::new(BatchFold::new(opts.sample));
         let mut worker_stats = Vec::new();
         for shard in (w..shard_count).step_by(workers) {
             store.seal_shard(shard)?;
             last_seal_ns.fetch_max(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             worker_stats.push(store.shard_stats(shard));
-            if track_usage {
-                // The scan re-reads the sealed segment from disk; the
-                // table is dead weight.
-                store.release_shard_table(shard);
-            }
-            let acc = RefCell::new(ScanAcc {
-                cur: None,
-                rows_fnv: 0,
-                track_usage,
-                usage: UsageState::new(),
-                batch: Vec::new(),
-            });
+            // The scan re-reads the sealed segment from disk; the table
+            // is dead weight.
+            store.release_shard_table(shard);
             scan_shard_visit(
                 store.dir(),
                 shard,
-                &mut |agg| {
-                    let mut a = acc.borrow_mut();
-                    let verdict = match &a.cur {
-                        Some((f, v)) if *f == agg.fqdn => v.clone(),
-                        _ => classify_fqdn(&agg.fqdn),
-                    };
-                    a.batch.push((agg, verdict));
-                },
+                &mut |agg| fold.borrow_mut().aggregate(agg),
                 Some(&mut |fqdn, rdata, day, cnt| {
-                    let mut a = acc.borrow_mut();
-                    if a.cur.as_ref().is_none_or(|(f, _)| f != fqdn) {
-                        a.cur = Some((fqdn.clone(), classify_fqdn(fqdn)));
-                    }
                     // The `pdns_content_hash` term of this row.
                     let k = row_key_hash(fqdn, rdata, day);
-                    a.rows_fnv = a.rows_fnv.wrapping_add(k.wrapping_mul(cnt));
-                    if a.track_usage {
-                        if let Some((_, Some((provider, _)))) = &a.cur {
-                            let provider = *provider;
-                            a.usage.apply(provider, rdata.rtype(), rdata, day, cnt);
-                        }
-                    }
+                    worker_fnv = worker_fnv.wrapping_add(k.wrapping_mul(cnt));
+                    fold.borrow_mut().row(fqdn, rdata, day, cnt);
                 }),
             )?;
-            let acc = acc.into_inner();
-            worker_fnv = worker_fnv.wrapping_add(acc.rows_fnv);
-            worker_usage.merge(acc.usage);
-            let mut engine = engine.lock();
-            for (agg, verdict) in acc.batch {
-                engine.absorb_classified(agg, verdict);
-            }
+            fold.borrow_mut().absorb_into(&mut engine.lock());
         }
-        Ok((worker_fnv, worker_usage, worker_stats))
+        Ok((worker_fnv, fold.into_inner().into_usage(), worker_stats))
     });
 
     let mut rows_fnv = 0u64;
@@ -220,24 +173,14 @@ pub fn run_fused(
     }
     shard_stats.sort_by_key(|s| s.shard);
 
-    let report = engine.into_inner().into_report();
-    let (monthly, ingress, sampled) = match opts.sample {
-        None => (usage.monthly_series(), usage.ingress_rows(&report), None),
-        Some(rate) => {
-            let s = {
-                let _s = fw_obs::span("fused/usage_sampled");
-                usage_sampled(&report, &store, workers, rate)
-            };
-            (s.monthly.clone(), s.ingress.clone(), Some(s))
-        }
-    };
+    let (usage, sampled) = finish(engine.into_inner(), &usage, opts.sample);
     let seal_analyze_ms = seal_start.elapsed().as_secs_f64() * 1e3;
 
     Ok(FusedRun {
         world,
-        report,
-        monthly,
-        ingress,
+        report: usage.identification,
+        monthly: usage.request_series,
+        ingress: usage.ingress,
         sampled,
         rows,
         fqdns,

@@ -1,13 +1,14 @@
 //! The fused pipeline is a pure performance change: at the same
 //! seed/scale it must produce the identical row content hash and the
 //! identical figure digest as the in-memory batch pipeline —
-//! `World::generate`, then identify and the usage sweeps over the
-//! `PdnsStore` — at every worker count, exact or sampled (DESIGN.md
-//! §16). Golden values pin both paths, so they cannot drift together.
+//! `World::generate`, then the batch fold over the `PdnsStore` — at
+//! every worker count, exact or sampled (DESIGN.md §16). Golden values
+//! pin both paths, so they cannot drift together.
 
-use fw_bench::fused::{figures_digest, run_fused, FusedOptions};
-use fw_core::identify::identify_functions_with;
-use fw_core::usage::{ingress_table_with, monthly_requests_with, usage_sampled};
+use fw_bench::fused::{figures_digest, run_fused, FusedOptions, FusedRun};
+use fw_core::fold::measure;
+use fw_core::pipeline::UsageReport;
+use fw_store::{DiskStore, StoreConfig};
 use fw_workload::{pdns_content_hash, World, WorldConfig};
 use std::path::{Path, PathBuf};
 
@@ -36,7 +37,7 @@ struct Golden {
     scale: f64,
     rows_fnv: u64,
     figures_fnv: u64,
-    /// Figure digest of the usage sweep sampled at rate 0.5.
+    /// Figure digest of the usage tables sampled at rate 0.5.
     sampled_fnv: u64,
 }
 
@@ -59,18 +60,22 @@ const GOLDEN: [Golden; 2] = [
     },
 ];
 
+fn usage_digest(usage: &UsageReport) -> u64 {
+    figures_digest(&usage.identification, &usage.request_series, &usage.ingress)
+}
+
+fn fused_digest(run: &FusedRun) -> u64 {
+    figures_digest(&run.report, &run.monthly, &run.ingress)
+}
+
 /// The in-memory batch reference: (rows_fnv, figures_fnv, sampled
 /// figures_fnv).
 fn batch_digests(config: WorldConfig) -> (u64, u64, u64) {
     let world = World::generate(config);
-    let report = identify_functions_with(&world.pdns, 2);
-    let monthly = monthly_requests_with(&report, &world.pdns, 2);
-    let ingress = ingress_table_with(&report, &world.pdns, 2);
-    let sampled = usage_sampled(&report, &world.pdns, 2, 0.5);
     (
         pdns_content_hash(&world.pdns),
-        figures_digest(&report, &monthly, &ingress),
-        figures_digest(&report, &sampled.monthly, &sampled.ingress),
+        usage_digest(&measure(&world.pdns, 2, None).0),
+        usage_digest(&measure(&world.pdns, 2, Some(0.5)).0),
     )
 }
 
@@ -108,7 +113,7 @@ fn fused_matches_batch_at_every_worker_count() {
                 g.seed
             );
             assert_eq!(
-                figures_digest(&run.report, &run.monthly, &run.ingress),
+                fused_digest(&run),
                 g.figures_fnv,
                 "figure digest diverged: seed {} workers {workers}",
                 g.seed
@@ -141,10 +146,58 @@ fn fused_sampled_matches_batch_sampled() {
         let sampled = run.sampled.as_ref().expect("sampled summary present");
         assert!(sampled.sampled_functions <= sampled.total_functions);
         assert_eq!(
-            figures_digest(&run.report, &run.monthly, &run.ingress),
+            fused_digest(&run),
             g.sampled_fnv,
             "sampled figure digest diverged: seed {}",
             g.seed
         );
+    }
+}
+
+/// Sampling every function is the exact run: the sample decision, the
+/// scaling and the scan driver's routing must all give way.
+#[test]
+fn fused_sampled_at_full_rate_is_exact() {
+    let g = &GOLDEN[0];
+    let dir = TempDir::new("full-rate");
+    let run = run_fused(
+        WorldConfig::usage(g.seed, g.scale),
+        dir.path(),
+        &FusedOptions {
+            shards: 8,
+            workers: 2,
+            sample: Some(1.0),
+        },
+    )
+    .expect("fused run at rate 1");
+    let sampled = run.sampled.as_ref().expect("sampled summary present");
+    assert_eq!(sampled.sampled_functions, sampled.total_functions);
+    assert_eq!(run.rows_fnv, g.rows_fnv);
+    assert_eq!(fused_digest(&run), g.figures_fnv);
+}
+
+/// The batch fold reads a `DiskStore` exactly as the `PdnsStore` its
+/// rows came from, at every worker count, although the two tables split
+/// a key's rows differently.
+#[test]
+fn batch_fold_over_disk_store_equals_memory_store() {
+    let world = World::generate(WorldConfig::usage(7, 0.003));
+    let dir = TempDir::new("disk-fold");
+    let disk = DiskStore::create(
+        dir.path(),
+        StoreConfig {
+            shards: 4,
+            flush_rows: 0,
+        },
+    )
+    .expect("create store");
+    world
+        .pdns
+        .for_each_row(|fqdn, _rtype, rdata, day, cnt| disk.observe_count(fqdn, rdata, day, cnt));
+    let memory = measure(&world.pdns, 1, None).0;
+    assert!(memory.identification.functions.len() > 100);
+    assert_eq!(usage_digest(&memory), GOLDEN[0].figures_fnv);
+    for workers in [1, 3, 8] {
+        assert_eq!(measure(&disk, workers, None).0, memory, "workers {workers}");
     }
 }

@@ -332,14 +332,13 @@ pub fn abuse_scan<B: PdnsBackend + ?Sized>(
         .map(|d| &d.fqdn)
         .collect();
     let mut openai_monthly_requests = vec![0u64; 24];
-    pdns.for_each_row(&mut |fqdn, _rtype, _rdata, pdate, cnt| {
-        if !resale_fqdns.contains(fqdn) {
-            return;
-        }
-        if let Some(idx) = window_month_index(pdate) {
-            openai_monthly_requests[idx] += cnt;
-        }
-    });
+    for fqdn in &resale_fqdns {
+        pdns.for_each_record_of(fqdn, &mut |_rtype, _rdata, pdate, cnt| {
+            if let Some(idx) = window_month_index(pdate) {
+                openai_monthly_requests[idx] += cnt;
+            }
+        });
+    }
     let mut openai_monthly_new = vec![0u64; 24];
     for f in &identification.functions {
         if resale_fqdns.contains(&f.fqdn) {

@@ -9,11 +9,12 @@
 //! Since DESIGN.md §14 the implementation is a delta-driven state
 //! machine, [`IdentifyEngine`]: the streaming daemon feeds it raw
 //! [`PdnsRow`]s batch by batch and consumes [`VerdictChange`] deltas,
-//! while the batch sweeps ([`identify_functions`],
-//! [`identify_functions_with`]) are thin wrappers that load the same
-//! engine from the backend's per-fqdn aggregates — so a daemon's final
-//! state is provably identical to a batch run over the same rows.
+//! while the batch fold ([`crate::fold`], behind
+//! [`identify_functions`]) loads the same engine with per-fqdn
+//! aggregates it classified once — so a daemon's final state is
+//! provably identical to a batch run over the same rows.
 
+use crate::fold::measure;
 use fw_analysis::par::{default_workers, par_map};
 use fw_cloud::formats::{format_by_suffix, identify, identify_with_region};
 use fw_dns::pdns::{FqdnAggregate, PdnsBackend, PdnsRow};
@@ -77,8 +78,8 @@ impl IdentificationReport {
             .collect()
     }
 
-    /// Point lookup by fqdn. `functions` is sorted by fqdn (both
-    /// [`IdentifyEngine::into_report`] and the batch sweep guarantee it), so
+    /// Point lookup by fqdn. `functions` is sorted by fqdn
+    /// ([`IdentifyEngine::into_report`] guarantees it), so
     /// the serving read path can binary-search instead of scanning.
     pub fn find(&self, fqdn: &Fqdn) -> Option<&IdentifiedFunction> {
         debug_assert!(self.functions.windows(2).all(|w| w[0].fqdn <= w[1].fqdn));
@@ -140,7 +141,7 @@ const PAR_CLASSIFY_MIN: usize = 64;
 
 /// Cumulative per-function aggregate state. On the row-fed path `days`
 /// holds the sorted distinct observation days; on the aggregate-fed
-/// path (batch wrappers) the day set is already collapsed into
+/// path (the batch fold) the day set is already collapsed into
 /// `days_count` and `days` stays empty — an engine is fed by one path
 /// or the other, never both.
 #[derive(Debug)]
@@ -230,8 +231,9 @@ enum Class {
 /// Incremental identification state machine (DESIGN.md §14).
 ///
 /// Feed it rows with [`apply_rows`](Self::apply_rows) (streaming) or
-/// whole aggregates with [`absorb_aggregates`](Self::absorb_aggregates)
-/// (batch wrappers), then consume it into an [`IdentificationReport`]
+/// classified aggregates with
+/// [`absorb_classified`](Self::absorb_classified) (the batch fold),
+/// then consume it into an [`IdentificationReport`]
 /// with [`into_report`](Self::into_report). Both paths share the
 /// classifier and the report shape, and every aggregate update commutes
 /// over rows, so final state depends only on the multiset of rows seen
@@ -386,26 +388,13 @@ impl IdentifyEngine {
         changes
     }
 
-    /// Load pre-computed per-fqdn aggregates — the batch fast path.
-    /// Classification runs data-parallel over the whole set; no deltas
-    /// are emitted (the batch wrappers go straight to the report).
-    pub fn absorb_aggregates(&mut self, aggs: Vec<FqdnAggregate>) {
-        let verdicts: Vec<Option<(ProviderId, Option<String>)>> =
-            par_map(&aggs, self.workers, "identify/verdicts", None, |_, agg| {
-                classify(&agg.fqdn)
-            });
-        for (agg, verdict) in aggs.into_iter().zip(verdicts) {
-            self.absorb_classified(agg, verdict);
-        }
-    }
-
     /// Absorb one aggregate whose verdict was already computed (via
-    /// [`classify_fqdn`]) at the scan site. The fused pipeline's entry
-    /// point: each shard worker classifies fqdns while streaming rows
-    /// and feeds `(aggregate, verdict)` pairs here, so classification
-    /// cost is paid exactly once. Final state is independent of the
-    /// order shards land in — `into_report` sorts by fqdn and the
-    /// unmatched/total counters are commutative sums.
+    /// [`classify_fqdn`]) at the scan site. The batch fold's entry
+    /// point: each fold classifies an fqdn once, routes its rows with
+    /// the verdict and feeds the `(aggregate, verdict)` pair here, so
+    /// classification cost is paid exactly once. Final state is
+    /// independent of the order folds land in — `into_report` sorts by
+    /// fqdn and the unmatched/total counters are commutative sums.
     pub fn absorb_classified(
         &mut self,
         agg: FqdnAggregate,
@@ -515,24 +504,11 @@ impl Default for IdentifyEngine {
     }
 }
 
-/// Scan a PDNS backend and identify all serverless function domains.
+/// Scan a PDNS backend and identify all serverless function domains:
+/// the identification report of the batch fold ([`measure`]). Functions
+/// come sorted by fqdn and their aggregates pass through verbatim.
 pub fn identify_functions<B: PdnsBackend + ?Sized>(pdns: &B) -> IdentificationReport {
-    identify_functions_with(pdns, default_workers())
-}
-
-/// [`identify_functions`] with an explicit worker count. The result is
-/// independent of `workers`: classification is a pure per-fqdn function
-/// and the output keeps the backend's sorted-fqdn order. A thin wrapper
-/// over [`IdentifyEngine`]: loads the backend's per-fqdn aggregates
-/// (the columnar fast path) into a fresh engine and materializes its
-/// report (functions sorted by fqdn; aggregates pass through verbatim).
-pub fn identify_functions_with<B: PdnsBackend + ?Sized>(
-    pdns: &B,
-    workers: usize,
-) -> IdentificationReport {
-    let mut engine = IdentifyEngine::batch(workers);
-    engine.absorb_aggregates(pdns.par_aggregates(workers));
-    engine.into_report()
+    measure(pdns, default_workers(), None).0.identification
 }
 
 /// Ablation (DESIGN.md §5.4): identification precision of suffix-only
@@ -640,9 +616,9 @@ mod tests {
             ("x2h5k7m9p1q3.lambda-url.us-east-1.on.aws", 3),
             ("www.example.com", 100),
         ]);
-        let base = identify_functions_with(&s, 1);
+        let base = measure(&s, 1, None).0.identification;
         for workers in [3, 8] {
-            let got = identify_functions_with(&s, workers);
+            let got = measure(&s, workers, None).0.identification;
             assert_eq!(got.unmatched, base.unmatched);
             assert_eq!(got.total_requests, base.total_requests);
             assert_eq!(got.functions.len(), base.functions.len());
@@ -686,11 +662,11 @@ mod tests {
             DayStamp(19_101),
             5,
         );
-        let batch_report = identify_functions_with(&s, 1);
+        let batch_report = identify_functions(&s);
 
         let rows = rows_of(&s);
         // One batch, and row-by-row batches, must both converge on the
-        // batch sweep's exact report.
+        // batch fold's exact report.
         for batch_size in [rows.len(), 1] {
             let mut engine = IdentifyEngine::with_workers(1);
             for chunk in rows.chunks(batch_size.max(1)) {

@@ -4,6 +4,9 @@
 //!
 //! * [`identify`] — §3.2: filter passive-DNS fqdns through the Table 1
 //!   domain expressions, aggregate per function, extract regions.
+//! * [`fold`] — the batch measurement fold: one pass over a PDNS table
+//!   that classifies each fqdn once, keeps its aggregate and routes an
+//!   identified function's rows into the §4 usage state.
 //! * [`usage`] — §4: monthly trends (Figures 3/4), ingress architecture
 //!   (Table 2), invocation-frequency and lifespan distributions
 //!   (Figure 5, §4.3).
@@ -22,6 +25,7 @@
 
 pub mod abusescan;
 pub mod advice;
+pub mod fold;
 pub mod identify;
 pub mod pipeline;
 pub mod report;

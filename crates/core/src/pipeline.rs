@@ -2,12 +2,11 @@
 //! active probing → status → abuse scan.
 
 use crate::abusescan::{abuse_scan, AbuseScanConfig, AbuseScanReport};
-use crate::identify::{identify_functions, IdentificationReport};
+use crate::fold::measure;
+use crate::identify::IdentificationReport;
 use crate::status::{status_report, StatusReport};
-use crate::usage::{
-    ingress_table, invocation_report, monthly_new_fqdns, monthly_requests, IngressRow,
-    InvocationReport, MonthlySeries,
-};
+use crate::usage::{IngressRow, InvocationReport, MonthlySeries};
+use fw_analysis::par::default_workers;
 use fw_dns::pdns::PdnsBackend;
 use fw_dns::resolver::Resolver;
 use fw_net::SimNet;
@@ -42,8 +41,9 @@ pub struct FullReport {
     pub abuse: AbuseScanReport,
 }
 
-/// Usage-only report (no network access needed).
-#[derive(Debug)]
+/// Usage-only report (no network access needed): what
+/// [`crate::fold::finish`] yields.
+#[derive(Debug, PartialEq)]
 pub struct UsageReport {
     pub identification: IdentificationReport,
     pub new_fqdns: MonthlySeries,
@@ -119,21 +119,11 @@ impl Pipeline {
     }
 }
 
-/// Identification and the four usage tables, under the
-/// `pipeline/identify` and `pipeline/usage` stage spans.
+/// Identification and the four usage tables: one batch fold over
+/// `pdns`, under the `pipeline/measure` stage span.
 fn usage_half<B: PdnsBackend + ?Sized>(pdns: &B) -> UsageReport {
-    let identification = {
-        let _s = fw_obs::span("pipeline/identify");
-        identify_functions(pdns)
-    };
-    let _s = fw_obs::span("pipeline/usage");
-    UsageReport {
-        new_fqdns: monthly_new_fqdns(&identification),
-        request_series: monthly_requests(&identification, pdns),
-        ingress: ingress_table(&identification, pdns),
-        invocation: invocation_report(&identification),
-        identification,
-    }
+    let _s = fw_obs::span("pipeline/measure");
+    measure(pdns, default_workers(), None).0
 }
 
 #[cfg(test)]

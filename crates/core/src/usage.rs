@@ -1,14 +1,14 @@
 //! Usage-status analyses (§4): trends, ingress, invocation patterns.
 //!
-//! Since DESIGN.md §14 the per-row accumulation lives in
-//! [`UsageState`], a delta-driven state machine shared by the streaming
-//! daemon (one `apply` per routed row) and the batch sweeps (each
-//! worker builds a partial state over its function chunk, partials
-//! merge commutatively). Both paths finish through the same
+//! The per-row accumulation lives in [`UsageState`] (DESIGN.md §14), a
+//! delta-driven state shared by the streaming daemon (one `apply` per
+//! routed row) and the batch fold ([`crate::fold`], one partial state
+//! per worker, merged commutatively). Both finish through the same
 //! materializers, so their outputs are identical for the same rows.
 
+use crate::fold::measure;
 use crate::identify::{IdentificationReport, IdentifiedFunction};
-use fw_analysis::par::{default_workers, par_map};
+use fw_analysis::par::default_workers;
 use fw_analysis::stats;
 use fw_dns::pdns::PdnsBackend;
 use fw_types::fnv::FnvBuildHasher;
@@ -16,55 +16,7 @@ use fw_types::{
     window_month_index, window_months, DayStamp, MonthStamp, ProviderId, Rdata, RecordType,
     MEASUREMENT_END, MEASUREMENT_START,
 };
-use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::ops::Range;
-
-/// Split `report.functions` into up to `workers` contiguous index
-/// ranges for data-parallel per-function sweeps. Contiguous (rather
-/// than round-robin) chunks keep each worker on one stretch of the
-/// fqdn-sorted function list, which clusters shard-lock reuse in
-/// `for_each_record_of`.
-fn function_chunks(n: usize, workers: usize) -> Vec<Range<usize>> {
-    let w = workers.clamp(1, n.max(1));
-    (0..w).map(|i| (n * i / w)..(n * (i + 1) / w)).collect()
-}
-
-/// The batch usage sweep: fold every row of `functions` into a state
-/// built by `new_state`. Each worker visits one contiguous function
-/// chunk through [`PdnsBackend::for_each_record_of`] (rather than
-/// scanning every row in the store against an fqdn map), and the
-/// partial states merge commutatively, so the result is worker-count
-/// invariant.
-fn sweep_functions<B, F>(
-    functions: &[F],
-    pdns: &B,
-    workers: usize,
-    label: &str,
-    new_state: fn() -> UsageState,
-) -> UsageState
-where
-    B: PdnsBackend + ?Sized,
-    F: Borrow<IdentifiedFunction> + Sync,
-{
-    let chunks = function_chunks(functions.len(), workers);
-    let parts = par_map(&chunks, workers, label, None, |_, range| {
-        let mut part = new_state();
-        for f in &functions[range.clone()] {
-            let f = f.borrow();
-            part.touch_ingress(f.provider);
-            pdns.for_each_record_of(&f.fqdn, &mut |rtype, rdata, pdate, cnt| {
-                part.apply(f.provider, rtype, rdata, pdate, cnt);
-            });
-        }
-        part
-    });
-    let mut state = new_state();
-    for part in parts {
-        state.merge(part);
-    }
-    state
-}
 
 /// Figure 3/4 series: per-month values for one provider (or the total).
 #[derive(Debug, Clone, PartialEq)]
@@ -97,10 +49,9 @@ impl MonthlySeries {
 ///
 /// All updates are commutative sums, so states built from any
 /// partition and ordering of the same rows [`merge`](Self::merge) to
-/// the same result — the property the batch wrappers (per-worker
-/// partial states) and the streaming daemon (one long-lived state)
-/// both lean on. Tracking is opt-in per table so the batch sweeps
-/// don't pay for a table they won't read.
+/// the same result — the property the batch fold (per-worker partial
+/// states) and the streaming daemon (one long-lived state) both lean
+/// on.
 ///
 /// Table 2's rdata tables are keyed by [`Rdata`] itself, not by its
 /// rendered text. That gives the same table: each slot's rtype fixes
@@ -109,8 +60,6 @@ impl MonthlySeries {
 /// [`ingress_rows`](Self::ingress_rows) reads only the sorted counts.
 #[derive(Debug, Clone)]
 pub struct UsageState {
-    track_monthly: bool,
-    track_ingress: bool,
     n_months: usize,
     monthly: HashMap<ProviderId, Vec<u64>, FnvBuildHasher>,
     /// provider → rtype slot `(A, CNAME, AAAA)` → rdata → requests.
@@ -118,25 +67,9 @@ pub struct UsageState {
 }
 
 impl UsageState {
-    /// Track both tables (the streaming daemon's configuration).
+    /// An empty state.
     pub fn new() -> Self {
-        Self::tracking(true, true)
-    }
-
-    /// Track only the monthly request series.
-    pub fn monthly_only() -> Self {
-        Self::tracking(true, false)
-    }
-
-    /// Track only the ingress rdata distributions.
-    pub fn ingress_only() -> Self {
-        Self::tracking(false, true)
-    }
-
-    fn tracking(monthly: bool, ingress: bool) -> Self {
         UsageState {
-            track_monthly: monthly,
-            track_ingress: ingress,
             n_months: window_months().len(),
             monthly: HashMap::default(),
             ingress: HashMap::default(),
@@ -154,36 +87,23 @@ impl UsageState {
         day: DayStamp,
         cnt: u64,
     ) {
-        if self.track_monthly {
-            if let Some(idx) = window_month_index(day) {
-                self.monthly
-                    .entry(provider)
-                    .or_insert_with(|| vec![0; self.n_months])[idx] += cnt;
-            }
+        if let Some(idx) = window_month_index(day) {
+            self.monthly
+                .entry(provider)
+                .or_insert_with(|| vec![0; self.n_months])[idx] += cnt;
         }
-        if self.track_ingress {
-            let slot = match rtype {
-                RecordType::A => 0,
-                RecordType::Cname => 1,
-                RecordType::Aaaa => 2,
-            };
-            let table = &mut self.ingress.entry(provider).or_default()[slot];
-            // Repeat keys are the common case: clone only on first sight.
-            match table.get_mut(rdata) {
-                Some(requests) => *requests += cnt,
-                None => {
-                    table.insert(rdata.clone(), cnt);
-                }
+        let slot = match rtype {
+            RecordType::A => 0,
+            RecordType::Cname => 1,
+            RecordType::Aaaa => 2,
+        };
+        let table = &mut self.ingress.entry(provider).or_default()[slot];
+        // Repeat keys are the common case: clone only on first sight.
+        match table.get_mut(rdata) {
+            Some(requests) => *requests += cnt,
+            None => {
+                table.insert(rdata.clone(), cnt);
             }
-        }
-    }
-
-    /// Ensure the provider has an (possibly empty) ingress entry — the
-    /// row-scan formulation produced one for every provider with an
-    /// identified function, even a function with no stored rows.
-    fn touch_ingress(&mut self, provider: ProviderId) {
-        if self.track_ingress {
-            self.ingress.entry(provider).or_default();
         }
     }
 
@@ -313,29 +233,19 @@ pub fn monthly_new_fqdns(report: &IdentificationReport) -> MonthlySeries {
     }
 }
 
-/// Figure 4: invocation (request) volume per provider per month.
+/// Figure 4: invocation (request) volume per provider per month, read
+/// off the batch fold over `pdns` ([`measure`]). `report` is `pdns`'s
+/// identification, which the fold derives again.
 pub fn monthly_requests<B: PdnsBackend + ?Sized>(
     report: &IdentificationReport,
     pdns: &B,
 ) -> MonthlySeries {
-    monthly_requests_with(report, pdns, default_workers())
-}
-
-/// [`monthly_requests`] with an explicit worker count: one
-/// function-chunk sweep whose per-month sums merge commutatively.
-pub fn monthly_requests_with<B: PdnsBackend + ?Sized>(
-    report: &IdentificationReport,
-    pdns: &B,
-    workers: usize,
-) -> MonthlySeries {
-    sweep_functions(
-        &report.functions,
-        pdns,
-        workers,
-        "usage/monthly",
-        UsageState::monthly_only,
-    )
-    .monthly_series()
+    let usage = measure(pdns, default_workers(), None).0;
+    debug_assert!(
+        usage.identification == *report,
+        "report is pdns's identification"
+    );
+    usage.request_series
 }
 
 /// Table 2 row computed from the measured data.
@@ -357,151 +267,18 @@ pub struct IngressRow {
     pub entropy_bits: (f64, f64, f64),
 }
 
-/// Compute Table 2 from the identified functions and the store.
+/// Table 2 from the batch fold over `pdns` ([`measure`]). `report` is
+/// `pdns`'s identification, which the fold derives again.
 pub fn ingress_table<B: PdnsBackend + ?Sized>(
     report: &IdentificationReport,
     pdns: &B,
 ) -> Vec<IngressRow> {
-    ingress_table_with(report, pdns, default_workers())
-}
-
-/// [`ingress_table`] with an explicit worker count: the same sweep as
-/// [`monthly_requests_with`], whose per-rdata request sums merge
-/// commutatively.
-pub fn ingress_table_with<B: PdnsBackend + ?Sized>(
-    report: &IdentificationReport,
-    pdns: &B,
-    workers: usize,
-) -> Vec<IngressRow> {
-    sweep_functions(
-        &report.functions,
-        pdns,
-        workers,
-        "usage/ingress",
-        UsageState::ingress_only,
-    )
-    .ingress_rows(report)
-}
-
-/// Deterministic sample membership for the approximate usage sweep:
-/// an fqdn is in the sample iff its FNV-1a hash falls under the rate
-/// threshold. Hash-based (rather than RNG-based) selection makes the
-/// sample a pure function of the fqdn — identical across worker
-/// counts, runs, and machines.
-fn in_sample(fqdn: &fw_types::Fqdn, rate: f64) -> bool {
-    (fw_types::fnv::fnv1a(fqdn.as_str().as_bytes()) as f64) < rate * (u64::MAX as f64)
-}
-
-/// Output of the sampled usage sweep: scaled estimates plus the error
-/// accounting that makes the speed/accuracy trade explicit.
-#[derive(Debug, Clone)]
-pub struct SampledUsage {
-    /// Monthly request series, inverse-probability scaled (each cell
-    /// multiplied by `scale_factor` and rounded).
-    pub monthly: MonthlySeries,
-    /// Ingress table over the sampled functions. The concentration
-    /// metrics (rtype share, top-10, entropy) are scale-invariant;
-    /// `rdata_cnt` is the distinct count *observed in the sample* and
-    /// undercounts the full sweep — documented, not corrected.
-    pub ingress: Vec<IngressRow>,
-    /// Requested sampling rate.
-    pub rate: f64,
-    pub sampled_functions: u64,
-    pub total_functions: u64,
-    /// Self-normalized inverse-probability factor `N / n`.
-    pub scale_factor: f64,
-    /// Estimated grand request total (`scale_factor × sampled total`).
-    pub est_total_requests: u64,
-    /// Exact grand total, free from the report's aggregates — lets the
-    /// caller print the realized error next to the a-priori bound.
-    pub exact_total_requests: u64,
-    /// Realized relative error of `est_total_requests`.
-    pub rel_err_total: f64,
-    /// A-priori ±1σ relative error of the total estimator under
-    /// simple-random-sampling (finite population correction applied).
-    pub rel_std_err: f64,
-}
-
-/// Approximate usage sweep (`--sample`): visit only a deterministic
-/// hash-selected fraction of the identified functions, scale the
-/// additive counts back up, and report both the realized and the
-/// predicted error of the estimate. One pass computes both the monthly
-/// series and the ingress table. `rate >= 1` degenerates to the exact
-/// sweep (factor 1, zero error bound).
-pub fn usage_sampled<B: PdnsBackend + ?Sized>(
-    report: &IdentificationReport,
-    pdns: &B,
-    workers: usize,
-    rate: f64,
-) -> SampledUsage {
-    let total_functions = report.functions.len() as u64;
-    let exact_total_requests: u64 = report
-        .functions
-        .iter()
-        .map(|f| f.agg.total_request_cnt)
-        .sum();
-    let sampled: Vec<&IdentifiedFunction> = report
-        .functions
-        .iter()
-        .filter(|f| rate >= 1.0 || in_sample(&f.fqdn, rate))
-        .collect();
-    let n = sampled.len() as u64;
-    let scale_factor = if n == 0 {
-        0.0
-    } else {
-        total_functions as f64 / n as f64
-    };
-
-    let state = sweep_functions(&sampled, pdns, workers, "usage/sampled", UsageState::new);
-
-    let mut monthly = state.monthly_series();
-    if scale_factor != 1.0 {
-        for series in monthly.per_provider.values_mut() {
-            for v in series.iter_mut() {
-                *v = (*v as f64 * scale_factor).round() as u64;
-            }
-        }
-    }
-
-    // SRS total estimator: T̂ = N·ȳ over per-function request totals,
-    // Var(T̂) = N²(1 − n/N)s²/n.
-    let totals: Vec<f64> = sampled
-        .iter()
-        .map(|f| f.agg.total_request_cnt as f64)
-        .collect();
-    let est_total = if totals.is_empty() {
-        0.0
-    } else {
-        scale_factor * totals.iter().sum::<f64>()
-    };
-    let rel_std_err = if totals.len() < 2 || est_total == 0.0 || total_functions == 0 {
-        0.0
-    } else {
-        let n_f = totals.len() as f64;
-        let big_n = total_functions as f64;
-        let mean = totals.iter().sum::<f64>() / n_f;
-        let s2 = totals.iter().map(|y| (y - mean).powi(2)).sum::<f64>() / (n_f - 1.0);
-        let var = big_n * big_n * (1.0 - n_f / big_n) * s2 / n_f;
-        var.sqrt() / est_total
-    };
-    let rel_err_total = if exact_total_requests == 0 {
-        0.0
-    } else {
-        (est_total - exact_total_requests as f64).abs() / exact_total_requests as f64
-    };
-
-    SampledUsage {
-        monthly,
-        ingress: state.ingress_rows(report),
-        rate,
-        sampled_functions: n,
-        total_functions,
-        scale_factor,
-        est_total_requests: est_total.round() as u64,
-        exact_total_requests,
-        rel_err_total,
-        rel_std_err,
-    }
+    let usage = measure(pdns, default_workers(), None).0;
+    debug_assert!(
+        usage.identification == *report,
+        "report is pdns's identification"
+    );
+    usage.ingress
 }
 
 /// Figure 5 + §4.3 statistics over function-identifiable providers.
@@ -646,66 +423,6 @@ mod tests {
         assert!((inv.mean_lifespan_days - 16.0).abs() < 1e-9);
         // Google2 has 2 active days over a 31-day span → density < 1.
         assert!((inv.frac_density_one - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn usage_sweeps_are_worker_count_invariant() {
-        let s = store();
-        let report = identify_functions(&s);
-        let base_months = monthly_requests_with(&report, &s, 1);
-        let base_table = ingress_table_with(&report, &s, 1);
-        for workers in [3, 8] {
-            let months = monthly_requests_with(&report, &s, workers);
-            assert_eq!(months.months, base_months.months);
-            assert_eq!(months.per_provider, base_months.per_provider);
-            let table = ingress_table_with(&report, &s, workers);
-            assert_eq!(table.len(), base_table.len());
-            for (a, b) in table.iter().zip(&base_table) {
-                assert_eq!(a.provider, b.provider);
-                assert_eq!(a.total_requests, b.total_requests);
-                assert_eq!(a.rdata_cnt, b.rdata_cnt);
-                assert_eq!(a.rtype_share, b.rtype_share);
-                assert_eq!(a.top10, b.top10);
-            }
-        }
-    }
-
-    #[test]
-    fn sampled_sweep_at_full_rate_is_exact() {
-        let s = store();
-        let report = identify_functions(&s);
-        let exact_months = monthly_requests(&report, &s);
-        let exact_table = ingress_table(&report, &s);
-        let sampled = usage_sampled(&report, &s, 4, 1.0);
-        assert_eq!(sampled.sampled_functions, sampled.total_functions);
-        assert_eq!(sampled.scale_factor, 1.0);
-        assert_eq!(sampled.monthly.per_provider, exact_months.per_provider);
-        assert_eq!(sampled.ingress, exact_table);
-        assert_eq!(sampled.est_total_requests, sampled.exact_total_requests);
-        assert_eq!(sampled.rel_err_total, 0.0);
-        assert_eq!(sampled.rel_std_err, 0.0);
-    }
-
-    #[test]
-    fn sampled_sweep_is_deterministic_and_bounded() {
-        let s = store();
-        let report = identify_functions(&s);
-        let a = usage_sampled(&report, &s, 1, 0.5);
-        let b = usage_sampled(&report, &s, 8, 0.5);
-        // Hash-threshold membership: identical at any worker count.
-        assert_eq!(a.sampled_functions, b.sampled_functions);
-        assert_eq!(a.monthly.per_provider, b.monthly.per_provider);
-        assert_eq!(a.est_total_requests, b.est_total_requests);
-        assert!(a.sampled_functions <= a.total_functions);
-        assert_eq!(a.exact_total_requests, 1123);
-        assert!(a.rel_std_err >= 0.0);
-        // Estimator self-consistency: monthly cells scale with the
-        // sample, so the scaled grand total matches the estimate.
-        if a.sampled_functions > 0 {
-            assert!(a.scale_factor >= 1.0);
-        } else {
-            assert_eq!(a.est_total_requests, 0);
-        }
     }
 
     /// Table 2 from `Rdata`-keyed tables equals Table 2 from tables

@@ -11,6 +11,7 @@
 //! full-scale (531k-domain) synthetic worlds.
 
 use crate::resolver::Sensor;
+use fw_types::fnv::FnvBuildHasher;
 use fw_types::{DayStamp, Fqdn, Rdata, RecordType};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -45,35 +46,6 @@ pub struct PdnsRow {
     pub cnt: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct DailyRow {
-    pdate: DayStamp,
-    rdata_idx: u32,
-    cnt: u64,
-}
-
-#[derive(Debug, Default)]
-struct FqdnEntry {
-    rdatas: Vec<Rdata>,
-    /// rdata → index side table; high-fanout ingress fqdns (anycast
-    /// frontends) see hundreds of distinct rdatas, so interning must not
-    /// scan `rdatas` linearly per observation.
-    rdata_index: HashMap<Rdata, u32>,
-    rows: Vec<DailyRow>,
-}
-
-impl FqdnEntry {
-    fn intern(&mut self, rdata: &Rdata) -> u32 {
-        if let Some(&i) = self.rdata_index.get(rdata) {
-            return i;
-        }
-        let i = self.rdatas.len() as u32;
-        self.rdatas.push(rdata.clone());
-        self.rdata_index.insert(rdata.clone(), i);
-        i
-    }
-}
-
 /// Per-fqdn aggregate (paper §3.2 "key metrics").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FqdnAggregate {
@@ -97,6 +69,98 @@ impl FqdnAggregate {
     /// Single-day functions have density 1 by definition.
     pub fn activity_density(&self) -> f64 {
         self.days_count as f64 / self.lifespan_days() as f64
+    }
+}
+
+/// One daily row of an fqdn's table: the day, the per-fqdn index of
+/// its rdata, and the request count.
+#[derive(Debug, Clone, Copy)]
+pub struct DailyRow {
+    pub pdate: DayStamp,
+    pub rdata: u32,
+    pub cnt: u64,
+}
+
+/// One fqdn's daily rows with their rdata values interned per fqdn:
+/// the table entry of both PDNS tables, [`PdnsStore`] and the
+/// `fw-store` shard table. A row costs one day stamp, one small index
+/// and one counter. The two tables differ only in how they merge an
+/// observation into `rows` (see their merge contracts).
+#[derive(Debug, Default)]
+pub struct FqdnRows {
+    /// Distinct rdata values in first-seen order.
+    rdatas: Vec<Rdata>,
+    /// rdata → index side table; high-fanout ingress fqdns (anycast
+    /// frontends) see hundreds of distinct rdatas, so interning must not
+    /// scan `rdatas` linearly per observation.
+    index: HashMap<Rdata, u32, FnvBuildHasher>,
+    /// Each row's `rdata` is an index [`intern`](Self::intern) returned.
+    pub rows: Vec<DailyRow>,
+}
+
+impl FqdnRows {
+    /// The index of `rdata`, interned on first sight.
+    pub fn intern(&mut self, rdata: &Rdata) -> u32 {
+        if let Some(&i) = self.index.get(rdata) {
+            return i;
+        }
+        let i = self.rdatas.len() as u32;
+        self.rdatas.push(rdata.clone());
+        self.index.insert(rdata.clone(), i);
+        i
+    }
+
+    /// The rdata of one of these rows.
+    pub fn rdata(&self, row: &DailyRow) -> &Rdata {
+        &self.rdatas[row.rdata as usize]
+    }
+
+    /// The per-fqdn aggregate (paper §3.2) of these rows. The rdata
+    /// distribution is sorted by rdata, so aggregates from tables whose
+    /// interning orders differ compare equal with plain `==`.
+    pub fn aggregate(&self, fqdn: &Fqdn) -> FqdnAggregate {
+        let mut first = DayStamp(i64::MAX);
+        let mut last = DayStamp(i64::MIN);
+        let mut total = 0u64;
+        let mut dist: Vec<u64> = vec![0; self.rdatas.len()];
+        let mut days: Vec<DayStamp> = Vec::with_capacity(self.rows.len());
+        for row in &self.rows {
+            first = first.min(row.pdate);
+            last = last.max(row.pdate);
+            total += row.cnt;
+            dist[row.rdata as usize] += row.cnt;
+            days.push(row.pdate);
+        }
+        days.sort_unstable();
+        days.dedup();
+        let mut rdata_dist: Vec<(Rdata, u64)> = self.rdatas.iter().cloned().zip(dist).collect();
+        rdata_dist.sort_by(|a, b| a.0.cmp(&b.0));
+        FqdnAggregate {
+            fqdn: fqdn.clone(),
+            first_seen_all: first,
+            last_seen_all: last,
+            days_count: days.len() as u32,
+            total_request_cnt: total,
+            rdata_dist,
+        }
+    }
+
+    /// The rows in `(pdate, rdata text)` order, each with its rdata:
+    /// the order of [`PdnsStore::records_for`] and of every backend's
+    /// [`PdnsBackend::for_each_record_of`]. Each interned rdata's text
+    /// is rendered once; sorting by `rdata.text()` directly would
+    /// re-allocate the text per comparison.
+    pub fn sorted(&self) -> Vec<(&DailyRow, &Rdata)> {
+        let texts: Vec<String> = self.rdatas.iter().map(|r| r.text()).collect();
+        let mut order: Vec<&DailyRow> = self.rows.iter().collect();
+        order.sort_by(|a, b| {
+            (a.pdate, texts[a.rdata as usize].as_str())
+                .cmp(&(b.pdate, texts[b.rdata as usize].as_str()))
+        });
+        order
+            .into_iter()
+            .map(|row| (row, &self.rdatas[row.rdata as usize]))
+            .collect()
     }
 }
 
@@ -181,23 +245,6 @@ pub trait PdnsBackend: Sync {
     }
 }
 
-/// Order one entry's rows by `(pdate, rdata text)` — the canonical
-/// `records_for` order, shared by the owned and visitor read paths.
-/// Each interned rdata's text is rendered once; sorting by
-/// `rdata.text()` directly would re-allocate the text per comparison.
-fn sorted_rows<'e>(rows: &'e [DailyRow], rdatas: &'e [Rdata]) -> Vec<(&'e DailyRow, &'e Rdata)> {
-    let texts: Vec<String> = rdatas.iter().map(|r| r.text()).collect();
-    let mut order: Vec<&DailyRow> = rows.iter().collect();
-    order.sort_by(|a, b| {
-        (a.pdate, texts[a.rdata_idx as usize].as_str())
-            .cmp(&(b.pdate, texts[b.rdata_idx as usize].as_str()))
-    });
-    order
-        .into_iter()
-        .map(|row| (row, &rdatas[row.rdata_idx as usize]))
-        .collect()
-}
-
 /// The passive-DNS record store.
 ///
 /// Merge contract: one `(fqdn, rdata, pdate)` key may span several
@@ -211,7 +258,7 @@ fn sorted_rows<'e>(rows: &'e [DailyRow], rdatas: &'e [Rdata]) -> Vec<(&'e DailyR
 /// split; `record_count` and `records_for` do.
 #[derive(Debug, Default)]
 pub struct PdnsStore {
-    entries: HashMap<Fqdn, FqdnEntry>,
+    entries: HashMap<Fqdn, FqdnRows>,
     total_rows: usize,
 }
 
@@ -244,7 +291,7 @@ impl PdnsStore {
             if row.pdate != day {
                 break;
             }
-            if row.rdata_idx == idx {
+            if row.rdata == idx {
                 row.cnt += count;
                 fw_obs::counter_inc!("fw.dns.pdns.dedup_merged");
                 return;
@@ -252,7 +299,7 @@ impl PdnsStore {
         }
         entry.rows.push(DailyRow {
             pdate: day,
-            rdata_idx: idx,
+            rdata: idx,
             cnt: count,
         });
         self.total_rows += 1;
@@ -278,7 +325,8 @@ impl PdnsStore {
         let Some(entry) = self.entries.get(fqdn) else {
             return Vec::new();
         };
-        sorted_rows(&entry.rows, &entry.rdatas)
+        entry
+            .sorted()
             .into_iter()
             .map(|(row, rdata)| PdnsRecord {
                 fqdn: fqdn.clone(),
@@ -303,7 +351,7 @@ impl PdnsStore {
         let Some(entry) = self.entries.get(fqdn) else {
             return;
         };
-        for (row, rdata) in sorted_rows(&entry.rows, &entry.rdatas) {
+        for (row, rdata) in entry.sorted() {
             f(rdata.rtype(), rdata, row.pdate, row.cnt);
         }
     }
@@ -331,10 +379,10 @@ impl PdnsStore {
                         .rows
                         .iter()
                         .enumerate()
-                        .map(|(i, r)| ((r.pdate, r.rdata_idx), i))
+                        .map(|(i, r)| ((r.pdate, r.rdata), i))
                         .collect();
-                    for row in src.rows {
-                        let idx = dst.intern(&src.rdatas[row.rdata_idx as usize]);
+                    for row in &src.rows {
+                        let idx = dst.intern(src.rdata(row));
                         match by_key.entry((row.pdate, idx)) {
                             std::collections::hash_map::Entry::Occupied(pos) => {
                                 dst.rows[*pos.get()].cnt += row.cnt;
@@ -343,7 +391,7 @@ impl PdnsStore {
                                 slot.insert(dst.rows.len());
                                 dst.rows.push(DailyRow {
                                     pdate: row.pdate,
-                                    rdata_idx: idx,
+                                    rdata: idx,
                                     cnt: row.cnt,
                                 });
                                 self.total_rows += 1;
@@ -363,7 +411,7 @@ impl PdnsStore {
     {
         for (fqdn, entry) in &self.entries {
             for row in &entry.rows {
-                let rdata = &entry.rdatas[row.rdata_idx as usize];
+                let rdata = entry.rdata(row);
                 f(fqdn, rdata.rtype(), rdata, row.pdate, row.cnt);
             }
         }
@@ -371,33 +419,7 @@ impl PdnsStore {
 
     /// Per-fqdn aggregate (paper §3.2).
     pub fn aggregate(&self, fqdn: &Fqdn) -> Option<FqdnAggregate> {
-        let entry = self.entries.get(fqdn)?;
-        let mut first = DayStamp(i64::MAX);
-        let mut last = DayStamp(i64::MIN);
-        let mut total = 0u64;
-        let mut dist: Vec<u64> = vec![0; entry.rdatas.len()];
-        let mut days: Vec<DayStamp> = Vec::with_capacity(entry.rows.len());
-        for row in &entry.rows {
-            first = first.min(row.pdate);
-            last = last.max(row.pdate);
-            total += row.cnt;
-            dist[row.rdata_idx as usize] += row.cnt;
-            days.push(row.pdate);
-        }
-        days.sort_unstable();
-        days.dedup();
-        // Sorted by rdata so aggregates from different backends (whose
-        // interning orders differ) compare equal with plain `==`.
-        let mut rdata_dist: Vec<(Rdata, u64)> = entry.rdatas.iter().cloned().zip(dist).collect();
-        rdata_dist.sort_by(|a, b| a.0.cmp(&b.0));
-        Some(FqdnAggregate {
-            fqdn: fqdn.clone(),
-            first_seen_all: first,
-            last_seen_all: last,
-            days_count: days.len() as u32,
-            total_request_cnt: total,
-            rdata_dist,
-        })
+        Some(self.entries.get(fqdn)?.aggregate(fqdn))
     }
 
     /// Aggregates for every fqdn (arbitrary order).

@@ -24,7 +24,7 @@
 use crate::segment::{read_segment, SegmentBuilder};
 use crate::{StoreConfig, StoreError};
 use fw_analysis::par::{fork, par_map};
-use fw_dns::pdns::{FqdnAggregate, PdnsBackend};
+use fw_dns::pdns::{DailyRow, FqdnAggregate, FqdnRows, PdnsBackend};
 use fw_types::fnv::FnvBuildHasher;
 use fw_types::{DayStamp, Fqdn, Rdata, RecordType};
 use parking_lot::{Mutex, MutexGuard};
@@ -39,43 +39,27 @@ const SUPERBLOCK: &str = "superblock.fws";
 /// The one segment file in each shard directory.
 const SEGMENT: &str = "seg-00000001.fws";
 
-#[derive(Debug, Clone, Copy)]
-struct Row {
-    pdate: i64,
-    rdata: u32,
-    cnt: u64,
-}
-
+/// One shard-table entry: the fqdn's rows (fw-dns's shared table)
+/// plus the exact-key merge index only this table keeps.
 #[derive(Debug, Default)]
 struct Entry {
-    rdatas: Vec<Rdata>,
-    rdata_idx: HashMap<Rdata, u32, FnvBuildHasher>,
-    rows: Vec<Row>,
+    table: FqdnRows,
     /// `(pdate, rdata_idx) → position in rows`: exact-key merge.
     row_idx: HashMap<(i64, u32), u32, FnvBuildHasher>,
 }
 
 impl Entry {
-    fn intern(&mut self, rdata: &Rdata) -> u32 {
-        if let Some(&i) = self.rdata_idx.get(rdata) {
-            return i;
-        }
-        let i = self.rdatas.len() as u32;
-        self.rdatas.push(rdata.clone());
-        self.rdata_idx.insert(rdata.clone(), i);
-        i
-    }
-
-    /// Rebuild `row_idx` from `rows`. Loading a segment skips building
+    /// Rebuild `row_idx` from the rows. Loading a segment skips building
     /// the merge index (its keys are unique); an observe that merges
     /// into an existing entry calls this first.
     fn ensure_row_idx(&mut self) {
-        if self.row_idx.is_empty() && !self.rows.is_empty() {
+        if self.row_idx.is_empty() && !self.table.rows.is_empty() {
             self.row_idx = self
+                .table
                 .rows
                 .iter()
                 .enumerate()
-                .map(|(i, r)| ((r.pdate, r.rdata), i as u32))
+                .map(|(i, r)| ((r.pdate.0, r.rdata), i as u32))
                 .collect();
         }
     }
@@ -140,14 +124,15 @@ impl Shard {
                 continue;
             }
             observed += 1;
-            let idx = entry.intern(rdata);
+            let table = &mut entry.table;
+            let idx = table.intern(rdata);
             let key = (day.0, idx);
             match entry.row_idx.get(&key) {
-                Some(&pos) => entry.rows[pos as usize].cnt += count,
+                Some(&pos) => table.rows[pos as usize].cnt += count,
                 None => {
-                    entry.row_idx.insert(key, entry.rows.len() as u32);
-                    entry.rows.push(Row {
-                        pdate: day.0,
+                    entry.row_idx.insert(key, table.rows.len() as u32);
+                    table.rows.push(DailyRow {
+                        pdate: day,
                         rdata: idx,
                         cnt: count,
                     });
@@ -173,15 +158,15 @@ impl Shard {
         let _trace = fw_obs::trace_span_arg("store/seal", self.idx as u64);
         let mut builder = SegmentBuilder::for_distinct_fqdns(self.table.len(), self.rows);
         for (fqdn, entry) in &self.table {
-            let rdatas = &entry.rdatas;
+            let table = &entry.table;
             // Table keys are distinct, so the map-free per-fqdn push
             // applies (one dictionary clone per fqdn, no dedupe hashes).
             builder.push_fqdn_rows(
                 fqdn,
-                entry
+                table
                     .rows
                     .iter()
-                    .map(|row| (&rdatas[row.rdata as usize], DayStamp(row.pdate), row.cnt)),
+                    .map(|row| (table.rdata(row), row.pdate, row.cnt)),
             );
         }
         let Some(bytes) = builder.finish() else {
@@ -308,12 +293,12 @@ impl DiskStore {
         // entry later rebuilds it).
         for run in seg.rows.chunk_by(|a, b| a.fqdn == b.fqdn) {
             let fqdn = &seg.fqdns[run[0].fqdn as usize];
-            let entry = shard.table.entry(fqdn.clone()).or_default();
-            entry.rows.reserve(run.len());
+            let table = &mut shard.table.entry(fqdn.clone()).or_default().table;
+            table.rows.reserve(run.len());
             for row in run {
-                let idx = entry.intern(&seg.rdatas[row.rdata as usize]);
-                entry.rows.push(Row {
-                    pdate: row.pdate.0,
+                let idx = table.intern(&seg.rdatas[row.rdata as usize]);
+                table.rows.push(DailyRow {
+                    pdate: row.pdate,
                     rdata: idx,
                     cnt: row.cnt,
                 });
@@ -428,12 +413,6 @@ impl DiskStore {
     pub fn shard_stats(&self, shard: usize) -> ShardIngestStats {
         stats_of(&self.shards[shard].lock())
     }
-
-    fn aggregate_inner(&self, fqdn: &Fqdn) -> Option<FqdnAggregate> {
-        let shard = self.shard_of(fqdn);
-        let entry = shard.table.get(fqdn)?;
-        Some(aggregate_entry(fqdn, entry))
-    }
 }
 
 fn stats_of(s: &Shard) -> ShardIngestStats {
@@ -539,35 +518,6 @@ pub(crate) fn shard_segment(dir: &Path, shard: usize) -> Result<Option<PathBuf>,
     Ok(found)
 }
 
-/// Aggregate one in-memory entry (shared by the point lookup and the
-/// per-shard parallel sweep).
-fn aggregate_entry(fqdn: &Fqdn, entry: &Entry) -> FqdnAggregate {
-    let mut first = i64::MAX;
-    let mut last = i64::MIN;
-    let mut total = 0u64;
-    let mut dist: Vec<u64> = vec![0; entry.rdatas.len()];
-    let mut days: Vec<i64> = Vec::with_capacity(entry.rows.len());
-    for row in &entry.rows {
-        first = first.min(row.pdate);
-        last = last.max(row.pdate);
-        total += row.cnt;
-        dist[row.rdata as usize] += row.cnt;
-        days.push(row.pdate);
-    }
-    days.sort_unstable();
-    days.dedup();
-    let mut rdata_dist: Vec<(Rdata, u64)> = entry.rdatas.iter().cloned().zip(dist).collect();
-    rdata_dist.sort_by(|a, b| a.0.cmp(&b.0));
-    FqdnAggregate {
-        fqdn: fqdn.clone(),
-        first_seen_all: DayStamp(first),
-        last_seen_all: DayStamp(last),
-        days_count: days.len() as u32,
-        total_request_cnt: total,
-        rdata_dist,
-    }
-}
-
 impl PdnsBackend for DiskStore {
     fn observe_count(&mut self, fqdn: &Fqdn, rdata: &Rdata, day: DayStamp, count: u64) {
         DiskStore::observe_count(self, fqdn, rdata, day, count);
@@ -597,16 +547,18 @@ impl PdnsBackend for DiskStore {
         for shard in &self.shards {
             let shard = shard.lock();
             for (fqdn, entry) in &shard.table {
-                for row in &entry.rows {
-                    let rdata = &entry.rdatas[row.rdata as usize];
-                    f(fqdn, rdata.rtype(), rdata, DayStamp(row.pdate), row.cnt);
+                let table = &entry.table;
+                for row in &table.rows {
+                    let rdata = table.rdata(row);
+                    f(fqdn, rdata.rtype(), rdata, row.pdate, row.cnt);
                 }
             }
         }
     }
 
     fn aggregate(&self, fqdn: &Fqdn) -> Option<FqdnAggregate> {
-        self.aggregate_inner(fqdn)
+        let shard = self.shard_of(fqdn);
+        Some(shard.table.get(fqdn)?.table.aggregate(fqdn))
     }
 
     fn for_each_record_of(
@@ -618,17 +570,8 @@ impl PdnsBackend for DiskStore {
         let Some(entry) = shard.table.get(fqdn) else {
             return;
         };
-        // Canonical `(pdate, rdata text)` order, matching
-        // `PdnsStore::records_for`; texts render once per distinct rdata.
-        let texts: Vec<String> = entry.rdatas.iter().map(|r| r.text()).collect();
-        let mut order: Vec<&Row> = entry.rows.iter().collect();
-        order.sort_by(|a, b| {
-            (a.pdate, texts[a.rdata as usize].as_str())
-                .cmp(&(b.pdate, texts[b.rdata as usize].as_str()))
-        });
-        for row in order {
-            let rdata = &entry.rdatas[row.rdata as usize];
-            f(rdata.rtype(), rdata, DayStamp(row.pdate), row.cnt);
+        for (row, rdata) in entry.table.sorted() {
+            f(rdata.rtype(), rdata, row.pdate, row.cnt);
         }
     }
 
@@ -647,7 +590,7 @@ impl PdnsBackend for DiskStore {
                 shard
                     .table
                     .iter()
-                    .map(|(fqdn, entry)| aggregate_entry(fqdn, entry))
+                    .map(|(fqdn, entry)| entry.table.aggregate(fqdn))
                     .collect::<Vec<_>>()
             },
         );

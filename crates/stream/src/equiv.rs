@@ -6,15 +6,15 @@
 //! claim as a checkable function shared by fw-bench's
 //! `fw_stream_gate` CI binary and the integration tests: given a
 //! finished daemon and the source backend it streamed from, recompute
-//! everything with the batch code path (`identify_functions_with` +
-//! the §4 sweeps) and compare verdict maps, usage tables, and row
-//! counts. Any mismatch returns a description of the first divergence.
+//! everything with the batch fold (`fw_core::fold::measure`, which
+//! classifies each fqdn once and routes its rows in one visit, while
+//! the daemon folded row deltas) and compare verdict maps, usage
+//! tables, and row counts. Any mismatch returns a description of the
+//! first divergence.
 
 use crate::daemon::DaemonFinal;
-use fw_core::identify::{identify_functions_with, IdentificationReport};
-use fw_core::usage::{
-    ingress_table_with, invocation_report, monthly_new_fqdns, monthly_requests_with,
-};
+use fw_core::fold::measure;
+use fw_core::identify::IdentificationReport;
 use fw_dns::pdns::PdnsBackend;
 
 fn check_reports(
@@ -58,9 +58,9 @@ fn check_reports(
 }
 
 /// Verify a finished daemon against a batch run over `source` (the
-/// backend whose rows were streamed). `workers` drives the batch-side
-/// sweeps — both sides are worker-count invariant, so any value must
-/// pass. Checks, in order: the identification report (verdict map +
+/// backend whose rows were streamed). `workers` drives the batch fold —
+/// both sides are worker-count invariant, so any value must pass.
+/// Checks, in order: the identification report (verdict map +
 /// per-function §3.2 aggregates), the Figure 3/4 monthly series, the
 /// Table 2 ingress rows, the Figure 5 invocation stats, and the
 /// absorbed store's row/fqdn counts.
@@ -73,24 +73,23 @@ where
     B: PdnsBackend,
     S: PdnsBackend + ?Sized,
 {
-    let batch = identify_functions_with(source, workers);
-    check_reports(&fin.report, &batch).map_err(|e| format!("identification: {e}"))?;
+    let (usage, _) = measure(source, workers, None);
+    let batch = &usage.identification;
+    check_reports(&fin.report, batch).map_err(|e| format!("identification: {e}"))?;
 
-    let new_fqdns = monthly_new_fqdns(&batch);
-    if fin.new_fqdns != new_fqdns {
+    if fin.new_fqdns != usage.new_fqdns {
         return Err("figure 3 (monthly new fqdns) diverges".to_string());
     }
-    let request_series = monthly_requests_with(&batch, source, workers);
-    if fin.request_series != request_series {
+    if fin.request_series != usage.request_series {
         return Err(format!(
             "figure 4 (monthly requests) diverges: streamed {:?} vs batch {:?}",
             fin.request_series.total(),
-            request_series.total()
+            usage.request_series.total()
         ));
     }
-    let ingress = ingress_table_with(&batch, source, workers);
-    if fin.ingress != ingress {
-        for (s, b) in fin.ingress.iter().zip(&ingress) {
+    let ingress = &usage.ingress;
+    if fin.ingress != *ingress {
+        for (s, b) in fin.ingress.iter().zip(ingress) {
             if s != b {
                 return Err(format!(
                     "table 2 (ingress) diverges: streamed {s:?} vs batch {b:?}"
@@ -103,8 +102,7 @@ where
             ingress.len()
         ));
     }
-    let invocation = invocation_report(&batch);
-    if fin.invocation != invocation {
+    if fin.invocation != usage.invocation {
         return Err("figure 5 (invocation) diverges".to_string());
     }
 

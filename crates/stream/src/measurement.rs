@@ -18,9 +18,10 @@
 
 use crate::checkpoint::Checkpoint;
 use crate::score::{CandidateScorer, Detection, ScoreConfig};
+use fw_core::fold::finish;
 use fw_core::identify::IdentifyEngine;
 use fw_core::pipeline::UsageReport;
-use fw_core::usage::{invocation_report, monthly_new_fqdns, UsageState};
+use fw_core::usage::UsageState;
 use fw_dns::pdns::PdnsRow;
 
 /// Incremental identify/usage/candidate state.
@@ -65,18 +66,12 @@ impl Measurement {
         }
     }
 
-    /// Consume the state into the batch pipeline's report shape plus
-    /// the detections in flag order. Nothing re-sweeps a store, yet the
-    /// report matches a batch sweep byte-for-byte (see [`crate::equiv`]).
+    /// Consume the state into the batch pipeline's report shape, through
+    /// the batch fold's own finisher, plus the detections in flag order.
+    /// Nothing re-sweeps a store, yet the report matches the batch fold
+    /// byte-for-byte (see [`crate::equiv`]).
     pub fn finish(self) -> (UsageReport, Vec<Detection>) {
-        let identification = self.engine.into_report();
-        let report = UsageReport {
-            new_fqdns: monthly_new_fqdns(&identification),
-            request_series: self.usage.monthly_series(),
-            ingress: self.usage.ingress_rows(&identification),
-            invocation: invocation_report(&identification),
-            identification,
-        };
+        let (report, _) = finish(self.engine, &self.usage, None);
         (report, self.scorer.into_detections())
     }
 }
