@@ -220,7 +220,7 @@ pub fn figures_digest(
         h = fold(h, u64::from(f.agg.days_count));
         h = fold(h, f.agg.rdata_dist.len() as u64);
         for (rdata, cnt) in &f.agg.rdata_dist {
-            h = update(h, rdata.text().as_bytes());
+            h = rdata.with_text(|text| update(h, text.as_bytes()));
             h = fold(h, *cnt);
         }
     }

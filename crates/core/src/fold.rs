@@ -84,17 +84,25 @@ impl BatchFold {
     }
 
     /// Make `fqdn` the current fqdn, classifying it unless it already
-    /// is, and return where its rows route.
+    /// is, and return where its rows route. The current name's buffer is
+    /// reused (`clone_from`), so a new fqdn allocates only when its name
+    /// outgrows every earlier one.
     fn enter(&mut self, fqdn: &Fqdn) -> Option<ProviderId> {
-        match &self.cur {
-            Some((f, _, route)) if f == fqdn => *route,
-            _ => {
-                let verdict = classify_fqdn(fqdn);
-                let route = self.route(fqdn, &verdict);
-                self.cur = Some((fqdn.clone(), verdict, route));
-                route
+        if let Some((f, _, route)) = &self.cur {
+            if f == fqdn {
+                return *route;
             }
         }
+        let verdict = classify_fqdn(fqdn);
+        let route = self.route(fqdn, &verdict);
+        match &mut self.cur {
+            Some((f, v, r)) => {
+                f.clone_from(fqdn);
+                (*v, *r) = (verdict, route);
+            }
+            None => self.cur = Some((fqdn.clone(), verdict, route)),
+        }
+        route
     }
 
     /// Fold in one row of `fqdn`.
@@ -105,9 +113,11 @@ impl BatchFold {
     }
 
     /// Fold in one fqdn's aggregate, keeping it with the fqdn's verdict.
+    /// The verdict moves into the kept pair; the fqdn's route stays, so
+    /// its rows may still arrive after its aggregate.
     pub fn aggregate(&mut self, agg: FqdnAggregate) {
         self.enter(&agg.fqdn);
-        let verdict = self.cur.as_ref().and_then(|(_, v, _)| v.clone());
+        let verdict = self.cur.as_mut().and_then(|(_, v, _)| v.take());
         self.batch.push((agg, verdict));
     }
 

@@ -90,23 +90,44 @@ pub struct DailyRow {
 pub struct FqdnRows {
     /// Distinct rdata values in first-seen order.
     rdatas: Vec<Rdata>,
-    /// rdata → index side table; high-fanout ingress fqdns (anycast
-    /// frontends) see hundreds of distinct rdatas, so interning must not
-    /// scan `rdatas` linearly per observation.
-    index: HashMap<Rdata, u32, FnvBuildHasher>,
+    /// rdata → index side table, built only once `rdatas` outgrows
+    /// [`LINEAR_INTERN_MAX`]: high-fanout ingress fqdns (anycast
+    /// frontends) see hundreds of distinct rdatas, while almost every
+    /// other fqdn sees one or two and is cheaper to scan than to hash.
+    index: Option<HashMap<Rdata, u32, FnvBuildHasher>>,
     /// Each row's `rdata` is an index [`intern`](Self::intern) returned.
     pub rows: Vec<DailyRow>,
 }
 
+/// The most distinct rdatas an fqdn interns by a linear scan of
+/// `rdatas` before [`FqdnRows`] builds its hash index.
+const LINEAR_INTERN_MAX: usize = 8;
+
 impl FqdnRows {
     /// The index of `rdata`, interned on first sight.
     pub fn intern(&mut self, rdata: &Rdata) -> u32 {
-        if let Some(&i) = self.index.get(rdata) {
+        let found = match &self.index {
+            Some(index) => index.get(rdata).copied(),
+            None => self
+                .rdatas
+                .iter()
+                .position(|r| r == rdata)
+                .map(|i| i as u32),
+        };
+        if let Some(i) = found {
             return i;
         }
         let i = self.rdatas.len() as u32;
         self.rdatas.push(rdata.clone());
-        self.index.insert(rdata.clone(), i);
+        match &mut self.index {
+            Some(index) => {
+                index.insert(rdata.clone(), i);
+            }
+            None if self.rdatas.len() > LINEAR_INTERN_MAX => {
+                self.index = Some(self.rdatas.iter().cloned().zip(0..).collect());
+            }
+            None => {}
+        }
         i
     }
 
@@ -646,6 +667,24 @@ mod tests {
         let agg = s.aggregate(&f).unwrap();
         assert_eq!(agg.rdata_dist.len(), 300);
         assert_eq!(agg.total_request_cnt, 600);
+    }
+
+    /// Interning returns each rdata's first-seen position whether it
+    /// scans the rdatas (up to 8) or looks them up in its index.
+    #[test]
+    fn intern_indices_are_first_seen_order_across_the_threshold() {
+        let mut rows = FqdnRows::default();
+        let mut seen: Vec<Rdata> = Vec::new();
+        for i in 0..60u8 {
+            // A new rdata at each even step, a repeat at each odd one.
+            let r = a(if i % 2 == 0 { i / 2 } else { i / 3 });
+            let want = seen.iter().position(|s| *s == r).unwrap_or_else(|| {
+                seen.push(r.clone());
+                seen.len() - 1
+            });
+            assert_eq!(rows.intern(&r) as usize, want, "step {i}");
+        }
+        assert_eq!(seen.len(), 30);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Criterion benches for the storage engine: sharded ingest, segment
-//! encode/decode, snapshot save (seal) / load (open), and
-//! full-scan throughput — the paths that gate snapshot replay speed.
+//! encode/decode, snapshot save (seal) / load (open), full-scan
+//! throughput — the paths that gate snapshot replay speed — and the
+//! fused pipeline's seal-then-scan of one shard.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use fw_dns::pdns::PdnsBackend;
 use fw_store::{DiskStore, SegmentBuilder, StoreConfig};
 use fw_types::{DayStamp, Fqdn, Rdata, MEASUREMENT_START};
@@ -249,12 +250,59 @@ fn bench_mmap_scan(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+fn bench_seal_scan(c: &mut Criterion) {
+    // The fused pipeline's per-shard step on one shard: seal the table
+    // through the borrowing segment builder, release it, and stream the
+    // segment back with the scan moving each name into its aggregate.
+    let data = rows(50_000);
+    let mut group = c.benchmark_group("seal_scan");
+    group.throughput(Throughput::Elements(data.len() as u64));
+    group.bench_function("seal_then_scan_one_shard_50k_rows", |b| {
+        b.iter_batched(
+            || {
+                let dir = scratch("seal-scan");
+                let store = DiskStore::create(
+                    &dir,
+                    StoreConfig {
+                        shards: 1,
+                        flush_rows: 0,
+                    },
+                )
+                .unwrap();
+                for (f, r, d, cnt) in &data {
+                    store.observe_count(f, r, *d, *cnt);
+                }
+                (dir, store)
+            },
+            |(dir, store)| {
+                store.seal_shard(0).unwrap();
+                store.release_shard_table(0);
+                let mut aggs = 0usize;
+                let mut total = 0u64;
+                fw_store::scan_shard_visit(
+                    &dir,
+                    0,
+                    &mut |agg| aggs += agg.rdata_dist.len(),
+                    Some(&mut |_f, _r, _d, cnt| total += cnt),
+                )
+                .unwrap();
+                drop(store);
+                std::fs::remove_dir_all(&dir).unwrap();
+                (aggs, total)
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_ingest,
     bench_segment_codec,
     bench_snapshot_save_load,
     bench_varint_decode,
-    bench_mmap_scan
+    bench_mmap_scan,
+    bench_seal_scan
 );
 criterion_main!(benches);

@@ -355,6 +355,39 @@ mod tests {
         assert_eq!(reopened.all_aggregates(), mem.all_aggregates());
     }
 
+    /// A shard entry merges on the exact `(pdate, rdata)` key whether
+    /// it scans its rows (up to 16) or indexes them, and whether it
+    /// interns by scan (up to 8 rdatas) or by map: fqdns on both sides
+    /// of both thresholds keep one row per key, in first-seen order.
+    #[test]
+    fn exact_key_merge_holds_across_both_thresholds() {
+        let tmp = TempDir::new("thresholds");
+        let store = DiskStore::create(tmp.path(), small_config()).unwrap();
+        // Key `k` is rdata `k % 12` on day `k / 3`: distinct for every k.
+        let key = |k: usize| (v4(0, (k % 12) as u8), day((k / 3) as i64));
+        let mut rows = 0;
+        for keys in [1usize, 8, 9, 16, 17, 40] {
+            let f = fq(&format!("k{keys}.on.aws"));
+            // Each round revisits every key, so no repeat is a tail row.
+            for round in 1..=3 {
+                for k in 0..keys {
+                    let (r, d) = key(k);
+                    store.observe_count(&f, &r, d, round);
+                }
+            }
+            let mut got = Vec::new();
+            store.for_each_row(&mut |g, _, r, d, cnt| {
+                if *g == f {
+                    got.push((r.clone(), d, cnt));
+                }
+            });
+            let want: Vec<_> = (0..keys).map(|k| (key(k).0, key(k).1, 6)).collect();
+            assert_eq!(got, want, "{keys} keys");
+            rows += keys;
+        }
+        assert_eq!(store.record_count(), rows);
+    }
+
     #[test]
     fn create_refuses_to_clobber() {
         let tmp = TempDir::new("clobber");

@@ -32,11 +32,17 @@ fn scan_segment_into(
     emit: &mut dyn FnMut(FqdnAggregate),
     mut on_row: Option<&mut RowVisitor<'_>>,
 ) -> Result<(), StoreError> {
-    let (dicts, mut r) = parse_segment(bytes)?;
+    let (mut dicts, mut r) = parse_segment(bytes)?;
+    // Each run's name moves out of the dictionary into its aggregate.
+    // Row fqdn indices never decrease (`next_row` refuses a wrapping
+    // delta), so the names are taken in dictionary order and none is
+    // needed again after its run.
+    let mut names = std::mem::take(&mut dicts.fqdns).into_iter();
+    let mut next_name = 0u32;
     // Per-run state. `dist` maps segment rdata index → count via linear
     // scan: a run's distinct rdatas are few even when the segment's
     // dictionary is large.
-    let mut run_fqdn: Option<u32> = None;
+    let mut run: Option<(u32, Fqdn)> = None;
     let mut first = DayStamp(i64::MAX);
     let mut last = DayStamp(i64::MIN);
     let mut prev_day = DayStamp(i64::MIN);
@@ -45,7 +51,7 @@ fn scan_segment_into(
     let mut dist: Vec<(u32, u64)> = Vec::new();
     let mut prev = 0u64;
 
-    let mut flush = |fqdn_idx: u32,
+    let mut flush = |fqdn: Fqdn,
                      first: DayStamp,
                      last: DayStamp,
                      days: u32,
@@ -57,7 +63,7 @@ fn scan_segment_into(
             .collect();
         rdata_dist.sort_by(|a, b| a.0.cmp(&b.0));
         emit(FqdnAggregate {
-            fqdn: dicts.fqdns[fqdn_idx as usize].clone(),
+            fqdn,
             first_seen_all: first,
             last_seen_all: last,
             days_count: days,
@@ -68,11 +74,17 @@ fn scan_segment_into(
 
     for _ in 0..dicts.n_rows {
         let row = next_row(&mut r, &dicts, &mut prev)?;
-        if run_fqdn != Some(row.fqdn) {
-            if let Some(done) = run_fqdn {
+        if run.as_ref().is_none_or(|(i, _)| *i != row.fqdn) {
+            if let Some((_, done)) = run.take() {
                 flush(done, first, last, days, total, &mut dist);
             }
-            run_fqdn = Some(row.fqdn);
+            // A later run has a larger index; skip the names of any
+            // fqdns without rows (a well-formed segment has none).
+            let name = names
+                .nth((row.fqdn - next_name) as usize)
+                .expect("next_row bounds the index by the dictionary");
+            next_name = row.fqdn + 1;
+            run = Some((row.fqdn, name));
             first = row.pdate;
             last = row.pdate;
             prev_day = row.pdate;
@@ -92,13 +104,8 @@ fn scan_segment_into(
             Some((_, cnt)) => *cnt += row.cnt,
             None => dist.push((row.rdata, row.cnt)),
         }
-        if let Some(visit) = on_row.as_deref_mut() {
-            visit(
-                &dicts.fqdns[row.fqdn as usize],
-                &dicts.rdatas[row.rdata as usize],
-                row.pdate,
-                row.cnt,
-            );
+        if let (Some(visit), Some((_, fqdn))) = (on_row.as_deref_mut(), &run) {
+            visit(fqdn, &dicts.rdatas[row.rdata as usize], row.pdate, row.cnt);
         }
     }
     if !r.is_empty() {
@@ -106,7 +113,7 @@ fn scan_segment_into(
             "trailing bytes in rows block".to_string(),
         ));
     }
-    if let Some(done) = run_fqdn {
+    if let Some((_, done)) = run {
         flush(done, first, last, days, total, &mut dist);
     }
     Ok(())
@@ -339,6 +346,21 @@ mod tests {
         }
         assert!(flipped > 0, "test must have poisoned at least one segment");
         assert!(scan_all(&tmp.0).is_ok());
+    }
+
+    #[test]
+    fn wrapping_fqdn_delta_fails_the_scan() {
+        // Row 3's delta wraps the index back to fqdn 0, whose name the
+        // scan has already moved into fqdn 0's aggregate.
+        let fqdns = ["a.on.aws", "b.on.aws"];
+        let rows = [[0, 0, 0, 1], [1, 0, 0, 1], [u64::MAX, 0, 0, 1]];
+        let mut aggs = 0;
+        let result = scan_segment_into(
+            &crate::segment::tests::raw_segment(&fqdns, &rows),
+            &mut |_| aggs += 1,
+            Some(&mut |_, _, _, _| {}),
+        );
+        assert!(matches!(result, Err(StoreError::Corrupt(_))), "{result:?}");
     }
 
     #[test]

@@ -67,13 +67,15 @@ pub struct SegmentData {
     pub max_day: DayStamp,
 }
 
-/// Accumulates rows, then encodes one segment.
+/// Accumulates rows, then encodes one segment. The builder borrows its
+/// dictionary: it keeps `&'a` references to the names and rdatas it is
+/// fed, so building a segment from a table copies none of them.
 #[derive(Debug, Default)]
-pub struct SegmentBuilder {
-    fqdns: Vec<Fqdn>,
-    fqdn_idx: HashMap<Fqdn, u32, FnvBuildHasher>,
-    rdatas: Vec<Rdata>,
-    rdata_idx: HashMap<Rdata, u32, FnvBuildHasher>,
+pub struct SegmentBuilder<'a> {
+    fqdns: Vec<&'a Fqdn>,
+    fqdn_idx: HashMap<&'a Fqdn, u32, FnvBuildHasher>,
+    rdatas: Vec<&'a Rdata>,
+    rdata_idx: HashMap<&'a Rdata, u32, FnvBuildHasher>,
     /// `(fqdn_idx, pdate, rdata_idx, cnt)` in arrival order.
     rows: Vec<(u32, i64, u32, u64)>,
     /// Dictionary index of the most recently pushed fqdn. Flush paths
@@ -82,8 +84,8 @@ pub struct SegmentBuilder {
     last_fqdn: Option<u32>,
 }
 
-impl SegmentBuilder {
-    pub fn new() -> SegmentBuilder {
+impl<'a> SegmentBuilder<'a> {
+    pub fn new() -> SegmentBuilder<'a> {
         SegmentBuilder::default()
     }
 
@@ -92,14 +94,11 @@ impl SegmentBuilder {
     /// sizing the dictionary and row vector up front keeps a large seal
     /// from paying a regrow cascade at its tail, and the fqdn dedupe map
     /// is never consulted, so it stays unallocated.
-    pub fn for_distinct_fqdns(fqdns: usize, rows: usize) -> SegmentBuilder {
+    pub fn for_distinct_fqdns(fqdns: usize, rows: usize) -> SegmentBuilder<'a> {
         SegmentBuilder {
             fqdns: Vec::with_capacity(fqdns),
-            fqdn_idx: HashMap::default(),
-            rdatas: Vec::new(),
-            rdata_idx: HashMap::default(),
             rows: Vec::with_capacity(rows),
-            last_fqdn: None,
+            ..SegmentBuilder::default()
         }
     }
 
@@ -107,45 +106,39 @@ impl SegmentBuilder {
         self.rows.is_empty()
     }
 
-    pub fn push(&mut self, fqdn: &Fqdn, rdata: &Rdata, day: DayStamp, cnt: u64) {
+    pub fn push(&mut self, fqdn: &'a Fqdn, rdata: &'a Rdata, day: DayStamp, cnt: u64) {
         if cnt == 0 {
             return;
         }
         let fi = match self.last_fqdn {
-            Some(i) if self.fqdns[i as usize] == *fqdn => i,
-            _ => match self.fqdn_idx.get(fqdn) {
-                Some(&i) => i,
-                None => {
-                    let i = self.fqdns.len() as u32;
-                    self.fqdns.push(fqdn.clone());
-                    self.fqdn_idx.insert(fqdn.clone(), i);
-                    i
-                }
-            },
+            Some(i) if self.fqdns[i as usize] == fqdn => i,
+            _ => *self.fqdn_idx.entry(fqdn).or_insert_with(|| {
+                self.fqdns.push(fqdn);
+                self.fqdns.len() as u32 - 1
+            }),
         };
         self.last_fqdn = Some(fi);
-        let ri = match self.rdata_idx.get(rdata) {
-            Some(&i) => i,
-            None => {
-                let i = self.rdatas.len() as u32;
-                self.rdatas.push(rdata.clone());
-                self.rdata_idx.insert(rdata.clone(), i);
-                i
-            }
-        };
+        let ri = self.rdata_index(rdata);
         self.rows.push((fi, day.0, ri, cnt));
     }
 
+    /// The dictionary index of `rdata`, added on first sight.
+    fn rdata_index(&mut self, rdata: &'a Rdata) -> u32 {
+        *self.rdata_idx.entry(rdata).or_insert_with(|| {
+            self.rdatas.push(rdata);
+            self.rdatas.len() as u32 - 1
+        })
+    }
+
     /// Push every row of one fqdn, minting its dictionary entry without
-    /// consulting (or populating) the dedupe map — one key clone and
-    /// zero hashes instead of two clones plus a map insert. Caller
-    /// contract: each fqdn is passed at most once per builder (the seal
-    /// path walks the shard table, so keys are distinct); `push` may
-    /// still be mixed in for *other* fqdns.
-    pub fn push_fqdn_rows<'r>(
+    /// consulting (or populating) the fqdn dedupe map. Caller contract:
+    /// each fqdn is passed at most once per builder (the seal path walks
+    /// the shard table, so keys are distinct); `push` may still be mixed
+    /// in for *other* fqdns.
+    pub fn push_fqdn_rows(
         &mut self,
-        fqdn: &Fqdn,
-        rows: impl Iterator<Item = (&'r Rdata, DayStamp, u64)>,
+        fqdn: &'a Fqdn,
+        rows: impl Iterator<Item = (&'a Rdata, DayStamp, u64)>,
     ) {
         let mut fi = None;
         // Rows of one fqdn usually repeat one rdata across days; a
@@ -156,21 +149,12 @@ impl SegmentBuilder {
                 continue;
             }
             let fi = *fi.get_or_insert_with(|| {
-                let i = self.fqdns.len() as u32;
-                self.fqdns.push(fqdn.clone());
-                i
+                self.fqdns.push(fqdn);
+                self.fqdns.len() as u32 - 1
             });
             let ri = match last_rdata {
-                Some(i) if self.rdatas[i as usize] == *rdata => i,
-                _ => match self.rdata_idx.get(rdata) {
-                    Some(&i) => i,
-                    None => {
-                        let i = self.rdatas.len() as u32;
-                        self.rdatas.push(rdata.clone());
-                        self.rdata_idx.insert(rdata.clone(), i);
-                        i
-                    }
-                },
+                Some(i) if self.rdatas[i as usize] == rdata => i,
+                _ => self.rdata_index(rdata),
             };
             last_rdata = Some(ri);
             self.rows.push((fi, day.0, ri, cnt));
@@ -190,11 +174,11 @@ impl SegmentBuilder {
         // Sort the fqdn dictionary so row order is lexicographic and the
         // per-row fqdn delta is non-negative.
         // Unstable is safe: the dictionary holds each fqdn once.
-        let mut sorted: Vec<(Fqdn, u32)> = std::mem::take(&mut self.fqdns)
+        let mut sorted: Vec<(&Fqdn, u32)> = std::mem::take(&mut self.fqdns)
             .into_iter()
             .zip(0..)
             .collect();
-        sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        sorted.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let mut remap = vec![0u32; sorted.len()];
         let mut fqdns = Vec::with_capacity(sorted.len());
         for (new, (fqdn, old)) in sorted.into_iter().enumerate() {
@@ -230,7 +214,7 @@ impl SegmentBuilder {
             dict.extend_from_slice(s);
         }
         put_uvarint(&mut dict, self.rdatas.len() as u64);
-        for r in &self.rdatas {
+        for &r in &self.rdatas {
             match r {
                 Rdata::V4(ip) => {
                     dict.push(0);
@@ -262,32 +246,46 @@ impl SegmentBuilder {
             prev_fqdn = fi;
         }
 
-        // Assemble the file.
-        let mut out = Vec::with_capacity(dict.len() + rows.len() + 64);
-        out.extend_from_slice(SEG_MAGIC);
-        let dict_offset = out.len() as u64;
-        write_block(&mut out, TAG_DICT, &dict);
-        let rows_offset = out.len() as u64;
-        write_block(&mut out, TAG_ROWS, &rows);
-
-        let mut footer = Vec::new();
-        put_uvarint(&mut footer, SEG_VERSION);
-        put_uvarint(&mut footer, merged.len() as u64);
-        put_uvarint(&mut footer, fqdns.len() as u64);
-        put_uvarint(&mut footer, self.rdatas.len() as u64);
-        put_ivarint(&mut footer, min_day);
-        put_ivarint(&mut footer, max_day);
-        put_uvarint(&mut footer, dict_offset);
-        put_uvarint(&mut footer, rows_offset);
-        let footer_offset = out.len() as u64;
-        write_block(&mut out, TAG_FOOTER, &footer);
-
-        out.extend_from_slice(&footer_offset.to_le_bytes());
-        let file_crc = crc32(&out);
-        out.extend_from_slice(&file_crc.to_le_bytes());
-        out.extend_from_slice(SEG_END_MAGIC);
-        Some(out)
+        Some(assemble(
+            &dict,
+            &rows,
+            [merged.len(), fqdns.len(), self.rdatas.len()],
+            min_day,
+            max_day,
+        ))
     }
+}
+
+/// Frame a segment file around its dictionary and rows payloads: the
+/// magic, both blocks, the footer (`counts` are its row, fqdn and
+/// rdata counts) and the tail.
+fn assemble(dict: &[u8], rows: &[u8], counts: [usize; 3], min_day: i64, max_day: i64) -> Vec<u8> {
+    // The magic, three block frames, the footer and the tail fit in 128
+    // bytes, so the file never regrows.
+    let mut out = Vec::with_capacity(dict.len() + rows.len() + 128);
+    out.extend_from_slice(SEG_MAGIC);
+    let dict_offset = out.len() as u64;
+    write_block(&mut out, TAG_DICT, dict);
+    let rows_offset = out.len() as u64;
+    write_block(&mut out, TAG_ROWS, rows);
+
+    let mut footer = Vec::new();
+    put_uvarint(&mut footer, SEG_VERSION);
+    for count in counts {
+        put_uvarint(&mut footer, count as u64);
+    }
+    put_ivarint(&mut footer, min_day);
+    put_ivarint(&mut footer, max_day);
+    put_uvarint(&mut footer, dict_offset);
+    put_uvarint(&mut footer, rows_offset);
+    let footer_offset = out.len() as u64;
+    write_block(&mut out, TAG_FOOTER, &footer);
+
+    out.extend_from_slice(&footer_offset.to_le_bytes());
+    let file_crc = crc32(&out);
+    out.extend_from_slice(&file_crc.to_le_bytes());
+    out.extend_from_slice(SEG_END_MAGIC);
+    out
 }
 
 fn write_block(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
@@ -336,6 +334,9 @@ fn read_block(bytes: &[u8], offset: usize, want_tag: u8) -> Result<&[u8], StoreE
 /// decoder and the streaming aggregate scanner.
 pub(crate) struct SegmentDicts {
     pub fqdns: Vec<Fqdn>,
+    /// The fqdn dictionary's length, which bounds every row's fqdn
+    /// index even after a scan moves the names out of `fqdns`.
+    pub n_fqdns: usize,
     pub rdatas: Vec<Rdata>,
     pub min_day: DayStamp,
     pub max_day: DayStamp,
@@ -436,6 +437,7 @@ pub(crate) fn parse_segment(bytes: &[u8]) -> Result<(SegmentDicts, Reader<'_>), 
     Ok((
         SegmentDicts {
             fqdns,
+            n_fqdns: fqdn_cnt,
             rdatas,
             min_day,
             max_day,
@@ -447,15 +449,18 @@ pub(crate) fn parse_segment(bytes: &[u8]) -> Result<(SegmentDicts, Reader<'_>), 
 
 /// Decode the next row from the rows block. Delta state lives in
 /// `prev_fqdn`, which the caller threads through consecutive calls
-/// (starting at 0).
+/// (starting at 0). Fqdn indices never decrease from row to row: a
+/// delta that would wrap is [`StoreError::Corrupt`].
 pub(crate) fn next_row(
     r: &mut Reader<'_>,
     dicts: &SegmentDicts,
     prev_fqdn: &mut u64,
 ) -> Result<SegRow, StoreError> {
     let [d_fqdn, day_off, rdata, cnt] = r.uvarint4()?;
-    *prev_fqdn += d_fqdn;
-    if *prev_fqdn >= dicts.fqdns.len() as u64 {
+    *prev_fqdn = prev_fqdn
+        .checked_add(d_fqdn)
+        .ok_or_else(|| corrupt("row fqdn delta overflow"))?;
+    if *prev_fqdn >= dicts.n_fqdns as u64 {
         return Err(corrupt("row fqdn index out of range"));
     }
     if rdata >= dicts.rdatas.len() as u64 {
@@ -512,7 +517,7 @@ pub fn read_segment(path: &Path) -> Result<SegmentData, StoreError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::net::Ipv4Addr;
 
@@ -520,40 +525,43 @@ mod tests {
         Fqdn::parse(s).unwrap()
     }
 
+    /// A segment with every CRC valid whose rows block holds `rows`
+    /// verbatim as `[fqdn delta, day offset, rdata index, count]` varints,
+    /// over the fqdn dictionary `fqdns` and one A rdata, all on one day:
+    /// the decoders' defences against well-framed but inconsistent rows
+    /// are tested on it.
+    pub(crate) fn raw_segment(fqdns: &[&str], rows: &[[u64; 4]]) -> Vec<u8> {
+        let mut dict = Vec::new();
+        put_uvarint(&mut dict, fqdns.len() as u64);
+        for fqdn in fqdns {
+            put_uvarint(&mut dict, fqdn.len() as u64);
+            dict.extend_from_slice(fqdn.as_bytes());
+        }
+        put_uvarint(&mut dict, 1);
+        dict.extend_from_slice(&[0, 198, 51, 100, 1]);
+        let mut body = Vec::new();
+        put_uvarint(&mut body, rows.len() as u64);
+        for &value in rows.iter().flatten() {
+            put_uvarint(&mut body, value);
+        }
+        let day = fw_types::MEASUREMENT_START.0;
+        assemble(&dict, &body, [rows.len(), fqdns.len(), 1], day, day)
+    }
+
     fn sample() -> Vec<u8> {
-        let mut b = SegmentBuilder::new();
+        let (a, b, c) = (fq("a.on.aws"), fq("b.on.aws"), fq("c.on.aws"));
+        let v4 = |last| Rdata::V4(Ipv4Addr::new(198, 51, 100, last));
+        let (r1, r2) = (v4(1), v4(2));
+        let name = Rdata::Name(fq("edge.a.run.app"));
+        let v6 = Rdata::V6("2001:db8::1".parse().unwrap());
         let d0 = fw_types::MEASUREMENT_START;
-        b.push(
-            &fq("b.on.aws"),
-            &Rdata::V4(Ipv4Addr::new(198, 51, 100, 1)),
-            d0,
-            3,
-        );
-        b.push(
-            &fq("a.on.aws"),
-            &Rdata::V4(Ipv4Addr::new(198, 51, 100, 2)),
-            d0 + 1,
-            5,
-        );
-        b.push(
-            &fq("a.on.aws"),
-            &Rdata::Name(fq("edge.a.run.app")),
-            d0 + 1,
-            2,
-        );
-        b.push(
-            &fq("b.on.aws"),
-            &Rdata::V4(Ipv4Addr::new(198, 51, 100, 1)),
-            d0,
-            4,
-        );
-        b.push(
-            &fq("c.on.aws"),
-            &Rdata::V6("2001:db8::1".parse().unwrap()),
-            d0 + 700,
-            1,
-        );
-        b.finish().unwrap()
+        let mut builder = SegmentBuilder::new();
+        builder.push(&b, &r1, d0, 3);
+        builder.push(&a, &r2, d0 + 1, 5);
+        builder.push(&a, &name, d0 + 1, 2);
+        builder.push(&b, &r1, d0, 4);
+        builder.push(&c, &v6, d0 + 700, 1);
+        builder.finish().unwrap()
     }
 
     #[test]
@@ -586,13 +594,9 @@ mod tests {
     #[test]
     fn empty_builder_yields_no_segment() {
         assert!(SegmentBuilder::new().finish().is_none());
+        let (fqdn, rdata) = (fq("a.on.aws"), Rdata::V4(Ipv4Addr::new(1, 2, 3, 4)));
         let mut b = SegmentBuilder::new();
-        b.push(
-            &fq("a.on.aws"),
-            &Rdata::V4(Ipv4Addr::new(1, 2, 3, 4)),
-            fw_types::MEASUREMENT_START,
-            0,
-        );
+        b.push(&fqdn, &rdata, fw_types::MEASUREMENT_START, 0);
         assert!(b.finish().is_none());
     }
 
@@ -617,6 +621,20 @@ mod tests {
                 decode_segment(&dup).is_err(),
                 "bit flip at {pos} must not decode"
             );
+        }
+    }
+
+    #[test]
+    fn wrapping_fqdn_delta_is_corrupt() {
+        let fqdns = ["a.on.aws", "b.on.aws"];
+        let ok = decode_segment(&raw_segment(&fqdns, &[[0, 0, 0, 1], [1, 0, 0, 1]])).unwrap();
+        assert_eq!(ok.rows.iter().map(|r| r.fqdn).collect::<Vec<_>>(), [0, 1]);
+        // Row 2's delta wraps the index from fqdn 1 back to fqdn 0,
+        // which would put the rows out of fqdn order.
+        let wrapped = raw_segment(&fqdns, &[[1, 0, 0, 1], [u64::MAX, 0, 0, 1]]);
+        match decode_segment(&wrapped) {
+            Err(StoreError::Corrupt(msg)) => assert!(msg.contains("fqdn delta"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
         }
     }
 

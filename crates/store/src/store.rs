@@ -44,24 +44,49 @@ const SEGMENT: &str = "seg-00000001.fws";
 #[derive(Debug, Default)]
 struct Entry {
     table: FqdnRows,
-    /// `(pdate, rdata_idx) → position in rows`: exact-key merge.
-    row_idx: HashMap<(i64, u32), u32, FnvBuildHasher>,
+    /// `(pdate, rdata_idx) → position in rows`: the exact-key merge
+    /// index, built only once the entry holds more than
+    /// [`ROW_IDX_MIN`] rows (most entries hold one or two, and a scan
+    /// of a few rows is cheaper than a map). Once built it indexes
+    /// every row.
+    row_idx: Option<HashMap<(i64, u32), u32, FnvBuildHasher>>,
 }
 
+/// The most rows an [`Entry`] merges into by scanning them from the
+/// tail before it builds its `row_idx`.
+const ROW_IDX_MIN: usize = 16;
+
 impl Entry {
-    /// Rebuild `row_idx` from the rows. Loading a segment skips building
-    /// the merge index (its keys are unique); an observe that merges
-    /// into an existing entry calls this first.
-    fn ensure_row_idx(&mut self) {
-        if self.row_idx.is_empty() && !self.table.rows.is_empty() {
-            self.row_idx = self
-                .table
-                .rows
-                .iter()
-                .enumerate()
-                .map(|(i, r)| ((r.pdate.0, r.rdata), i as u32))
-                .collect();
+    /// Merge one observation on the exact `(pdate, rdata)` key. Returns
+    /// whether it added a row.
+    fn merge(&mut self, rdata: &Rdata, day: DayStamp, count: u64) -> bool {
+        let idx = self.table.intern(rdata);
+        let rows = &mut self.table.rows;
+        let key = (day.0, idx);
+        let pos = if rows.len() > ROW_IDX_MIN {
+            let row_idx = self.row_idx.get_or_insert_with(|| {
+                rows.iter()
+                    .enumerate()
+                    .map(|(i, r)| ((r.pdate.0, r.rdata), i as u32))
+                    .collect()
+            });
+            row_idx.get(&key).map(|&pos| pos as usize)
+        } else {
+            rows.iter().rposition(|r| (r.pdate.0, r.rdata) == key)
+        };
+        if let Some(pos) = pos {
+            rows[pos].cnt += count;
+            return false;
         }
+        if let Some(row_idx) = &mut self.row_idx {
+            row_idx.insert(key, rows.len() as u32);
+        }
+        rows.push(DailyRow {
+            pdate: day,
+            rdata: idx,
+            cnt: count,
+        });
+        true
     }
 }
 
@@ -118,27 +143,12 @@ impl Shard {
             self.table.insert(fqdn.clone(), Entry::default());
         }
         let entry = self.table.get_mut(fqdn).expect("key just ensured");
-        entry.ensure_row_idx();
         for (rdata, day, count) in rows {
             if count == 0 {
                 continue;
             }
             observed += 1;
-            let table = &mut entry.table;
-            let idx = table.intern(rdata);
-            let key = (day.0, idx);
-            match entry.row_idx.get(&key) {
-                Some(&pos) => table.rows[pos as usize].cnt += count,
-                None => {
-                    entry.row_idx.insert(key, table.rows.len() as u32);
-                    table.rows.push(DailyRow {
-                        pdate: day,
-                        rdata: idx,
-                        cnt: count,
-                    });
-                    new_rows += 1;
-                }
-            }
+            new_rows += usize::from(entry.merge(rdata, day, count));
         }
         self.rows += new_rows;
         self.pending += observed as usize;
@@ -160,7 +170,8 @@ impl Shard {
         for (fqdn, entry) in &self.table {
             let table = &entry.table;
             // Table keys are distinct, so the map-free per-fqdn push
-            // applies (one dictionary clone per fqdn, no dedupe hashes).
+            // applies; the builder borrows every name and rdata from
+            // the table, so the seal copies none of them.
             builder.push_fqdn_rows(
                 fqdn,
                 table
@@ -289,8 +300,8 @@ impl DiskStore {
         let seg = read_segment(&path)?;
         // Segment rows are sorted with unique keys, so each fqdn is one
         // contiguous run: resolve the table entry once per run and
-        // append without the merge index (an observe that touches the
-        // entry later rebuilds it).
+        // append without the merge index (an observe that touches a
+        // large entry later builds it).
         for run in seg.rows.chunk_by(|a, b| a.fqdn == b.fqdn) {
             let fqdn = &seg.fqdns[run[0].fqdn as usize];
             let table = &mut shard.table.entry(fqdn.clone()).or_default().table;

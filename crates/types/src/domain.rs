@@ -8,8 +8,22 @@
 use std::fmt;
 
 /// A validated, lowercase fully-qualified domain name (no trailing dot).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Fqdn(String);
+
+impl Clone for Fqdn {
+    #[inline]
+    fn clone(&self) -> Fqdn {
+        Fqdn(self.0.clone())
+    }
+
+    /// Reuses this name's buffer (`String::clone_from`), so a holder
+    /// that is reassigned name after name allocates only to grow.
+    #[inline]
+    fn clone_from(&mut self, source: &Fqdn) {
+        self.0.clone_from(&source.0);
+    }
+}
 
 impl Fqdn {
     /// Parse and normalise a domain name.

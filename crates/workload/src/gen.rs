@@ -20,7 +20,7 @@ use crate::calib;
 use fw_abuse::c2::relay_template;
 use fw_analysis::par::{default_workers, par_map};
 use fw_cloud::behavior::{Behavior, LeakItem};
-use fw_cloud::formats::format_for;
+use fw_cloud::formats::{format_for, UrlParts};
 use fw_cloud::platform::{CloudPlatform, DeploySpec, PlatformConfig};
 use fw_cloud::provider::spec;
 use fw_dns::pdns::{FqdnAggregate, PdnsBackend, PdnsStore};
@@ -311,6 +311,7 @@ fn generate_parts(
                 platform: &platform,
                 config,
                 pools: &pools,
+                scratch: Scratch::default(),
             };
             for (p_idx, c) in calib::PROVIDERS.iter().enumerate() {
                 gen.generate_provider_shard(c, p_idx, &plan, *shard);
@@ -341,6 +342,7 @@ fn generate_parts(
             platform: &platform,
             config,
             pools: &pools,
+            scratch: Scratch::default(),
         };
         gen.match_provider_totals();
         (gen.sink.into_pdns(), gen.functions)
@@ -450,6 +452,20 @@ struct Generator<'a> {
     /// (provider, rtype-slot 0=A,1=CNAME,2=AAAA) → pool. Shared
     /// read-only across generation shards.
     pools: &'a [RdataPool],
+    scratch: Scratch,
+}
+
+/// Buffers a [`Generator`] reuses from function to function; each use
+/// clears them first.
+#[derive(Default)]
+struct Scratch {
+    /// `write_pdns_rows`: each active day's Figure 4 weight, its
+    /// request count, and the drawn `(pool, value, day, count)` rows.
+    day_weights: Vec<f64>,
+    day_counts: Vec<u64>,
+    rows: Vec<(usize, usize, DayStamp, u64)>,
+    /// `mint_offline_domain`'s URL components.
+    url: UrlParts,
 }
 
 // ---- rdata pools (Table 2 rdata_cnt + Top10 concentration) ----
@@ -729,9 +745,10 @@ impl<'a> Generator<'a> {
         plan: &FunctionPlan,
     ) -> (DayStamp, u64, i64, bool) {
         // Month by Figure 3/4 weights (abuse cases override).
-        let month_weights: Vec<f64> = (0..calib::MONTHS)
-            .map(|m| self.plan_month_weight(provider, plan, m))
-            .collect();
+        let mut month_weights = [0.0; calib::MONTHS];
+        for (m, w) in month_weights.iter_mut().enumerate() {
+            *w = self.plan_month_weight(provider, plan, m);
+        }
         let month = sample_weighted(&mut self.rng, &month_weights);
         let month_stamp = month_of_index(month);
         let day_in_month = self.rng.gen_range(0..month_stamp.len_days());
@@ -788,7 +805,7 @@ impl<'a> Generator<'a> {
     /// stay near their targets; `match_provider_totals` tops up any
     /// deficit afterwards.
     fn sample_requests(&mut self, provider: ProviderId) -> u64 {
-        let weights: Vec<f64> = calib::REQUEST_MIXTURE.iter().map(|(w, _, _)| *w).collect();
+        let weights = calib::REQUEST_MIXTURE.map(|(w, _, _)| w);
         let bucket = sample_weighted(&mut self.rng, &weights);
         let (_, lo, hi) = calib::REQUEST_MIXTURE[bucket];
         if bucket == calib::REQUEST_MIXTURE.len() - 1 {
@@ -809,7 +826,7 @@ impl<'a> Generator<'a> {
         if requests < 2 {
             return 1;
         }
-        let weights: Vec<f64> = calib::LIFESPAN_MIXTURE.iter().map(|(w, ..)| *w).collect();
+        let weights = calib::LIFESPAN_MIXTURE.map(|(w, ..)| w);
         let bucket = sample_weighted(&mut self.rng, &weights);
         let (_, lo, hi, _) = calib::LIFESPAN_MIXTURE[bucket];
         if lo == hi {
@@ -868,13 +885,22 @@ impl<'a> Generator<'a> {
         // Every active day gets one observation (an active day IS a day
         // with ≥1 query); the remainder is distributed by the Figure 4
         // monthly multipliers (the Tencent Jan-2024 cliff).
-        let weights: Vec<f64> = days
-            .iter()
-            .map(|d| calib::request_weight(provider, month_index(*d)))
-            .collect();
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let Scratch {
+            day_weights: weights,
+            day_counts: per_day,
+            rows: batch,
+            ..
+        } = &mut scratch;
+        weights.clear();
+        weights.extend(
+            days.iter()
+                .map(|d| calib::request_weight(provider, month_index(*d))),
+        );
         let wsum: f64 = weights.iter().sum();
         let extra = requests.saturating_sub(days.len() as u64);
-        let mut per_day: Vec<u64> = vec![1; days.len()];
+        per_day.clear();
+        per_day.resize(days.len(), 1);
         let mut allocated = 0u64;
         for (i, w) in weights.iter().enumerate() {
             let share = if i + 1 == days.len() {
@@ -893,8 +919,8 @@ impl<'a> Generator<'a> {
         // Draw the whole fqdn's rows first (all randomness is consumed
         // here, so batching cannot change a sampled byte), then hand
         // them to the sink as one batch.
-        let mut batch: Vec<(usize, usize, DayStamp, u64)> = Vec::with_capacity(days.len());
-        for (day, cnt) in days.iter().zip(per_day) {
+        batch.clear();
+        for (day, &cnt) in days.iter().zip(per_day.iter()) {
             // Split across rtypes; clamp so the parts sum exactly to cnt.
             let a_cnt = ((cnt as f64 * a_share).round() as u64).min(cnt);
             let v6_cnt = ((cnt as f64 * v6_share).round() as u64).min(cnt - a_cnt);
@@ -926,6 +952,7 @@ impl<'a> Generator<'a> {
                 .iter()
                 .map(|&(p, i, day, cnt)| (&pools[p].values[i], day, cnt)),
         );
+        self.scratch = scratch;
     }
 
     /// Boost the heaviest benign functions so per-provider request totals
@@ -1133,8 +1160,9 @@ impl<'a> Generator<'a> {
     /// Mint a Table 1-shaped domain without a live deployment (PDNS-only
     /// providers and `deploy_live = false` worlds).
     fn mint_offline_domain(&mut self, provider: ProviderId, region: &str) -> Fqdn {
-        use fw_cloud::formats::UrlParts;
+        use std::fmt::Write as _;
         let format = format_for(provider);
+        let parts = &mut self.scratch.url;
         loop {
             let alphabet: &[u8] = if provider == ProviderId::Aliyun {
                 b"abcdefghijklmnopqrstuvwxyz"
@@ -1142,25 +1170,26 @@ impl<'a> Generator<'a> {
                 b"abcdefghijklmnopqrstuvwxyz0123456789"
             };
             let rand_len = format.random_len.max(8);
-            let random: String = (0..rand_len)
-                .map(|_| alphabet[self.rng.gen_range(0..alphabet.len())] as char)
-                .collect();
-            let random = if format.random_len > 0 {
-                random[..format.random_len].to_string()
-            } else {
-                random
-            };
-            let parts = UrlParts {
-                fname: format!("fn{}", self.rng.gen_range(0..1_000_000u32)),
-                pname: format!("proj{}", self.rng.gen_range(0..1_000_000u32)),
-                user_id: format!(
-                    "{:010}",
-                    self.rng.gen_range(1_250_000_000u64..1_399_999_999)
-                ),
-                random,
-                region: region.to_string(),
-            };
-            let (fqdn, _) = format.generate(&parts);
+            parts.random.clear();
+            parts.random.extend(
+                (0..rand_len).map(|_| alphabet[self.rng.gen_range(0..alphabet.len())] as char),
+            );
+            if format.random_len > 0 {
+                parts.random.truncate(format.random_len);
+            }
+            parts.fname.clear();
+            let _ = write!(parts.fname, "fn{}", self.rng.gen_range(0..1_000_000u32));
+            parts.pname.clear();
+            let _ = write!(parts.pname, "proj{}", self.rng.gen_range(0..1_000_000u32));
+            parts.user_id.clear();
+            let _ = write!(
+                parts.user_id,
+                "{:010}",
+                self.rng.gen_range(1_250_000_000u64..1_399_999_999)
+            );
+            parts.region.clear();
+            parts.region.push_str(region);
+            let (fqdn, _) = format.generate(parts);
             // Uniqueness against everything this generator minted so
             // far (shard-private in both sink modes).
             if !self.sink.fqdn_minted(&fqdn) {
