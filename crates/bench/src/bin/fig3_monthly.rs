@@ -6,7 +6,7 @@ use fw_bench::{header, run_usage, Cli};
 use fw_core::report::{bar_chart, tsv};
 
 fn main() {
-    let cli = Cli::parse(0.05);
+    let cli = Cli::parse(0.05, &[]);
     let (_w, report) = run_usage(&cli);
 
     header("Figure 3 — monthly newly observed FQDNs");

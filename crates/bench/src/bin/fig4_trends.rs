@@ -7,7 +7,7 @@ use fw_core::report::tsv;
 use fw_types::ProviderId;
 
 fn main() {
-    let cli = Cli::parse(0.05);
+    let cli = Cli::parse(0.05, &[]);
     let (_w, report) = run_usage(&cli);
     let series = &report.request_series;
 

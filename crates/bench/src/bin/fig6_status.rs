@@ -9,7 +9,7 @@ use fw_bench::{header, run_full, Cli};
 use fw_core::report::bar_chart;
 
 fn main() {
-    let cli = Cli::parse(0.02);
+    let cli = Cli::parse(0.02, &["--single-shot"]);
     let (_w, report) = run_full(&cli);
     let s = &report.status;
 
@@ -24,7 +24,7 @@ fn main() {
     header("§4.4 anchors (paper vs. measured)");
     anchors::print("fig6", Source::Full(&report), cli.scale);
 
-    if cli.has_flag("--single-shot") {
+    if cli.single_shot {
         println!();
         println!(
             "NOTE: ran with --single-shot (1 request, no HTTP fallback). Compare the \

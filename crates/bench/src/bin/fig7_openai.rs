@@ -7,7 +7,7 @@ use fw_bench::{header, run_full, Cli};
 use fw_core::report::{bar_chart, tsv};
 
 fn main() {
-    let cli = Cli::parse(0.02);
+    let cli = Cli::parse(0.02, &[]);
     let (_w, report) = run_full(&cli);
     let abuse = &report.abuse;
 

@@ -9,7 +9,7 @@ use fw_core::report::TextTable;
 use fw_workload::calib;
 
 fn main() {
-    let cli = Cli::parse(0.02);
+    let cli = Cli::parse(0.02, &[]);
     let (_w, report) = run_full(&cli);
     let abuse = &report.abuse;
 

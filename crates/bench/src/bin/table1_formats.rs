@@ -14,7 +14,7 @@ use fw_core::report::TextTable;
 use fw_pattern::{Pattern, Sampler, SamplerConfig, XorShiftRng};
 
 fn main() {
-    let cli = Cli::parse(0.1);
+    let cli = Cli::parse(0.1, &["--suffix-only"]);
     header("Table 1 — URL formats and domain regular expressions");
 
     let mut table = TextTable::new(vec![
@@ -91,7 +91,7 @@ fn main() {
         }
     );
 
-    if cli.has_flag("--suffix-only") {
+    if cli.suffix_only {
         header("Ablation: expression matching vs. suffix-only matching");
         // The ablation injects noise rows, so a read-only snapshot is
         // first materialized into a mutable in-memory store.

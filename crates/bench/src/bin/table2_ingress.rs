@@ -8,7 +8,7 @@ use fw_core::report::{pct, thousands, TextTable};
 use fw_workload::calib;
 
 fn main() {
-    let cli = Cli::parse(0.05);
+    let cli = Cli::parse(0.05, &[]);
     let (_w, report) = run_usage(&cli);
 
     header(&format!(

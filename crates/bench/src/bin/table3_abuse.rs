@@ -11,14 +11,12 @@ use fw_core::report::{thousands, TextTable};
 use fw_workload::calib;
 
 fn main() {
-    let cli = Cli::parse(0.02);
+    let cli = Cli::parse(0.02, &["--threshold <f32>"]);
     let mut config = pipeline_config(false);
     // Optional clustering-threshold ablation.
-    if let Some(pos) = cli.flags.iter().position(|f| f == "--threshold") {
-        if let Some(t) = cli.flags.get(pos + 1).and_then(|v| v.parse::<f32>().ok()) {
-            config.abuse.cluster_params.distance_threshold = t;
-            eprintln!("clustering threshold override: {t}");
-        }
+    if let Some(t) = cli.threshold {
+        config.abuse.cluster_params.distance_threshold = t;
+        eprintln!("clustering threshold override: {t}");
     }
 
     let (_w, report) = run_full_with(&cli, &config);

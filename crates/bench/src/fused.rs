@@ -11,7 +11,7 @@
 //!    wall is hidden inside the generate wall.
 //! 2. **seal_analyze** — shard workers seal each store shard (its whole
 //!    table as one segment), release its table, and stream that sorted
-//!    segment back through the mmap scan into fw-core's
+//!    segment back through the store's one segment reader into fw-core's
 //!    [`BatchFold`]: each fqdn is classified once, its rows go to the
 //!    fold's usage state if it is identified (and, under `--sample`, in
 //!    the sample), and its aggregate goes to the shared

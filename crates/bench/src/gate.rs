@@ -35,9 +35,17 @@ pub fn die(msg: &str) -> ! {
 
 /// Parse the value following `flag`, or exit with a usage error.
 pub fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    flag_value(args, flag).unwrap_or_else(|e| die(&e))
+}
+
+/// Parse the value following `flag`.
+pub fn flag_value<T: FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
     args.next()
         .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| die(&format!("{flag} needs a valid value")))
+        .ok_or_else(|| format!("{flag} needs a valid value"))
 }
 
 /// A gate's command line. [`Args::next_flag`] consumes the flags every

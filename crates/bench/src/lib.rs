@@ -20,6 +20,10 @@
 //!                   on exit (equivalent: FW_METRICS=1 in the env)
 //! ```
 //!
+//! A binary names the flags of its own it takes on top (`--single-shot`,
+//! `--suffix-only`, `--threshold <f32>`); any other flag prints the
+//! usage and exits 2.
+//!
 //! The simulated world always runs on deterministic virtual time
 //! (DESIGN.md §10), so probing figures are byte-identical run to run.
 
@@ -34,11 +38,11 @@ use fw_dns::pdns::PdnsBackend as _;
 use fw_probe::prober::ProbeConfig;
 use fw_store::DiskStore;
 use fw_workload::{World, WorldConfig};
-use gate::{die, value};
+use gate::{die, flag_value};
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// Parsed common CLI options.
+/// Parsed command line of a figure or table binary.
 #[derive(Debug, Clone)]
 pub struct Cli {
     pub scale: f64,
@@ -49,50 +53,75 @@ pub struct Cli {
     /// World-generation worker threads (`--gen-workers`; 0 = one per
     /// core). Output is byte-identical at every worker count.
     pub gen_workers: usize,
-    /// Free-form extra flags (binary-specific).
-    pub flags: Vec<String>,
+    /// `--single-shot` (fig6_status): one request per function, no
+    /// HTTP fallback.
+    pub single_shot: bool,
+    /// `--suffix-only` (table1_formats): run the suffix-matching
+    /// ablation.
+    pub suffix_only: bool,
+    /// `--threshold <f32>` (table3_abuse): the clustering cut.
+    pub threshold: Option<f32>,
 }
 
 impl Cli {
-    /// Parse `std::env::args`, with a default scale.
+    /// Parse `std::env::args`, with a default scale. `extra` names the
+    /// binary's own flags as its usage line shows them (`--single-shot`,
+    /// `--suffix-only`, `--threshold <f32>`). Any other flag, or a bad
+    /// value, prints the usage and exits 2.
+    pub fn parse(default_scale: f64, extra: &[&str]) -> Cli {
+        Cli::parse_from(std::env::args().skip(1), default_scale, extra)
+            .unwrap_or_else(|e| die(&format!("{e}\n{}", usage(extra))))
+    }
+
+    /// [`Cli::parse`] over `args`, the flags without the program name.
     ///
     /// With `--snapshot <dir>`, the snapshot's `world.meta` manifest
     /// supplies the seed/scale the snapshot was cut from, so paper
     /// reference columns (and, for probing binaries, the regenerated
     /// live world) line up without repeating `--scale`/`--seed` —
     /// explicit flags still win.
-    pub fn parse(default_scale: f64) -> Cli {
+    pub fn parse_from(
+        args: impl IntoIterator<Item = String>,
+        default_scale: f64,
+        extra: &[&str],
+    ) -> Result<Cli, String> {
         let mut cli = Cli {
             scale: default_scale,
             seed: 42,
             tsv: false,
             snapshot: None,
             gen_workers: 0,
-            flags: Vec::new(),
+            single_shot: false,
+            suffix_only: false,
+            threshold: None,
         };
         let (mut explicit_scale, mut explicit_seed) = (false, false);
-        let mut args = std::env::args().skip(1);
+        let takes = |flag: &str| extra.iter().any(|e| e.split(' ').next() == Some(flag));
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--scale" => {
                     explicit_scale = true;
-                    cli.scale = value(&mut args, "--scale");
+                    cli.scale = flag_value(&mut args, "--scale")?;
                 }
                 "--seed" => {
                     explicit_seed = true;
-                    cli.seed = value(&mut args, "--seed");
+                    cli.seed = flag_value(&mut args, "--seed")?;
                 }
-                "--snapshot" => cli.snapshot = Some(value(&mut args, "--snapshot")),
-                "--gen-workers" => cli.gen_workers = value(&mut args, "--gen-workers"),
+                "--snapshot" => cli.snapshot = Some(flag_value(&mut args, "--snapshot")?),
+                "--gen-workers" => cli.gen_workers = flag_value(&mut args, "--gen-workers")?,
                 "--tsv" => cli.tsv = true,
                 "--metrics" => fw_obs::set_enabled(true),
                 "--help" | "-h" => {
-                    eprintln!(
-                        "usage: [--scale <f64>] [--seed <u64>] [--snapshot <dir>] [--gen-workers <n>] [--tsv] [--metrics] [binary-specific flags]"
-                    );
+                    eprintln!("{}", usage(extra));
                     std::process::exit(0);
                 }
-                other => cli.flags.push(other.to_string()),
+                "--single-shot" if takes("--single-shot") => cli.single_shot = true,
+                "--suffix-only" if takes("--suffix-only") => cli.suffix_only = true,
+                "--threshold" if takes("--threshold") => {
+                    cli.threshold = Some(flag_value(&mut args, "--threshold")?);
+                }
+                other => return Err(format!("unknown flag {other}")),
             }
         }
         if let Some(dir) = &cli.snapshot {
@@ -105,7 +134,7 @@ impl Cli {
                 }
             }
         }
-        cli
+        Ok(cli)
     }
 
     /// Open the `--snapshot` store read-only, if one was given. Exits
@@ -127,10 +156,12 @@ impl Cli {
             Err(e) => die(&format!("cannot open snapshot {}: {e}", dir.display())),
         }
     }
+}
 
-    pub fn has_flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
-    }
+/// The usage line of a binary whose own flags are `extra`.
+fn usage(extra: &[&str]) -> String {
+    let own: String = extra.iter().map(|flag| format!(" [{flag}]")).collect();
+    format!("usage: [--scale <f64>] [--seed <u64>] [--snapshot <dir>] [--gen-workers <n>] [--tsv] [--metrics]{own}")
 }
 
 /// Build a PDNS-only world (fast; for §4 figures).
@@ -194,7 +225,7 @@ pub fn run_usage(cli: &Cli) -> (Option<World>, UsageReport) {
 /// virtual clock, probe outcomes are a pure function of the seed, so
 /// stdout is byte-identical run-to-run and live-vs-snapshot.
 pub fn run_full(cli: &Cli) -> (World, FullReport) {
-    run_full_with(cli, &pipeline_config(cli.has_flag("--single-shot")))
+    run_full_with(cli, &pipeline_config(cli.single_shot))
 }
 
 /// [`run_full`] with the pipeline configuration given.
@@ -236,5 +267,36 @@ pub fn header(title: &str) {
 pub fn maybe_dump_metrics() {
     if fw_obs::enabled() {
         eprint!("{}", fw_obs::registry().render_text());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str, extra: &[&str]) -> Result<Cli, String> {
+        Cli::parse_from(line.split_whitespace().map(String::from), 0.05, extra)
+    }
+
+    #[test]
+    fn cli_takes_its_own_flags_and_refuses_the_rest() {
+        let cli = parse(
+            "--scale 0.5 --seed 7 --threshold 0.2",
+            &["--threshold <f32>"],
+        )
+        .unwrap();
+        assert_eq!((cli.scale, cli.seed, cli.threshold), (0.5, 7, Some(0.2)));
+        let cli = parse("--single-shot --gen-workers 1", &["--single-shot"]).unwrap();
+        assert!(cli.single_shot && !cli.suffix_only && cli.gen_workers == 1);
+        // Typos, another binary's flag and a bad value are all errors,
+        // not a silent run at the defaults.
+        assert_eq!(
+            parse("--snapshop snap", &[]).unwrap_err(),
+            "unknown flag --snapshop"
+        );
+        assert!(parse("--sclae 0.5", &[]).is_err());
+        assert!(parse("--single-shot", &["--threshold <f32>"]).is_err());
+        assert!(parse("--threshold x", &["--threshold <f32>"]).is_err());
+        assert!(parse("--scale", &[]).is_err());
     }
 }

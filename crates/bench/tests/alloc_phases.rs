@@ -14,6 +14,10 @@
 //! phase rows replay `run_fused`'s public calls one shard at a time on
 //! this thread; the budget row is a `run_fused` call itself.
 
+// The counting allocator implements the unsafe `GlobalAlloc`; the
+// workspace denies `unsafe_code` everywhere else.
+#![allow(unsafe_code)]
+
 use fw_bench::fused::{figures_digest, run_fused, FusedOptions};
 use fw_core::fold::{finish, BatchFold};
 use fw_core::identify::IdentifyEngine;

@@ -18,16 +18,10 @@ const USAGE_SCALE: f64 = 0.05;
 /// `fig6_status`, `fig7_openai`, `finding5_sensitive` and `table3_abuse`.
 const FULL_SCALE: f64 = 0.02;
 
+/// A command line with no flags (`Cli::parse` would read the test
+/// harness's argv).
 fn cli(scale: f64) -> Cli {
-    // `Cli::parse` would read the test harness's argv.
-    Cli {
-        scale,
-        seed: 42,
-        tsv: false,
-        snapshot: None,
-        gen_workers: 0,
-        flags: Vec::new(),
-    }
+    Cli::parse_from(Vec::new(), scale, &[]).expect("no flags")
 }
 
 fn usage() -> &'static UsageReport {

@@ -1,12 +1,13 @@
 //! Criterion benches for the storage engine: sharded ingest, segment
-//! encode/decode, snapshot save (seal) / load (open), full-scan
-//! throughput — the paths that gate snapshot replay speed — and the
+//! encoding, snapshot save (seal) / load (open), full-scan throughput,
+//! the shard scan — the paths that gate snapshot replay speed — and the
 //! fused pipeline's seal-then-scan of one shard.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use fw_dns::pdns::PdnsBackend;
 use fw_store::{DiskStore, SegmentBuilder, StoreConfig};
 use fw_types::{DayStamp, Fqdn, Rdata, MEASUREMENT_START};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,28 +69,24 @@ fn bench_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_segment_codec(c: &mut Criterion) {
-    let data = rows(50_000);
-    let encoded = {
-        let mut b = SegmentBuilder::new();
-        for (f, r, d, cnt) in &data {
-            b.push(f, r, *d, *cnt);
-        }
-        b.finish().unwrap()
-    };
-    let mut group = c.benchmark_group("segment_codec");
-    group.throughput(Throughput::Bytes(encoded.len() as u64));
+fn bench_segment_builder(c: &mut Criterion) {
+    // The seal's input shape: each fqdn once, its `(rdata, day)` keys
+    // merged.
+    let mut table: HashMap<Fqdn, HashMap<(Rdata, DayStamp), u64>> = HashMap::new();
+    for (f, r, d, cnt) in rows(50_000) {
+        *table.entry(f).or_default().entry((r, d)).or_default() += cnt;
+    }
+    let keys: usize = table.values().map(HashMap::len).sum();
+    let mut group = c.benchmark_group("segment_builder");
+    group.throughput(Throughput::Elements(keys as u64));
     group.bench_function("encode_50k_rows", |b| {
         b.iter(|| {
-            let mut builder = SegmentBuilder::new();
-            for (f, r, d, cnt) in &data {
-                builder.push(f, r, *d, *cnt);
+            let mut builder = SegmentBuilder::for_distinct_fqdns(table.len(), keys);
+            for (fqdn, rows) in &table {
+                builder.push_fqdn_rows(fqdn, rows.iter().map(|((r, d), cnt)| (r, *d, *cnt)));
             }
             black_box(builder.finish().unwrap().len())
         })
-    });
-    group.bench_function("decode_50k_rows", |b| {
-        b.iter(|| black_box(fw_store::decode_segment(&encoded).unwrap().rows.len()))
     });
     group.finish();
 }
@@ -211,11 +208,11 @@ fn bench_varint_decode(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_mmap_scan(c: &mut Criterion) {
+fn bench_shard_scan(c: &mut Criterion) {
     // One sealed shard (single sorted segment), scanned through the
-    // mmap-backed visitor path the fused pipeline runs per shard.
+    // segment reader and visitor path the fused pipeline runs per shard.
     let data = rows(50_000);
-    let dir = scratch("mmap-scan");
+    let dir = scratch("shard-scan");
     {
         let store = DiskStore::create(
             &dir,
@@ -230,7 +227,7 @@ fn bench_mmap_scan(c: &mut Criterion) {
         }
         store.seal().unwrap();
     }
-    let mut group = c.benchmark_group("mmap_scan");
+    let mut group = c.benchmark_group("shard_scan");
     group.throughput(Throughput::Elements(data.len() as u64));
     group.bench_function("scan_shard_visit_50k_rows", |b| {
         b.iter(|| {
@@ -299,10 +296,10 @@ fn bench_seal_scan(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_ingest,
-    bench_segment_codec,
+    bench_segment_builder,
     bench_snapshot_save_load,
     bench_varint_decode,
-    bench_mmap_scan,
+    bench_shard_scan,
     bench_seal_scan
 );
 criterion_main!(benches);

@@ -7,10 +7,10 @@
 //!
 //! Three layers:
 //!
-//! * [`SegmentBuilder`] / [`decode_segment`] — the immutable segment
-//!   file: CRC-checksummed blocks of delta-encoded rows with a per-
-//!   segment fqdn dictionary and a footer index (see `segment.rs` for
-//!   the byte layout).
+//! * The immutable segment file (`segment.rs` has the byte layout):
+//!   CRC-checksummed blocks of delta-encoded rows over per-segment
+//!   dictionaries. [`SegmentBuilder`] is its one writer; one checked
+//!   row loop, walked by reopen and the scan alike, is its one reader.
 //! * [`DiskStore`] — N hash-sharded, lock-striped in-memory tables, each
 //!   with one segment file on disk. `seal`, the one write (also taken
 //!   automatically at the `flush_rows` threshold), encodes a shard's
@@ -29,14 +29,13 @@
 
 pub mod codec;
 mod crc;
-mod mmap;
 mod scan;
 mod segment;
 mod store;
 
 pub use crc::crc32;
 pub use scan::{scan_shard_visit, RowVisitor};
-pub use segment::{decode_segment, read_segment, SegRow, SegmentBuilder, SegmentData};
+pub use segment::SegmentBuilder;
 pub use store::{DiskStore, ShardIngestStats};
 
 use std::path::PathBuf;

@@ -1,17 +1,17 @@
-//! Streaming columnar scan: segment bytes → rows and per-fqdn
-//! aggregates.
+//! Streaming scan: a shard's segment → rows and per-fqdn aggregates.
 //!
 //! `DiskStore::open` reads every shard's segment into a hash table
 //! before anything can be queried — the right trade when the store will
 //! be queried repeatedly, but pure overhead for the fused pipeline's
 //! analysis, which needs each row once and exactly one [`FqdnAggregate`]
-//! per fqdn and never looks at the table again. This module decodes the
-//! delta-encoded rows block directly instead: segment rows are sorted by
-//! `(fqdn, pdate, rdata)`, so each fqdn is one contiguous run, the day
-//! count is a run-length count over `pdate`, and no intermediate
-//! `SegRow` vector, hash table, or `PdnsRecord` is ever materialized.
+//! per fqdn and never looks at the table again. The scan walks the
+//! store's one segment reader instead (the row loop `DiskStore::open`
+//! walks too) and folds each fqdn's run, which the loop hands over
+//! whole and checked, straight into its aggregate: a run's rows are
+//! sorted by `(pdate, rdata)`, so the day count is a run-length count
+//! over `pdate`, and no hash table or `PdnsRecord` is materialized.
 
-use crate::segment::{next_row, parse_segment};
+use crate::segment::read_runs;
 use crate::store::shard_segment;
 use crate::StoreError;
 use fw_dns::pdns::FqdnAggregate;
@@ -22,136 +22,69 @@ use std::path::Path;
 /// dictionary entries already resolved.
 pub type RowVisitor<'v> = dyn FnMut(&Fqdn, &Rdata, DayStamp, u64) + 'v;
 
-/// Stream one segment's rows into per-fqdn aggregates, emitting each
-/// aggregate as its run ends. Emission order is the segment's fqdn
-/// dictionary order (lexicographic). With a row visitor attached, each
-/// row is emitted as it decodes, and every fqdn's aggregate fires after
-/// its last row and before the next fqdn's first row.
-fn scan_segment_into(
-    bytes: &[u8],
-    emit: &mut dyn FnMut(FqdnAggregate),
-    mut on_row: Option<&mut RowVisitor<'_>>,
-) -> Result<(), StoreError> {
-    let (mut dicts, mut r) = parse_segment(bytes)?;
-    // Each run's name moves out of the dictionary into its aggregate.
-    // Row fqdn indices never decrease (`next_row` refuses a wrapping
-    // delta), so the names are taken in dictionary order and none is
-    // needed again after its run.
-    let mut names = std::mem::take(&mut dicts.fqdns).into_iter();
-    let mut next_name = 0u32;
-    // Per-run state. `dist` maps segment rdata index → count via linear
-    // scan: a run's distinct rdatas are few even when the segment's
-    // dictionary is large.
-    let mut run: Option<(u32, Fqdn)> = None;
-    let mut first = DayStamp(i64::MAX);
-    let mut last = DayStamp(i64::MIN);
-    let mut prev_day = DayStamp(i64::MIN);
-    let mut days = 0u32;
-    let mut total = 0u64;
-    let mut dist: Vec<(u32, u64)> = Vec::new();
-    let mut prev = 0u64;
-
-    let mut flush = |fqdn: Fqdn,
-                     first: DayStamp,
-                     last: DayStamp,
-                     days: u32,
-                     total: u64,
-                     dist: &mut Vec<(u32, u64)>| {
-        let mut rdata_dist: Vec<(Rdata, u64)> = dist
-            .drain(..)
-            .map(|(ri, cnt)| (dicts.rdatas[ri as usize].clone(), cnt))
-            .collect();
-        rdata_dist.sort_by(|a, b| a.0.cmp(&b.0));
-        emit(FqdnAggregate {
-            fqdn,
-            first_seen_all: first,
-            last_seen_all: last,
-            days_count: days,
-            total_request_cnt: total,
-            rdata_dist,
-        });
-    };
-
-    for _ in 0..dicts.n_rows {
-        let row = next_row(&mut r, &dicts, &mut prev)?;
-        if run.as_ref().is_none_or(|(i, _)| *i != row.fqdn) {
-            if let Some((_, done)) = run.take() {
-                flush(done, first, last, days, total, &mut dist);
-            }
-            // A later run has a larger index; skip the names of any
-            // fqdns without rows (a well-formed segment has none).
-            let name = names
-                .nth((row.fqdn - next_name) as usize)
-                .expect("next_row bounds the index by the dictionary");
-            next_name = row.fqdn + 1;
-            run = Some((row.fqdn, name));
-            first = row.pdate;
-            last = row.pdate;
-            prev_day = row.pdate;
-            days = 1;
-            total = 0;
-        } else {
-            // Rows are sorted, so within a run pdate is non-decreasing:
-            // `last` is the current row and a new day is a transition.
-            last = row.pdate;
-            if row.pdate != prev_day {
-                days += 1;
-                prev_day = row.pdate;
-            }
-        }
-        total += row.cnt;
-        match dist.iter_mut().find(|(ri, _)| *ri == row.rdata) {
-            Some((_, cnt)) => *cnt += row.cnt,
-            None => dist.push((row.rdata, row.cnt)),
-        }
-        if let (Some(visit), Some((_, fqdn))) = (on_row.as_deref_mut(), &run) {
-            visit(fqdn, &dicts.rdatas[row.rdata as usize], row.pdate, row.cnt);
-        }
-    }
-    if !r.is_empty() {
-        return Err(StoreError::Corrupt(
-            "trailing bytes in rows block".to_string(),
-        ));
-    }
-    if let Some((_, done)) = run {
-        flush(done, first, last, days, total, &mut dist);
-    }
-    Ok(())
-}
-
 /// Stream one shard of a snapshot directory in a single pass, emitting
 /// both per-fqdn aggregates and individual rows.
 ///
 /// Emission contract: each fqdn's rows arrive consecutively, and its
 /// aggregate fires after its last row and before the next fqdn's first
 /// row — so a caller can classify an fqdn once when its run starts and
-/// reuse the verdict for every row and the trailing aggregate. This is
+/// reuse the verdict for every row and the trailing aggregate. Fqdns
+/// arrive in the segment's dictionary order (lexicographic). This is
 /// the per-shard feed for the fused pipeline, where identify and usage
-/// consume a shard as soon as it seals. The shard's one segment decodes
-/// straight out of a read-only mmap; a shard never written streams
-/// nothing, and any other segment file in its directory is a
-/// [`StoreError::Corrupt`] naming that file.
+/// consume a shard as soon as it seals. A shard never written streams
+/// nothing; a segment the reader refuses, or any other segment file in
+/// the shard's directory, is a [`StoreError::Corrupt`] naming the file.
 pub fn scan_shard_visit(
     dir: &Path,
     shard: usize,
     on_agg: &mut dyn FnMut(FqdnAggregate),
-    on_row: Option<&mut RowVisitor<'_>>,
+    mut on_row: Option<&mut RowVisitor<'_>>,
 ) -> Result<(), StoreError> {
     let _trace = fw_obs::trace_span_arg("store/scan_shard", shard as u64);
     let Some(path) = shard_segment(dir, shard)? else {
         return Ok(());
     };
-    let bytes = crate::mmap::map_file(&path)?;
     fw_obs::counter_inc!("fw.store.scan.segments_streamed");
-    scan_segment_into(&bytes, on_agg, on_row).map_err(|e| match e {
-        StoreError::Corrupt(msg) => StoreError::Corrupt(format!("{}: {msg}", path.display())),
-        other => other,
+    // Segment rdata index → count, found by linear scan: a run's
+    // distinct rdatas are few even when the dictionary is large.
+    let mut dist: Vec<(u32, u64)> = Vec::new();
+    read_runs(&path, &mut |fqdn, rows, total, rdatas| {
+        let mut days = 0u32;
+        let mut prev_day = None;
+        for row in rows {
+            if prev_day != Some(row.pdate) {
+                days += 1;
+                prev_day = Some(row.pdate);
+            }
+            // A partial sum of the run, so within its checked total.
+            match dist.iter_mut().find(|(ri, _)| *ri == row.rdata) {
+                Some((_, cnt)) => *cnt += row.cnt,
+                None => dist.push((row.rdata, row.cnt)),
+            }
+            if let Some(visit) = on_row.as_deref_mut() {
+                visit(&fqdn, &rdatas[row.rdata as usize], row.pdate, row.cnt);
+            }
+        }
+        let mut rdata_dist: Vec<(Rdata, u64)> = dist
+            .drain(..)
+            .map(|(ri, cnt)| (rdatas[ri as usize].clone(), cnt))
+            .collect();
+        rdata_dist.sort_by(|a, b| a.0.cmp(&b.0));
+        on_agg(FqdnAggregate {
+            fqdn,
+            first_seen_all: rows[0].pdate,
+            last_seen_all: rows[rows.len() - 1].pdate,
+            days_count: days,
+            total_request_cnt: total,
+            rdata_dist,
+        });
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::tests::raw_segment;
     use crate::{DiskStore, StoreConfig};
     use fw_dns::pdns::PdnsBackend as _;
     use fw_types::Fqdn;
@@ -316,7 +249,7 @@ mod tests {
     }
 
     #[test]
-    fn mmap_scan_rejects_bit_rot() {
+    fn scan_rejects_bit_rot() {
         let tmp = TempDir::new("bitrot");
         let store = DiskStore::create(&tmp.0, StoreConfig::default()).unwrap();
         fill(&store);
@@ -324,8 +257,8 @@ mod tests {
         drop(store);
         assert!(scan_all(&tmp.0).is_ok());
 
-        // Flip one byte in the middle of each shard's segment: the
-        // mmap-backed scan must reject every poisoned shard via CRC.
+        // Flip one byte in the middle of each shard's segment: the scan
+        // must reject every poisoned shard via CRC.
         let mut flipped = 0;
         for shard in 0..StoreConfig::default().shards {
             let Some(path) = shard_segment(&tmp.0, shard).unwrap() else {
@@ -348,19 +281,58 @@ mod tests {
         assert!(scan_all(&tmp.0).is_ok());
     }
 
+    /// A one-shard store whose segment is `bytes`.
+    fn store_of(tag: &str, bytes: &[u8]) -> TempDir {
+        let tmp = TempDir::new(tag);
+        let config = StoreConfig {
+            shards: 1,
+            flush_rows: 0,
+        };
+        drop(DiskStore::create(&tmp.0, config).unwrap());
+        std::fs::write(tmp.0.join("shard-000").join("seg-00000001.fws"), bytes).unwrap();
+        tmp
+    }
+
+    /// Well-framed segments that break the row contract are `Corrupt`
+    /// through the scan and through reopen alike, naming the file: a
+    /// delta that wraps back to a name already moved into an aggregate,
+    /// one key twice with counts `u64::MAX` and 1, and two distinct
+    /// keys whose counts overflow.
     #[test]
-    fn wrapping_fqdn_delta_fails_the_scan() {
-        // Row 3's delta wraps the index back to fqdn 0, whose name the
-        // scan has already moved into fqdn 0's aggregate.
+    fn row_contract_breaks_fail_scan_and_open() {
+        let v4 = |last| Rdata::V4(Ipv4Addr::new(198, 51, 100, last));
         let fqdns = ["a.on.aws", "b.on.aws"];
-        let rows = [[0, 0, 0, 1], [1, 0, 0, 1], [u64::MAX, 0, 0, 1]];
-        let mut aggs = 0;
-        let result = scan_segment_into(
-            &crate::segment::tests::raw_segment(&fqdns, &rows),
-            &mut |_| aggs += 1,
-            Some(&mut |_, _, _, _| {}),
-        );
-        assert!(matches!(result, Err(StoreError::Corrupt(_))), "{result:?}");
+        let cases = [
+            (
+                "fqdn delta",
+                vec![v4(1)],
+                vec![[0, 0, 0, 1], [1, 0, 0, 1], [u64::MAX, 0, 0, 1]],
+            ),
+            (
+                "row key not increasing within its fqdn",
+                vec![v4(1)],
+                vec![[0, 0, 0, u64::MAX], [0, 0, 0, 1]],
+            ),
+            (
+                "total overflows",
+                vec![v4(1), v4(2)],
+                vec![[0, 0, 0, u64::MAX], [0, 0, 1, 1]],
+            ),
+        ];
+        for (what, rdatas, rows) in cases {
+            let tmp = store_of("contract", &raw_segment(&fqdns, &rdatas, &rows));
+            let corrupt = |e: StoreError| match e {
+                StoreError::Corrupt(msg) => {
+                    assert!(
+                        msg.contains(what) && msg.contains("seg-00000001.fws"),
+                        "{msg}"
+                    )
+                }
+                other => panic!("expected Corrupt({what}), got {other:?}"),
+            };
+            corrupt(scan_shard(&tmp.0, 0).unwrap_err());
+            corrupt(DiskStore::open(&tmp.0).err().expect("open refuses"));
+        }
     }
 
     #[test]

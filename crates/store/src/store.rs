@@ -15,13 +15,14 @@
 //! Each shard keeps a merged in-memory table (the query view) and at
 //! most one segment file on disk. Every write — `seal`, or the
 //! automatic one at the `flush_rows` threshold — encodes the shard's
-//! whole table into a temp file, syncs it, and renames it over the
-//! shard's segment. A crash therefore leaves the old segment or the new
-//! one, never a torn file and never two files to sum; a shard directory
-//! holding any other segment file is refused as corrupt. Reopening a
-//! store reads each shard's one segment back into its table.
+//! whole table into a temp file, syncs it, renames it over the shard's
+//! segment and syncs the shard directory. A crash therefore leaves the
+//! old segment or the new one, never a torn file and never two files to
+//! sum; a shard directory holding any other segment file is refused as
+//! corrupt. Reopening a store reads each shard's one segment back into
+//! its table through the same reader as the streaming scan.
 
-use crate::segment::{read_segment, SegmentBuilder};
+use crate::segment::{read_runs, SegmentBuilder};
 use crate::{StoreConfig, StoreError};
 use fw_analysis::par::{fork, par_map};
 use fw_dns::pdns::{DailyRow, FqdnAggregate, FqdnRows, PdnsBackend};
@@ -198,9 +199,10 @@ impl Shard {
 }
 
 /// Durably replace `path` with `bytes`: write `.tmp-<name>` beside it,
-/// sync it, and rename it over `path`. A crash leaves the old file or
-/// the new one whole, and the next write truncates a stale temp file.
-/// The superblock and every segment are written this way.
+/// sync it, rename it over `path`, and sync the directory so the rename
+/// itself survives a power cut. A crash leaves the old file or the new
+/// one whole, and the next write truncates a stale temp file. The
+/// superblock and every segment are written this way.
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     let name = path.file_name().expect("a store file name");
     let tmp = path.with_file_name(format!(".tmp-{}", name.to_string_lossy()));
@@ -209,6 +211,7 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     f.sync_all()?;
     drop(f);
     std::fs::rename(&tmp, path)?;
+    std::fs::File::open(path.parent().expect("a store file's directory"))?.sync_all()?;
     Ok(())
 }
 
@@ -249,6 +252,8 @@ impl DiskStore {
             std::fs::create_dir_all(&shard_dir)?;
             shards.push(Mutex::new(Shard::new(i, shard_dir)));
         }
+        // Make the shard directories' entries durable.
+        std::fs::File::open(dir)?.sync_all()?;
         Ok(DiskStore {
             dir: dir.to_path_buf(),
             shards,
@@ -291,31 +296,29 @@ impl DiskStore {
         })
     }
 
-    /// Read one shard's segment back into an in-memory table.
+    /// Read one shard's segment back into an in-memory table. Each fqdn
+    /// is one run with unique keys, so its name moves out of the
+    /// segment's dictionary into a new entry, and its rows append
+    /// without the merge index (an observe that touches a large entry
+    /// later builds it).
     fn load_shard(dir: &Path, i: usize) -> Result<Shard, StoreError> {
         let mut shard = Shard::new(i, dir.join(format!("shard-{i:03}")));
         let Some(path) = shard_segment(dir, i)? else {
             return Ok(shard);
         };
-        let seg = read_segment(&path)?;
-        // Segment rows are sorted with unique keys, so each fqdn is one
-        // contiguous run: resolve the table entry once per run and
-        // append without the merge index (an observe that touches a
-        // large entry later builds it).
-        for run in seg.rows.chunk_by(|a, b| a.fqdn == b.fqdn) {
-            let fqdn = &seg.fqdns[run[0].fqdn as usize];
-            let table = &mut shard.table.entry(fqdn.clone()).or_default().table;
-            table.rows.reserve(run.len());
-            for row in run {
-                let idx = table.intern(&seg.rdatas[row.rdata as usize]);
+        read_runs(&path, &mut |fqdn, rows, _, rdatas| {
+            let table = &mut shard.table.entry(fqdn).or_default().table;
+            table.rows.reserve(rows.len());
+            for row in rows {
+                let rdata = table.intern(&rdatas[row.rdata as usize]);
                 table.rows.push(DailyRow {
                     pdate: row.pdate,
-                    rdata: idx,
+                    rdata,
                     cnt: row.cnt,
                 });
             }
-            shard.rows += run.len();
-        }
+            shard.rows += rows.len();
+        })?;
         Ok(shard)
     }
 

@@ -10,6 +10,10 @@
 //! counts allocations, not reallocations: a `Vec` growing in place is
 //! one block, however often it moves.
 
+// The counting allocator implements the unsafe `GlobalAlloc`; the
+// workspace denies `unsafe_code` everywhere else.
+#![allow(unsafe_code)]
+
 use fw_dns::pdns::FqdnAggregate;
 use fw_store::{scan_shard_visit, DiskStore, StoreConfig};
 use fw_types::{DayStamp, Fqdn, Rdata, MEASUREMENT_START};

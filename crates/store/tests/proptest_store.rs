@@ -1,138 +1,12 @@
-//! Property tests for the segment codec: encode → decode is lossless up
-//! to the documented canonicalization (sorting + duplicate-key merge),
-//! and any truncation or byte corruption of an encoded segment is
-//! rejected rather than mis-decoded.
+//! Property tests for the segment codec's varint reader: the SWAR
+//! fast path decodes exactly what the scalar reader does. The segment
+//! round-trip, truncation, corruption and decoded-field properties run
+//! against the crate-private reader, so they live in `segment.rs`'s
+//! unit tests.
 
-use fw_store::{decode_segment, SegRow, SegmentBuilder};
-use fw_types::{DayStamp, Fqdn, Rdata, MEASUREMENT_START};
 use proptest::prelude::*;
-use std::collections::HashMap;
-use std::net::Ipv4Addr;
-
-/// A compact row spec the strategies generate: small index spaces force
-/// both dictionary reuse and duplicate-key merging.
-type RowSpec = (u8, u8, u16, u16, u32);
-
-/// Strategy for one [`RowSpec`] (the vendored proptest shim has no
-/// tuple `Arbitrary`, so the tuple-of-strategies form is used).
-fn row_spec() -> impl Strategy<Value = RowSpec> {
-    (
-        any::<u8>(),
-        any::<u8>(),
-        any::<u16>(),
-        any::<u16>(),
-        any::<u32>(),
-    )
-}
-
-fn materialize(rows: &[RowSpec]) -> Vec<(Fqdn, Rdata, DayStamp, u64)> {
-    rows.iter()
-        .map(|&(f, r, day, host, cnt)| {
-            let fqdn = Fqdn::parse(&format!("fn{f}.lambda-url.us-east-1.on.aws")).unwrap();
-            let rdata = match r % 3 {
-                0 => Rdata::V4(Ipv4Addr::new(198, 51, 100, r)),
-                1 => Rdata::V6(format!("2001:db8::{:x}", u16::from(r) + 1).parse().unwrap()),
-                _ => Rdata::Name(Fqdn::parse(&format!("edge{host}.a.run.app")).unwrap()),
-            };
-            (
-                fqdn,
-                rdata,
-                MEASUREMENT_START + i64::from(day % 731),
-                u64::from(cnt) + 1,
-            )
-        })
-        .collect()
-}
-
-/// The canonical view of a row set: `(fqdn, rdata, pdate) → total cnt`.
-fn canonical(rows: &[(Fqdn, Rdata, DayStamp, u64)]) -> HashMap<(Fqdn, Rdata, i64), u64> {
-    let mut out = HashMap::new();
-    for (f, r, d, c) in rows {
-        *out.entry((f.clone(), r.clone(), d.0)).or_insert(0) += c;
-    }
-    out
-}
-
-fn decoded_canonical(bytes: &[u8]) -> HashMap<(Fqdn, Rdata, i64), u64> {
-    let seg = decode_segment(bytes).expect("valid segment decodes");
-    let mut out = HashMap::new();
-    for SegRow {
-        fqdn,
-        pdate,
-        rdata,
-        cnt,
-    } in seg.rows
-    {
-        let prev = out.insert(
-            (
-                seg.fqdns[fqdn as usize].clone(),
-                seg.rdatas[rdata as usize].clone(),
-                pdate.0,
-            ),
-            cnt,
-        );
-        assert!(prev.is_none(), "decoded segment repeated a row key");
-    }
-    out
-}
-
-fn encode(rows: &[(Fqdn, Rdata, DayStamp, u64)]) -> Vec<u8> {
-    let mut b = SegmentBuilder::new();
-    for (f, r, d, c) in rows {
-        b.push(f, r, *d, *c);
-    }
-    b.finish().expect("non-empty segment")
-}
 
 proptest! {
-    /// Encode → decode reproduces exactly the canonical row multiset.
-    #[test]
-    fn roundtrip_is_lossless(spec in proptest::collection::vec(row_spec(), 1..120)) {
-        let rows = materialize(&spec);
-        let bytes = encode(&rows);
-        prop_assert_eq!(decoded_canonical(&bytes), canonical(&rows));
-    }
-
-    /// Decoded rows come back sorted by `(fqdn, pdate, rdata)`.
-    #[test]
-    fn decoded_rows_are_sorted(spec in proptest::collection::vec(row_spec(), 1..80)) {
-        let rows = materialize(&spec);
-        let seg = decode_segment(&encode(&rows)).unwrap();
-        let keys: Vec<(String, i64, u32)> = seg
-            .rows
-            .iter()
-            .map(|r| (seg.fqdns[r.fqdn as usize].as_str().to_string(), r.pdate.0, r.rdata))
-            .collect();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        prop_assert_eq!(keys, sorted);
-    }
-
-    /// Any strict prefix of a segment fails to decode.
-    #[test]
-    fn truncation_rejected(
-        spec in proptest::collection::vec(row_spec(), 1..40),
-        cut_seed in any::<u64>(),
-    ) {
-        let bytes = encode(&materialize(&spec));
-        let cut = (cut_seed % bytes.len() as u64) as usize;
-        prop_assert!(decode_segment(&bytes[..cut]).is_err());
-    }
-
-    /// Any single corrupted byte fails to decode (whole-file CRC plus
-    /// per-block CRCs and magics leave no unprotected byte).
-    #[test]
-    fn corruption_rejected(
-        spec in proptest::collection::vec(row_spec(), 1..40),
-        pos_seed in any::<u64>(),
-        flip in 1u8..=255,
-    ) {
-        let mut bytes = encode(&materialize(&spec));
-        let pos = (pos_seed % bytes.len() as u64) as usize;
-        bytes[pos] ^= flip;
-        prop_assert!(decode_segment(&bytes).is_err(), "flip at {} survived", pos);
-    }
-
     /// SWAR batch uvarint decode ≡ the scalar `Reader` on encoded value
     /// streams spanning every varint length (1..=10 bytes).
     #[test]
